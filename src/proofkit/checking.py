@@ -10,7 +10,9 @@ cut-free, reflection-free derivation really ends in a true sequent,
 using a bounded-witness search entirely independent of the derivation
 machinery; a separate brute-force oracle evaluates sequents classically
 over a rank-bounded fragment of the hereditarily finite sets for
-cross-checking.
+cross-checking.  Both run the one truth evaluator of ``formulas`` and
+differ only in what unbounded quantifiers range over; the checker reads
+every decomposition from there too.
 """
 
 from __future__ import annotations
@@ -26,36 +28,32 @@ from .derivations import (
     TrueLeaf,
     VeeNode,
     WedgeNode,
-    component,
-    reflection_guard,
     rule_of,
 )
 from .formulas import (
     All,
-    And,
-    BAll,
-    BEx,
+    CONJUNCTIVE,
+    DISJUNCTIVE,
     Ex,
     Formula,
     JBounded,
-    JTwo,
-    JUniverse,
-    Mem,
-    Name,
-    NotMem,
-    Or,
-    contains_opaque,
+    J_TWO,
+    J_UNIVERSE,
+    component,
+    decompose,
     depth,
+    determinable,
     eval_formula_bounded,
-    free_vars,
+    evaluate,
     is_delta0,
     member_pi,
     negate,
+    reflection_guard,
     render_formula,
-    subst,
+    split,
     support,
 )
-from .ordinals import GREATER, LESS, cmp, render
+from .ordinals import LESS, cmp, render
 from .universe import (
     Abstract,
     Concrete,
@@ -64,7 +62,6 @@ from .universe import (
     hull_contains,
     hull_extend,
     is_concrete,
-    set_members,
     transitive_closure,
 )
 
@@ -106,25 +103,6 @@ class Report:
         return not self.violations
 
 
-def _determinable(A: Formula) -> bool:
-    return (
-        not contains_opaque(A)
-        and all(is_concrete(a) for a in support(A))
-        and not free_vars(A)
-    )
-
-
-def _expected_index_set(A: Formula):
-    """The index set a conjunctive sentence decomposes over."""
-    if isinstance(A, And):
-        return JTwo()
-    if isinstance(A, BAll) and isinstance(A.bound, Name):
-        return JBounded(A.bound.value)
-    if isinstance(A, All):
-        return JUniverse()
-    return None
-
-
 def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
     """Expand to depth k and verify every visited node locally."""
     sampler = sampler or default_sampler()
@@ -150,14 +128,14 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
         if not hull_contains(sig.hull, sig.bound):
             bad(path, "control condition: bound outside hull")
 
-        premises = []  # (label, iota-or-None, expected seq, expected hull, term)
+        premises = []  # (label, expected seq, expected hull, term)
 
         if isinstance(v, TrueLeaf):
             if v.main not in sig.seq:
                 bad(path, "main formula not in sequent")
             elif not is_delta0(v.main):
                 bad(path, "leaf main formula not bounded")
-            elif _determinable(v.main):
+            elif determinable(v.main):
                 if not eval_formula_bounded(v.main):
                     bad(path, "leaf asserts a false sentence")
             else:
@@ -167,47 +145,44 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                 bad(path, "main formula not in sequent")
             else:
                 A = v.main
-                if isinstance(A, BEx):
+                dec = split(A)
+                if (dec is not None and dec.polarity == DISJUNCTIVE
+                        and not dec.by_truth):
                     pass  # set-indexed reading, whatever the truth value
-                elif isinstance(A, (Or, Ex)) and not is_delta0(A):
-                    pass
-                elif is_delta0(A) and not _determinable(A):
+                elif not is_delta0(A):
+                    bad(path, "disjunctive inference on a conjunctive formula")
+                elif not determinable(A):
                     report.notes.append(
                         (path, "polarity not machine-checkable"))
-                elif is_delta0(A) and eval_formula_bounded(A):
+                elif decompose(A).polarity == CONJUNCTIVE:
                     bad(path, "disjunctive inference on a conjunctive formula")
-                elif is_delta0(A):
+                else:
                     bad(path, "disjunctive inference on an empty index set")
-                else:
-                    bad(path, "disjunctive inference on a conjunctive formula")
-                ok, note = _index_valid(A, v.iota)
-                if not ok:
+                J = dec.index_set if dec is not None else None
+                if isinstance(J, JBounded) and isinstance(J.bound, Abstract):
+                    report.notes.append(
+                        (path, "index set bounded by an abstract parameter"))
+                elif J is None or not J.contains(v.iota):
                     bad(path, "index outside the index set")
-                elif note:
-                    report.notes.append((path, note))
-                try:
-                    comp = component(A, v.iota)
-                except ConstructionError as ex:
-                    bad(path, "premise error: %s" % ex)
-                else:
-                    premises.append(("0", sig.seq | {comp}, sig.hull, v.sub))
+                premises.append(
+                    ("0", sig.seq | {component(A, v.iota)}, sig.hull, v.sub))
         elif isinstance(v, WedgeNode):
             if v.main not in sig.seq:
                 bad(path, "main formula not in sequent")
             else:
                 A = v.main
-                expected = _expected_index_set(A)
-                if expected is None:
+                dec = split(A)
+                if (dec is None or dec.polarity != CONJUNCTIVE
+                        or dec.index_set is None):
                     if is_delta0(A):
                         bad(path, "conjunctive inference on a bounded sentence")
                     else:
                         bad(path,
                             "conjunctive inference on a disjunctive formula")
                 else:
-                    if v.index_set != expected:
+                    if v.index_set != dec.index_set:
                         bad(path, "index set mismatch")
-                    if (isinstance(A, And) and is_delta0(A)
-                            and _determinable(A)):
+                    if dec.by_truth and determinable(A):
                         # a settled bounded conjunction decomposes by its
                         # truth value, not over its connective
                         bad(path, "conjunctive inference on a bounded sentence")
@@ -243,7 +218,7 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
         for label, want_seq, want_hull, p in premises:
             child = "%s.%s" % (path, label)
             psig = p.sig
-            if cmp(psig.bound, sig.bound) is not LESS:
+            if cmp(psig.bound, sig.bound) != LESS:
                 bad(child, "descent violation")
             if psig.rank != sig.rank:
                 bad(child, "premise rank mismatch")
@@ -258,39 +233,19 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
     return report
 
 
-def _index_valid(A: Formula, iota):
-    """Whether iota belongs to the index set A decomposes over."""
-    if isinstance(A, (Or, And)):
-        return iota in (0, 1), None
-    if isinstance(A, (BEx, BAll)):
-        if not isinstance(A.bound, Name):
-            return False, None
-        bound = A.bound.value
-        if isinstance(bound, Abstract):
-            return True, "index set bounded by an abstract parameter"
-        return iota in set_members(bound), None
-    if isinstance(A, (Ex, All)):
-        return isinstance(iota, (Concrete, Abstract)), None
-    return False, None
-
-
 def _wedge_indices(v: WedgeNode, sampler, report: Report, path):
-    if isinstance(v.index_set, JTwo):
-        return [("0", 0), ("1", 1)]
-    if isinstance(v.index_set, JBounded):
-        if isinstance(v.index_set.bound, Abstract):
-            report.notes.append((path, "abstract index set skipped"))
-            return []
-        return [
-            ("i%d" % n, b)
-            for n, b in enumerate(
-                sorted(set_members(v.index_set.bound), key=repr)
-            )
-        ]
-    if isinstance(v.index_set, JUniverse):
+    """Labelled indices to visit: all of a finite index set, a sample
+    of the universe, none of a set bounded by an abstract parameter."""
+    J = v.index_set
+    if J == J_UNIVERSE:
         report.notes.append((path, "universe index set sampled"))
         return [("s%d" % n, b) for n, b in enumerate(sampler(v))]
-    return []
+    if isinstance(J, JBounded) and isinstance(J.bound, Abstract):
+        report.notes.append((path, "abstract index set skipped"))
+        return []
+    if J == J_TWO:
+        return [("0", 0), ("1", 1)]
+    return [("i%d" % n, b) for n, b in enumerate(J.members())]
 
 
 def _guard_matches(guard: Formula, A: Formula, point) -> bool:
@@ -314,9 +269,14 @@ INCONCLUSIVE = "inconclusive"
 REFUTED = "refuted"
 
 
-def _witness_pool(A: Formula) -> list:
+def _witnesses(B: Formula):
+    """The witnesses an unbounded existential B is searched over: small
+    hereditarily finite sets and everything hereditarily inside B's
+    parameters.  An unbounded universal is never certified here."""
+    if not isinstance(B, Ex):
+        return None
     pool = list(enumerate_hf(16))
-    for a in support(A):
+    for a in support(B):
         if isinstance(a, Concrete):
             for b in sorted(transitive_closure(a) | {a}, key=repr):
                 if b not in pool:
@@ -325,28 +285,10 @@ def _witness_pool(A: Formula) -> list:
 
 
 def certify(A: Formula) -> bool:
-    """Bounded-witness certification that a sentence is true."""
-    if free_vars(A) or contains_opaque(A):
-        return False
-    if not all(is_concrete(a) for a in support(A)):
-        return False
-    if is_delta0(A):
-        return eval_formula_bounded(A)
-    if isinstance(A, Or):
-        return certify(A.left) or certify(A.right)
-    if isinstance(A, And):
-        return certify(A.left) and certify(A.right)
-    if isinstance(A, BEx):
-        return any(
-            certify(subst(A.body, A.var, Name(b))) for b in set_members(A.bound.value)
-        )
-    if isinstance(A, BAll):
-        return all(
-            certify(subst(A.body, A.var, Name(b))) for b in set_members(A.bound.value)
-        )
-    if isinstance(A, Ex):
-        return any(certify(subst(A.body, A.var, Name(b))) for b in _witness_pool(A))
-    return False  # unbounded universal: never certified here
+    """Bounded-witness certification that a sentence is true: unbounded
+    existentials search a pool of witnesses, unbounded universals are
+    never certified."""
+    return determinable(A) and evaluate(A, _witnesses)
 
 
 def eval_cutfree(d: DerivTerm, k: int) -> EvalResult:
@@ -364,10 +306,7 @@ def _ev(d: DerivTerm, k: int) -> EvalResult:
         return EvalResult(VERIFIED)
     if k <= 0:
         return EvalResult(INCONCLUSIVE, "depth limit")
-    try:
-        v = rule_of(d)
-    except EvaluationError as ex:
-        raise
+    v = rule_of(d)
     if isinstance(v, RefNode):
         return EvalResult(INCONCLUSIVE, "reflection")
     if isinstance(v, TrueLeaf):
@@ -377,7 +316,7 @@ def _ev(d: DerivTerm, k: int) -> EvalResult:
     if isinstance(v, VeeNode):
         return _ev(v.sub, k - 1)
     if isinstance(v, WedgeNode):
-        if isinstance(v.index_set, JUniverse):
+        if v.index_set == J_UNIVERSE:
             return EvalResult(INCONCLUSIVE, "universe conjunction")
         results = [_ev(v.premise(i), k - 1) for i in v.indices()]
         if any(r.status == REFUTED for r in results):
@@ -406,24 +345,7 @@ def oracle_eval(A: Formula, max_rank: int = 4) -> bool:
             if b not in domain:
                 domain.append(b)
 
-    def ev(B: Formula) -> bool:
-        if is_delta0(B):
-            return eval_formula_bounded(B)
-        if isinstance(B, Or):
-            return ev(B.left) or ev(B.right)
-        if isinstance(B, And):
-            return ev(B.left) and ev(B.right)
-        if isinstance(B, BEx):
-            return any(ev(subst(B.body, B.var, Name(b))) for b in set_members(B.bound.value))
-        if isinstance(B, BAll):
-            return all(ev(subst(B.body, B.var, Name(b))) for b in set_members(B.bound.value))
-        if isinstance(B, Ex):
-            return any(ev(subst(B.body, B.var, Name(b))) for b in domain)
-        if isinstance(B, All):
-            return all(ev(subst(B.body, B.var, Name(b))) for b in domain)
-        raise EvaluationError("not a formula: %r" % (B,))
-
-    return ev(A)
+    return evaluate(A, lambda B: domain)
 
 
 def oracle_sequent(seq, max_rank: int = 4) -> bool:
@@ -462,20 +384,11 @@ def trace_lines(d: DerivTerm, k: int, sampler=None) -> list:
         )
         if fuel <= 0:
             return
-        if isinstance(v, TrueLeaf):
-            return
-        if isinstance(v, VeeNode):
-            walk(v.sub, fuel - 1, nid)
-            return
-        if isinstance(v, WedgeNode):
-            if isinstance(v.index_set, JUniverse):
-                idx = sampler(v)
-            else:
-                idx = v.indices()
-            for i in idx:
-                walk(v.premise(i), fuel - 1, nid)
-            return
-        for i in v.indices():
+        if isinstance(v, WedgeNode) and v.index_set == J_UNIVERSE:
+            idx = sampler(v)
+        else:
+            idx = v.indices()
+        for i in idx:
             walk(v.premise(i), fuel - 1, nid)
 
     walk(d, k, 0)

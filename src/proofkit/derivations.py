@@ -25,7 +25,7 @@ preconditions at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import finitary as fin
 from .formulas import (
@@ -33,41 +33,35 @@ from .formulas import (
     And,
     BAll,
     BEx,
-    Decomposition,
-    DISJUNCTIVE,
     CONJUNCTIVE,
+    DISJUNCTIVE,
     Ex,
     Formula,
     JBounded,
-    JEmpty,
-    JTwo,
-    JUniverse,
-    J_EMPTY,
     J_TWO,
     J_UNIVERSE,
     Mem,
     Name,
     NotMem,
-    Or,
     Sequent,
     Term,
     Var,
     ZERO_TERM,
-    contains_opaque,
+    component,
     decompose,
     depth,
+    determinable,
     eval_formula_bounded,
     free_vars,
     is_delta0,
-    member_pi,
     negate,
+    split,
     subst,
     support,
 )
 from .ordinals import (
     EQUAL,
     GREATER,
-    LESS,
     OMEGA,
     OrdCode,
     ZERO as ORD_ZERO,
@@ -83,7 +77,6 @@ from .universe import (
     Concrete,
     DeskSet,
     EMPTY,
-    EMPTY_HULL,
     EvaluationError,
     Hull,
     OMEGA_WITNESS,
@@ -92,7 +85,6 @@ from .universe import (
     hull_extend,
     hull_extend_list,
     hull_subsumes,
-    is_concrete,
     rank,
     rank_int,
     set_members,
@@ -121,11 +113,7 @@ def _bump(alpha: OrdCode, n: int) -> OrdCode:
 
 
 def _leq(a: OrdCode, b: OrdCode) -> bool:
-    return cmp(a, b) is not GREATER
-
-
-def _lt(a: OrdCode, b: OrdCode) -> bool:
-    return cmp(a, b) is LESS
+    return cmp(a, b) != GREATER
 
 
 class DerivTerm:
@@ -225,28 +213,11 @@ class WedgeNode(ExplicitNode):
         self._cache = {}
 
     def indices(self):
-        if isinstance(self.index_set, JTwo):
-            return [0, 1]
-        if isinstance(self.index_set, JBounded):
-            from .universe import render_set
-
-            return sorted(set_members(self.index_set.bound), key=render_set)
-        if isinstance(self.index_set, JEmpty):
-            return []
-        raise EvaluationError("the universe index set is not enumerable")
+        return self.index_set.members()
 
     def premise(self, iota) -> DerivTerm:
         if iota not in self._cache:
-            if isinstance(self.index_set, JTwo) and iota not in (0, 1):
-                raise IndexError("binary index must be 0 or 1")
-            if isinstance(self.index_set, JBounded) and iota not in set_members(
-                self.index_set.bound
-            ):
-                raise IndexError("index outside the bounding set")
-            if isinstance(self.index_set, JUniverse) and not isinstance(
-                iota, (Concrete, Abstract)
-            ):
-                raise IndexError("universe indices are desk sets")
+            self.index_set.require(iota)
             self._cache[iota] = self._premise_fn(iota)
         return self._cache[iota]
 
@@ -307,62 +278,11 @@ class RefNode(ExplicitNode):
         raise IndexError("reflection premises are 0 and 1")
 
 
-def reflection_guard(A: Formula, point: Term, var: str = "z") -> Formula:
-    """The right-premise sentence of a reflection inference on A at point."""
-    from .formulas import Ad, relativize
-
-    z = var
-    avoid = free_vars(A)
-    i = 0
-    while z in avoid:
-        z = "%s%d" % (var, i)
-        i += 1
-    witness = Ex(z, And(Ad(Var(z)), And(Mem(point, Var(z)), relativize(A, Var(z)))))
-    return negate(witness)
-
-
-# ---------------------------------------------------------------------------
-# polarity helpers
-
-
-def conjunctive_side(A: Formula) -> Formula:
-    """Of the pair A, not-A (A unbounded), the one decomposing conjunctively."""
-    if isinstance(A, (And, BAll, All)):
-        return A
-    return negate(A)
-
-
-def _jdesc_of(A: Formula):
-    if isinstance(A, (Or, And)):
-        return J_TWO
-    if isinstance(A, (BEx, BAll)):
-        if not isinstance(A.bound, Name):
-            raise ConstructionError("open sentence in derivation: %r" % (A,))
-        return JBounded(A.bound.value)
-    if isinstance(A, (Ex, All)):
-        return J_UNIVERSE
-    raise ConstructionError("bounded sentence has no nonempty index set")
-
-
-def component(A: Formula, iota) -> Formula:
-    """The iota-th disjunct/conjunct of an unbounded sentence."""
-    if isinstance(A, (Or, And)):
-        return A.left if iota == 0 else A.right
-    return subst(A.body, A.var, Name(iota))
-
-
-def _extend_for(index_set, hull: Hull, iota) -> Hull:
+def _extend_for(hull: Hull, iota) -> Hull:
+    """The hull of the premise at iota: extended by a set index."""
     if isinstance(iota, (Concrete, Abstract)):
         return hull_extend(hull, iota)
     return hull
-
-
-def _determinable(A: Formula) -> bool:
-    return (
-        not contains_opaque(A)
-        and all(is_concrete(a) for a in support(A))
-        and not free_vars(A)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +302,23 @@ class Taut(DerivTerm):
     def _expand(self):
         A, P, seq = self.A, self.sig.hull, self.sig.seq
         d = depth(A)
-        if d == 0:
-            if _determinable(A):
-                main = A if eval_formula_bounded(A) else negate(A)
-                return TrueLeaf(self.sig, main)
+        if d == 0 and not determinable(A):
             return TrueLeaf(self.sig, A, undetermined=True)
-        C = conjunctive_side(A)
-        jdesc = _jdesc_of(C)
+        dec = decompose(A)
+        # of A and not-A, the side that decomposes conjunctively; for a
+        # bounded sentence, the true one
+        C = A if dec.polarity == CONJUNCTIVE else negate(A)
+        if d == 0:
+            return TrueLeaf(self.sig, C)
 
         def prem(iota):
             C_iota = component(C, iota)
-            hull_i = _extend_for(jdesc, P, iota)
+            hull_i = _extend_for(P, iota)
             inner = Taut(C_iota, seq, hull_i)
             vee_sig = Sig(hull_i, _fin(2 * d - 1), 0, seq | {C_iota})
             return VeeNode(vee_sig, negate(C), iota, inner)
 
-        return WedgeNode(self.sig, C, jdesc, prem)
+        return WedgeNode(self.sig, C, dec.index_set, prem)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +380,7 @@ def _fund_progress(
     r3 = times_nat(rank(b), 3)
     vee_sig = Sig(hull, _bump(add(_fin(2 * d), r3), 2), 0, base)
 
-    if is_delta0(A) and _determinable(A_b):
+    if is_delta0(A) and determinable(A_b):
         # a settled bounded induction formula: either A(b) itself is true,
         # or some membership-minimal failure at or below b witnesses the
         # progress-failure sentence outright
@@ -522,7 +443,7 @@ class Weak(DerivTerm):
         self.sig = sig
 
     def _expand(self):
-        return apply_weak(rule_of(self.sub), self.sig)
+        return _map_premises(rule_of(self.sub), self.sig, _reseq)
 
 
 def weaken(
@@ -549,36 +470,6 @@ def _reseq(sub: DerivTerm, sig: Sig) -> DerivTerm:
     if sub.sig == sig:
         return sub
     return Weak(sub, sig)
-
-
-def apply_weak(v: ExplicitNode, sig: Sig) -> ExplicitNode:
-    """Rebuild an explicit node at a widened signature, wrapping each
-    premise so the premise sequents track the new conclusion."""
-    P, m, seq = sig.hull, sig.rank, sig.seq
-    if isinstance(v, TrueLeaf):
-        return TrueLeaf(sig, v.main, v.undetermined)
-    if isinstance(v, VeeNode):
-        s = v.sub.sig
-        new_sub = _reseq(v.sub, Sig(P, s.bound, m, seq | {component(v.main, v.iota)}))
-        return VeeNode(sig, v.main, v.iota, new_sub)
-    if isinstance(v, WedgeNode):
-        def prem(iota):
-            p = v.premise(iota)
-            hull_i = _extend_for(v.index_set, P, iota)
-            want = Sig(hull_i, p.sig.bound, m, seq | {component(v.main, iota)})
-            return _reseq(p, want)
-
-        return WedgeNode(sig, v.main, v.index_set, prem)
-    if isinstance(v, CutNode):
-        C = v.cut_formula
-        left = _reseq(v.left, Sig(P, v.left.sig.bound, m, seq | {negate(C)}))
-        right = _reseq(v.right, Sig(P, v.right.sig.bound, m, seq | {C}))
-        return CutNode(sig, C, left, right)
-    if isinstance(v, RefNode):
-        left = _reseq(v.left, Sig(P, v.left.sig.bound, m, seq | {v.formula}))
-        right = _reseq(v.right, Sig(P, v.right.sig.bound, m, seq | {v.guard}))
-        return RefNode(sig, v.formula, v.point, v.guard, left, right)
-    raise TypeError("not an explicit node: %r" % (v,))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +534,7 @@ def axemb_rank(node: fin.ProofNode) -> int:
 
 def _true_leaf(M: Formula, seq: Sequent, hull: Hull, bound: OrdCode) -> TrueLeaf:
     sig = Sig(hull, bound, 0, seq)
-    if _determinable(M):
+    if determinable(M):
         if not eval_formula_bounded(M):
             raise ConstructionError("axiom embedding produced a false leaf")
         return TrueLeaf(sig, M)
@@ -735,7 +626,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
             wedge_seq = prem_seq | {matrix}
 
             def inner(i):
-                part = matrix.left if i == 0 else matrix.right
+                part = component(matrix, i)
                 return _true_leaf(part, wedge_seq | {part}, hull_i, _fin(0))
 
             wedge = WedgeNode(Sig(hull_i, _fin(1), 0, wedge_seq), matrix, J_TWO, inner)
@@ -807,7 +698,7 @@ def emb_bound(m: int, values) -> OrdCode:
     for a in values:
         acc = nat_sum(acc, times_nat(rank(a), 3))
     out = times_nat(OMEGA, m)
-    if cmp(acc, ORD_ZERO) is EQUAL:
+    if cmp(acc, ORD_ZERO) == EQUAL:
         return out
     return add(out, acc)
 
@@ -844,11 +735,11 @@ def _emb_expand(e: Emb) -> ExplicitNode:
 
     if pi.rule == "logax":
         t = Taut(close(pi.main), seq, P)
-        return apply_weak(rule_of(t), sig)
+        return _map_premises(rule_of(t), sig, _reseq)
 
     if pi.rule in fin.AXIOM_RULES:
         ax = AxEmb(pi, e.assignment, P, N)
-        return apply_weak(rule_of(ax), sig)
+        return _map_premises(rule_of(ax), sig, _reseq)
 
     if pi.rule == "cut":
         C = close(pi.formula)
@@ -865,7 +756,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         if is_delta0(main):
             # a bounded disjunction decomposes by its truth value, so the
             # disjunctive inference is not available; settle it directly
-            if not _determinable(main):
+            if not determinable(main):
                 raise ConstructionError(
                     "cannot orient a bounded disjunction with opaque parts")
             if eval_formula_bounded(main):
@@ -885,7 +776,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
 
     if pi.rule == "and":
         if is_delta0(main):
-            if not _determinable(main):
+            if not determinable(main):
                 raise ConstructionError(
                     "cannot orient a bounded conjunction with opaque parts")
             if eval_formula_bounded(main):
@@ -901,7 +792,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         subs = [e._sub(p) for p in pi.premises]
 
         def prem(i):
-            comp = main.left if i == 0 else main.right
+            comp = component(main, i)
             return _reseq(subs[i], Sig(P, subs[i].sig.bound, m, seq | {comp}))
 
         return WedgeNode(sig, main, J_TWO, prem)
@@ -970,7 +861,7 @@ class Drop(DerivTerm):
         super().__init__()
         if not is_delta0(C):
             raise ConstructionError("only bounded members can be dropped")
-        if _determinable(C) and eval_formula_bounded(C):
+        if determinable(C) and eval_formula_bounded(C):
             raise ConstructionError("only false members can be dropped")
         self.sub = sub
         self.C = C
@@ -986,7 +877,7 @@ class Drop(DerivTerm):
             if isinstance(v, VeeNode) and isinstance(C, BEx):
                 comp = component(C, v.iota)
                 inner = Drop(Drop(v.sub, comp), C)
-                return apply_weak(rule_of(inner), sig)
+                return _map_premises(rule_of(inner), sig, _reseq)
             raise ConstructionError("a false bounded sentence heads no rule")
         return _map_premises(v, sig, lambda p, want: _reseq(Drop(p, C), want))
 
@@ -1004,7 +895,7 @@ def _map_premises(v: ExplicitNode, sig: Sig, wrap) -> ExplicitNode:
     if isinstance(v, WedgeNode):
         def prem(iota):
             p = v.premise(iota)
-            hull_i = _extend_for(v.index_set, P, iota)
+            hull_i = _extend_for(P, iota)
             want = Sig(hull_i, p.sig.bound, m, seq | {component(v.main, iota)})
             return wrap(p, want)
 
@@ -1035,7 +926,7 @@ class Inv(DerivTerm):
         self.notC = negate(C)
         self.iota = iota
         old = sub.sig
-        hull = _extend_for(None, old.hull, iota)
+        hull = _extend_for(old.hull, iota)
         comp = negate(component(C, iota))
         self.comp = comp
         self.sig = Sig(hull, old.bound, old.rank, (old.seq - {self.notC}) | {comp})
@@ -1047,7 +938,7 @@ class Inv(DerivTerm):
             # select the iota-th premise and invert it in turn, since it
             # still carries the conjunction in its sequent
             inner = Inv(v.premise(self.iota), self.C, self.iota)
-            return apply_weak(rule_of(inner), sig)
+            return _map_premises(rule_of(inner), sig, _reseq)
         return _map_premises(
             v, sig, lambda p, want: _reseq(Inv(p, self.C, self.iota), want)
         )
@@ -1072,13 +963,13 @@ class Red(DerivTerm):
         if depth(C) > m:
             raise ConstructionError("reduced formula deeper than the cut rank")
         if is_delta0(C):
-            if not _determinable(C):
+            if not determinable(C):
                 raise ConstructionError(
                     "cannot certify a bounded formula with opaque or abstract parts as false"
                 )
             if eval_formula_bounded(C):
                 raise ConstructionError("reduced bounded formula must be false")
-        elif not isinstance(C, (Or, BEx, Ex)):
+        elif split(C).polarity != DISJUNCTIVE:
             raise ConstructionError("reduced formula must decompose disjunctively")
         self.C = C
         self.d0 = d0
@@ -1097,7 +988,7 @@ class Red(DerivTerm):
         m = sig.rank
         if is_delta0(C):
             # C is false: d1's sequent holds without it
-            return apply_weak(rule_of(Drop(d1, C)), sig)
+            return _map_premises(rule_of(Drop(d1, C)), sig, _reseq)
         v = rule_of(d1)
         if isinstance(v, VeeNode) and v.main == C:
             iota = v.iota
@@ -1156,15 +1047,11 @@ class E(DerivTerm):
             C = v.cut_formula
             left = E(v.left)
             right = E(v.right)
-            if is_delta0(C):
-                disjunctive = not eval_formula_bounded(C)
-            else:
-                disjunctive = isinstance(C, (Or, BEx, Ex))
-            if disjunctive:
+            if decompose(C).polarity == DISJUNCTIVE:
                 red = Red(C, left, right)
             else:
                 red = Red(negate(C), right, left)
-            return apply_weak(rule_of(red), sig)
+            return _map_premises(rule_of(red), sig, _reseq)
 
         def wrap(p, want):
             ep = E(p)

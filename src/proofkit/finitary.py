@@ -50,8 +50,8 @@ from .formulas import (
     sequent_from_tree,
     subst,
 )
-from .ordinals import parse as parse_ord, render as render_ord, Sub, cnf_from_int
-from .universe import Abstract, DeskSet, parse_set, render_set
+from .ordinals import parse as parse_ord, render as render_ord, Sub
+from .universe import Abstract, parse_set, render_set
 
 RULES = frozenset(
     {

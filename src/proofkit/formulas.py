@@ -1,8 +1,14 @@
 """Negation-normal formulas over the language of membership with set
 names, plus the syntactic toolbox the calculi need: negation,
 Levy-hierarchy classification, depth, name support, substitution,
-relativization, and the disjunction/conjunction decomposition that
-drives the infinitary rules.
+relativization, and reflection guard sentences.
+
+This module is also the specification layer of the infinitary
+calculus.  It alone decides how a sentence decomposes -- its polarity,
+its index set, membership in and enumeration order of that index set,
+and the component at an index -- which sentences bounded evaluation
+can settle, and what a sentence's truth value is.  The derivation
+constructors and the checker both read these answers from here.
 
 Atoms are ``t in s`` and ``t notin s`` together with the opaque pair
 ``ad(t)`` / ``notad(t)``.  The latter stand for "t is a transitive model
@@ -131,13 +137,6 @@ Sequent = frozenset
 
 def seq(*formulas) -> Sequent:
     return frozenset(formulas)
-
-
-def or_chain(*parts) -> Formula:
-    """Right-nested disjunction of two or more formulas."""
-    if len(parts) == 1:
-        return parts[0]
-    return Or(parts[0], or_chain(*parts[1:]))
 
 
 def implies(a: Formula, b: Formula) -> Formula:
@@ -405,28 +404,84 @@ def relativize(A: Formula, c: Term) -> Formula:
     raise TypeError("not a formula: %r" % (A,))
 
 
+def reflection_guard(A: Formula, point: Term, var: str = "z") -> Formula:
+    """The right-premise sentence of a reflection inference on A at point:
+    no admissible set containing point satisfies A relativized to it."""
+    z = var
+    avoid = free_vars(A)
+    i = 0
+    while z in avoid:
+        z = "%s%d" % (var, i)
+        i += 1
+    witness = Ex(z, And(Ad(Var(z)), And(Mem(point, Var(z)), relativize(A, Var(z)))))
+    return negate(witness)
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
 
-@dataclass(frozen=True)
-class JEmpty:
-    pass
+class _IndexSet:
+    """An index set J of a decomposition A = OR/AND (A_iota), iota in J.
+
+    Each kind provides ``members()``, the indices in enumeration order,
+    and ``contains(iota)``; ``outside`` is the message for an index
+    that is not a member."""
+
+    outside = ""
+
+    def require(self, iota) -> None:
+        if not self.contains(iota):
+            raise IndexError(self.outside)
 
 
 @dataclass(frozen=True)
-class JTwo:
-    pass
+class JEmpty(_IndexSet):
+    outside = "empty index set has no components"
+
+    def members(self) -> list:
+        return []
+
+    def contains(self, iota) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
-class JBounded:
+class JTwo(_IndexSet):
+    outside = "binary index must be 0 or 1"
+
+    def members(self) -> list:
+        return [0, 1]
+
+    def contains(self, iota) -> bool:
+        return iota in (0, 1)
+
+
+@dataclass(frozen=True)
+class JBounded(_IndexSet):
+    """The members of a bounding set, ordered by their rendering.
+    Membership and enumeration raise EvaluationError when the bound is
+    an abstract parameter."""
+
     bound: DeskSet
+    outside = "index outside the bounding set"
+
+    def members(self) -> list:
+        return sorted(set_members(self.bound), key=render_set)
+
+    def contains(self, iota) -> bool:
+        return iota in set_members(self.bound)
 
 
 @dataclass(frozen=True)
-class JUniverse:
-    pass
+class JUniverse(_IndexSet):
+    outside = "universe indices are desk sets"
+
+    def members(self) -> list:
+        raise EvaluationError("the universe index set is not enumerable")
+
+    def contains(self, iota) -> bool:
+        return isinstance(iota, (Concrete, Abstract))
 
 
 J_EMPTY = JEmpty()
@@ -437,37 +492,54 @@ DISJUNCTIVE = "disjunctive"
 CONJUNCTIVE = "conjunctive"
 
 
+def component(A: Formula, iota) -> Formula:
+    """The component A_iota of a compound formula: a side of a binary
+    connective for iota 0/1, the body instantiated at the desk set iota
+    for a quantifier."""
+    if isinstance(A, (Or, And)):
+        return A.left if iota == 0 else A.right
+    return subst(A.body, A.var, Name(iota))
+
+
 @dataclass(frozen=True)
 class Decomposition:
     polarity: str
-    index_set: JEmpty | JTwo | JBounded | JUniverse
+    index_set: JEmpty | JTwo | JBounded | JUniverse | None
     main: Formula
 
     def instantiate(self, iota) -> Formula:
-        """The component A_iota; iota is 0/1 for binary connectives and a
-        desk set for quantifiers."""
-        A = self.main
-        if isinstance(self.index_set, JEmpty):
-            raise IndexError("empty index set has no components")
-        if isinstance(self.index_set, JTwo):
-            if iota not in (0, 1):
-                raise IndexError("binary index must be 0 or 1")
-            return A.left if iota == 0 else A.right
-        if not isinstance(iota, (Concrete, Abstract)):
-            raise IndexError("quantifier index must be a desk set")
-        return subst(A.body, A.var, Name(iota))
+        """The component A_iota, for iota in the index set."""
+        self.index_set.require(iota)
+        return component(self.main, iota)
 
-    def indices(self):
-        """Concrete index list, available except for the universe case."""
-        if isinstance(self.index_set, JEmpty):
-            return []
-        if isinstance(self.index_set, JTwo):
-            return [0, 1]
-        if isinstance(self.index_set, JBounded):
-            return sorted(
-                set_members(self.index_set.bound), key=lambda s: render_set(s)
-            )
-        raise EvaluationError("the universe index set is not enumerable")
+    def indices(self) -> list:
+        """The index set in enumeration order; raises EvaluationError
+        for the universe and for an abstract bound."""
+        return self.index_set.members()
+
+    @property
+    def by_truth(self) -> bool:
+        """Whether the rules read the main formula by its truth value
+        instead of this set-indexed reading: it is a connective of a
+        bounded sentence.  A bounded quantifier keeps its set-indexed
+        reading, which the embedding of bex/ball inferences uses."""
+        return self.index_set == J_TWO and is_delta0(self.main)
+
+
+def split(A: Formula) -> Decomposition | None:
+    """The set-indexed reading of a compound formula, read off its top
+    connective whatever its truth value; None for an atom.  A bounded
+    quantifier over a variable has no index set (None)."""
+    if isinstance(A, (Or, And)):
+        index_set = J_TWO
+    elif isinstance(A, (BEx, BAll)):
+        index_set = JBounded(A.bound.value) if isinstance(A.bound, Name) else None
+    elif isinstance(A, (Ex, All)):
+        index_set = J_UNIVERSE
+    else:
+        return None
+    polarity = CONJUNCTIVE if isinstance(A, (And, BAll, All)) else DISJUNCTIVE
+    return Decomposition(polarity, index_set, A)
 
 
 def decompose(A: Formula) -> Decomposition:
@@ -478,25 +550,16 @@ def decompose(A: Formula) -> Decomposition:
     if is_delta0(A):
         pol = CONJUNCTIVE if eval_formula_bounded(A) else DISJUNCTIVE
         return Decomposition(pol, J_EMPTY, A)
-    if isinstance(A, Or):
-        return Decomposition(DISJUNCTIVE, J_TWO, A)
-    if isinstance(A, And):
-        return Decomposition(CONJUNCTIVE, J_TWO, A)
-    if isinstance(A, (BEx, BAll)):
-        if not isinstance(A.bound, Name):
-            raise ValueError("open sentence cannot be decomposed: %r" % (A,))
-        jset = JBounded(A.bound.value)
-        pol = DISJUNCTIVE if isinstance(A, BEx) else CONJUNCTIVE
-        return Decomposition(pol, jset, A)
-    if isinstance(A, Ex):
-        return Decomposition(DISJUNCTIVE, J_UNIVERSE, A)
-    if isinstance(A, All):
-        return Decomposition(CONJUNCTIVE, J_UNIVERSE, A)
-    raise TypeError("not a formula: %r" % (A,))
+    d = split(A)
+    if d is None:
+        raise TypeError("not a formula: %r" % (A,))
+    if d.index_set is None:
+        raise ValueError("open sentence cannot be decomposed: %r" % (A,))
+    return d
 
 
 # ---------------------------------------------------------------------------
-# bounded truth evaluation
+# truth evaluation
 
 
 def contains_opaque(A: Formula) -> bool:
@@ -509,14 +572,28 @@ def contains_opaque(A: Formula) -> bool:
     return False
 
 
+def determinable(A: Formula) -> bool:
+    """Whether evaluation can settle A: a sentence with neither opaque
+    atoms nor abstract parameters."""
+    return (
+        not contains_opaque(A)
+        and all(is_concrete(a) for a in support(A))
+        and not free_vars(A)
+    )
+
+
 def _term_value(t: Term) -> DeskSet:
     if isinstance(t, Var):
         raise EvaluationError("open term %r in evaluation" % (t,))
     return t.value
 
 
-def eval_formula_bounded(A: Formula) -> bool:
-    """Classical truth of a bounded sentence over concrete sets."""
+def evaluate(A: Formula, domain) -> bool:
+    """Classical truth of a sentence over concrete sets.
+
+    Bounded quantifiers range over their bounding set.  An unbounded
+    quantifier B ranges over ``domain(B)``; when that is None, B is
+    left undecided and counts as false.  ``domain`` may also raise."""
     if isinstance(A, Mem):
         return set_member(_term_value(A.left), _term_value(A.right))
     if isinstance(A, NotMem):
@@ -524,22 +601,28 @@ def eval_formula_bounded(A: Formula) -> bool:
     if isinstance(A, (Ad, NotAd)):
         raise EvaluationError("opaque atom cannot be evaluated")
     if isinstance(A, Or):
-        return eval_formula_bounded(A.left) or eval_formula_bounded(A.right)
+        return evaluate(A.left, domain) or evaluate(A.right, domain)
     if isinstance(A, And):
-        return eval_formula_bounded(A.left) and eval_formula_bounded(A.right)
-    if isinstance(A, BEx):
-        bound = _term_value(A.bound)
-        return any(
-            eval_formula_bounded(subst(A.body, A.var, Name(b)))
-            for b in set_members(bound)
-        )
-    if isinstance(A, BAll):
-        bound = _term_value(A.bound)
-        return all(
-            eval_formula_bounded(subst(A.body, A.var, Name(b)))
-            for b in set_members(bound)
-        )
+        return evaluate(A.left, domain) and evaluate(A.right, domain)
+    if isinstance(A, (BEx, BAll)):
+        sets = set_members(_term_value(A.bound))
+    elif isinstance(A, (Ex, All)):
+        sets = domain(A)
+        if sets is None:
+            return False
+    else:
+        raise EvaluationError("not a formula: %r" % (A,))
+    instances = (evaluate(subst(A.body, A.var, Name(b)), domain) for b in sets)
+    return any(instances) if isinstance(A, (BEx, Ex)) else all(instances)
+
+
+def _bounded_only(B: Formula):
     raise EvaluationError("unbounded quantifier in bounded evaluation")
+
+
+def eval_formula_bounded(A: Formula) -> bool:
+    """Classical truth of a bounded sentence over concrete sets."""
+    return evaluate(A, _bounded_only)
 
 
 # ---------------------------------------------------------------------------

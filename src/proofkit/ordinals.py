@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 LESS, EQUAL, GREATER = -1, 0, 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordinals import CNF_W, OrdCode, Sub, cmp, cnf_from_int, LESS
+from .ordinals import CNF_W, OrdCode, Sub, cmp, cnf_add, cnf_from_int, LESS
 
 
 class EvaluationError(Exception):
@@ -84,10 +84,8 @@ def rank(a: DeskSet) -> OrdCode:
     for b in a.members:
         r = rank(b)
         # successor of a Sub code, taken via the CNF layer
-        from .ordinals import cnf_add, cnf_from_int as _ci
-
-        succ = Sub(cnf_add(r.value, _ci(1))) if isinstance(r, Sub) else r
-        if cmp(best, succ) is LESS:
+        succ = Sub(cnf_add(r.value, cnf_from_int(1))) if isinstance(r, Sub) else r
+        if cmp(best, succ) == LESS:
             best = succ
     return best
 
@@ -131,8 +129,6 @@ def set_members(a: DeskSet) -> frozenset:
 
 def sets_equal(a: DeskSet, b: DeskSet) -> bool:
     """Extensional equality; abstract parameters only equal themselves."""
-    if isinstance(a, Abstract) or isinstance(b, Abstract):
-        return a == b
     return a == b
 
 
@@ -293,18 +289,3 @@ def _contains_abstract(P: Hull, p: Abstract) -> bool:
 def hull_subsumes(P2: Hull, P1: Hull) -> bool:
     """True when every member of P1 is a member of P2."""
     return all(hull_contains(P2, g) for g in P1.generators)
-
-
-# ---------------------------------------------------------------------------
-# bounded truth evaluation (delegates to the formula module lazily to
-# avoid an import cycle: formulas need DeskSet for name terms)
-
-
-def eval_delta0(A) -> bool:
-    """Evaluate a bounded sentence over concrete sets.
-
-    Raises EvaluationError on abstract parameters or opaque atoms.
-    """
-    from . import formulas
-
-    return formulas.eval_formula_bounded(A)

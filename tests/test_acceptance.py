@@ -28,7 +28,6 @@ from proofkit.derivations import (
     WedgeNode,
     elim_cuts,
     reduce,
-    reflection_guard,
 )
 from proofkit.formulas import (
     All,
@@ -44,6 +43,7 @@ from proofkit.formulas import (
     Var,
     ZERO_TERM,
     negate,
+    reflection_guard,
 )
 from proofkit.ordinals import (
     EQUAL,
@@ -102,10 +102,10 @@ def test_1_ordinal_law_suite():
             ab, ba = cmp(a, b), cmp(b, a)
             if (ab, ba) not in ((LESS, GREATER), (GREATER, LESS), (EQUAL, EQUAL)):
                 failures += 1
-            if cmp(a, a) is not EQUAL:
+            if cmp(a, a) != EQUAL:
                 failures += 1
             # transitivity
-            if ab is LESS and cmp(b, c) is LESS and cmp(a, c) is not LESS:
+            if ab == LESS and cmp(b, c) == LESS and cmp(a, c) != LESS:
                 failures += 1
             # addition laws
             if add(add(a, b), c) != add(a, add(b, c)):
@@ -114,15 +114,15 @@ def test_1_ordinal_law_suite():
                 failures += 1
             if nat_sum(nat_sum(a, b), c) != nat_sum(a, nat_sum(b, c)):
                 failures += 1
-            if cmp(b, c) is LESS and cmp(add(a, b), add(a, c)) is not LESS:
+            if cmp(b, c) == LESS and cmp(add(a, b), add(a, c)) != LESS:
                 failures += 1
-            if cmp(b, c) is LESS and cmp(nat_sum(a, b), nat_sum(a, c)) is not LESS:
+            if cmp(b, c) == LESS and cmp(nat_sum(a, b), nat_sum(a, c)) != LESS:
                 failures += 1
             # beta < alpha implies omega^beta + omega^beta <= omega^alpha
-            lo, hi = (a, b) if ab is LESS else (b, a)
-            if cmp(lo, hi) is LESS:
+            lo, hi = (a, b) if ab == LESS else (b, a)
+            if cmp(lo, hi) == LESS:
                 w = omega_exp(lo)
-                if cmp(add(w, w), omega_exp(hi)) is GREATER:
+                if cmp(add(w, w), omega_exp(hi)) == GREATER:
                     failures += 1
         assert failures == 0
 
@@ -139,17 +139,17 @@ def test_2_bounded_well_foundedness():
         ))
         # distinct normal forms denote distinct ordinals
         for earlier, later in zip(ranked, ranked[1:]):
-            assert cmp(earlier, later) is LESS
+            assert cmp(earlier, later) == LESS
         # exhaustive pairwise consistency with the ranking
         position = {c: i for i, c in enumerate(ranked)}
         for i, a in enumerate(ranked):
             for b in ranked[i + 1:]:
-                assert cmp(a, b) is LESS
-                assert cmp(b, a) is GREATER
+                assert cmp(a, b) == LESS
+                assert cmp(b, a) == GREATER
         # the longest strictly descending chain is the reversed ranking
         chain = list(reversed(ranked))
         for x, y in zip(chain, chain[1:]):
-            assert cmp(y, x) is LESS
+            assert cmp(y, x) == LESS
         assert len(chain) == len(codes)  # and it terminates
 
 

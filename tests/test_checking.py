@@ -12,7 +12,6 @@ from proofkit.derivations import (
     VeeNode,
     WedgeNode,
     elim_cuts,
-    reflection_guard,
 )
 from proofkit.checking import (
     check_local,
@@ -36,6 +35,7 @@ from proofkit.formulas import (
     Var,
     ZERO_TERM,
     negate,
+    reflection_guard,
 )
 from proofkit.ordinals import OMEGA, Sub, cnf_from_int, from_nat
 from proofkit.universe import Abstract, Concrete, EMPTY, EMPTY_HULL, EvaluationError, Hull

@@ -255,6 +255,6 @@ class TestDescent:
             idx = v.indices()
         for i in idx:
             p = v.premise(i)
-            assert cmp(p.sig.bound, t.sig.bound) is LESS
+            assert cmp(p.sig.bound, t.sig.bound) == LESS
             assert p.sig.rank == t.sig.rank
             self._walk(p, fuel - 1)

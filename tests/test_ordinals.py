@@ -44,16 +44,16 @@ def fin(n):
 
 class TestCmp:
     def test_sub_below_omega(self):
-        assert cmp(W_SUB, OMEGA) is LESS
+        assert cmp(W_SUB, OMEGA) == LESS
 
     def test_wpow_above_omega(self):
-        assert cmp(WPow(Sum((OMEGA, ONE))), OMEGA) is GREATER
+        assert cmp(WPow(Sum((OMEGA, ONE))), OMEGA) == GREATER
 
     def test_reflexive_equal_random(self):
         rng = random.Random(0)
         for _ in range(1000):
             a = random_code(rng, 8)
-            assert cmp(a, a) is EQUAL
+            assert cmp(a, a) == EQUAL
 
     def test_antisymmetry_random(self):
         rng = random.Random(1)
@@ -97,9 +97,9 @@ class TestAdd:
         for _ in range(500):
             a, b, c = (random_code(rng, 6) for _ in range(3))
             v = cmp(b, c)
-            if v is not LESS:
+            if v != LESS:
                 continue
-            assert cmp(add(a, b), add(a, c)) is LESS
+            assert cmp(add(a, b), add(a, c)) == LESS
 
 
 class TestNatSum:
@@ -131,7 +131,7 @@ class TestNatSum:
         rng = random.Random(9)
         for _ in range(500):
             a, b = random_code(rng, 6), random_code(rng, 6)
-            assert cmp(add(a, b), nat_sum(a, b)) is not GREATER
+            assert cmp(add(a, b), nat_sum(a, b)) != GREATER
 
 
 class TestOmegaExp:
@@ -156,12 +156,12 @@ class TestOmegaExp:
         rng = random.Random(10)
         for _ in range(1000):
             a, b = random_code(rng, 7), random_code(rng, 7)
-            if cmp(b, a) is not LESS:
+            if cmp(b, a) != LESS:
                 a, b = b, a
-            if cmp(b, a) is not LESS:
+            if cmp(b, a) != LESS:
                 continue
             wb = omega_exp(b)
-            assert cmp(add(wb, wb), omega_exp(a)) is not GREATER
+            assert cmp(add(wb, wb), omega_exp(a)) != GREATER
 
 
 class TestTimesNat:
@@ -219,7 +219,7 @@ class TestRenderParse:
 
     def test_query(self):
         a, b = parse_query("w^(W+1) ? W")
-        assert cmp(a, b) is GREATER
+        assert cmp(a, b) == GREATER
         assert parse_query("W + W") == Sum((OMEGA, OMEGA))
 
 

@@ -43,8 +43,8 @@ class TestSets:
         assert not is_concrete(om)
 
     def test_omega_witness_rank(self):
-        assert cmp(rank(EMPTY), rank(OMEGA_WITNESS)) is LESS
-        assert cmp(rank(OMEGA_WITNESS), OMEGA) is LESS
+        assert cmp(rank(EMPTY), rank(OMEGA_WITNESS)) == LESS
+        assert cmp(rank(OMEGA_WITNESS), OMEGA) == LESS
 
     def test_membership(self):
         assert set_member(EMPTY, ONE)
