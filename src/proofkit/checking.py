@@ -37,7 +37,6 @@ from .formulas import (
     Ex,
     Formula,
     JBounded,
-    J_TWO,
     J_UNIVERSE,
     component,
     decompose,
@@ -62,7 +61,7 @@ from .universe import (
     hull_contains,
     hull_extend,
     is_concrete,
-    transitive_closure,
+    witness_pool,
 )
 
 
@@ -122,7 +121,7 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
         if v.sig != sig:
             bad(path, "signature drift in unfolding")
         for a in support(sig.seq):
-            if not hull_contains(sig.hull, a):
+            if not isinstance(a, (Concrete, Abstract)) or not hull_contains(sig.hull, a):
                 bad(path, "control condition: parameter outside hull")
                 break
         if not hull_contains(sig.hull, sig.bound):
@@ -159,13 +158,16 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                 else:
                     bad(path, "disjunctive inference on an empty index set")
                 J = dec.index_set if dec is not None else None
-                if isinstance(J, JBounded) and isinstance(J.bound, Abstract):
+                abstract = isinstance(J, JBounded) and isinstance(J.bound, Abstract)
+                if abstract:
                     report.notes.append(
                         (path, "index set bounded by an abstract parameter"))
-                elif J is None or not J.contains(v.iota):
+                if abstract or (J is not None and J.contains(v.iota)):
+                    premises.append(
+                        ("0", sig.seq | {component(A, v.iota)}, sig.hull, v.sub))
+                else:
+                    # no component A_iota, so no premise to expect
                     bad(path, "index outside the index set")
-                premises.append(
-                    ("0", sig.seq | {component(A, v.iota)}, sig.hull, v.sub))
         elif isinstance(v, WedgeNode):
             if v.main not in sig.seq:
                 bad(path, "main formula not in sequent")
@@ -186,7 +188,10 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                         # a settled bounded conjunction decomposes by its
                         # truth value, not over its connective
                         bad(path, "conjunctive inference on a bounded sentence")
-                    for label, iota in _wedge_indices(v, sampler, report, path):
+                    note, visits = _visits(v, sampler)
+                    if note:
+                        report.notes.append((path, note))
+                    for label, iota in visits:
                         comp = component(v.main, iota)
                         hull_i = (
                             hull_extend(sig.hull, iota)
@@ -233,19 +238,21 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
     return report
 
 
-def _wedge_indices(v: WedgeNode, sampler, report: Report, path):
-    """Labelled indices to visit: all of a finite index set, a sample
-    of the universe, none of a set bounded by an abstract parameter."""
-    J = v.index_set
-    if J == J_UNIVERSE:
-        report.notes.append((path, "universe index set sampled"))
-        return [("s%d" % n, b) for n, b in enumerate(sampler(v))]
-    if isinstance(J, JBounded) and isinstance(J.bound, Abstract):
-        report.notes.append((path, "abstract index set skipped"))
-        return []
-    if J == J_TWO:
-        return [("0", 0), ("1", 1)]
-    return [("i%d" % n, b) for n, b in enumerate(J.members())]
+def _visits(v, sampler) -> tuple:
+    """The premises an expansion of the explicit node v visits, as a
+    note (or None) and a list of (label, index) pairs: a sample of the
+    universe, none of a set bounded by an abstract parameter, all
+    premises otherwise."""
+    if isinstance(v, WedgeNode):
+        J = v.index_set
+        if J == J_UNIVERSE:
+            return "universe index set sampled", [
+                ("s%d" % n, b) for n, b in enumerate(sampler(v))]
+        if isinstance(J, JBounded):
+            if isinstance(J.bound, Abstract):
+                return "abstract index set skipped", []
+            return None, [("i%d" % n, b) for n, b in enumerate(J.members())]
+    return None, [(str(n), i) for n, i in enumerate(v.indices())]
 
 
 def _guard_matches(guard: Formula, A: Formula, point) -> bool:
@@ -275,13 +282,7 @@ def _witnesses(B: Formula):
     parameters.  An unbounded universal is never certified here."""
     if not isinstance(B, Ex):
         return None
-    pool = list(enumerate_hf(16))
-    for a in support(B):
-        if isinstance(a, Concrete):
-            for b in sorted(transitive_closure(a) | {a}, key=repr):
-                if b not in pool:
-                    pool.append(b)
-    return pool
+    return witness_pool(16, support(B))
 
 
 def certify(A: Formula) -> bool:
@@ -337,14 +338,10 @@ def oracle_eval(A: Formula, max_rank: int = 4) -> bool:
     """Classical truth over a rank-bounded fragment: unbounded
     quantifiers range over all hereditarily finite sets up to max_rank
     plus everything hereditarily inside the sentence's parameters."""
-    domain = list(enumerate_hf(2 ** max_rank))
-    for a in support(A):
-        if not is_concrete(a):
-            raise EvaluationError("oracle needs concrete parameters")
-        for b in sorted(transitive_closure(a) | {a}, key=repr):
-            if b not in domain:
-                domain.append(b)
-
+    params = support(A)
+    if not all(is_concrete(a) for a in params):
+        raise EvaluationError("oracle needs concrete parameters")
+    domain = witness_pool(2 ** max_rank, params)
     return evaluate(A, lambda B: domain)
 
 
@@ -384,11 +381,7 @@ def trace_lines(d: DerivTerm, k: int, sampler=None) -> list:
         )
         if fuel <= 0:
             return
-        if isinstance(v, WedgeNode) and v.index_set == J_UNIVERSE:
-            idx = sampler(v)
-        else:
-            idx = v.indices()
-        for i in idx:
+        for _, i in _visits(v, sampler)[1]:
             walk(v.premise(i), fuel - 1, nid)
 
     walk(d, k, 0)

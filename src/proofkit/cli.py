@@ -6,7 +6,9 @@ experiments: ``ord`` normalizes and compares ordinal expressions,
 its embedding would receive, and ``elim`` embeds a script, applies
 predicative cut elimination, checks the result locally, and writes a
 line-record trace.  All randomness flows from ``--seed``; the exit
-status is 0 exactly when no diagnostic was emitted.
+status is 0 exactly when no diagnostic was emitted.  A construction or
+evaluation error, or input nested too deeply to walk, ends the run with
+one ``error: ...`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .checking import check_local, default_sampler, trace_lines
-from .derivations import Emb, elim_cuts
+from .derivations import ConstructionError, Emb, elim_cuts
 from .finitary import check_proof, end_sequent, parse_script
 from .formulas import render_sequent
 from .ordinals import (
@@ -31,7 +33,7 @@ from .ordinals import (
     render,
     times_nat,
 )
-from .universe import EMPTY_HULL
+from .universe import EMPTY_HULL, EvaluationError
 
 OUT_DIR_VAR = "PROOFKIT_OUT"
 
@@ -197,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConstructionError, EvaluationError, RecursionError) as ex:
+        print("error: %s" % ex, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from .formulas import (
     Term,
     Var,
     ZERO_TERM,
+    close,
     component,
     decompose,
     depth,
@@ -61,13 +62,13 @@ from .formulas import (
 )
 from .ordinals import (
     EQUAL,
-    GREATER,
     OMEGA,
     OrdCode,
     ZERO as ORD_ZERO,
     add,
     cmp,
     from_nat,
+    leq,
     nat_sum,
     omega_exp,
     times_nat,
@@ -80,7 +81,6 @@ from .universe import (
     EvaluationError,
     Hull,
     OMEGA_WITNESS,
-    enumerate_hf,
     hull_contains,
     hull_extend,
     hull_extend_list,
@@ -89,6 +89,7 @@ from .universe import (
     rank_int,
     set_members,
     transitive_closure,
+    witness_pool,
 )
 
 
@@ -110,10 +111,6 @@ def _fin(n: int) -> OrdCode:
 
 def _bump(alpha: OrdCode, n: int) -> OrdCode:
     return add(alpha, _fin(n))
-
-
-def _leq(a: OrdCode, b: OrdCode) -> bool:
-    return cmp(a, b) != GREATER
 
 
 class DerivTerm:
@@ -139,10 +136,6 @@ def rule_of(d: DerivTerm):
     while not isinstance(d, ExplicitNode):
         d = d.unfold()
     return d
-
-
-def premise(v, iota) -> DerivTerm:
-    return v.premise(iota)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +215,12 @@ class WedgeNode(ExplicitNode):
         return self._cache[iota]
 
 
-class CutNode(ExplicitNode):
-    rule_name = "cut"
+class _TwoPremiseNode(ExplicitNode):
+    """An inference with a left premise 0 and a right premise 1."""
 
-    def __init__(self, sig: Sig, cut_formula: Formula, left: DerivTerm, right: DerivTerm):
-        super().__init__()
-        self.sig = sig
-        self.cut_formula = cut_formula
-        self.left = left
-        self.right = right
+    premises_name = "?"
+    left: DerivTerm
+    right: DerivTerm
 
     def indices(self):
         return [0, 1]
@@ -240,15 +230,28 @@ class CutNode(ExplicitNode):
             return self.left
         if iota == 1:
             return self.right
-        raise IndexError("cut premises are 0 and 1")
+        raise IndexError("%s premises are 0 and 1" % self.premises_name)
 
 
-class RefNode(ExplicitNode):
+class CutNode(_TwoPremiseNode):
+    rule_name = "cut"
+    premises_name = "cut"
+
+    def __init__(self, sig: Sig, cut_formula: Formula, left: DerivTerm, right: DerivTerm):
+        super().__init__()
+        self.sig = sig
+        self.cut_formula = cut_formula
+        self.left = left
+        self.right = right
+
+
+class RefNode(_TwoPremiseNode):
     """Reflection inference: from A at the point c, and from the guard
     sentence saying every admissible set containing c refutes A there,
     conclude the sequent."""
 
     rule_name = "ref"
+    premises_name = "reflection"
 
     def __init__(
         self,
@@ -266,16 +269,6 @@ class RefNode(ExplicitNode):
         self.guard = guard
         self.left = left
         self.right = right
-
-    def indices(self):
-        return [0, 1]
-
-    def premise(self, iota) -> DerivTerm:
-        if iota == 0:
-            return self.left
-        if iota == 1:
-            return self.right
-        raise IndexError("reflection premises are 0 and 1")
 
 
 def _extend_for(hull: Hull, iota) -> Hull:
@@ -432,7 +425,7 @@ class Weak(DerivTerm):
             raise ConstructionError("weakening must not shrink the hull")
         if sig.rank < old.rank:
             raise ConstructionError("weakening must not lower the cut rank")
-        if not _leq(old.bound, sig.bound):
+        if not leq(old.bound, sig.bound):
             raise ConstructionError("weakening must not lower the bound")
         if not old.seq <= sig.seq:
             raise ConstructionError("weakening only adds sequent members")
@@ -443,7 +436,23 @@ class Weak(DerivTerm):
         self.sig = sig
 
     def _expand(self):
-        return _map_premises(rule_of(self.sub), self.sig, _reseq)
+        return _map_premises(rule_of(self.sub), self.sig)
+
+
+def fit(
+    d: DerivTerm, hull: Hull, rank_: int, seq: Sequent, bound: OrdCode | None = None
+) -> DerivTerm:
+    """d at the given hull, cut rank and sequent, and at ``bound`` if
+    given, else at its own bound: d itself when that changes nothing,
+    its weakening otherwise."""
+    old = d.sig
+    # tuples compare their items by identity first, so an unchanged
+    # sequent object is not compared member by member
+    if (hull, rank_, seq) == (old.hull, old.rank, old.seq) and (
+        bound is None or bound == old.bound
+    ):
+        return d
+    return Weak(d, Sig(hull, old.bound if bound is None else bound, rank_, seq))
 
 
 def weaken(
@@ -455,21 +464,13 @@ def weaken(
 ) -> DerivTerm:
     """Widen a signature along any of its four components."""
     old = d.sig
-    sig = Sig(
-        hull if hull is not None else old.hull,
-        bound if bound is not None else old.bound,
-        rank_ if rank_ is not None else old.rank,
-        old.seq | delta,
+    return fit(
+        d,
+        old.hull if hull is None else hull,
+        old.rank if rank_ is None else rank_,
+        old.seq | delta if delta else old.seq,
+        bound,
     )
-    if sig == old:
-        return d
-    return Weak(d, sig)
-
-
-def _reseq(sub: DerivTerm, sig: Sig) -> DerivTerm:
-    if sub.sig == sig:
-        return sub
-    return Weak(sub, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -487,26 +488,12 @@ class AxEmb(DerivTerm):
         self.assignment = dict(assignment)
         self.N = N
         inst = fin.axiom_instance(node, N)
-        self.inst = _close(inst, assignment)
-        seq = frozenset(_close(A, assignment) for A in node.conclusion)
+        self.inst = close(inst, assignment)
+        seq = frozenset(close(A, assignment) for A in node.conclusion)
         self.sig = Sig(hull, _axemb_bound(node, self.inst), 0, seq)
 
     def _expand(self):
         return _axemb_expand(self)
-
-
-def _close(A: Formula, assignment: dict) -> Formula:
-    for v in sorted(free_vars(A)):
-        val = assignment.get(v, EMPTY)
-        A = subst(A, v, Name(val))
-    return A
-
-
-def _close_keep(A: Formula, assignment: dict, keep) -> Formula:
-    """Close the parameter variables but keep the schema variables free."""
-    for v in sorted(free_vars(A) - frozenset(keep)):
-        A = subst(A, v, Name(assignment.get(v, EMPTY)))
-    return A
 
 
 def _axemb_bound(node: fin.ProofNode, inst: Formula) -> OrdCode:
@@ -541,16 +528,6 @@ def _true_leaf(M: Formula, seq: Sequent, hull: Hull, bound: OrdCode) -> TrueLeaf
     return TrueLeaf(sig, M, undetermined=True)
 
 
-def _witness_domain(a: DeskSet, hull: Hull) -> list:
-    """Deterministic search space for axiom witnesses."""
-    out = list(enumerate_hf(8))
-    if isinstance(a, Concrete):
-        for b in sorted(transitive_closure(a) | {a}, key=repr):
-            if b not in out:
-                out.append(b)
-    return out
-
-
 def _axemb_expand(ax: AxEmb) -> ExplicitNode:
     node, inst, sig = ax.node, ax.inst, ax.sig
     P, seq = sig.hull, sig.seq
@@ -582,7 +559,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
     if kind == "separation":
         a_val = _closed_value(node.term, ax.assignment)
         x = node.var
-        phi = _close_keep(node.formula, ax.assignment, {x})
+        phi = close(node.formula, ax.assignment, {x})
         chosen = frozenset(
             b for b in set_members(a_val)
             if eval_formula_bounded(subst(phi, x, Name(b)))
@@ -595,11 +572,12 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
     if kind == "collection":
         a_val = _closed_value(node.term, ax.assignment)
         x, y = node.var, node.var2
-        phi = _close_keep(node.formula, ax.assignment, {x, y})
+        phi = close(node.formula, ax.assignment, {x, y})
+        pool = witness_pool(8, [a_val])
         found = []
         for u in set_members(a_val):
             hit = None
-            for v in _witness_domain(a_val, P):
+            for v in pool:
                 if eval_formula_bounded(subst(subst(phi, x, Name(u)), y, Name(v))):
                     hit = v
                     break
@@ -636,7 +614,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
 
     if kind == "foundation":
         x = node.var
-        phi = _close_keep(node.formula, ax.assignment, {x})
+        phi = close(node.formula, ax.assignment, {x})
         d = depth(subst(phi, x, ZERO_TERM))
         B = _prog_failure(x, phi)
         allx = All(x, phi)
@@ -683,11 +661,11 @@ def _closed_value(t: Term, assignment: dict) -> DeskSet:
 def emb_rank(pi: fin.ProofNode) -> int:
     """Cut rank of the embedded derivation, by the standard recursion."""
     if pi.rule == "logax":
-        return 2 * depth(_close(pi.main, {}))
+        return 2 * depth(close(pi.main, {}))
     if pi.rule in fin.AXIOM_RULES:
         return axemb_rank(pi)
     if pi.rule == "cut":
-        C = _close(pi.formula, {})
+        C = close(pi.formula, {})
         return max(max(emb_rank(p) for p in pi.premises), depth(C)) + 1
     return max(emb_rank(p) for p in pi.premises) + 1
 
@@ -715,7 +693,7 @@ class Emb(DerivTerm):
         values = [assignment[v] for v in sorted(assignment)]
         full_hull = hull_extend_list(hull, values)
         self.base_hull = hull
-        seq = frozenset(_close(A, assignment) for A in pi.conclusion)
+        seq = frozenset(close(A, assignment) for A in pi.conclusion)
         self.sig = Sig(full_hull, emb_bound(self.m, values), self.m, seq)
 
     def _sub(self, pi: fin.ProofNode, extra: dict | None = None) -> "Emb":
@@ -731,25 +709,22 @@ class Emb(DerivTerm):
 def _emb_expand(e: Emb) -> ExplicitNode:
     pi, sig, N = e.pi, e.sig, e.N
     P, m, seq = sig.hull, sig.rank, sig.seq
-    close = lambda A: _close(A, e.assignment)
 
     if pi.rule == "logax":
-        t = Taut(close(pi.main), seq, P)
-        return _map_premises(rule_of(t), sig, _reseq)
+        t = Taut(close(pi.main, e.assignment), seq, P)
+        return _map_premises(rule_of(t), sig)
 
     if pi.rule in fin.AXIOM_RULES:
         ax = AxEmb(pi, e.assignment, P, N)
-        return _map_premises(rule_of(ax), sig, _reseq)
+        return _map_premises(rule_of(ax), sig)
 
     if pi.rule == "cut":
-        C = close(pi.formula)
-        sub0 = e._sub(pi.premises[0])
-        sub1 = e._sub(pi.premises[1])
-        left = _reseq(sub0, Sig(P, sub0.sig.bound, m, seq | {negate(C)}))
-        right = _reseq(sub1, Sig(P, sub1.sig.bound, m, seq | {C}))
+        C = close(pi.formula, e.assignment)
+        left = fit(e._sub(pi.premises[0]), P, m, seq | {negate(C)})
+        right = fit(e._sub(pi.premises[1]), P, m, seq | {C})
         return CutNode(sig, C, left, right)
 
-    main = close(pi.main)
+    main = close(pi.main, e.assignment)
 
     if pi.rule == "or":
         a0, a1 = main.left, main.right
@@ -762,15 +737,14 @@ def _emb_expand(e: Emb) -> ExplicitNode:
             if eval_formula_bounded(main):
                 return TrueLeaf(sig, main)
             sub = e._sub(pi.premises[0])
-            base = _reseq(sub, Sig(P, sub.sig.bound, m, seq | {a0, a1}))
+            base = fit(sub, P, m, seq | {a0, a1})
             il = _true_leaf(negate(a0), seq | {a1, negate(a0)}, P, _fin(0))
             inner = CutNode(
                 Sig(P, _bump(sub.sig.bound, 1), m, seq | {a1}), a0, il, base)
             ol = _true_leaf(negate(a1), seq | {negate(a1)}, P, _fin(0))
             return CutNode(sig, a1, ol, inner)
         sub = e._sub(pi.premises[0])
-        inner_sig = Sig(P, sub.sig.bound, m, seq | {a0, a1})
-        inner = _reseq(sub, inner_sig)
+        inner = fit(sub, P, m, seq | {a0, a1})
         vee1 = VeeNode(Sig(P, _bump(sub.sig.bound, 1), m, seq | {a0}), main, 1, inner)
         return VeeNode(sig, main, 0, vee1)
 
@@ -785,23 +759,20 @@ def _emb_expand(e: Emb) -> ExplicitNode:
             i = next(k for k, c in enumerate(parts)
                      if not eval_formula_bounded(c))
             comp = parts[i]
-            sub = e._sub(pi.premises[i])
-            right = _reseq(sub, Sig(P, sub.sig.bound, m, seq | {comp}))
+            right = fit(e._sub(pi.premises[i]), P, m, seq | {comp})
             left = _true_leaf(negate(comp), seq | {negate(comp)}, P, _fin(0))
             return CutNode(sig, comp, left, right)
         subs = [e._sub(p) for p in pi.premises]
 
         def prem(i):
-            comp = component(main, i)
-            return _reseq(subs[i], Sig(P, subs[i].sig.bound, m, seq | {comp}))
+            return fit(subs[i], P, m, seq | {component(main, i)})
 
         return WedgeNode(sig, main, J_TWO, prem)
 
     if pi.rule == "ex":
         iota = _closed_value(pi.term, e.assignment)
         comp = component(main, iota)
-        sub = e._sub(pi.premises[0])
-        inner = _reseq(sub, Sig(P, sub.sig.bound, m, seq | {comp}))
+        inner = fit(e._sub(pi.premises[0]), P, m, seq | {comp})
         return VeeNode(sig, main, iota, inner)
 
     if pi.rule == "all":
@@ -810,8 +781,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         def prem(b):
             hull_b = hull_extend(P, b)
             comp = component(main, b)
-            sub = e._sub(pi.premises[0], {v: b})
-            return _reseq(sub, Sig(hull_b, sub.sig.bound, m, seq | {comp}))
+            return fit(e._sub(pi.premises[0], {v: b}), hull_b, m, seq | {comp})
 
         return WedgeNode(sig, main, J_UNIVERSE, prem)
 
@@ -820,13 +790,11 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         membership = Mem(Name(iota), main.bound)
         if eval_formula_bounded(membership):
             comp = component(main, iota)
-            sub = e._sub(pi.premises[1])
-            inner = _reseq(sub, Sig(P, sub.sig.bound, m, seq | {comp}))
+            inner = fit(e._sub(pi.premises[1]), P, m, seq | {comp})
             return VeeNode(sig, main, iota, inner)
         # witness misses the bounding set: the membership premise is
         # effectively a proof of the conclusion, cut against its negation
-        sub = e._sub(pi.premises[0])
-        right = _reseq(sub, Sig(P, sub.sig.bound, m, seq | {membership}))
+        right = fit(e._sub(pi.premises[0]), P, m, seq | {membership})
         not_mem = negate(membership)
         left = _true_leaf(not_mem, seq | {not_mem}, P, _fin(1))
         return CutNode(sig, membership, left, right)
@@ -841,7 +809,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
             target = seq | {comp}
             sub = e._sub(pi.premises[0], {v: b})
             notmem = NotMem(Name(b), main.bound)
-            right = _reseq(sub, Sig(hull_b, sub.sig.bound, m, target | {notmem}))
+            right = fit(sub, hull_b, m, target | {notmem})
             mem = negate(notmem)
             left = _true_leaf(mem, target | {mem}, hull_b, _fin(1))
             cut_sig = Sig(hull_b, _bump(sub.sig.bound, 1), m, target)
@@ -877,37 +845,42 @@ class Drop(DerivTerm):
             if isinstance(v, VeeNode) and isinstance(C, BEx):
                 comp = component(C, v.iota)
                 inner = Drop(Drop(v.sub, comp), C)
-                return _map_premises(rule_of(inner), sig, _reseq)
+                return _map_premises(rule_of(inner), sig)
             raise ConstructionError("a false bounded sentence heads no rule")
-        return _map_premises(v, sig, lambda p, want: _reseq(Drop(p, C), want))
+        return _map_premises(v, sig, lambda p, hull: Drop(p, C))
 
 
-def _map_premises(v: ExplicitNode, sig: Sig, wrap) -> ExplicitNode:
-    """Copy an explicit node at a new signature, transforming each
-    premise with ``wrap(premise, wanted_sig)``; the wanted sig keeps the
-    premise's own bound but retargets hull, rank and sequent."""
+def _same(p: DerivTerm, hull: Hull) -> DerivTerm:
+    return p
+
+
+def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
+    """Copy an explicit node at a new signature.  Each premise p becomes
+    ``wrap(p, hull)`` fitted at its own bound to its hull -- the node's,
+    widened by a set index -- the node's cut rank, and the node's
+    sequent plus the premise's own formula."""
     P, m, seq = sig.hull, sig.rank, sig.seq
     if isinstance(v, TrueLeaf):
         return TrueLeaf(sig, v.main, v.undetermined)
     if isinstance(v, VeeNode):
-        want = Sig(P, v.sub.sig.bound, m, seq | {component(v.main, v.iota)})
-        return VeeNode(sig, v.main, v.iota, wrap(v.sub, want))
+        sub = fit(wrap(v.sub, P), P, m, seq | {component(v.main, v.iota)})
+        return VeeNode(sig, v.main, v.iota, sub)
     if isinstance(v, WedgeNode):
         def prem(iota):
-            p = v.premise(iota)
-            hull_i = _extend_for(P, iota)
-            want = Sig(hull_i, p.sig.bound, m, seq | {component(v.main, iota)})
-            return wrap(p, want)
+            hull = _extend_for(P, iota)
+            p = wrap(v.premise(iota), hull)
+            return fit(p, hull, m, seq | {component(v.main, iota)})
 
         return WedgeNode(sig, v.main, v.index_set, prem)
     if isinstance(v, CutNode):
-        lw = Sig(P, v.left.sig.bound, m, seq | {negate(v.cut_formula)})
-        rw = Sig(P, v.right.sig.bound, m, seq | {v.cut_formula})
-        return CutNode(sig, v.cut_formula, wrap(v.left, lw), wrap(v.right, rw))
+        C = v.cut_formula
+        left = fit(wrap(v.left, P), P, m, seq | {negate(C)})
+        right = fit(wrap(v.right, P), P, m, seq | {C})
+        return CutNode(sig, C, left, right)
     if isinstance(v, RefNode):
-        lw = Sig(P, v.left.sig.bound, m, seq | {v.formula})
-        rw = Sig(P, v.right.sig.bound, m, seq | {v.guard})
-        return RefNode(sig, v.formula, v.point, v.guard, wrap(v.left, lw), wrap(v.right, rw))
+        left = fit(wrap(v.left, P), P, m, seq | {v.formula})
+        right = fit(wrap(v.right, P), P, m, seq | {v.guard})
+        return RefNode(sig, v.formula, v.point, v.guard, left, right)
     raise TypeError("not an explicit node: %r" % (v,))
 
 
@@ -938,10 +911,8 @@ class Inv(DerivTerm):
             # select the iota-th premise and invert it in turn, since it
             # still carries the conjunction in its sequent
             inner = Inv(v.premise(self.iota), self.C, self.iota)
-            return _map_premises(rule_of(inner), sig, _reseq)
-        return _map_premises(
-            v, sig, lambda p, want: _reseq(Inv(p, self.C, self.iota), want)
-        )
+            return _map_premises(rule_of(inner), sig)
+        return _map_premises(v, sig, lambda p, hull: Inv(p, self.C, self.iota))
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +959,7 @@ class Red(DerivTerm):
         m = sig.rank
         if is_delta0(C):
             # C is false: d1's sequent holds without it
-            return _map_premises(rule_of(Drop(d1, C)), sig, _reseq)
+            return _map_premises(rule_of(Drop(d1, C)), sig)
         v = rule_of(d1)
         if isinstance(v, VeeNode) and v.main == C:
             iota = v.iota
@@ -1002,21 +973,13 @@ class Red(DerivTerm):
                 if component(C, EMPTY) != C_iota:
                     raise ConstructionError("reduction index escapes the hull")
                 inv_iota = EMPTY
-            left = _reseq(
-                Inv(d0, C, inv_iota),
-                Sig(sig.hull, d0.sig.bound, m, sig.seq | {negate(C_iota)}),
-            )
-            rec = Red(C, d0, v.sub)
-            right = _reseq(rec, Sig(sig.hull, rec.sig.bound, m, sig.seq | {C_iota}))
+            left = fit(Inv(d0, C, inv_iota), sig.hull, m, sig.seq | {negate(C_iota)})
+            right = fit(Red(C, d0, v.sub), sig.hull, m, sig.seq | {C_iota})
             return CutNode(sig, C_iota, left, right)
 
-        def wrap(p, want):
-            d0w = d0 if want.hull == d0.sig.hull else weaken(d0, hull=want.hull)
-            pw = p if want.hull == p.sig.hull else weaken(p, hull=want.hull)
-            r = Red(C, d0w, pw)
-            return _reseq(r, Sig(want.hull, r.sig.bound, m, want.seq))
-
-        return _map_premises(v, sig, wrap)
+        return _map_premises(
+            v, sig, lambda p, hull: Red(C, weaken(d0, hull=hull), weaken(p, hull=hull))
+        )
 
 
 def reduce(C: Formula, d0: DerivTerm, d1: DerivTerm) -> DerivTerm:
@@ -1051,13 +1014,8 @@ class E(DerivTerm):
                 red = Red(C, left, right)
             else:
                 red = Red(negate(C), right, left)
-            return _map_premises(rule_of(red), sig, _reseq)
-
-        def wrap(p, want):
-            ep = E(p)
-            return _reseq(ep, Sig(want.hull, ep.sig.bound, m, want.seq))
-
-        return _map_premises(v, sig, wrap)
+            return _map_premises(rule_of(red), sig)
+        return _map_premises(v, sig, lambda p, hull: E(p))
 
 
 def elim_cuts(d: DerivTerm) -> DerivTerm:

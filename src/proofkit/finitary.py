@@ -30,13 +30,11 @@ from .formulas import (
     Ex,
     Formula,
     Mem,
-    Name,
     NotMem,
     Or,
     Sequent,
     Term,
     Var,
-    ZERO_TERM,
     formula_from_tree,
     free_vars,
     is_delta0,
@@ -49,6 +47,7 @@ from .formulas import (
     render_term,
     sequent_from_tree,
     subst,
+    term_from_tree,
 )
 from .ordinals import parse as parse_ord, render as render_ord, Sub
 from .universe import Abstract, parse_set, render_set
@@ -335,16 +334,6 @@ def _split_top_level(text: str) -> list:
     return out
 
 
-def _term_from_token(tok: str, params: dict) -> Term:
-    if tok == "0":
-        return ZERO_TERM
-    if tok.startswith("{"):
-        return Name(parse_set(tok, params))
-    if tok in params:
-        return Name(params[tok])
-    return Var(tok)
-
-
 def parse_script(text: str) -> ProofScript:
     params: dict = {}
     assignment: dict = {}
@@ -370,6 +359,8 @@ def parse_script(text: str) -> ProofScript:
                 assignment[parts[1]] = parse_set(parts[2], params)
                 continue
             node_id, rule = parts[0], parts[1]
+            if node_id in nodes:
+                raise ValueError("duplicate node id %s" % node_id)
             if rule not in RULES:
                 raise ValueError("unknown rule %r" % rule)
             idx = 2
@@ -390,7 +381,7 @@ def parse_script(text: str) -> ProofScript:
                 if key in ("main", "formula"):
                     kwargs[key] = formula_from_tree(parse_sexp(value), params)
                 elif key in ("term", "term2", "term3"):
-                    kwargs[key] = _term_from_token(value, params)
+                    kwargs[key] = term_from_tree(value, params)
                 elif key in ("var", "var2"):
                     kwargs[key] = value
                 else:

@@ -139,11 +139,6 @@ def seq(*formulas) -> Sequent:
     return frozenset(formulas)
 
 
-def implies(a: Formula, b: Formula) -> Formula:
-    """Material implication, rendered in negation-normal form."""
-    return Or(negate(a), b)
-
-
 def equals(a: Term, b: Term) -> Formula:
     """Extensional equality as its bounded abbreviation."""
     x = _fresh_var(frozenset({a, b}))
@@ -264,10 +259,11 @@ def subst(A: Formula, var: str, value: Term) -> Formula:
     raise TypeError("not a formula: %r" % (A,))
 
 
-def close_with_zero(A: Formula) -> Formula:
-    """Substitute the constant 0 for every free variable."""
-    for v in sorted(free_vars(A)):
-        A = subst(A, v, ZERO_TERM)
+def close(A: Formula, assignment: dict, keep=frozenset()) -> Formula:
+    """Substitute for each free variable outside ``keep`` the name of its
+    value under ``assignment``, the empty set when it has none."""
+    for v in sorted(free_vars(A) - keep):
+        A = subst(A, v, Name(assignment.get(v, EMPTY)))
     return A
 
 
@@ -512,11 +508,6 @@ class Decomposition:
         self.index_set.require(iota)
         return component(self.main, iota)
 
-    def indices(self) -> list:
-        """The index set in enumeration order; raises EvaluationError
-        for the universe and for an abstract bound."""
-        return self.index_set.members()
-
     @property
     def by_truth(self) -> bool:
         """Whether the rules read the main formula by its truth value
@@ -694,7 +685,7 @@ def parse_sexp(text: str):
     return tree
 
 
-def _term_from_tree(tree, params: dict) -> Term:
+def term_from_tree(tree, params: dict) -> Term:
     if not isinstance(tree, str):
         raise ValueError("terms are atoms, got %r" % (tree,))
     if tree == "0":
@@ -715,12 +706,12 @@ def formula_from_tree(tree, params: dict | None = None) -> Formula:
         if len(tree) != 3:
             raise ValueError("%s takes two terms" % head)
         cls = Mem if head == "in" else NotMem
-        return cls(_term_from_tree(tree[1], params), _term_from_tree(tree[2], params))
+        return cls(term_from_tree(tree[1], params), term_from_tree(tree[2], params))
     if head in ("ad", "notad"):
         if len(tree) != 2:
             raise ValueError("%s takes one term" % head)
         cls = Ad if head == "ad" else NotAd
-        return cls(_term_from_tree(tree[1], params))
+        return cls(term_from_tree(tree[1], params))
     if head in ("or", "and"):
         if len(tree) != 3:
             raise ValueError("%s takes two formulas" % head)
@@ -734,7 +725,7 @@ def formula_from_tree(tree, params: dict | None = None) -> Formula:
         cls = BEx if head == "bex" else BAll
         return cls(
             tree[1],
-            _term_from_tree(tree[2], params),
+            term_from_tree(tree[2], params),
             formula_from_tree(tree[3], params),
         )
     if head in ("ex", "all"):

@@ -111,22 +111,6 @@ def cnf_add(a: CNF, b: CNF) -> CNF:
     return CNF(tuple(kept) + b.terms)
 
 
-def cnf_nat_sum(a: CNF, b: CNF) -> CNF:
-    merged: list[tuple[CNF, int]] = list(a.terms)
-    for (e, c) in b.terms:
-        for i, (e0, c0) in enumerate(merged):
-            cc = cnf_cmp(e, e0)
-            if cc == EQUAL:
-                merged[i] = (e0, c0 + c)
-                break
-            if cc == GREATER:
-                merged.insert(i, (e, c))
-                break
-        else:
-            merged.append((e, c))
-    return CNF(tuple(merged))
-
-
 def cnf_omega_exp(e: CNF) -> CNF:
     return CNF(((e, 1),))
 
@@ -293,10 +277,6 @@ def cmp(a: OrdCode, b: OrdCode) -> int:
     return _cmp(a, b)
 
 
-def lt(a: OrdCode, b: OrdCode) -> bool:
-    return cmp(a, b) == LESS
-
-
 def leq(a: OrdCode, b: OrdCode) -> bool:
     return cmp(a, b) != GREATER
 
@@ -352,17 +332,6 @@ def omega_tower(n: int, base: OrdCode) -> OrdCode:
     for _ in range(n):
         out = omega_exp(out)
     return out
-
-
-def omega_times(m: int) -> OrdCode:
-    """``Omega * m`` for a natural number m."""
-    if m < 0:
-        raise ValueError("natural number expected")
-    if m == 0:
-        return ZERO
-    if m == 1:
-        return OMEGA
-    return Sum((OMEGA,) * m)
 
 
 def times_nat(a: OrdCode, n: int) -> OrdCode:

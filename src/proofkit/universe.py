@@ -207,12 +207,34 @@ def _hf_by_rank(r: int) -> tuple:
     return tuple(out)
 
 
+#: How many sets ``enumerate_hf`` can list: all 2**16 sets of rank <= 4.
+HF_LIMIT = 1 << 16
+
+
 def enumerate_hf(count: int) -> list:
-    """The first *count* hereditarily finite sets, by rank then size."""
+    """The first *count* hereditarily finite sets, by rank then size;
+    ValueError past ``HF_LIMIT``."""
+    if count > HF_LIMIT:
+        raise ValueError(
+            "only the first %d hereditarily finite sets are enumerable, "
+            "asked for %d" % (HF_LIMIT, count))
     r = 0
-    while len(_hf_by_rank(r)) < count and r < 4:
+    while len(_hf_by_rank(r)) < count:
         r += 1
     return list(_hf_by_rank(r))[:count]
+
+
+def witness_pool(count: int, params) -> list:
+    """A finite search domain for unbounded quantifiers: the first
+    *count* hereditarily finite sets, then each concrete parameter and
+    every set hereditarily inside it, each set once."""
+    pool = enumerate_hf(count)
+    for a in params:
+        if isinstance(a, Concrete):
+            for b in sorted(transitive_closure(a) | {a}, key=repr):
+                if b not in pool:
+                    pool.append(b)
+    return pool
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,22 @@ class TestMutations:
         d = VeeNode(sig([B]), B, ONE, p)  # ONE is not a member of {0}
         assert "index outside the index set" in violations(d)
 
+    def test_vee_on_an_atom_is_reported(self):
+        # an atom has no components, so there is no premise to expect
+        d = VeeNode(sig([M01]), M01, 0, TrueLeaf(sig([M01], bound=0), M01))
+        assert "index outside the index set" in violations(d)
+
+    def test_vee_index_outside_the_universe_is_reported(self):
+        A = Ex("x", Mem(ZERO_TERM, Var("x")))
+        comp = Mem(ZERO_TERM, Name(3))  # 3 is not a desk set
+        d = VeeNode(sig([A]), A, 3, TrueLeaf(sig([A, comp], bound=0), comp))
+        assert "index outside the index set" in violations(d)
+
+    def test_name_of_a_non_set_fails_the_control_condition(self):
+        stray = Mem(Name(3), ZERO_TERM)
+        d = TrueLeaf(sig([M01, stray]), M01)
+        assert violations(d) == ["control condition: parameter outside hull"]
+
     def test_at_least_six_distinct_mutations(self):
         msgs = {
             "leaf asserts a false sentence",

@@ -64,6 +64,18 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.proof"]) == 1
 
+    def test_too_deep_input_is_one_error_line(self, tmp_path, capsys):
+        # a chain of 3,000 nested or nodes, past the interpreter's recursion limit
+        A, B = "(in 0 0)", "(notin 0 0)"
+        for _ in range(3000):
+            A, B = "(or (in 0 0) %s)" % A, "(and (notin 0 0) %s)" % B
+        deep = tmp_path / "deep.proof"
+        deep.write_text("n1 logax (seq %s %s) main=%s\n" % (A, B, A), encoding="utf-8")
+        assert main(["check", str(deep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
 
 class TestElim:
     def test_summary_identity(self, scripts, tmp_path, capsys):
@@ -105,6 +117,28 @@ class TestElim:
         ]) == 0
         out = capsys.readouterr().out
         assert "vee" in out or "true-leaf" in out
+
+    def test_abstract_bound_is_reported_not_raised(self, tmp_path, capsys):
+        # the ball inference over the abstract p has an index set that
+        # cannot be enumerated; the trace visits none of its premises
+        proof = tmp_path / "abstract.proof"
+        proof.write_text(
+            "param p rank 1\n"
+            "n1 logax (seq (notin u p) (in u p)) main=(in u p)\n"
+            "n2 or [n1] (seq (notin u p) (or (notin u p) (in u p)))"
+            " main=(or (notin u p) (in u p))\n"
+            "n3 ball [n2] (seq (ball x p (or (notin x p) (in x p))))"
+            " main=(ball x p (or (notin x p) (in x p))) var=u\n",
+            encoding="utf-8",
+        )
+        assert main(["check", str(proof)]) == 0
+        capsys.readouterr()
+        assert main(["elim", str(proof), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "node 0: control condition: parameter outside hull" in err
+        assert "Traceback" not in err and "error:" not in err
+        trace = (tmp_path / "abstract.trace").read_text(encoding="utf-8")
+        assert trace.splitlines()[0].startswith("1 wedge (ball~x~p~")
 
     def test_rejects_small_n(self, scripts):
         with pytest.raises(SystemExit):

@@ -12,6 +12,7 @@ from proofkit.derivations import (
     Emb,
     Fund,
     Red,
+    RefNode,
     Sig,
     Taut,
     TrueLeaf,
@@ -22,6 +23,7 @@ from proofkit.derivations import (
     emb_bound,
     emb_rank,
     reduce,
+    fit,
     rule_of,
     weaken,
 )
@@ -139,6 +141,34 @@ class TestWeaken:
         d = leaf(M01, rank_=2)
         with pytest.raises(ConstructionError):
             weaken(d, rank_=1)
+
+    def test_unchanged_signature_returns_the_term(self):
+        d = leaf(M01, bound=2)
+        assert weaken(d) is d
+        assert weaken(d, delta=frozenset({M01}), bound=from_nat(2)) is d
+        assert fit(d, EMPTY_HULL, 0, frozenset({M01})) is d
+
+    def test_fit_keeps_the_bound(self):
+        d = leaf(M01, bound=2)
+        w = fit(d, EMPTY_HULL, 1, frozenset({M01, M00}))
+        assert w.sig == Sig(EMPTY_HULL, from_nat(2), 1, frozenset({M01, M00}))
+        assert w.sub is d
+
+
+class TestTwoPremiseNodes:
+    def test_cut_and_reflection_share_premise_access(self):
+        a, b = leaf(M01), leaf(M00)
+        s = Sig(EMPTY_HULL, from_nat(1), 1, frozenset({M01}))
+        cut = CutNode(s, M00, a, b)
+        ref = RefNode(s, M00, ZERO_TERM, M01, a, b)
+        for v in (cut, ref):
+            assert v.indices() == [0, 1]
+            assert v.premise(0) is a and v.premise(1) is b
+        with pytest.raises(IndexError, match="cut premises"):
+            cut.premise(2)
+        with pytest.raises(IndexError, match="reflection premises"):
+            ref.premise(2)
+        assert not isinstance(ref, CutNode) and not isinstance(cut, RefNode)
 
 
 class TestReduce:

@@ -171,3 +171,11 @@ class TestScripts:
     def test_parse_rejects_dangling_premise(self):
         with pytest.raises(ValueError):
             parse_script("0 cut [1,2] (seq (in 0 0)) cut=(in 0 0)")
+
+    def test_parse_rejects_duplicate_node_id(self):
+        text = (
+            "a logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n"
+            "a logax (seq (in 0 {0}) (notin 0 {0})) main=(in 0 {0})\n"
+        )
+        with pytest.raises(ValueError, match=r"^line 2: duplicate node id a$"):
+            parse_script(text)

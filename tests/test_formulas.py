@@ -24,7 +24,7 @@ from proofkit.formulas import (
     Var,
     ZERO_TERM,
     classify,
-    close_with_zero,
+    close,
     decompose,
     depth,
     equals,
@@ -264,7 +264,7 @@ class TestSubst:
     def test_free_vars_and_closure(self):
         A = Ex("x", Mem(Var("x"), Var("y")))
         assert free_vars(A) == frozenset({"y"})
-        assert is_sentence(close_with_zero(A))
+        assert is_sentence(close(A, {}))
 
 
 class TestTextSyntax:

@@ -1,14 +1,20 @@
-"""Source hygiene: every imported name in the package is used.
+"""Source hygiene: every imported name in the package is used, and
+every module-level function and class of the package is used somewhere.
 
 Parses ``src/proofkit/*.py`` with ``ast``; the package ``__init__``
 re-exports names, and ``from __future__ import annotations`` is a
-compiler directive, so both are exempt.
+compiler directive, so both are exempt.  A definition counts as used
+when its name, or an attribute of its module by that name, is read in
+``src/``, ``tests/`` or ``perfbench/`` outside its own body and outside
+``__init__.py`` files.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "proofkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "proofkit"
+SCANNED = ("src", "tests", "perfbench")
 
 
 def _annotation_names(tree) -> set:
@@ -47,3 +53,59 @@ def test_modules_use_every_imported_name():
     assert modules, "no modules found under %s" % SRC
     unused = {p.name: unused_imports(p) for p in modules}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def _module_aliases(tree) -> dict:
+    """Local names bound to package modules, such as ``fin`` in
+    ``from . import finitary as fin``, mapped to the module's name."""
+    out = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (
+            n.module == "proofkit" or (n.level == 1 and n.module is None)
+        ):
+            out.update({a.asname or a.name: a.name for a in n.names})
+    return out
+
+
+def _references(node, aliases: dict) -> set:
+    """What a syntax tree reads: bare names, names in string annotations,
+    and ``module.name`` for an attribute of a package module.  An
+    attribute of anything else, such as a method call, names no
+    module-level definition."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            if n.value.id in aliases:
+                out.add("%s.%s" % (aliases[n.value.id], n.attr))
+    return out | _annotation_names(node)
+
+
+def unreferenced_definitions() -> dict:
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in SCANNED
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    aliases = {path: _module_aliases(tree) for path, tree in trees.items()}
+    refs = {path: _references(tree, aliases[path]) for path, tree in trees.items()}
+    dead = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        body = trees[path].body
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        for i, stmt in enumerate(body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            used = elsewhere.union(*(
+                _references(s, aliases[path]) for j, s in enumerate(body) if j != i))
+            if not {stmt.name, "%s.%s" % (path.stem, stmt.name)} & used:
+                dead.setdefault(path.name, []).append(stmt.name)
+    return dead
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions() == {}

@@ -11,6 +11,7 @@ from proofkit.universe import (
     EMPTY_HULL,
     EvaluationError,
     OMEGA_WITNESS,
+    HF_LIMIT,
     enumerate_hf,
     hull_contains,
     hull_extend,
@@ -24,6 +25,7 @@ from proofkit.universe import (
     set_members,
     sets_equal,
     transitive_closure,
+    witness_pool,
 )
 
 ONE = Concrete(frozenset({EMPTY}))
@@ -92,6 +94,25 @@ class TestEnumerateHf:
     def test_distinct(self):
         out = enumerate_hf(50)
         assert len(set(out)) == 50
+
+    def test_rejects_more_than_it_can_list(self):
+        assert HF_LIMIT == 65536
+        with pytest.raises(ValueError, match="65536"):
+            enumerate_hf(HF_LIMIT + 1)
+
+
+class TestWitnessPool:
+    def test_small_sets_then_parameter_closure(self):
+        big = Concrete(frozenset({Concrete(frozenset({TWO}))}))  # rank 4
+        pool = witness_pool(8, [big, Abstract("p", Sub(cnf_from_int(1)))])
+        assert pool[:8] == enumerate_hf(8)
+        assert pool[8:] == [big]  # the sets below it are already listed
+
+    def test_each_set_once_in_repr_order(self):
+        a = Concrete(frozenset({TWO, Concrete(frozenset({ONE}))}))
+        extra = sorted(transitive_closure(a) | {a}, key=repr)
+        pool = witness_pool(1, [a, a])
+        assert pool == [EMPTY] + [b for b in extra if b != EMPTY]
 
 
 class TestHull:
