@@ -33,7 +33,7 @@ from .ordinals import (
     render,
     times_nat,
 )
-from .universe import EMPTY_HULL, EvaluationError
+from .universe import EMPTY_HULL, EvaluationError, hull_extend_list
 
 OUT_DIR_VAR = "PROOFKIT_OUT"
 
@@ -64,6 +64,13 @@ def _load_script(path: str):
     return parse_script(text)
 
 
+def _embed(script, N: int) -> Emb:
+    """The embedding of a script's proof, in the hull generated by its
+    declared parameters and extended by its assignment."""
+    hull = hull_extend_list(EMPTY_HULL, script.params.values())
+    return Emb(script.root, script.assignment, hull, N=N)
+
+
 def cmd_check(args) -> int:
     try:
         script = _load_script(args.proof)
@@ -76,7 +83,7 @@ def cmd_check(args) -> int:
         for path, msg in result.diagnostics:
             print("node %s: %s" % (path, msg), file=sys.stderr)
         return 1
-    d = Emb(script.root, script.assignment, EMPTY_HULL, N=args.N)
+    d = _embed(script, args.N)
     print("embedding rank: %d" % d.sig.rank)
     print("embedding bound: %s" % render(d.sig.bound))
     return 0
@@ -94,7 +101,7 @@ def cmd_elim(args) -> int:
             print("node %s: %s" % (path, msg), file=sys.stderr)
         return 1
 
-    d = Emb(script.root, script.assignment, EMPTY_HULL, N=args.N)
+    d = _embed(script, args.N)
     m = d.sig.rank
     if args.rounds is None:
         args.rounds = m

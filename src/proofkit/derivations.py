@@ -29,13 +29,9 @@ from dataclasses import dataclass
 
 from . import finitary as fin
 from .formulas import (
-    All,
-    And,
-    BAll,
     BEx,
     CONJUNCTIVE,
     DISJUNCTIVE,
-    Ex,
     Formula,
     JBounded,
     J_TWO,
@@ -46,7 +42,6 @@ from .formulas import (
     Sequent,
     Term,
     Var,
-    ZERO_TERM,
     close,
     component,
     decompose,
@@ -322,64 +317,52 @@ def _fund_bound(d: int, a: DeskSet) -> OrdCode:
     return add(_fin(2 * d), times_nat(rank(a), 3))
 
 
-def _ind_var(var: str) -> str:
-    return "y" if var != "y" else "y0"
-
-
-def _prog_failure(var: str, A: Formula) -> Formula:
-    """There is a set all of whose members satisfy A while it does not."""
-    y = _ind_var(var)
-    return Ex(var, And(BAll(y, Var(var), subst(A, var, Var(y))), negate(A)))
-
-
 class Fund(DerivTerm):
-    """Derivation of {progress-failure, forall x in a A(x)} in
-    2 dp(A) + 3 rank(a) steps, by recursion on rank(a)."""
+    """Derivation of {B, forall x in a A(x)} in 2 dp(A) + 3 rank(a)
+    steps, by recursion on rank(a), for the disjuncts of a foundation
+    instance: the progress failure B = exists x (forall y in x A(y) and
+    not A(x)) and the universal U = forall x A(x)."""
 
-    def __init__(self, a: DeskSet, var: str, A: Formula, gamma: Sequent, hull: Hull):
+    def __init__(self, a: DeskSet, B: Formula, U: Formula, gamma: Sequent, hull: Hull):
         super().__init__()
-        if free_vars(A) - {var}:
+        if free_vars(B) or free_vars(U):
             raise ConstructionError("foundation formula may only have the induction variable free")
         self.a = a
-        self.var = var
-        self.A = A
-        self.gamma = gamma
-        self.B = _prog_failure(var, A)
-        y = _ind_var(var)
-        self.all_in_a = BAll(y, Name(a), subst(A, var, Var(y)))
-        d = depth(subst(A, var, ZERO_TERM))
-        self.d = d
-        seq = gamma | {self.B, self.all_in_a}
-        self.sig = Sig(hull, _fund_bound(d, a), 0, seq)
+        self.B = B
+        self.U = U
+        self.all_in_a = component(B, a).left
+        self.d = depth(U.body)
+        seq = gamma | {B, self.all_in_a}
+        self.sig = Sig(hull, _fund_bound(self.d, a), 0, seq)
 
     def _expand(self):
         P, seq = self.sig.hull, self.sig.seq
 
         def prem(b):
-            return _fund_progress(b, self.var, self.A, seq, hull_extend(P, b), self.d)
+            return _fund_progress(b, self.B, self.U, seq, hull_extend(P, b), self.d)
 
         return WedgeNode(self.sig, self.all_in_a, JBounded(self.a), prem)
 
 
 def _fund_progress(
-    b: DeskSet, var: str, A: Formula, gamma: Sequent, hull: Hull, d: int
+    b: DeskSet, B: Formula, U: Formula, gamma: Sequent, hull: Hull, d: int
 ) -> DerivTerm:
-    """Derivation of gamma, progress-failure, A(b) in 2d + 3 rank(b) + 2
-    steps: conjunction of the induction hypothesis below b with a
-    tautology, then the disjunctive step into the failure witness b."""
-    B = _prog_failure(var, A)
-    A_b = subst(A, var, Name(b))
+    """Derivation of gamma, B, A(b) in 2d + 3 rank(b) + 2 steps, for the
+    progress failure B and the universal U = forall x A(x): conjunction
+    of the induction hypothesis below b with a tautology, then the
+    disjunctive step into the failure witness b."""
+    A_b = component(U, b)
     base = gamma | {B, A_b}
     r3 = times_nat(rank(b), 3)
     vee_sig = Sig(hull, _bump(add(_fin(2 * d), r3), 2), 0, base)
 
-    if is_delta0(A) and determinable(A_b):
+    if d == 0 and determinable(A_b):
         # a settled bounded induction formula: either A(b) itself is true,
         # or some membership-minimal failure at or below b witnesses the
         # progress-failure sentence outright
         if eval_formula_bounded(A_b):
             return TrueLeaf(vee_sig, A_b)
-        c = _minimal_failure(b, var, A)
+        c = _minimal_failure(b, U)
         C_c = component(B, c)
         leaf = _true_leaf(C_c, base | {C_c}, hull, _fin(0))
         return VeeNode(vee_sig, B, c, leaf)
@@ -390,25 +373,24 @@ def _fund_progress(
 
     def prem(i):
         if i == 0:
-            return Fund(b, var, A, wedge_seq, hull)
+            return Fund(b, B, U, wedge_seq, hull)
         return Taut(A_b, wedge_seq, hull)
 
     wedge = WedgeNode(wedge_sig, C_b, J_TWO, prem)
     return VeeNode(vee_sig, B, b, wedge)
 
 
-def _minimal_failure(b: DeskSet, var: str, A: Formula) -> DeskSet:
-    """A set at or hereditarily below b that falsifies A while all of
-    its members satisfy A; exists whenever A(b) is false."""
+def _minimal_failure(b: DeskSet, U: Formula) -> DeskSet:
+    """A set at or hereditarily below b that falsifies the body of the
+    universal U while all of its members satisfy it; exists whenever
+    U's instance at b is false."""
     candidates = sorted(
         transitive_closure(b) | {b}, key=lambda s: (rank_int(s), repr(s))
     )
     for c in candidates:
-        if eval_formula_bounded(subst(A, var, Name(c))):
+        if eval_formula_bounded(component(U, c)):
             continue
-        if all(
-            eval_formula_bounded(subst(A, var, Name(m))) for m in set_members(c)
-        ):
+        if all(eval_formula_bounded(component(U, m)) for m in set_members(c)):
             return c
     raise ConstructionError("no minimal failure below a false instance")
 
@@ -528,6 +510,14 @@ def _true_leaf(M: Formula, seq: Sequent, hull: Hull, bound: OrdCode) -> TrueLeaf
     return TrueLeaf(sig, M, undetermined=True)
 
 
+def _witnessed(sig: Sig, A: Formula, w: DeskSet, bound: OrdCode) -> VeeNode:
+    """The disjunctive inference into the existential A at its witness
+    w, over a true leaf on the instance at ``bound``."""
+    matrix = component(A, w)
+    leaf = _true_leaf(matrix, sig.seq | {matrix}, sig.hull, bound)
+    return VeeNode(sig, A, w, leaf)
+
+
 def _axemb_expand(ax: AxEmb) -> ExplicitNode:
     node, inst, sig = ax.node, ax.inst, ax.sig
     P, seq = sig.hull, sig.seq
@@ -541,20 +531,14 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         body = inst.body
         a_val = body.left.left.value
         b_val = body.right.left.value
-        w = Concrete(frozenset({a_val, b_val}))
-        matrix = subst(inst.body, inst.var, Name(w))
-        leaf = _true_leaf(matrix, seq | {matrix}, P, _fin(1))
-        return VeeNode(sig, inst, w, leaf)
+        return _witnessed(sig, inst, Concrete(frozenset({a_val, b_val})), _fin(1))
 
     if kind == "union":
         a_val = _closed_value(node.term, ax.assignment)
         members = set()
         for b in set_members(a_val):
             members |= set_members(b)
-        w = Concrete(frozenset(members))
-        matrix = subst(inst.body, inst.var, Name(w))
-        leaf = _true_leaf(matrix, seq | {matrix}, P, _fin(0))
-        return VeeNode(sig, inst, w, leaf)
+        return _witnessed(sig, inst, Concrete(frozenset(members)), _fin(0))
 
     if kind == "separation":
         a_val = _closed_value(node.term, ax.assignment)
@@ -564,10 +548,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
             b for b in set_members(a_val)
             if eval_formula_bounded(subst(phi, x, Name(b)))
         )
-        w = Concrete(chosen)
-        matrix = subst(inst.body, inst.var, Name(w))
-        leaf = _true_leaf(matrix, seq | {matrix}, P, _fin(0))
-        return VeeNode(sig, inst, w, leaf)
+        return _witnessed(sig, inst, Concrete(chosen), _fin(0))
 
     if kind == "collection":
         a_val = _closed_value(node.term, ax.assignment)
@@ -586,11 +567,9 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
                     "no collection witness found in the search space"
                 )
             found.append(hit)
-        w = Concrete(frozenset(found))
         right = inst.right  # exists z forall x in a exists y in z phi
-        matrix = subst(right.body, right.var, Name(w))
-        leaf = _true_leaf(matrix, seq | {right, matrix}, P, _fin(0))
-        vee2 = VeeNode(Sig(P, _fin(1), 0, seq | {right}), right, w, leaf)
+        vee2 = _witnessed(Sig(P, _fin(1), 0, seq | {right}), right,
+                          Concrete(frozenset(found)), _fin(0))
         return VeeNode(sig, inst, 1, vee2)
 
     if kind == "infinity":
@@ -600,7 +579,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
             hull_i = hull_extend(P, iota)
             comp = component(inst, iota)  # exists y (iota in y and ad(y))
             prem_seq = seq | {comp}
-            matrix = subst(comp.body, comp.var, Name(OMEGA_WITNESS))
+            matrix = component(comp, OMEGA_WITNESS)
             wedge_seq = prem_seq | {matrix}
 
             def inner(i):
@@ -613,20 +592,15 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         return WedgeNode(sig, inst, J_UNIVERSE, prem)
 
     if kind == "foundation":
-        x = node.var
-        phi = close(node.formula, ax.assignment, {x})
-        d = depth(subst(phi, x, ZERO_TERM))
-        B = _prog_failure(x, phi)
-        allx = All(x, phi)
-        wedge_seq = seq | {B, allx}
+        B, U = inst.left, inst.right  # the progress failure, forall x phi
+        d = depth(U.body)
+        wedge_seq = seq | {B, U}
         wedge_sig = Sig(P, OMEGA, 0, wedge_seq)
 
         def prem(a):
-            hull_a = hull_extend(P, a)
-            chain = _fund_progress(a, x, phi, wedge_seq, hull_a, d)
-            return chain
+            return _fund_progress(a, B, U, wedge_seq, hull_extend(P, a), d)
 
-        wedge = WedgeNode(wedge_sig, allx, J_UNIVERSE, prem)
+        wedge = WedgeNode(wedge_sig, U, J_UNIVERSE, prem)
         vee2 = VeeNode(Sig(P, add(OMEGA, _fin(1)), 0, seq | {B}), inst, 1, wedge)
         return VeeNode(sig, inst, 0, vee2)
 

@@ -132,6 +132,8 @@ def ax_separation(a: Term, x: str, phi: Formula) -> Formula:
     """There is z = {x in a : phi(x)}, for bounded phi."""
     if not is_delta0(phi):
         raise ValueError("separation needs a bounded formula")
+    if a == Var(x):
+        raise ValueError("separation variable %s is its own bounding term" % x)
     z = _fresh("z", free_vars(phi) | _term_vars(a) | {x})
     inner = And(
         BAll(x, Var(z), And(Mem(Var(x), a), phi)),
@@ -156,6 +158,8 @@ def ax_infinity() -> Formula:
 
 def ax_foundation(x: str, y: str, phi: Formula) -> Formula:
     """Progressiveness of phi along membership implies phi everywhere."""
+    if y != x and y in free_vars(phi):
+        raise ValueError("foundation variable %s occurs free in the formula" % y)
     prog_fails = Ex(x, And(BAll(y, Var(x), subst(phi, x, Var(y))), negate(phi)))
     return Or(prog_fails, All(x, phi))
 

@@ -227,7 +227,9 @@ def _subst_term(t: Term, var: str, value: Term) -> Term:
 
 
 def subst(A: Formula, var: str, value: Term) -> Formula:
-    """Capture-avoiding substitution of a closed term for a variable."""
+    """Substitution of a term for the free occurrences of a variable.
+    Raises ValueError when a variable term would be captured: a binder
+    of its name has the substituted variable free in its body."""
     if isinstance(A, Mem):
         return Mem(_subst_term(A.left, var, value), _subst_term(A.right, var, value))
     if isinstance(A, NotMem):
@@ -241,22 +243,25 @@ def subst(A: Formula, var: str, value: Term) -> Formula:
     if isinstance(A, And):
         return And(subst(A.left, var, value), subst(A.right, var, value))
     if isinstance(A, BEx):
-        bound = _subst_term(A.bound, var, value)
-        body = A.body if A.var == var else subst(A.body, var, value)
-        return BEx(A.var, bound, body)
+        return BEx(A.var, _subst_term(A.bound, var, value), _subst_body(A, var, value))
     if isinstance(A, BAll):
-        bound = _subst_term(A.bound, var, value)
-        body = A.body if A.var == var else subst(A.body, var, value)
-        return BAll(A.var, bound, body)
+        return BAll(A.var, _subst_term(A.bound, var, value), _subst_body(A, var, value))
     if isinstance(A, Ex):
-        if A.var == var:
-            return A
-        return Ex(A.var, subst(A.body, var, value))
+        return A if A.var == var else Ex(A.var, _subst_body(A, var, value))
     if isinstance(A, All):
-        if A.var == var:
-            return A
-        return All(A.var, subst(A.body, var, value))
+        return A if A.var == var else All(A.var, _subst_body(A, var, value))
     raise TypeError("not a formula: %r" % (A,))
+
+
+def _subst_body(A: Formula, var: str, value: Term) -> Formula:
+    """The body of the quantifier A after substitution."""
+    if A.var == var:
+        return A.body
+    if isinstance(value, Var) and value.name == A.var and var in free_vars(A.body):
+        raise ValueError(
+            "substituting %s for %s: captured by the quantifier on %s"
+            % (value.name, var, A.var))
+    return subst(A.body, var, value)
 
 
 def close(A: Formula, assignment: dict, keep=frozenset()) -> Formula:
@@ -282,38 +287,32 @@ def is_delta0(A: Formula) -> bool:
     return False
 
 
-def member_sigma(A: Formula, i: int) -> bool:
-    """Is A a Sigma_i formula (syntactically)?"""
-    if i <= 0:
-        return is_delta0(A)
-    if is_delta0(A):
-        return True
+def _levels(A: Formula) -> tuple:
+    """The least i with A in Sigma_i and the least i with A in Pi_i,
+    read bottom-up; (0, 0) exactly for bounded formulas.  An unbounded
+    quantifier over a body of levels (s, p) is Sigma_max(s,1) and then
+    Pi one higher (existential), or Pi_max(p,1) and then Sigma one higher
+    (universal)."""
+    if isinstance(A, (Mem, NotMem, Ad, NotAd)):
+        return 0, 0
     if isinstance(A, (Or, And)):
-        return member_sigma(A.left, i) and member_sigma(A.right, i)
+        sl, pl = _levels(A.left)
+        sr, pr = _levels(A.right)
+        return max(sl, sr), max(pl, pr)
     if isinstance(A, (BEx, BAll)):
-        return member_sigma(A.body, i)
+        return _levels(A.body)
     if isinstance(A, Ex):
-        return member_sigma(A.body, i)
+        s = max(_levels(A.body)[0], 1)
+        return s, s + 1
     if isinstance(A, All):
-        return member_pi(A, i - 1)
+        p = max(_levels(A.body)[1], 1)
+        return p + 1, p
     raise TypeError("not a formula: %r" % (A,))
 
 
 def member_pi(A: Formula, i: int) -> bool:
-    """Is A a Pi_i formula (syntactically)?"""
-    if i <= 0:
-        return is_delta0(A)
-    if is_delta0(A):
-        return True
-    if isinstance(A, (Or, And)):
-        return member_pi(A.left, i) and member_pi(A.right, i)
-    if isinstance(A, (BEx, BAll)):
-        return member_pi(A.body, i)
-    if isinstance(A, All):
-        return member_pi(A.body, i)
-    if isinstance(A, Ex):
-        return member_sigma(A, i - 1)
-    raise TypeError("not a formula: %r" % (A,))
+    """Is A a Pi_i formula (syntactically)?  Pi_i for i <= 0 is Delta_0."""
+    return _levels(A)[1] <= max(i, 0)
 
 
 def classify(A: Formula):
@@ -322,18 +321,10 @@ def classify(A: Formula):
     Returns "Delta0", ("Sigma", i), ("Pi", i), or ("Delta", i) when A
     lies in both Sigma_i and Pi_i without being lower.
     """
-    if is_delta0(A):
-        return "Delta0"
-    i = 1
-    while True:
-        s, p = member_sigma(A, i), member_pi(A, i)
-        if s and p:
-            return ("Delta", i)
-        if s:
-            return ("Sigma", i)
-        if p:
-            return ("Pi", i)
-        i += 1
+    s, p = _levels(A)
+    if s == p:
+        return "Delta0" if s == 0 else ("Delta", s)
+    return ("Sigma", s) if s < p else ("Pi", p)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +332,19 @@ def classify(A: Formula):
 
 
 def depth(A: Formula) -> int:
-    """Unbounded-quantifier nesting measure."""
-    if is_delta0(A):
+    """Unbounded-quantifier nesting measure: 0 for a bounded formula, one
+    more than its deepest part for any other."""
+    if isinstance(A, (Mem, NotMem, Ad, NotAd)):
         return 0
     if isinstance(A, (Or, And)):
-        return max(depth(A.left), depth(A.right)) + 1
-    if isinstance(A, (BEx, BAll, Ex, All)):
-        return depth(subst(A.body, A.var, ZERO_TERM)) + 1
-    raise TypeError("not a formula: %r" % (A,))
+        d = max(depth(A.left), depth(A.right))
+    elif isinstance(A, (BEx, BAll)):
+        d = depth(A.body)
+    elif isinstance(A, (Ex, All)):
+        return depth(A.body) + 1
+    else:
+        raise TypeError("not a formula: %r" % (A,))
+    return d + 1 if d else 0
 
 
 def _term_names(t: Term) -> frozenset:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ordinals import CNF_W, OrdCode, Sub, cmp, cnf_add, cnf_from_int, LESS
+from .ordinals import LESS, ONE, SUB_W, ZERO, OrdCode, Sub, add, cmp
 
 
 class EvaluationError(Exception):
@@ -66,7 +66,7 @@ EMPTY = Concrete(frozenset())
 #: Distinguished parameter witnessing the infinity axiom.  No
 #: hereditarily finite witness exists, so embedding that axiom uses this
 #: always-available abstract set; hulls treat it as a free member.
-OMEGA_WITNESS = Abstract("omega", Sub(CNF_W))
+OMEGA_WITNESS = Abstract("omega", SUB_W)
 
 
 def is_concrete(a: DeskSet) -> bool:
@@ -80,19 +80,18 @@ def rank(a: DeskSet) -> OrdCode:
     """Set-theoretic rank: sup of member ranks plus one, or the declared one."""
     if isinstance(a, Abstract):
         return a.declared_rank
-    best = Sub(cnf_from_int(0))
+    best = ZERO
     for b in a.members:
-        r = rank(b)
-        # successor of a Sub code, taken via the CNF layer
-        succ = Sub(cnf_add(r.value, cnf_from_int(1))) if isinstance(r, Sub) else r
+        succ = add(rank(b), ONE)
         if cmp(best, succ) == LESS:
             best = succ
     return best
 
 
 def rank_int(a: DeskSet) -> int:
-    """Rank of a fully concrete set as a plain integer."""
-    if not is_concrete(a):
+    """Rank of a fully concrete set as a plain integer; EvaluationError
+    on reaching an abstract parameter."""
+    if isinstance(a, Abstract):
         raise EvaluationError("rank_int needs a concrete set")
     if not a.members:
         return 0

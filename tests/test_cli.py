@@ -133,12 +133,27 @@ class TestElim:
         )
         assert main(["check", str(proof)]) == 0
         capsys.readouterr()
-        assert main(["elim", str(proof), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "node 0: control condition: parameter outside hull" in err
-        assert "Traceback" not in err and "error:" not in err
+        # the declared parameter p is in the embedding's hull
+        assert main(["elim", str(proof), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
         trace = (tmp_path / "abstract.trace").read_text(encoding="utf-8")
         assert trace.splitlines()[0].startswith("1 wedge (ball~x~p~")
+
+    def test_foundation_with_any_bound_variable(self, tmp_path, capsys):
+        # the embedding reads the progress-failure formula from the axiom
+        # instance, whatever its bound variable
+        a = "{{{{}}},{{}},{}}"
+        proof = tmp_path / "found.proof"
+        proof.write_text(
+            "n1 axiom:foundation (seq (or (ex x (and (ball z x (in z %s))"
+            " (notin x %s))) (all x (in x %s)))) formula=(in x %s)"
+            " var=x var2=z\n" % (a, a, a, a),
+            encoding="utf-8",
+        )
+        assert main(["elim", str(proof), "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "checked nodes: 5" in captured.out
 
     def test_rejects_small_n(self, scripts):
         with pytest.raises(SystemExit):

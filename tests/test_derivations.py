@@ -27,7 +27,9 @@ from proofkit.derivations import (
     rule_of,
     weaken,
 )
+from proofkit.finitary import ax_foundation
 from proofkit.formulas import (
+    BAll,
     Ex,
     Mem,
     Name,
@@ -115,8 +117,19 @@ class TestExpansion:
             assert rule_of(d).sig == d.sig
 
     def test_fund_requires_single_free_var(self):
+        inst = ax_foundation("x", "z", Mem(Var("x"), Var("y")))
         with pytest.raises(ConstructionError):
-            Fund(TWO, "x", Mem(Var("x"), Var("y")), frozenset(), EMPTY_HULL)
+            Fund(TWO, inst.left, inst.right, frozenset(), EMPTY_HULL)
+
+    def test_fund_reads_the_instance(self):
+        # the bounded universal is the progress failure's, bound variable
+        # included
+        inst = ax_foundation("x", "z", NotMem(Var("x"), Var("x")))
+        f = Fund(TWO, inst.left, inst.right, frozenset(), EMPTY_HULL)
+        assert f.all_in_a == BAll("z", Name(TWO), NotMem(Var("z"), Var("z")))
+        v = rule_of(f)
+        assert isinstance(v, WedgeNode) and v.sig == f.sig
+        assert rule_of(v.premise(ONE)).main == NotMem(Name(ONE), Name(ONE))
 
 
 class TestWeaken:

@@ -19,6 +19,7 @@ from proofkit.finitary import (
 )
 from proofkit.formulas import (
     All,
+    And,
     BAll,
     Ex,
     Mem,
@@ -29,6 +30,7 @@ from proofkit.formulas import (
     ZERO_TERM,
     classify,
     negate,
+    parse_formula,
     seq,
 )
 
@@ -88,6 +90,17 @@ class TestRules:
         assert not result.ok
         assert any("eigenvariable" in msg for _, msg in result.diagnostics)
 
+    def test_captured_eigenvariable(self):
+        # all x ex y (x in y and y notin y) with eigenvariable y: the
+        # instance ex y (y in y and y notin y) would capture y
+        body = Ex("y", And(Mem(Var("x"), Var("y")), NotMem(Var("y"), Var("y"))))
+        A = All("x", body)
+        captured = Ex("y", And(Mem(Var("y"), Var("y")), NotMem(Var("y"), Var("y"))))
+        premise = ProofNode("logax", seq(A, captured), main=M00)
+        result = check_proof(ProofNode("all", seq(A), (premise,), main=A, var="y"))
+        assert result.diagnostics == [
+            ("0", "substituting y for x: captured by the quantifier on y")]
+
     def test_cut_wrong_cut_formula(self):
         D = Or(M00, negate(M00))
         left = ProofNode("or", seq(D, negate(M00)), (logax(M00),), main=D)
@@ -111,6 +124,25 @@ class TestAxioms:
         phi = Mem(Var("x"), Name(ONE))
         inst = ax_separation(Name(TWO), "x", phi)
         assert isinstance(inst, Ex)
+
+    def test_binders_do_not_capture_parameters(self):
+        # each conclusion is the false sentence the schema would produce
+        # if its binder captured a free variable (y := {0}, x := {0})
+        found = parse_formula(
+            "(or (ex x (and (ball y x (in y y)) (notin x y))) (all x (in x y)))")
+        sep = parse_formula(
+            "(ex z (and (ball x z (and (in x x) (notin x x)))"
+            " (ball x x (or (in x x) (in x z)))))")
+        nodes = [
+            ProofNode("axiom:foundation", seq(found), var="x", var2="y",
+                      formula=Mem(Var("x"), Var("y"))),
+            ProofNode("axiom:separation", seq(sep), term=Var("x"), var="x",
+                      formula=NotMem(Var("x"), Var("x"))),
+        ]
+        messages = ["foundation variable y occurs free in the formula",
+                    "separation variable x is its own bounding term"]
+        for node, msg in zip(nodes, messages):
+            assert check_proof(node).diagnostics == [("0", msg)]
 
     def test_reflection_level_enforced(self):
         # a Pi_4 formula exceeds the schema's Pi_{N+1} bound at N=2

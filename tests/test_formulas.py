@@ -32,6 +32,7 @@ from proofkit.formulas import (
     free_vars,
     is_delta0,
     is_sentence,
+    member_pi,
     negate,
     parse_formula,
     parse_sequent,
@@ -72,6 +73,58 @@ def random_formula(rng, budget, vars_=()):
     if kind == 4:
         return Ex(v, inner)
     return All(v, inner)
+
+
+# reference implementations: the recursive definitions that the
+# one-pass classification and depth replaced
+
+
+def ref_member_sigma(A, i):
+    if i <= 0 or is_delta0(A):
+        return is_delta0(A)
+    if isinstance(A, (Or, And)):
+        return ref_member_sigma(A.left, i) and ref_member_sigma(A.right, i)
+    if isinstance(A, (BEx, BAll, Ex)):
+        return ref_member_sigma(A.body, i)
+    return ref_member_pi(A, i - 1)
+
+
+def ref_member_pi(A, i):
+    if i <= 0 or is_delta0(A):
+        return is_delta0(A)
+    if isinstance(A, (Or, And)):
+        return ref_member_pi(A.left, i) and ref_member_pi(A.right, i)
+    if isinstance(A, (BEx, BAll, All)):
+        return ref_member_pi(A.body, i)
+    return ref_member_sigma(A, i - 1)
+
+
+def ref_classify(A):
+    if is_delta0(A):
+        return "Delta0"
+    i = 1
+    while True:
+        s, p = ref_member_sigma(A, i), ref_member_pi(A, i)
+        if s and p:
+            return ("Delta", i)
+        if s:
+            return ("Sigma", i)
+        if p:
+            return ("Pi", i)
+        i += 1
+
+
+def ref_depth(A):
+    if is_delta0(A):
+        return 0
+    if isinstance(A, (Or, And)):
+        return max(ref_depth(A.left), ref_depth(A.right)) + 1
+    return ref_depth(subst(A.body, A.var, ZERO_TERM)) + 1
+
+
+def reference_sample(seed, count=10_000):
+    rng = random.Random(seed)
+    return [random_formula(rng, rng.randrange(6)) for _ in range(count)]
 
 
 class TestNegate:
@@ -128,6 +181,14 @@ class TestClassify:
         inner = Ex("y", Mem(Var("x"), Var("y")))
         assert classify(BAll("x", Name(TWO), inner)) == ("Sigma", 1)
 
+    def test_agrees_with_reference(self):
+        for A in reference_sample(5):
+            assert classify(A) == ref_classify(A)
+            for i in range(-1, 7):
+                assert member_pi(A, i) == ref_member_pi(A, i)
+                # Sigma_i membership, read through the dual
+                assert member_pi(negate(A), i) == ref_member_sigma(A, i)
+
 
 class TestDepth:
     def test_delta0_is_zero(self):
@@ -143,6 +204,10 @@ class TestDepth:
     def test_bounded_over_unbounded(self):
         A = BAll("x", Name(TWO), Ex("y", Mem(Var("x"), Var("y"))))
         assert depth(A) == 2
+
+    def test_agrees_with_reference(self):
+        for A in reference_sample(6):
+            assert depth(A) == ref_depth(A)
 
 
 class TestSupport:
@@ -260,6 +325,21 @@ class TestSubst:
     def test_shadowing(self):
         A = Ex("x", Mem(Var("x"), Var("x")))
         assert subst(A, "x", ZERO_TERM) == A
+
+    def test_variable_value_captured(self):
+        A = Ex("y", And(Mem(Var("x"), Var("y")), NotMem(Var("y"), Var("y"))))
+        with pytest.raises(ValueError, match="captured"):
+            subst(A, "x", Var("y"))
+        with pytest.raises(ValueError, match="captured"):
+            subst(BAll("y", Var("x"), Mem(Var("x"), Var("y"))), "x", Var("y"))
+
+    def test_variable_value_not_captured(self):
+        # the binder does not see the substituted variable, or binds
+        # another name
+        A = BAll("y", Var("x"), Mem(Var("y"), Var("y")))
+        assert subst(A, "x", Var("y")) == BAll("y", Var("y"), Mem(Var("y"), Var("y")))
+        B = Ex("z", Mem(Var("x"), Var("z")))
+        assert subst(B, "x", Var("y")) == Ex("z", Mem(Var("y"), Var("z")))
 
     def test_free_vars_and_closure(self):
         A = Ex("x", Mem(Var("x"), Var("y")))

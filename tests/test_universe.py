@@ -44,6 +44,13 @@ class TestSets:
         assert rank(om) == Sub(cnf_from_int(5))
         assert not is_concrete(om)
 
+    def test_rank_over_an_abstract_member(self):
+        om = Abstract("om", Sub(cnf_from_int(5)))
+        inner = Concrete(frozenset({EMPTY, om}))
+        assert rank(inner) == Sub(cnf_from_int(6))
+        with pytest.raises(EvaluationError):
+            rank_int(Concrete(frozenset({inner})))
+
     def test_omega_witness_rank(self):
         assert cmp(rank(EMPTY), rank(OMEGA_WITNESS)) == LESS
         assert cmp(rank(OMEGA_WITNESS), OMEGA) == LESS
