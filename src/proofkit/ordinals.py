@@ -13,14 +13,16 @@ Codes are finite trees built from four constructors:
 Omega live inside ``Sub``.  Normal forms are unique: distinct normal trees
 denote distinct ordinals.  Non-normal inputs are rejected by the public
 operations, never silently repaired.
+
+Codes (and the ``CNF`` values inside ``Sub``) are hash-consed: building a
+code equal to an existing one returns that object, so equality is
+identity and each hash is computed once, when the node is built.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -34,19 +36,78 @@ class OrdinalParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Interning.
+# ---------------------------------------------------------------------------
+
+#: Every interned node by ``(class, fields)``; it grows with the number of
+#: distinct codes built, not with the number of operations.
+_INTERNED: dict = {}
+
+
+class _Interned:
+    """An immutable hash-consed node: one object per class and fields.
+
+    A subclass lists its fields in ``__slots__``, and its constructor
+    passes their values, in that order, to ``_intern``, which returns the
+    object an earlier call built from equal fields.  So equal nodes are
+    identical and ``==`` is the identity test.  The hash is the one a
+    frozen dataclass with these fields has, ``hash(fields)``, computed
+    once at construction; it involves only ints and tuples, so it is the
+    same in every process.  ``repr`` is the dataclass ``repr``.
+    """
+
+    __slots__ = ("_hash",)
+
+    @classmethod
+    def _intern(cls, fields: tuple):
+        key = (cls, fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(fields))
+            _INTERNED[key] = node
+        return node
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        args = ", ".join("%s=%r" % field
+                         for field in zip(type(self).__slots__, self._fields()))
+        return "%s(%s)" % (type(self).__qualname__, args)
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # Cantor normal form below epsilon_0 (the sub-Omega layer).
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CNF:
+class CNF(_Interned):
     """Sum of ``w^e * c`` terms with strictly decreasing exponents.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs; the empty tuple
     is zero.  Exponents are themselves CNF values.
     """
 
-    terms: tuple[tuple["CNF", int], ...] = ()
+    __slots__ = ("terms",)
+    terms: tuple[tuple[CNF, int], ...]
+
+    def __new__(cls, terms: tuple[tuple[CNF, int], ...] = ()) -> CNF:
+        return cls._intern((terms,))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,27 +185,42 @@ def cnf_is_principal(a: CNF) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sub:
+class OrdCode(_Interned):
+    """A code: ``Sub``, ``OmegaCode``, ``WPow`` or ``Sum``."""
+
+    __slots__ = ()
+
+
+class Sub(OrdCode):
+    __slots__ = ("value",)
     value: CNF
 
-
-@dataclass(frozen=True)
-class OmegaCode:
-    pass
+    def __new__(cls, value: CNF) -> Sub:
+        return cls._intern((value,))
 
 
-@dataclass(frozen=True)
-class WPow:
-    exponent: "OrdCode"
+class OmegaCode(OrdCode):
+    __slots__ = ()
+
+    def __new__(cls) -> OmegaCode:
+        return cls._intern(())
 
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple["OrdCode", ...]
+class WPow(OrdCode):
+    __slots__ = ("exponent",)
+    exponent: OrdCode
+
+    def __new__(cls, exponent: OrdCode) -> WPow:
+        return cls._intern((exponent,))
 
 
-OrdCode = Union[Sub, OmegaCode, WPow, Sum]
+class Sum(OrdCode):
+    __slots__ = ("parts",)
+    parts: tuple[OrdCode, ...]
+
+    def __new__(cls, parts: tuple[OrdCode, ...]) -> Sum:
+        return cls._intern((parts,))
+
 
 OMEGA = OmegaCode()
 ZERO = Sub(CNF_ZERO)

@@ -13,6 +13,7 @@ digest.
 
 import hashlib
 
+from proofkit import ordinals
 from proofkit.checking import (
     check_local,
     default_sampler,
@@ -67,6 +68,15 @@ def test_corpus_digest():
     record = corpus_record()
     digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
     assert digest == GOLDEN
+
+
+def test_intern_table_grows_with_codes_not_runs():
+    """A second run of the corpus pipeline builds only ordinal codes the
+    first one interned, so the table keeps its size."""
+    corpus_record()
+    size = len(ordinals._INTERNED)
+    corpus_record()
+    assert len(ordinals._INTERNED) == size
 
 
 def test_bounded_wedge_labels_follow_trace_order():

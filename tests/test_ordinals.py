@@ -1,10 +1,16 @@
-"""Ordinal notation system: normal forms, ordering, arithmetic."""
+"""Ordinal notation system: normal forms, ordering, arithmetic, interning."""
 
+import copy
+import importlib.util
+import pickle
 import random
+from dataclasses import field, make_dataclass
 
 import pytest
 
+from proofkit import ordinals
 from proofkit.ordinals import (
+    CNF,
     CNF_ONE,
     CNF_W,
     CNF_ZERO,
@@ -13,6 +19,8 @@ from proofkit.ordinals import (
     LESS,
     MalformedOrdinalError,
     OMEGA,
+    OmegaCode,
+    OrdCode,
     OrdinalParseError,
     Sub,
     Sum,
@@ -234,3 +242,121 @@ class TestEnumerate:
 
     def test_monotone_in_budget(self):
         assert set(enumerate_codes(4)) <= set(enumerate_codes(6))
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the codes as frozen dataclasses, whose hash,
+# repr and equality the interned codes must match, and the operations of
+# proofkit.ordinals run over them.
+# ---------------------------------------------------------------------------
+
+RefCNF = make_dataclass("CNF", [("terms", tuple, field(default=()))], frozen=True,
+                        namespace={"is_zero": lambda self: not self.terms})
+RefSub = make_dataclass("Sub", [("value", RefCNF)], frozen=True)
+RefOmegaCode = make_dataclass("OmegaCode", [], frozen=True)
+RefWPow = make_dataclass("WPow", [("exponent", object)], frozen=True)
+RefSum = make_dataclass("Sum", [("parts", tuple)], frozen=True)
+
+
+def reference_ordinals():
+    """A second copy of ``proofkit.ordinals`` whose code classes and
+    constants are the reference dataclasses."""
+    spec = importlib.util.spec_from_file_location("ordinals_reference",
+                                                  ordinals.__file__)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    ref.CNF, ref.Sub, ref.OmegaCode, ref.WPow, ref.Sum = (
+        RefCNF, RefSub, RefOmegaCode, RefWPow, RefSum)
+    ref.CNF_ZERO = RefCNF()
+    ref.CNF_ONE = RefCNF(((ref.CNF_ZERO, 1),))
+    ref.CNF_W = RefCNF(((ref.CNF_ONE, 1),))
+    ref.OMEGA = RefOmegaCode()
+    ref.ZERO, ref.ONE, ref.SUB_W = (RefSub(v) for v in
+                                    (ref.CNF_ZERO, ref.CNF_ONE, ref.CNF_W))
+    return ref
+
+
+def to_ref(x):
+    if isinstance(x, CNF):
+        return RefCNF(tuple((to_ref(e), c) for e, c in x.terms))
+    if isinstance(x, Sub):
+        return RefSub(to_ref(x.value))
+    if isinstance(x, OmegaCode):
+        return RefOmegaCode()
+    if isinstance(x, WPow):
+        return RefWPow(to_ref(x.exponent))
+    if isinstance(x, Sum):
+        return RefSum(tuple(to_ref(p) for p in x.parts))
+    return x
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)`` in reference codes, or the error it raised."""
+    try:
+        return ("ok", to_ref(fn(*args)))
+    except ValueError as e:
+        return ("raises", type(e).__name__, str(e))
+
+
+MALFORMED = (Sum((ONE, OMEGA)), WPow(ONE), WPow(OMEGA), Sum((OMEGA,)),
+             Sum((ONE, ONE)), Sub(CNF(((CNF_ZERO, 1), (CNF_ONE, 1)))))
+
+
+def comparison_sample():
+    rng = random.Random(13)
+    randoms = [random_code(rng, rng.randint(1, 10)) for _ in range(2000)]
+    return enumerate_codes(6) + randoms + list(MALFORMED)
+
+
+class TestInterning:
+    def test_equal_codes_are_identical(self):
+        assert Sum((OMEGA, ONE)) is Sum((OMEGA, ONE))
+        assert parse("w^(W+1) + 2") is add(WPow(Sum((OMEGA, ONE))), fin(2))
+        assert CNF() is CNF_ZERO
+
+    def test_hash_is_the_dataclass_hash(self):
+        # the same in every process, whatever PYTHONHASHSEED is
+        assert hash(OMEGA) == 5740354900026072187
+        assert hash(ZERO) == 4510597632111149919
+        assert hash(ONE) == -1503045194600647154
+
+    def test_agrees_with_reference(self):
+        ref = reference_ordinals()
+        assert ref.parse("W + 1") == RefSum((RefOmegaCode(), RefSub(ref.CNF_ONE)))
+        codes = comparison_sample()
+        for a in codes:
+            r = to_ref(a)
+            assert hash(a) == hash(r)
+            assert repr(a) == repr(r)
+            assert outcome(render, a) == outcome(ref.render, r)
+            assert validate_nf(a) == ref.validate_nf(r)
+            assert outcome(omega_exp, a) == outcome(ref.omega_exp, r)
+        exhaustive = enumerate_codes(6) + list(MALFORMED)
+        pairs = [(a, b) for a in exhaustive for b in exhaustive]
+        pairs += list(zip(codes[::2], codes[1::2]))
+        for a, b in pairs:
+            ra, rb = to_ref(a), to_ref(b)
+            assert (a == b) == (a is b) == (ra == rb)
+            for op in ("cmp", "add", "nat_sum"):
+                assert outcome(getattr(ordinals, op), a, b) == \
+                    outcome(getattr(ref, op), ra, rb)
+
+    def test_copies_are_the_interned_object(self):
+        a = parse("w^(W+1) + W + 2")
+        assert copy.copy(a) is a
+        assert copy.deepcopy(a) is a
+        assert pickle.loads(pickle.dumps(a)) is a
+
+    def test_immutable(self):
+        a = Sum((OMEGA, ONE))
+        with pytest.raises(AttributeError):
+            a.parts = (OMEGA,)
+        with pytest.raises(AttributeError):
+            del a.parts
+        with pytest.raises(AttributeError):
+            CNF_ONE.terms = ()
+
+    def test_ordcode_is_the_base_of_the_codes(self):
+        for a in (ZERO, OMEGA, WPow(Sum((OMEGA, ONE))), Sum((OMEGA, ONE))):
+            assert isinstance(a, OrdCode)
+        assert not isinstance(CNF_ONE, OrdCode)
