@@ -59,11 +59,6 @@ def cmd_ord(args) -> int:
     return 0
 
 
-def _load_script(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_script(text)
-
-
 def _embed(script, N: int) -> Emb:
     """The embedding of a script's proof, in the hull generated by its
     declared parameters and extended by its assignment."""
@@ -71,17 +66,26 @@ def _embed(script, N: int) -> Emb:
     return Emb(script.root, script.assignment, hull, N=N)
 
 
-def cmd_check(args) -> int:
+def _load_and_check(args):
+    """The script at ``args.proof`` (None if it does not parse) and
+    whether it checks, after printing what went wrong."""
     try:
-        script = _load_script(args.proof)
+        script = parse_script(Path(args.proof).read_text(encoding="utf-8"))
     except (OSError, ValueError) as ex:
         print("parse error: %s" % ex, file=sys.stderr)
-        return 1
+        return None, False
     result = check_proof(script.root, N=args.N)
+    for path, msg in result.diagnostics:
+        print("node %s: %s" % (path, msg), file=sys.stderr)
+    return script, result.ok
+
+
+def cmd_check(args) -> int:
+    script, ok = _load_and_check(args)
+    if script is None:
+        return 1
     print("end sequent: %s" % render_sequent(end_sequent(script.root)))
-    if not result.ok:
-        for path, msg in result.diagnostics:
-            print("node %s: %s" % (path, msg), file=sys.stderr)
+    if not ok:
         return 1
     d = _embed(script, args.N)
     print("embedding rank: %d" % d.sig.rank)
@@ -90,15 +94,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_elim(args) -> int:
-    try:
-        script = _load_script(args.proof)
-    except (OSError, ValueError) as ex:
-        print("parse error: %s" % ex, file=sys.stderr)
-        return 1
-    result = check_proof(script.root, N=args.N)
-    if not result.ok:
-        for path, msg in result.diagnostics:
-            print("node %s: %s" % (path, msg), file=sys.stderr)
+    script, ok = _load_and_check(args)
+    if not ok:
         return 1
 
     d = _embed(script, args.N)

@@ -634,14 +634,18 @@ def _closed_value(t: Term, assignment: dict) -> DeskSet:
 
 def emb_rank(pi: fin.ProofNode) -> int:
     """Cut rank of the embedded derivation, by the standard recursion."""
-    if pi.rule == "logax":
-        return 2 * depth(close(pi.main, {}))
-    if pi.rule in fin.AXIOM_RULES:
-        return axemb_rank(pi)
-    if pi.rule == "cut":
-        C = close(pi.formula, {})
-        return max(max(emb_rank(p) for p in pi.premises), depth(C)) + 1
-    return max(emb_rank(p) for p in pi.premises) + 1
+    ranks: dict = {}
+    for node in fin.post_order(pi):
+        if node.rule == "logax":
+            r = 2 * depth(close(node.main, {}))
+        elif node.rule in fin.AXIOM_RULES:
+            r = axemb_rank(node)
+        else:
+            r = max(ranks[id(p)] for p in node.premises) + 1
+            if node.rule == "cut":
+                r = max(r, depth(close(node.formula, {})) + 1)
+        ranks[id(node)] = r
+    return ranks[id(pi)]
 
 
 def emb_bound(m: int, values) -> OrdCode:

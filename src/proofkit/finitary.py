@@ -2,11 +2,11 @@
 bounded-formula separation and collection plus a reflection schema at
 level Pi_{N+1} (N >= 2 a parameter).
 
-Proofs are immutable trees.  Every inference carries its conclusion and
-the witnesses (main formula, witness term, eigenvariable, cut formula)
-that make checking deterministic: from the witnesses the checker
-recomputes the expected premise sequents and compares, no unification
-involved.
+Proofs are immutable, and a node may serve as premise more than once.
+Every inference carries its conclusion and the witnesses (main formula,
+witness term, eigenvariable, cut formula) that make checking
+deterministic: from the witnesses the checker recomputes the expected
+premise sequents and compares, no unification involved.
 
 A line-oriented script format serializes proofs: one node per line,
 
@@ -14,7 +14,8 @@ A line-oriented script format serializes proofs: one node per line,
 
 with ``param`` and ``assign`` header lines declaring abstract set
 parameters and the variable assignment used when the proof is fed to
-the infinitary embedding.
+the infinitary embedding.  The last node line is the root, and every
+other node must be a premise of it, hereditarily.
 """
 
 from __future__ import annotations
@@ -35,22 +36,26 @@ from .formulas import (
     Sequent,
     Term,
     Var,
-    formula_from_tree,
+    all_vars,
+    as_formula,
+    as_set,
+    as_term,
     free_vars,
+    fresh,
     is_delta0,
     member_pi,
     negate,
     not_equals,
-    parse_sexp,
+    read,
     relativize,
     render_formula,
+    render_sequent,
     render_term,
-    sequent_from_tree,
     subst,
-    term_from_tree,
+    tokenize,
 )
-from .ordinals import parse as parse_ord, render as render_ord, Sub
-from .universe import Abstract, parse_set, render_set
+from .ordinals import parse as parse_ord, render as render_ord
+from .universe import Abstract, render_set
 
 RULES = frozenset(
     {
@@ -90,21 +95,16 @@ class ProofNode:
     formula: Formula | None = None
 
 
+#: The witness fields of a node, in the order scripts write them.
+WITNESSES = ("main", "formula", "term", "term2", "term3", "var", "var2")
+
+
 def end_sequent(pi: ProofNode) -> Sequent:
     return pi.conclusion
 
 
 # ---------------------------------------------------------------------------
 # axiom instances
-
-
-def _fresh(base: str, avoid) -> str:
-    if base not in avoid:
-        return base
-    i = 0
-    while "%s%d" % (base, i) in avoid:
-        i += 1
-    return "%s%d" % (base, i)
 
 
 def _term_vars(*ts):
@@ -117,14 +117,14 @@ def ax_extensionality(a: Term, b: Term, c: Term) -> Formula:
 
 
 def ax_pair(a: Term, b: Term) -> Formula:
-    z = _fresh("z", _term_vars(a, b))
+    z = fresh("z", _term_vars(a, b))
     return Ex(z, And(Mem(a, Var(z)), Mem(b, Var(z))))
 
 
 def ax_union(a: Term) -> Formula:
-    z = _fresh("z", _term_vars(a))
-    x = _fresh("x", _term_vars(a) | {z})
-    y = _fresh("y", _term_vars(a) | {z, x})
+    z = fresh("z", _term_vars(a))
+    x = fresh("x", _term_vars(a) | {z})
+    y = fresh("y", _term_vars(a) | {z, x})
     return Ex(z, BAll(x, a, BAll(y, Var(x), Mem(Var(y), Var(z)))))
 
 
@@ -134,7 +134,7 @@ def ax_separation(a: Term, x: str, phi: Formula) -> Formula:
         raise ValueError("separation needs a bounded formula")
     if a == Var(x):
         raise ValueError("separation variable %s is its own bounding term" % x)
-    z = _fresh("z", free_vars(phi) | _term_vars(a) | {x})
+    z = fresh("z", free_vars(phi) | _term_vars(a) | {x})
     inner = And(
         BAll(x, Var(z), And(Mem(Var(x), a), phi)),
         BAll(x, a, Or(negate(phi), Mem(Var(x), Var(z)))),
@@ -146,7 +146,7 @@ def ax_collection(a: Term, x: str, y: str, phi: Formula) -> Formula:
     """Bounded collection: forall x in a exists y phi implies a bound z."""
     if not is_delta0(phi):
         raise ValueError("collection needs a bounded formula")
-    z = _fresh("z", free_vars(phi) | _term_vars(a) | {x, y})
+    z = fresh("z", free_vars(phi) | _term_vars(a) | {x, y})
     left = BEx(x, a, All(y, negate(phi)))
     right = Ex(z, BAll(x, a, BEx(y, Var(z), phi)))
     return Or(left, right)
@@ -166,7 +166,7 @@ def ax_foundation(x: str, y: str, phi: Formula) -> Formula:
 
 def ax_reflection(A: Formula, a: Term, cvar: str = "c") -> Formula:
     """A implies a transitive admissible witness containing a reflects A."""
-    c = _fresh(cvar, free_vars(A) | _term_vars(a))
+    c = fresh(cvar, all_vars(A) | _term_vars(a))
     body = And(Ad(Var(c)), And(Mem(a, Var(c)), relativize(A, Var(c))))
     return Or(negate(A), Ex(c, body))
 
@@ -213,6 +213,8 @@ def expected_premises(node: ProofNode, N: int) -> list:
     naming the violated side condition."""
     r = node.rule
     concl = node.conclusion
+    if r not in RULES:
+        raise ValueError("unknown rule %r" % r)
     if r == "logax":
         if node.main is None:
             raise ValueError("logical axiom needs a main formula")
@@ -265,46 +267,73 @@ def expected_premises(node: ProofNode, N: int) -> list:
         if node.term is None:
             raise ValueError("(ex) needs a witness term")
         return [concl | {subst(A.body, A.var, node.term)}]
-    if r == "all":
-        if not isinstance(A, All):
-            raise ValueError("main formula of (all) must be universal")
-        v = node.var
-        if v is None:
-            raise ValueError("(all) needs an eigenvariable")
-        if v in free_vars(concl):
-            raise ValueError("eigenvariable occurs in conclusion")
-        return [concl | {subst(A.body, A.var, Var(v))}]
-    raise ValueError("unknown rule %r" % r)
+    # r == "all", the last rule
+    if not isinstance(A, All):
+        raise ValueError("main formula of (all) must be universal")
+    v = node.var
+    if v is None:
+        raise ValueError("(all) needs an eigenvariable")
+    if v in free_vars(concl):
+        raise ValueError("eigenvariable occurs in conclusion")
+    return [concl | {subst(A.body, A.var, Var(v))}]
+
+
+def post_order(root: ProofNode, premises=lambda node: node.premises) -> list:
+    """The distinct nodes of a proof, each after its premises, which go
+    left to right; told apart by identity, since hashing walks subproofs.
+    ``premises(node)`` is asked once per node for the premises to enter."""
+    order, done, stack = [], set(), [(root, iter(premises(root)))]
+    while stack:
+        node, todo = stack[-1]
+        for p in todo:
+            if id(p) not in done:
+                stack.append((p, iter(premises(p))))
+                break
+        else:
+            stack.pop()
+            done.add(id(node))
+            order.append(node)
+    return order
 
 
 def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
-    """Verify every node locally; diagnostics carry preorder node paths."""
+    """Verify each node once, not below a faulty one; diagnostics carry
+    every preorder path to a fault."""
     if N < 2:
         return CheckResult(False, [("", "N must be at least 2")])
-    diags = []
+    own: dict = {}  # id of a node -> its fault, or the premises it mismatches
 
-    def walk(node, path):
-        if node.rule not in RULES:
-            diags.append((path, "unknown rule %r" % node.rule))
-            return
+    def enter(node):
+        """Check a node; its premises are entered unless it is faulty."""
         try:
-            expect = expected_premises(node, N)
+            need = expected_premises(node, N)
+            if len(need) != len(node.premises):
+                raise ValueError("expected %d premises, found %d"
+                                 % (len(need), len(node.premises)))
         except ValueError as e:
-            diags.append((path, str(e)))
-            return
-        if len(expect) != len(node.premises):
-            diags.append(
-                (path, "expected %d premises, found %d"
-                 % (len(expect), len(node.premises)))
-            )
-            return
-        for i, (want, sub) in enumerate(zip(expect, node.premises)):
-            child = "%s.%d" % (path, i)
-            if sub.conclusion != want:
-                diags.append((child, "premise sequent mismatch"))
-            walk(sub, child)
+            own[id(node)] = str(e)
+            return ()
+        own[id(node)] = {i for i, (want, sub) in enumerate(zip(need, node.premises))
+                         if sub.conclusion != want}
+        return node.premises
 
-    walk(pi, "0")
+    bad: dict = {}  # id of a node -> whether a fault lies at or below it
+    for node in post_order(pi, enter):
+        found = own[id(node)]
+        bad[id(node)] = isinstance(found, str) or bool(found) or any(
+            bad[id(p)] for p in node.premises)
+    diags, stack = [], [(pi, "0", False)]  # preorder over the paths to a fault
+    while stack:
+        node, path, mismatch = stack.pop()
+        if mismatch:
+            diags.append((path, "premise sequent mismatch"))
+        found = own[id(node)]
+        if isinstance(found, str):
+            diags.append((path, found))
+            continue
+        for i, sub in reversed(list(enumerate(node.premises))):
+            if bad[id(sub)] or i in found:
+                stack.append((sub, "%s.%d" % (path, i), i in found))
     return CheckResult(not diags, diags)
 
 
@@ -319,89 +348,80 @@ class ProofScript:
     assignment: dict
 
 
-def _split_top_level(text: str) -> list:
-    """Split on spaces outside parentheses and braces."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        if ch == " " and depth == 0:
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
-
-
 def parse_script(text: str) -> ProofScript:
     params: dict = {}
     assignment: dict = {}
     nodes: dict = {}
-    last = None
+    unused: dict = {}  # node id -> line number, for the nodes no line uses yet
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            parts = _split_top_level(line)
-            if parts[0] == "param":
-                if len(parts) != 4 or parts[2] != "rank":
+            first, name, rest = (line.split(None, 2) + ["", ""])[:3]
+            if first == "param":
+                rank = rest.split(None, 1)
+                if len(rank) != 2 or rank[0] != "rank":
                     raise ValueError("param lines read: param <name> rank <ordinal>")
-                r = parse_ord(parts[3])
-                if not isinstance(r, Sub):
-                    raise ValueError("parameter ranks lie below Omega")
-                params[parts[1]] = Abstract(parts[1], r)
+                params[name] = Abstract(name, parse_ord(rank[1]))
                 continue
-            if parts[0] == "assign":
-                if len(parts) != 3:
+            if first == "assign":
+                tokens = tokenize(rest)
+                value, i = read(tokens, 0, params) if tokens else (None, None)
+                if i != len(tokens):
                     raise ValueError("assign lines read: assign <var> <set>")
-                assignment[parts[1]] = parse_set(parts[2], params)
+                assignment[name] = as_set(value, params)
                 continue
-            node_id, rule = parts[0], parts[1]
+            node_id, rule = first, name
             if node_id in nodes:
                 raise ValueError("duplicate node id %s" % node_id)
-            if rule not in RULES:
-                raise ValueError("unknown rule %r" % rule)
-            idx = 2
-            premise_ids: list = []
-            if idx < len(parts) and parts[idx].startswith("["):
-                inner = parts[idx][1:-1].strip()
-                premise_ids = [p for p in inner.replace(",", " ").split() if p]
-                idx += 1
-            if idx >= len(parts) or not parts[idx].startswith("(seq"):
-                raise ValueError("missing conclusion sequent")
-            concl = sequent_from_tree(parse_sexp(parts[idx]), params)
-            idx += 1
-            kwargs: dict = {}
-            for item in parts[idx:]:
-                if "=" not in item:
-                    raise ValueError("witnesses read key=value, got %r" % item)
-                key, value = item.split("=", 1)
-                if key in ("main", "formula"):
-                    kwargs[key] = formula_from_tree(parse_sexp(value), params)
-                elif key in ("term", "term2", "term3"):
-                    kwargs[key] = term_from_tree(value, params)
-                elif key in ("var", "var2"):
-                    kwargs[key] = value
-                else:
-                    raise ValueError("unknown witness key %r" % key)
-            try:
-                prems = tuple(nodes[p] for p in premise_ids)
-            except KeyError as e:
-                raise ValueError("undefined premise id %s" % e)
-            node = ProofNode(rule, concl, prems, **kwargs)
-            nodes[node_id] = node
-            last = node
+            premise_ids, concl, kwargs = _read_node(rule, rest, params)
+            undefined = [p for p in premise_ids if not isinstance(p, str) or p not in nodes]
+            if undefined:
+                raise ValueError("undefined premise id %r" % (undefined[0],))
+            nodes[node_id] = ProofNode(rule, concl, tuple(nodes[p] for p in premise_ids), **kwargs)
+            for p in premise_ids:
+                unused.pop(p, None)
+            unused[node_id] = lineno
         except ValueError as e:
             raise ValueError("line %d: %s" % (lineno, e)) from None
-    if last is None:
+    if not nodes:
         raise ValueError("empty proof script")
-    return ProofScript(last, params, assignment)
+    last, _ = unused.popitem()  # the root: the last node line, used by none
+    for node_id, lineno in unused.items():
+        raise ValueError("line %d: node %s is not used by the root" % (lineno, node_id))
+    return ProofScript(nodes[last], params, assignment)
+
+
+def _read_node(rule: str, rest: str, params: dict) -> tuple:
+    """The premise ids, conclusion and witnesses after a node's rule."""
+    if rule not in RULES:
+        raise ValueError("unknown rule %r" % rule)
+    tokens = tokenize(rest)
+    i, premise_ids = 0, []
+    if tokens[:1] == ["["]:
+        premise_ids, i = read(tokens, 0, params)
+    if tokens[i:i + 2] != ["(", "seq"]:
+        raise ValueError("missing conclusion sequent")
+    concl, i = read(tokens, i, params)
+    kwargs: dict = {}
+    while i < len(tokens):
+        key = tokens[i][:-1]
+        if not tokens[i].endswith("="):
+            item = read(tokens, i, params)[0]
+            raise ValueError("witnesses read key=value, got %r" % (
+                render_formula(item) if isinstance(item, Formula) else item,))
+        if key not in WITNESSES:
+            raise ValueError("unknown witness key %r" % key)
+        value, i = read(tokens, i + 1, params)
+        if key in ("main", "formula"):
+            value = as_formula(value)
+        elif key.startswith("term"):
+            value = as_term(value, params)
+        elif not isinstance(value, str):
+            raise ValueError("%s takes a variable, got %r" % (key, value))
+        kwargs[key] = value
+    return premise_ids, concl, kwargs
 
 
 def render_script(script: ProofScript) -> str:
@@ -411,36 +431,20 @@ def render_script(script: ProofScript) -> str:
         lines.append("param %s rank %s" % (name, render_ord(p.declared_rank)))
     for var, val in sorted(script.assignment.items()):
         lines.append("assign %s %s" % (var, render_set(val)))
-    counter = [0]
     ids: dict = {}
-
-    def emit(node):
-        if id(node) in ids:
-            return ids[id(node)]
-        prem_ids = [emit(p) for p in node.premises]
-        counter[0] += 1
-        nid = "n%d" % counter[0]
-        ids[id(node)] = nid
+    for node in post_order(script.root):
+        nid = ids[id(node)] = "n%d" % (len(ids) + 1)
         parts = [nid, node.rule]
-        if prem_ids:
-            parts.append("[%s]" % ",".join(prem_ids))
-        from .formulas import render_sequent
-
+        if node.premises:
+            parts.append("[%s]" % ",".join(ids[id(p)] for p in node.premises))
         parts.append(render_sequent(node.conclusion))
-        for key in ("main", "formula"):
+        for key in WITNESSES:
             val = getattr(node, key)
-            if val is not None:
-                parts.append("%s=%s" % (key, render_formula(val)))
-        for key in ("term", "term2", "term3"):
-            val = getattr(node, key)
-            if val is not None:
-                parts.append("%s=%s" % (key, render_term(val)))
-        for key in ("var", "var2"):
-            val = getattr(node, key)
+            if isinstance(val, Formula):
+                val = render_formula(val)
+            elif isinstance(val, Term):
+                val = render_term(val)
             if val is not None:
                 parts.append("%s=%s" % (key, val))
         lines.append(" ".join(parts))
-        return nid
-
-    emit(script.root)
     return "\n".join(lines) + "\n"

@@ -18,6 +18,8 @@ carried around inside reflection sequents.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 from .universe import (
@@ -27,7 +29,6 @@ from .universe import (
     EMPTY,
     EvaluationError,
     is_concrete,
-    parse_set,
     render_set,
     set_member,
     set_members,
@@ -216,6 +217,23 @@ def free_vars(A) -> frozenset:
     raise TypeError("not a formula: %r" % (A,))
 
 
+def all_vars(A: Formula) -> frozenset:
+    """Every variable name in A, bound or free."""
+    if isinstance(A, (Or, And)):
+        return all_vars(A.left) | all_vars(A.right)
+    if isinstance(A, (BEx, BAll)) and isinstance(A.bound, Var):
+        return all_vars(A.body) | {A.var, A.bound.name}
+    if isinstance(A, (BEx, BAll, Ex, All)):
+        return all_vars(A.body) | {A.var}
+    return free_vars(A)
+
+
+def fresh(base: str, avoid) -> str:
+    """``base``, or else the first of base0, base1, ... not in ``avoid``."""
+    names = itertools.chain([base], ("%s%d" % (base, i) for i in itertools.count()))
+    return next(name for name in names if name not in avoid)
+
+
 def is_sentence(A: Formula) -> bool:
     return not free_vars(A)
 
@@ -399,12 +417,7 @@ def relativize(A: Formula, c: Term) -> Formula:
 def reflection_guard(A: Formula, point: Term, var: str = "z") -> Formula:
     """The right-premise sentence of a reflection inference on A at point:
     no admissible set containing point satisfies A relativized to it."""
-    z = var
-    avoid = free_vars(A)
-    i = 0
-    while z in avoid:
-        z = "%s%d" % (var, i)
-        i += 1
+    z = fresh(var, all_vars(A))
     witness = Ex(z, And(Ad(Var(z)), And(Mem(point, Var(z)), relativize(A, Var(z)))))
     return negate(witness)
 
@@ -652,97 +665,127 @@ def render_sequent(G: Sequent) -> str:
     return "(seq %s)" % " ".join(sorted(render_formula(A) for A in G))
 
 
-def _tokenize_sexp(text: str) -> list:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+#: Brackets, atoms (maybe ending in ``=``) and ``=``; whitespace and
+#: commas separate them.
+_TOKEN = re.compile(r"[(){}\[\]]|[^\s(){}\[\],=]+=?|=")
+_CLOSER = {"(": ")", "{": "}", "[": "]"}
+_PUNCTUATION = {*_CLOSER, *_CLOSER.values()}
+_UNCLOSED = {"(": "missing closing parenthesis", "{": "unterminated set literal", "[": "missing ]"}
 
 
-def _read_sexp(tokens: list, pos: int):
-    if pos >= len(tokens):
-        raise ValueError("unexpected end of expression")
-    if tokens[pos] == "(":
-        out = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read_sexp(tokens, pos)
-            out.append(item)
-        if pos >= len(tokens):
-            raise ValueError("missing closing parenthesis")
-        return out, pos + 1
-    if tokens[pos] == ")":
-        raise ValueError("unexpected closing parenthesis")
-    return tokens[pos], pos + 1
+def tokenize(text: str) -> list:
+    return _TOKEN.findall(text)
 
 
-def parse_sexp(text: str):
-    tokens = _tokenize_sexp(text)
-    tree, pos = _read_sexp(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError("trailing input: %r" % tokens[pos:])
-    return tree
+def read(tokens: list, i: int, params: dict) -> tuple:
+    """The item at ``tokens[i]`` and the index past it: an atom, a set
+    literal ``{...}`` of sets and parameter names, a list ``[...]``, or a
+    formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a sequent."""
+    stack = []  # the enclosing open brackets, each with its items
+    bracket = items = None  # the innermost open bracket and its items
+    for j in range(i, len(tokens)):
+        tok = tokens[j]
+        if tok not in _PUNCTUATION:
+            value = as_set(tok, params) if bracket == "{" else tok
+        elif tok in _CLOSER:
+            if bracket == "{" and tok != "{":
+                raise ValueError("unexpected %r in a set literal" % tok)
+            stack.append((bracket, items))
+            bracket, items = tok, []
+            continue
+        else:
+            if tok != _CLOSER.get(bracket):
+                raise ValueError(_UNCLOSED.get(bracket, "unexpected closing parenthesis"))
+            closed, parts = bracket, items
+            bracket, items = stack.pop()
+            if closed == "{":
+                value = Concrete(frozenset(parts))
+            elif closed == "[":
+                value = parts
+            elif bracket is None and parts[:1] == ["seq"]:
+                value = frozenset(as_formula(x) for x in parts[1:])
+            else:
+                value = formula_from_tree(parts, params)
+        if bracket is None:
+            return value, j + 1
+        items.append(value)
+    raise ValueError(_UNCLOSED[bracket] if bracket else "unexpected end of expression")
 
 
-def term_from_tree(tree, params: dict) -> Term:
-    if not isinstance(tree, str):
-        raise ValueError("terms are atoms, got %r" % (tree,))
-    if tree == "0":
+def read_text(text: str, params: dict):
+    """The one item a whole text holds."""
+    tokens = tokenize(text)
+    item, i = read(tokens, 0, params)
+    if i < len(tokens):
+        raise ValueError("trailing input: %r" % " ".join(tokens[i:]))
+    return item
+
+
+def as_formula(x) -> Formula:
+    if isinstance(x, Formula):
+        return x
+    raise ValueError("formula expressions are lists, got %r" % (x,))
+
+
+def as_term(x, params: dict) -> Term:
+    if x == "0":
         return ZERO_TERM
-    if tree.startswith("{"):
-        return Name(parse_set(tree, params))
-    if tree in params:
-        return Name(params[tree])
-    return Var(tree)
+    if isinstance(x, str):
+        return Name(params[x]) if x in params else Var(x)
+    if isinstance(x, (Concrete, Abstract)):
+        return Name(x)
+    raise ValueError("terms are atoms, got %r" % (x,))
 
 
-def formula_from_tree(tree, params: dict | None = None) -> Formula:
-    params = params or {}
-    if not isinstance(tree, list) or not tree:
-        raise ValueError("formula expressions are lists, got %r" % (tree,))
+def as_set(x, params: dict) -> DeskSet:
+    if isinstance(x, (Concrete, Abstract)):
+        return x
+    if isinstance(x, str) and x in params:
+        return params[x]
+    raise ValueError("unknown set parameter %r" % (x,))
+
+
+def formula_from_tree(tree: list, params: dict) -> Formula:
+    """One formula from its head and its parts, each already read."""
+    if not tree:
+        raise ValueError("formula expressions are lists, got []")
     head = tree[0]
     if head in ("in", "notin"):
         if len(tree) != 3:
             raise ValueError("%s takes two terms" % head)
         cls = Mem if head == "in" else NotMem
-        return cls(term_from_tree(tree[1], params), term_from_tree(tree[2], params))
+        return cls(as_term(tree[1], params), as_term(tree[2], params))
     if head in ("ad", "notad"):
         if len(tree) != 2:
             raise ValueError("%s takes one term" % head)
         cls = Ad if head == "ad" else NotAd
-        return cls(term_from_tree(tree[1], params))
+        return cls(as_term(tree[1], params))
     if head in ("or", "and"):
         if len(tree) != 3:
             raise ValueError("%s takes two formulas" % head)
         cls = Or if head == "or" else And
-        return cls(
-            formula_from_tree(tree[1], params), formula_from_tree(tree[2], params)
-        )
+        return cls(as_formula(tree[1]), as_formula(tree[2]))
     if head in ("bex", "ball"):
         if len(tree) != 4 or not isinstance(tree[1], str):
             raise ValueError("%s takes a variable, a bound and a body" % head)
         cls = BEx if head == "bex" else BAll
-        return cls(
-            tree[1],
-            term_from_tree(tree[2], params),
-            formula_from_tree(tree[3], params),
-        )
+        return cls(tree[1], as_term(tree[2], params), as_formula(tree[3]))
     if head in ("ex", "all"):
         if len(tree) != 3 or not isinstance(tree[1], str):
             raise ValueError("%s takes a variable and a body" % head)
         cls = Ex if head == "ex" else All
-        return cls(tree[1], formula_from_tree(tree[2], params))
+        return cls(tree[1], as_formula(tree[2]))
     if head == "not":
         raise ValueError("input must be negation-normal; apply de Morgan first")
-    raise ValueError("unknown formula head %r" % head)
+    raise ValueError("unknown formula head %r" % (head,))
 
 
 def parse_formula(text: str, params: dict | None = None) -> Formula:
-    return formula_from_tree(parse_sexp(text), params)
-
-
-def sequent_from_tree(tree, params: dict | None = None) -> Sequent:
-    if not isinstance(tree, list) or not tree or tree[0] != "seq":
-        raise ValueError("sequent expressions start with 'seq'")
-    return frozenset(formula_from_tree(t, params) for t in tree[1:])
+    return as_formula(read_text(text, params or {}))
 
 
 def parse_sequent(text: str, params: dict | None = None) -> Sequent:
-    return sequent_from_tree(parse_sexp(text), params)
+    G = read_text(text, params or {})
+    if not isinstance(G, frozenset):
+        raise ValueError("sequent expressions start with 'seq'")
+    return G

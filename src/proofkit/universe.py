@@ -53,7 +53,7 @@ class Abstract:
 
     def __post_init__(self):
         if not isinstance(self.declared_rank, Sub):
-            raise ValueError("abstract parameters carry a sub-Omega rank")
+            raise ValueError("parameter ranks lie below Omega")
 
     def __repr__(self):
         return "Abstract(%r)" % (self.name,)
@@ -153,38 +153,9 @@ def render_set(a: DeskSet) -> str:
 
 def parse_set(text: str, params: dict | None = None) -> DeskSet:
     """Parse a set literal like ``{{},{{}}}``; names resolve via *params*."""
+    from .formulas import as_set, read_text  # formulas builds on this module
     params = params or {}
-    text = text.strip()
-    pos = 0
-
-    def parse_one():
-        nonlocal pos
-        if pos < len(text) and text[pos] == "{":
-            pos += 1
-            members = set()
-            while True:
-                while pos < len(text) and text[pos] in " ,":
-                    pos += 1
-                if pos >= len(text):
-                    raise ValueError("unterminated set literal")
-                if text[pos] == "}":
-                    pos += 1
-                    return Concrete(frozenset(members))
-                members.add(parse_one())
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        name = text[start:pos]
-        if not name:
-            raise ValueError("bad set literal at position %d" % pos)
-        if name not in params:
-            raise ValueError("unknown set parameter %r" % name)
-        return params[name]
-
-    result = parse_one()
-    if text[pos:].strip():
-        raise ValueError("trailing input after set literal: %r" % text[pos:])
-    return result
+    return as_set(read_text(text, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +164,18 @@ def parse_set(text: str, params: dict | None = None) -> DeskSet:
 
 @lru_cache(maxsize=None)
 def _hf_by_rank(r: int) -> tuple:
-    """All hereditarily finite sets of rank <= r, smallest first."""
+    """All hereditarily finite sets of rank <= r, smallest first, each
+    after its sort key (rank, size, rendering) made from its members'."""
     if r == 0:
-        return (EMPTY,)
+        return (((0, 0, "{}"), EMPTY),)
     prev = _hf_by_rank(r - 1)
     out = []
-    n = len(prev)
-    for mask in range(1 << n):
-        members = frozenset(prev[i] for i in range(n) if mask & (1 << i))
-        out.append(Concrete(members))
-    out.sort(key=lambda s: (rank_int(s), len(s.members), render_set(s)))
-    return tuple(out)
+    for mask in range(1 << len(prev)):
+        chosen = [ks for i, ks in enumerate(prev) if mask >> i & 1]
+        text = "{" + ",".join(sorted(k[2] for k, _ in chosen)) + "}"
+        key = (1 + max((k[0] for k, _ in chosen), default=-1), len(chosen), text)
+        out.append((key, Concrete(frozenset(s for _, s in chosen))))
+    return tuple(sorted(out, key=lambda ks: ks[0]))
 
 
 #: How many sets ``enumerate_hf`` can list: all 2**16 sets of rank <= 4.
@@ -220,7 +192,7 @@ def enumerate_hf(count: int) -> list:
     r = 0
     while len(_hf_by_rank(r)) < count:
         r += 1
-    return list(_hf_by_rank(r))[:count]
+    return [s for _, s in _hf_by_rank(r)[:count]]
 
 
 def witness_pool(count: int, params) -> list:

@@ -1,10 +1,12 @@
 """Command-line front end: ord, check, elim."""
 
 import pytest
+from test_finitary import cut_chain, shared_dag
 
 from proofkit.cli import main
 from proofkit.corpus import build_corpus
-from proofkit.finitary import render_script
+from proofkit.finitary import ProofNode, ProofScript, ax_reflection, render_script
+from proofkit.formulas import ZERO_TERM, parse_formula, render_formula, seq
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +160,45 @@ class TestElim:
     def test_rejects_small_n(self, scripts):
         with pytest.raises(SystemExit):
             main(["elim", scripts["pair"], "--N", "1"])
+
+
+class TestDeepAndSharedScripts:
+    def test_cut_chain_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "chain.proof"
+        path.write_text(cut_chain(3000), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert "embedding rank: 3000" in capsys.readouterr().out
+
+    def test_doubly_shared_dag(self, tmp_path, capsys):
+        path = tmp_path / "dag.proof"
+        path.write_text(shared_dag(40), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert "embedding rank: 39" in capsys.readouterr().out
+
+
+    def test_premise_of_a_faulty_node_is_not_checked(self, tmp_path, capsys):
+        # the foundation axiom lacks its formula=, which would fail inside
+        # its own check; the faulty root stops checking above it
+        path = tmp_path / "stop.proof"
+        path.write_text("n1 axiom:foundation (seq (in 0 0)) var=x var2=y\n"
+                        "n2 or [n1] (seq (in 0 0)) main=(in 0 {{}})\n", encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "node 0: main formula not in conclusion" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestReflectionVariable:
+    def test_bound_admissible_variable_is_not_captured(self, tmp_path, capsys):
+        # the reflected formula binds c, so the instance's admissible set
+        # is c0 and the relativized body keeps its own binder
+        A = parse_formula("(all u (ex c (all w (in w c))))")
+        inst = ax_reflection(A, ZERO_TERM)
+        assert inst.right.var == "c0"
+        assert "(bex c c " not in render_formula(inst)
+        node = ProofNode("axiom:reflection", seq(inst), formula=A, term=ZERO_TERM, var="c")
+        path = tmp_path / "refl.proof"
+        path.write_text(render_script(ProofScript(node, {}, {})), encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert main(["elim", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""

@@ -1,9 +1,14 @@
 """Finitary sequent calculus: deterministic checking, axiom instances,
 and the proof-script text format."""
 
-import pytest
+import random
 
+import pytest
+from test_formulas import random_formula
+
+from proofkit import finitary
 from proofkit.corpus import ONE, TRANS3, TWO, build_corpus
+from proofkit.derivations import emb_rank
 from proofkit.finitary import (
     ProofNode,
     ProofScript,
@@ -14,16 +19,20 @@ from proofkit.finitary import (
     axiom_instance,
     check_proof,
     end_sequent,
+    expected_premises,
     parse_script,
     render_script,
 )
 from proofkit.formulas import (
+    Ad,
     All,
     And,
     BAll,
+    BEx,
     Ex,
     Mem,
     Name,
+    NotAd,
     NotMem,
     Or,
     Var,
@@ -31,8 +40,12 @@ from proofkit.formulas import (
     classify,
     negate,
     parse_formula,
+    parse_sequent,
+    render_formula,
     seq,
 )
+from proofkit.ordinals import parse as parse_ord
+from proofkit.universe import EMPTY, Abstract, Concrete, parse_set, render_set
 
 
 def logax(A):
@@ -210,4 +223,360 @@ class TestScripts:
             "a logax (seq (in 0 {0}) (notin 0 {0})) main=(in 0 {0})\n"
         )
         with pytest.raises(ValueError, match=r"^line 2: duplicate node id a$"):
+            parse_script(text)
+
+
+# ---------------------------------------------------------------------------
+# reference scanners: the character splitter, s-expression reader, set
+# literal reader and tree builders that the one script reader replaced
+
+
+def ref_split_top_level(text):
+    out, depth, cur = [], 0, []
+    for ch in text:
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+        if ch == " " and depth == 0:
+            if cur:
+                out.append("".join(cur))
+                cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        out.append("".join(cur))
+    return out
+
+
+def ref_read_sexp(tokens, pos):
+    if pos >= len(tokens):
+        raise ValueError("unexpected end of expression")
+    if tokens[pos] == "(":
+        out = []
+        pos += 1
+        while pos < len(tokens) and tokens[pos] != ")":
+            item, pos = ref_read_sexp(tokens, pos)
+            out.append(item)
+        if pos >= len(tokens):
+            raise ValueError("missing closing parenthesis")
+        return out, pos + 1
+    if tokens[pos] == ")":
+        raise ValueError("unexpected closing parenthesis")
+    return tokens[pos], pos + 1
+
+
+def ref_parse_sexp(text):
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    tree, pos = ref_read_sexp(tokens, 0)
+    if pos != len(tokens):
+        raise ValueError("trailing input: %r" % tokens[pos:])
+    return tree
+
+
+def ref_parse_set(text, params=None):
+    params = params or {}
+    text = text.strip()
+    pos = 0
+
+    def parse_one():
+        nonlocal pos
+        if pos < len(text) and text[pos] == "{":
+            pos += 1
+            members = set()
+            while True:
+                while pos < len(text) and text[pos] in " ,":
+                    pos += 1
+                if pos >= len(text):
+                    raise ValueError("unterminated set literal")
+                if text[pos] == "}":
+                    pos += 1
+                    return Concrete(frozenset(members))
+                members.add(parse_one())
+        start = pos
+        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+            pos += 1
+        name = text[start:pos]
+        if not name:
+            raise ValueError("bad set literal at position %d" % pos)
+        if name not in params:
+            raise ValueError("unknown set parameter %r" % name)
+        return params[name]
+
+    result = parse_one()
+    if text[pos:].strip():
+        raise ValueError("trailing input after set literal: %r" % text[pos:])
+    return result
+
+
+def ref_term(tree, params):
+    if not isinstance(tree, str):
+        raise ValueError("terms are atoms, got %r" % (tree,))
+    if tree == "0":
+        return ZERO_TERM
+    if tree.startswith("{"):
+        return Name(ref_parse_set(tree, params))
+    if tree in params:
+        return Name(params[tree])
+    return Var(tree)
+
+
+def ref_formula(tree, params):
+    if not isinstance(tree, list) or not tree:
+        raise ValueError("formula expressions are lists, got %r" % (tree,))
+    head = tree[0]
+    binary = {"in": Mem, "notin": NotMem, "or": Or, "and": And}
+    if head in ("in", "notin"):
+        return binary[head](ref_term(tree[1], params), ref_term(tree[2], params))
+    if head in ("ad", "notad"):
+        return (Ad if head == "ad" else NotAd)(ref_term(tree[1], params))
+    if head in ("or", "and"):
+        return binary[head](ref_formula(tree[1], params), ref_formula(tree[2], params))
+    if head in ("bex", "ball"):
+        cls = BEx if head == "bex" else BAll
+        return cls(tree[1], ref_term(tree[2], params), ref_formula(tree[3], params))
+    if head in ("ex", "all"):
+        return (Ex if head == "ex" else All)(tree[1], ref_formula(tree[2], params))
+    raise ValueError("unknown formula head %r" % head)
+
+
+def ref_parse_script(text):
+    """The line reader before the one reader, for well-formed scripts."""
+    params, assignment, nodes, last = {}, {}, {}, None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = ref_split_top_level(line)
+        if parts[0] == "param":
+            params[parts[1]] = Abstract(parts[1], parse_ord(parts[3]))
+            continue
+        if parts[0] == "assign":
+            assignment[parts[1]] = ref_parse_set(parts[2], params)
+            continue
+        idx, premise_ids = 2, []
+        if parts[idx].startswith("["):
+            premise_ids = [p for p in parts[idx][1:-1].replace(",", " ").split() if p]
+            idx += 1
+        tree = ref_parse_sexp(parts[idx])
+        concl = frozenset(ref_formula(t, params) for t in tree[1:])
+        kwargs = {}
+        for item in parts[idx + 1:]:
+            key, value = item.split("=", 1)
+            if key in ("main", "formula"):
+                kwargs[key] = ref_formula(ref_parse_sexp(value), params)
+            elif key in ("term", "term2", "term3"):
+                kwargs[key] = ref_term(value, params)
+            else:
+                kwargs[key] = value
+        last = nodes[parts[0]] = ProofNode(
+            parts[1], concl, tuple(nodes[p] for p in premise_ids), **kwargs)
+    return ProofScript(last, params, assignment)
+
+
+def random_set(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return EMPTY
+    return Concrete(frozenset(random_set(rng, depth - 1)
+                              for _ in range(rng.randrange(4))))
+
+
+class TestReader:
+    # each malformed line follows a comment line, so it is line 2
+    MALFORMED = [
+        ("n1 logax (seq (frob 0 0)) main=(in 0 0)", "unknown formula head 'frob'"),
+        ("n1 logax (seq (in 0 0) (notin 0 0) main=(in 0 0)",
+         "missing closing parenthesis"),
+        ("n1 logax (seq (in 0 0) (notin 0 0)) main=)",
+         "unexpected closing parenthesis"),
+        ("n1 ex (seq (ex x (in x 0))) main=(ex x (in x 0)) term={{}",
+         "unterminated set literal"),
+        ("assign x {{}", "unterminated set literal"),
+        ("n1 logax (seq (in 0 {p}) (notin 0 {p})) main=(in 0 {p})",
+         "unknown set parameter 'p'"),
+        ("assign x q", "unknown set parameter 'q'"),
+        ("n1 logax (seq (not (in 0 0))) main=(in 0 0)",
+         "input must be negation-normal; apply de Morgan first"),
+        ("n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0) foo",
+         "witnesses read key=value, got 'foo'"),
+        ("n1 logax (seq (in 0 0) (notin 0 0)) (in 0 0)",
+         "witnesses read key=value, got '(in 0 0)'"),
+        ("n1 logax (seq (in 0 0) (notin 0 0)) mian=(in 0 0)",
+         "unknown witness key 'mian'"),
+        ("n1 logax main=(in 0 0)", "missing conclusion sequent"),
+        ("n1 logax", "missing conclusion sequent"),
+        ("n1 cut [n0] (seq (in 0 0)) formula=(in 0 0)", "undefined premise id 'n0'"),
+        ("n1 frob (seq (in 0 0))", "unknown rule 'frob'"),
+        ("n1 logax (seq (or (in 0 0))) main=(in 0 0)", "or takes two formulas"),
+        ("n1 logax (seq (ad 0 0)) main=(ad 0)", "ad takes one term"),
+        ("n1 logax (seq (bex 0 (in 0 0))) main=(in 0 0)",
+         "bex takes a variable, a bound and a body"),
+        ("n1 logax (seq (ex x y (in 0 0))) main=(in 0 0)",
+         "ex takes a variable and a body"),
+        ("n1 logax (seq (in 0 0) (notin 0 0)) main=x",
+         "formula expressions are lists, got 'x'"),
+        ("n1 logax (seq x) main=(in 0 0)", "formula expressions are lists, got 'x'"),
+        ("n1 logax (seq) main=", "unexpected end of expression"),
+        ("param p", "param lines read: param <name> rank <ordinal>"),
+        ("param p size 1", "param lines read: param <name> rank <ordinal>"),
+        ("param p rank W", "parameter ranks lie below Omega"),
+        ("assign x", "assign lines read: assign <var> <set>"),
+        ("assign x {} {}", "assign lines read: assign <var> <set>"),
+    ]
+
+    @pytest.mark.parametrize("line, message", MALFORMED)
+    def test_malformed_line(self, line, message):
+        with pytest.raises(ValueError) as info:
+            parse_script("# one malformed line\n" + line + "\n")
+        assert str(info.value) == "line 2: " + message
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_formula, "(in 0 0) x"),
+        (parse_formula, "(in 0 0))"),
+        (parse_sequent, "(seq (in 0 0)) x"),
+    ])
+    def test_trailing_input(self, parse, text):
+        # only the prefix: the rest quotes the unread input
+        with pytest.raises(ValueError, match=r"^trailing input: "):
+            parse(text)
+
+    def test_agrees_with_reference_on_corpus(self):
+        for e in build_corpus():
+            text = render_script(e.script)
+            new, old = parse_script(text), ref_parse_script(text)
+            assert (new.root, new.params, new.assignment) == (
+                old.root, old.params, old.assignment), e.name
+
+    def test_agrees_with_reference_on_random_formulas(self):
+        rng = random.Random(6)
+        for _ in range(2000):
+            A = random_formula(rng, rng.randrange(6))
+            s = random_set(rng, 4)
+            sequent = "(seq %s %s)" % (render_formula(A), render_formula(negate(A)))
+            text = "assign v %s\nn1 logax %s main=%s\n" % (
+                render_set(s), sequent, render_formula(A))
+            new, old = parse_script(text), ref_parse_script(text)
+            assert (new.root, new.assignment) == (old.root, old.assignment)
+            assert parse_sequent(sequent) == frozenset(
+                ref_formula(t, {}) for t in ref_parse_sexp(sequent)[1:])
+            assert parse_set(render_set(s)) == ref_parse_set(render_set(s)) == s
+
+
+def ref_check_proof(pi, N=2):
+    """check_proof as a recursive walk over every path, for reference."""
+    diags = []
+
+    def walk(node, path):
+        if node.rule not in finitary.RULES:
+            diags.append((path, "unknown rule %r" % node.rule))
+            return
+        try:
+            expect = expected_premises(node, N)
+        except ValueError as e:
+            diags.append((path, str(e)))
+            return
+        if len(expect) != len(node.premises):
+            diags.append((path, "expected %d premises, found %d"
+                          % (len(expect), len(node.premises))))
+            return
+        for i, (want, sub) in enumerate(zip(expect, node.premises)):
+            child = "%s.%d" % (path, i)
+            if sub.conclusion != want:
+                diags.append((child, "premise sequent mismatch"))
+            walk(sub, child)
+
+    walk(pi, "0")
+    return diags
+
+
+LEAF = "(seq (in 0 0) (notin 0 0))"
+
+
+def cut_chain(cuts):
+    """Two logical axioms and a chain of cuts, each over the previous
+    cut and the first axiom, numbered as render_script numbers them."""
+    lines = ["n1 logax %s main=(in 0 0)" % LEAF, "n2 logax %s main=(in 0 0)" % LEAF,
+             "n3 cut [n1,n2] %s formula=(in 0 0)" % LEAF]
+    lines += ["n%d cut [n%d,n1] %s formula=(in 0 0)" % (k, k - 1, LEAF)
+              for k in range(4, cuts + 3)]
+    return "\n".join(lines) + "\n"
+
+
+def shared_dag(count):
+    """A logical axiom and cuts that each use the previous node as both
+    premises: 2**(count-1) paths reach the axiom."""
+    lines = ["n1 logax %s main=(in 0 0)" % LEAF]
+    lines += ["n%d cut [n%d,n%d] %s formula=(in 0 0)" % (k, k - 1, k - 1, LEAF)
+              for k in range(2, count + 1)]
+    return "\n".join(lines) + "\n"
+
+
+class TestDeepAndSharedProofs:
+    def test_cut_chain_past_the_recursion_limit(self):
+        text = cut_chain(3000)
+        script = parse_script(text)
+        assert check_proof(script.root).ok
+        assert emb_rank(script.root) == 3000
+        assert render_script(script) == text
+
+    def test_shared_premises_are_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(node, N):
+            calls.append(node)
+            return expected_premises(node, N)
+
+        monkeypatch.setattr(finitary, "expected_premises", counted)
+        script = parse_script(shared_dag(40))
+        assert check_proof(script.root).ok
+        assert len(calls) == 40
+        assert emb_rank(script.root) == 39
+        assert render_script(script) == shared_dag(40)
+
+    def test_shared_bad_node_is_reported_on_every_path(self):
+        text = shared_dag(4).replace("main=(in 0 0)", "main=(in 0 {{}})", 1)
+        paths = [path for path, _ in check_proof(parse_script(text).root).diagnostics]
+        assert paths == ["0.0.0.0", "0.0.0.1", "0.0.1.0", "0.0.1.1",
+                         "0.1.0.0", "0.1.0.1", "0.1.1.0", "0.1.1.1"]
+
+    def test_every_cut_bad_in_a_long_chain(self):
+        # each cut mismatches both premises: two diagnostics per cut, and
+        # the cost follows the size of that list
+        text = cut_chain(3000).replace("formula=(in 0 0)", "formula=(in 0 {{}})")
+        diags = check_proof(parse_script(text).root).diagnostics
+        assert len(diags) == 6000
+        assert diags[:3] == [("0.0", "premise sequent mismatch"),
+                             ("0.0.0", "premise sequent mismatch"),
+                             ("0.0.0.0", "premise sequent mismatch")]
+        assert [path for path, _ in diags[2999:3001]] == [
+            "0" + ".0" * 3000, "0" + ".0" * 2999 + ".1"]
+        assert diags[-1] == ("0.1", "premise sequent mismatch")
+
+    def test_diagnostics_match_a_path_by_path_walk(self):
+        texts = [cut_chain(40).replace("formula=(in 0 0)", "formula=(in 0 {{}})"),
+                 shared_dag(5).replace("main=(in 0 0)", "main=(in 0 {{}})", 1),
+                 shared_dag(5).replace("n3 cut", "n3 and", 1)]
+        texts += [render_script(e.script) for e in build_corpus()]
+        for text in texts:
+            root = parse_script(text).root
+            assert check_proof(root).diagnostics == ref_check_proof(root)
+
+    def test_nothing_is_checked_below_a_faulty_node(self, monkeypatch):
+        calls = []
+
+        def counted(node, N):
+            calls.append(node.rule)
+            return expected_premises(node, N)
+
+        monkeypatch.setattr(finitary, "expected_premises", counted)
+        text = ("n1 logax %s main=(in 0 0)\n"
+                "n2 or [n1] (seq (in 0 0)) main=(in 0 {{}})\n" % LEAF)
+        assert check_proof(parse_script(text).root).diagnostics == [
+            ("0", "main formula not in conclusion")]
+        assert calls == ["or"]
+
+    def test_node_not_used_by_the_root(self):
+        text = ("n1 logax (seq (in 0 0)) main=(in 0 {{}})\n"
+                "n2 logax %s main=(in 0 0)\n" % LEAF)
+        with pytest.raises(ValueError, match=r"^line 1: node n1 is not used by the root$"):
             parse_script(text)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from proofkit import formulas
 from proofkit.formulas import (
     Ad,
     All,
@@ -36,6 +37,7 @@ from proofkit.formulas import (
     negate,
     parse_formula,
     parse_sequent,
+    reflection_guard,
     relativize,
     render_formula,
     render_sequent,
@@ -225,6 +227,19 @@ class TestSupport:
     def test_relativize_adds_bound(self):
         A = Ex("x", Mem(Var("x"), Name(ONE)))
         assert support(relativize(A, Name(TWO))) == frozenset({ONE, TWO})
+
+
+class TestFresh:
+    def test_numbered_after_the_base(self):
+        assert formulas.fresh("z", {"x"}) == "z"
+        assert formulas.fresh("z", {"z", "z0", "z2"}) == "z1"
+
+    def test_reflection_guard_avoids_bound_names(self):
+        # the reflected formula binds z, so the guard's admissible set is z0
+        A = parse_formula("(all u (ex z (all w (in w z))))")
+        guard = reflection_guard(A, ZERO_TERM)
+        assert guard.var == "z0"
+        assert "(ball z z " not in render_formula(guard)
 
 
 class TestRelativize:

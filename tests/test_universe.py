@@ -1,6 +1,8 @@
 """Desk-scale universe: hereditarily finite sets, abstract parameters,
 ranks, and hulls."""
 
+import hashlib
+
 import pytest
 
 from proofkit.ordinals import OMEGA, Sub, cmp, cnf_from_int, LESS
@@ -101,6 +103,13 @@ class TestEnumerateHf:
     def test_distinct(self):
         out = enumerate_hf(50)
         assert len(set(out)) == 50
+
+    def test_order_is_pinned(self):
+        h = hashlib.sha256()
+        for s in enumerate_hf(HF_LIMIT):
+            h.update(render_set(s).encode() + b"\n")
+        assert h.hexdigest() == (
+            "fb13b8f406b35c7150ba7ff400dc24497af54bcf66710521b9f73962dd45c4da")
 
     def test_rejects_more_than_it_can_list(self):
         assert HF_LIMIT == 65536
