@@ -67,44 +67,54 @@ ZERO_TERM = Name(EMPTY)
 # formulas
 
 
+class _Formula:
+    """Base of the formula classes.  Each object stores its negation
+    (``negate``) and its quantifier instances by index (``component``)
+    once they are first asked for; the stores are plain attributes, not
+    dataclass fields, so ``==``, ``hash`` and ``repr`` do not see them."""
+
+    _negation = None
+    _instances = None
+
+
 @dataclass(frozen=True)
-class Mem:
+class Mem(_Formula):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class NotMem:
+class NotMem(_Formula):
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
-class Ad:
+class Ad(_Formula):
     """Opaque atom: the term is a transitive model of the base theory."""
 
     term: Term
 
 
 @dataclass(frozen=True)
-class NotAd:
+class NotAd(_Formula):
     term: Term
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Formula):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Formula):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class BEx:
+class BEx(_Formula):
     """Bounded existential: exists var in bound, body."""
 
     var: str
@@ -113,20 +123,20 @@ class BEx:
 
 
 @dataclass(frozen=True)
-class BAll:
+class BAll(_Formula):
     var: str
     bound: Term
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Ex:
+class Ex(_Formula):
     var: str
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class All:
+class All(_Formula):
     var: str
     body: "Formula"
 
@@ -166,6 +176,17 @@ def _fresh_var(avoid_terms) -> str:
 
 
 def negate(A: Formula) -> Formula:
+    """The de Morgan dual, built once per object: A and its negation
+    store each other."""
+    N = getattr(A, "_negation", None)
+    if N is None:
+        N = _dual(A)
+        object.__setattr__(A, "_negation", N)
+        object.__setattr__(N, "_negation", A)
+    return N
+
+
+def _dual(A: Formula) -> Formula:
     if isinstance(A, Mem):
         return NotMem(A.left, A.right)
     if isinstance(A, NotMem):
@@ -500,10 +521,18 @@ CONJUNCTIVE = "conjunctive"
 def component(A: Formula, iota) -> Formula:
     """The component A_iota of a compound formula: a side of a binary
     connective for iota 0/1, the body instantiated at the desk set iota
-    for a quantifier."""
+    for a quantifier.  A quantifier stores each instance it has been
+    asked for; a substitution that raises stores nothing."""
     if isinstance(A, (Or, And)):
         return A.left if iota == 0 else A.right
-    return subst(A.body, A.var, Name(iota))
+    instances = A._instances
+    if instances is None:
+        instances = {}
+        object.__setattr__(A, "_instances", instances)
+    B = instances.get(iota)
+    if B is None:
+        B = instances[iota] = subst(A.body, A.var, Name(iota))
+    return B
 
 
 @dataclass(frozen=True)

@@ -411,12 +411,18 @@ def omega_tower(n: int, base: OrdCode) -> OrdCode:
 
 
 def times_nat(a: OrdCode, n: int) -> OrdCode:
-    """``a * n`` by repeated addition."""
+    """``a * n`` by binary doubling: the summands are all equal, so
+    associativity lets a + ... + a be grouped into a, a*2, a*4, ...,
+    and ``add`` runs O(log n) times."""
     if n < 0:
         raise ValueError("natural number expected")
     out = ZERO
-    for _ in range(n):
-        out = add(out, a)
+    while n:
+        if n & 1:
+            out = add(out, a)
+        n >>= 1
+        if n:
+            a = add(a, a)
     return out
 
 

@@ -63,6 +63,18 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert "reflection class violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "n1 axiom:foundation (seq (in 0 0)) var=x var2=y",
+        "n1 axiom:reflection (seq (in 0 0)) term=0",
+    ])
+    def test_axiom_without_formula_is_a_diagnostic(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.proof"
+        bad.write_text(line + "\n", encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "node 0: (%s) needs a formula" % line.split()[1] in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.proof"]) == 1
 

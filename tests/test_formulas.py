@@ -2,6 +2,7 @@
 relativization, decomposition, and the text syntax."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -26,6 +27,7 @@ from proofkit.formulas import (
     ZERO_TERM,
     classify,
     close,
+    component,
     decompose,
     depth,
     equals,
@@ -124,6 +126,50 @@ def ref_depth(A):
     return ref_depth(subst(A.body, A.var, ZERO_TERM)) + 1
 
 
+def ref_negate(A):
+    """negate without the stored twin: one new object per call."""
+    if isinstance(A, Mem):
+        return NotMem(A.left, A.right)
+    if isinstance(A, NotMem):
+        return Mem(A.left, A.right)
+    if isinstance(A, Ad):
+        return NotAd(A.term)
+    if isinstance(A, NotAd):
+        return Ad(A.term)
+    if isinstance(A, Or):
+        return And(ref_negate(A.left), ref_negate(A.right))
+    if isinstance(A, And):
+        return Or(ref_negate(A.left), ref_negate(A.right))
+    if isinstance(A, BEx):
+        return BAll(A.var, A.bound, ref_negate(A.body))
+    if isinstance(A, BAll):
+        return BEx(A.var, A.bound, ref_negate(A.body))
+    if isinstance(A, Ex):
+        return All(A.var, ref_negate(A.body))
+    if isinstance(A, All):
+        return Ex(A.var, ref_negate(A.body))
+    raise TypeError("not a formula: %r" % (A,))
+
+
+def ref_component(A, iota):
+    """component without the stored instances: a substitution per call."""
+    if isinstance(A, (Or, And)):
+        return A.left if iota == 0 else A.right
+    return subst(A.body, A.var, Name(iota))
+
+
+def subformulas(A):
+    out, todo = [], [A]
+    while todo:
+        B = todo.pop()
+        out.append(B)
+        if isinstance(B, (Or, And)):
+            todo += [B.left, B.right]
+        elif isinstance(B, (BEx, BAll, Ex, All)):
+            todo.append(B.body)
+    return out
+
+
 def reference_sample(seed, count=10_000):
     rng = random.Random(seed)
     return [random_formula(rng, rng.randrange(6)) for _ in range(count)]
@@ -163,6 +209,85 @@ class TestNegate:
                 assert cn == "Delta0"
             else:
                 assert cn == (dual[c[0]], c[1])
+
+
+class TestStoredResults:
+    """negate and component store their results on the formula object."""
+
+    INDICES = (EMPTY, ONE, TWO, Concrete(frozenset({ONE})))
+
+    def test_negate_agrees_with_reference(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            for B in subformulas(random_formula(rng, rng.randrange(6))):
+                first = negate(B)
+                assert first == ref_negate(B)
+                assert negate(B) is first
+                assert negate(first) is B
+
+    def test_component_agrees_with_reference(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            for B in subformulas(random_formula(rng, rng.randrange(6))):
+                if isinstance(B, (Or, And)):
+                    iotas = [0, 1]
+                elif isinstance(B, (BEx, BAll, Ex, All)):
+                    iotas = [rng.choice(self.INDICES) for _ in range(3)]
+                else:
+                    continue
+                for iota in iotas:
+                    first = component(B, iota)
+                    assert first == ref_component(B, iota)
+                    assert component(B, iota) is first
+
+    def test_an_equal_index_finds_the_stored_instance(self):
+        A = Ex("x", Mem(Var("x"), Name(TWO)))
+        first = component(A, Concrete(frozenset({EMPTY})))
+        assert component(A, ONE) is first
+        assert first == Mem(Name(ONE), Name(TWO))
+
+    def test_failing_substitution_is_not_stored(self):
+        # capture: y is free under the binder on x, which would take it
+        A = All("x", Mem(Var("y"), Var("x")))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="captured"):
+                subst(A, "y", Var("x"))
+        broken = Ex("x", None)
+        for _ in range(2):
+            with pytest.raises(TypeError, match="not a formula"):
+                component(broken, ONE)
+        assert broken._instances == {}
+
+    def test_stores_are_not_fields(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            A = random_formula(rng, 4)
+            fresh_copy = parse_formula(render_formula(A))
+            negate(A)
+            for B in subformulas(A):
+                if isinstance(B, (BEx, BAll, Ex, All)):
+                    component(B, ONE)
+            assert A == fresh_copy and hash(A) == hash(fresh_copy)
+            assert repr(A) == repr(fresh_copy)
+
+    @pytest.mark.parametrize("A, names", [
+        (Mem(ZERO_TERM, Name(ONE)), ["left", "right"]),
+        (NotMem(Var("x"), Name(ONE)), ["left", "right"]),
+        (Ad(Var("x")), ["term"]),
+        (NotAd(ZERO_TERM), ["term"]),
+        (Or(Ad(ZERO_TERM), NotAd(ZERO_TERM)), ["left", "right"]),
+        (And(Ad(ZERO_TERM), NotAd(ZERO_TERM)), ["left", "right"]),
+        (BEx("x", Name(TWO), Ad(Var("x"))), ["var", "bound", "body"]),
+        (BAll("x", Name(TWO), Ad(Var("x"))), ["var", "bound", "body"]),
+        (Ex("x", Ad(Var("x"))), ["var", "body"]),
+        (All("x", Ad(Var("x"))), ["var", "body"]),
+    ])
+    def test_hash_is_the_hash_of_the_fields(self, A, names):
+        negate(A)
+        if names[-1] == "body":
+            component(A, ONE)
+        assert [f.name for f in fields(A)] == names
+        assert hash(A) == hash(tuple(getattr(A, n) for n in names))
 
 
 class TestClassify:

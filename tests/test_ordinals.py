@@ -172,9 +172,39 @@ class TestOmegaExp:
             assert cmp(add(wb, wb), omega_exp(a)) != GREATER
 
 
+def ref_times_nat(a, n):
+    """``a * n`` by n additions, the definition binary doubling replaced."""
+    if n < 0:
+        raise ValueError("natural number expected")
+    out = ZERO
+    for _ in range(n):
+        out = add(out, a)
+    return out
+
+
 class TestTimesNat:
     def test_zero(self):
         assert times_nat(OMEGA, 0) == ZERO
+
+    def test_agrees_with_repeated_addition(self):
+        for a in enumerate_codes(6):
+            reference = ZERO  # ref_times_nat(a, n), one addition per n
+            for n in range(65):
+                assert times_nat(a, n) == reference, (a, n)
+                reference = add(reference, a)
+            assert reference == ref_times_nat(a, 65)
+
+    def test_negative_multiple(self):
+        for f in (times_nat, ref_times_nat):
+            with pytest.raises(ValueError, match="natural number expected"):
+                f(OMEGA, -1)
+
+    def test_logarithmic_additions(self, monkeypatch):
+        calls = []
+        real_add = ordinals.add
+        monkeypatch.setattr(ordinals, "add", lambda a, b: calls.append(1) or real_add(a, b))
+        assert times_nat(OMEGA, 3000) == Sum((OMEGA,) * 3000)
+        assert len(calls) <= 2 * (3000).bit_length()
 
     def test_finite_multiple(self):
         assert times_nat(OMEGA, 2) == Sum((OMEGA, OMEGA))
