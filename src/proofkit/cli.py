@@ -28,7 +28,7 @@ from .ordinals import (
     LESS,
     OMEGA,
     cmp,
-    omega_exp,
+    omega_tower,
     parse_query,
     render,
     times_nat,
@@ -133,9 +133,7 @@ def cmd_elim(args) -> int:
         print("expected a cut-free result after %d rounds" % m, file=sys.stderr)
         status = 1
     if args.rounds == m and not script.assignment:
-        expected = times_nat(OMEGA, m)
-        for _ in range(m):
-            expected = omega_exp(expected)
+        expected = omega_tower(m, times_nat(OMEGA, m))
         if d.sig.bound != expected:
             print(
                 "bound %s differs from %s" % (render(d.sig.bound), render(expected)),

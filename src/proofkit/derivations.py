@@ -960,10 +960,6 @@ class Red(DerivTerm):
         )
 
 
-def reduce(C: Formula, d0: DerivTerm, d1: DerivTerm) -> DerivTerm:
-    return Red(C, d0, d1)
-
-
 # ---------------------------------------------------------------------------
 # predicative cut-elimination
 

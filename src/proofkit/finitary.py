@@ -280,16 +280,15 @@ def expected_premises(node: ProofNode, N: int) -> list:
     return [concl | {subst(A.body, A.var, Var(v))}]
 
 
-def post_order(root: ProofNode, premises=lambda node: node.premises) -> list:
+def post_order(root: ProofNode) -> list:
     """The distinct nodes of a proof, each after its premises, which go
-    left to right; told apart by identity, since hashing walks subproofs.
-    ``premises(node)`` is asked once per node for the premises to enter."""
-    order, done, stack = [], set(), [(root, iter(premises(root)))]
+    left to right; told apart by identity, since hashing walks subproofs."""
+    order, done, stack = [], set(), [(root, iter(root.premises))]
     while stack:
         node, todo = stack[-1]
         for p in todo:
             if id(p) not in done:
-                stack.append((p, iter(premises(p))))
+                stack.append((p, iter(p.premises)))
                 break
         else:
             stack.pop()
@@ -299,43 +298,30 @@ def post_order(root: ProofNode, premises=lambda node: node.premises) -> list:
 
 
 def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
-    """Verify each node once, not below a faulty one; diagnostics carry
-    every preorder path to a fault."""
+    """Verify each node once, in preorder, not below a faulty one; a fault
+    is reported at the first path that reaches its node, and a premise
+    sequent mismatch at the path of every edge that has one."""
     if N < 2:
         return CheckResult(False, [("", "N must be at least 2")])
-    own: dict = {}  # id of a node -> its fault, or the premises it mismatches
-
-    def enter(node):
-        """Check a node; its premises are entered unless it is faulty."""
+    diags, walked, stack = [], set(), [(pi, "0", False)]
+    while stack:
+        node, path, mismatch = stack.pop()
+        if mismatch:
+            diags.append((path, "premise sequent mismatch"))
+        if id(node) in walked:
+            continue
+        walked.add(id(node))
         try:
             need = expected_premises(node, N)
             if len(need) != len(node.premises):
                 raise ValueError("expected %d premises, found %d"
                                  % (len(need), len(node.premises)))
         except ValueError as e:
-            own[id(node)] = str(e)
-            return ()
-        own[id(node)] = {i for i, (want, sub) in enumerate(zip(need, node.premises))
-                         if sub.conclusion != want}
-        return node.premises
-
-    bad: dict = {}  # id of a node -> whether a fault lies at or below it
-    for node in post_order(pi, enter):
-        found = own[id(node)]
-        bad[id(node)] = isinstance(found, str) or bool(found) or any(
-            bad[id(p)] for p in node.premises)
-    diags, stack = [], [(pi, "0", False)]  # preorder over the paths to a fault
-    while stack:
-        node, path, mismatch = stack.pop()
-        if mismatch:
-            diags.append((path, "premise sequent mismatch"))
-        found = own[id(node)]
-        if isinstance(found, str):
-            diags.append((path, found))
+            diags.append((path, str(e)))
             continue
-        for i, sub in reversed(list(enumerate(node.premises))):
-            if bad[id(sub)] or i in found:
-                stack.append((sub, "%s.%d" % (path, i), i in found))
+        for i in reversed(range(len(need))):
+            sub = node.premises[i]
+            stack.append((sub, "%s.%d" % (path, i), sub.conclusion != need[i]))
     return CheckResult(not diags, diags)
 
 

@@ -22,6 +22,7 @@ identity and each hash is computed once, when the node is built.
 from __future__ import annotations
 
 import random
+import re
 from functools import lru_cache
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -541,41 +542,20 @@ def render(a: OrdCode) -> str:
     return " + ".join(render(p) for p in a.parts)
 
 
+#: whitespace, or one of: a token, a ``w_`` without its subscript, any
+#: other character
+_TOKEN = re.compile(r"\s+|(w_\d+|w\^|\d+|[()+#*?W]|w(?!_))|(w_)|(.)")
+
+
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()+#*?":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif text.startswith("w_", i):
-            j = i + 2
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 2:
-                raise OrdinalParseError("w_ needs a numeric subscript")
-            tokens.append(text[i:j])
-            i = j
-        elif text.startswith("w^", i):
-            tokens.append("w^")
-            i += 2
-        elif ch == "w":
-            tokens.append("w")
-            i += 1
-        elif ch == "W":
-            tokens.append("W")
-            i += 1
-        else:
-            raise OrdinalParseError(f"unexpected character {ch!r}")
+    for tok, bare_w, other in _TOKEN.findall(text):
+        if bare_w:
+            raise OrdinalParseError("w_ needs a numeric subscript")
+        if other:
+            raise OrdinalParseError(f"unexpected character {other!r}")
+        if tok:
+            tokens.append(tok)
     return tokens
 
 

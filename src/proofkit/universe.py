@@ -126,18 +126,13 @@ def set_members(a: DeskSet) -> frozenset:
     return a.members
 
 
-def sets_equal(a: DeskSet, b: DeskSet) -> bool:
-    """Extensional equality; abstract parameters only equal themselves."""
-    return a == b
-
-
 def set_member(x: DeskSet, a: DeskSet) -> bool:
     """Decide x in a for concrete a."""
     if isinstance(a, Abstract):
         raise EvaluationError(
             "membership in abstract parameter %r is undecidable" % a.name
         )
-    return any(sets_equal(x, m) for m in a.members)
+    return x in a.members
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
     CutNode,
     Emb,
+    Red,
     RefNode,
     Sig,
     TrueLeaf,
     VeeNode,
     WedgeNode,
     elim_cuts,
-    reduce,
 )
 from proofkit.formulas import (
     All,
@@ -333,7 +333,7 @@ def test_7_reduction_oracle_equivalence():
             g1 = side_truths[(n + 1) % len(side_truths)]
             d0 = TrueLeaf(_sig([negate(C), g0], bound=2 + n % 3), negate(C))
             d1 = TrueLeaf(_sig([C, g1], bound=1 + n % 4), g1)
-            r = reduce(C, d0, d1)
+            r = Red(C, d0, d1)
             delta = d0.sig.seq - {negate(C)}
             gamma = d1.sig.seq - {C}
             assert r.sig.seq == delta | gamma

@@ -187,6 +187,13 @@ class TestDeepAndSharedScripts:
         assert main(["check", str(path)]) == 0
         assert "embedding rank: 39" in capsys.readouterr().out
 
+    def test_bad_axiom_under_a_doubly_shared_dag(self, tmp_path, capsys):
+        path = tmp_path / "dag.proof"
+        path.write_text(shared_dag(40).replace("main=(in 0 0)", "main=(in 0 {{}})", 1),
+                        encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "node 0%s: logical axiom lacks the complementary pair" % (".0" * 39)]
 
     def test_premise_of_a_faulty_node_is_not_checked(self, tmp_path, capsys):
         # the foundation axiom lacks its formula=, which would fail inside

@@ -22,7 +22,6 @@ from proofkit.derivations import (
     elim_cuts,
     emb_bound,
     emb_rank,
-    reduce,
     fit,
     rule_of,
     weaken,
@@ -189,7 +188,7 @@ class TestReduce:
         C = M00  # false
         d0 = leaf(negate(C), extra=[M01], bound=2)
         d1 = leaf(M01, extra=[C], bound=3)
-        r = reduce(C, d0, d1)
+        r = Red(C, d0, d1)
         assert r.sig.bound == add(d0.sig.bound, d1.sig.bound)
         assert r.sig.seq == frozenset({M01})
 
@@ -197,7 +196,7 @@ class TestReduce:
         C = M01
         d0 = leaf(M00 and negate(M00), extra=[negate(C)], bound=1)
         with pytest.raises(ConstructionError):
-            reduce(C, d0, leaf(M01, extra=[C], bound=1))
+            Red(C, d0, leaf(M01, extra=[C], bound=1))
 
     def test_rejects_conjunctive(self):
         from proofkit.formulas import All
@@ -206,21 +205,21 @@ class TestReduce:
         d0 = leaf(M01, extra=[negate(C)], bound=1, rank_=1)
         d1 = leaf(M01, extra=[C], bound=1, rank_=1)
         with pytest.raises(ConstructionError):
-            reduce(C, d0, d1)
+            Red(C, d0, d1)
 
     def test_rejects_deep_formula(self):
         C = Ex("x", Mem(Var("x"), Name(ONE)))  # depth 1 > rank 0
         d0 = leaf(M01, extra=[negate(C)], bound=1)
         d1 = leaf(M01, extra=[C], bound=1)
         with pytest.raises(ConstructionError):
-            reduce(C, d0, d1)
+            Red(C, d0, d1)
 
     def test_rejects_rank_mismatch(self):
         C = M00
         d0 = leaf(negate(C), bound=1, rank_=1)
         d1 = leaf(M01, extra=[C], bound=1, rank_=0)
         with pytest.raises(ConstructionError):
-            reduce(C, d0, d1)
+            Red(C, d0, d1)
 
 
 class TestElimCuts:

@@ -236,6 +236,49 @@ class TestValidateNf:
             assert validate_nf(random_code(rng, 10))
 
 
+def ref_tokenize(text):
+    """The ordinal tokenizer as a character-by-character scan, for reference."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()+#*?":
+            tokens.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+        elif text.startswith("w_", i):
+            j = i + 2
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 2:
+                raise OrdinalParseError("w_ needs a numeric subscript")
+            tokens.append(text[i:j])
+            i = j
+        elif text.startswith("w^", i):
+            tokens.append("w^")
+            i += 2
+        elif ch in "wW":
+            tokens.append(ch)
+            i += 1
+        else:
+            raise OrdinalParseError(f"unexpected character {ch!r}")
+    return tokens
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except OrdinalParseError as e:
+        return str(e)
+
+
 class TestRenderParse:
     def test_examples(self):
         assert render(OMEGA) == "W"
@@ -254,6 +297,22 @@ class TestRenderParse:
         for bad in ("", "(", "w^", "W +", "q"):
             with pytest.raises(OrdinalParseError):
                 parse(bad)
+
+    def test_tokenizer_agrees_with_reference(self):
+        rng = random.Random(13)
+        alphabet = "0123456789wW()+#*?^_ \t\nx"
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+            assert _outcome(ordinals._tokenize, text) == _outcome(ref_tokenize, text)
+
+    def test_tokenizer_messages(self):
+        with pytest.raises(OrdinalParseError, match=r"^w_ needs a numeric subscript$"):
+            parse("w_(W)")
+        with pytest.raises(OrdinalParseError, match=r"^unexpected character 'x'$"):
+            parse("W + x")
+        # a digit that is not decimal is no number
+        with pytest.raises(OrdinalParseError, match=r"^unexpected character '²'$"):
+            parse("W * ²")
 
     def test_query(self):
         a, b = parse_query("w^(W+1) ? W")

@@ -25,7 +25,6 @@ from proofkit.universe import (
     render_set,
     set_member,
     set_members,
-    sets_equal,
     transitive_closure,
     witness_pool,
 )
@@ -65,10 +64,6 @@ class TestSets:
     def test_membership_needs_concrete(self):
         with pytest.raises(EvaluationError):
             set_member(EMPTY, Abstract("a", Sub(cnf_from_int(1))))
-
-    def test_equality(self):
-        assert sets_equal(ONE, Concrete(frozenset({EMPTY})))
-        assert not sets_equal(ONE, TWO)
 
     def test_transitive_closure(self):
         assert transitive_closure(TWO) == frozenset({EMPTY, ONE})
