@@ -339,6 +339,7 @@ class ProofScript:
 def parse_script(text: str) -> ProofScript:
     params: dict = {}
     assignment: dict = {}
+    memo: dict = {}  # the reader's formulas by their parts; atoms read by params
     nodes: dict = {}
     unused: dict = {}  # node id -> line number, for the nodes no line uses yet
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -351,19 +352,24 @@ def parse_script(text: str) -> ProofScript:
                 rank = rest.split(None, 1)
                 if len(rank) != 2 or rank[0] != "rank":
                     raise ValueError("param lines read: param <name> rank <ordinal>")
+                if name in params:
+                    raise ValueError("duplicate param %s" % name)
                 params[name] = Abstract(name, parse_ord(rank[1]))
+                memo.clear()
                 continue
             if first == "assign":
                 tokens = tokenize(rest)
-                value, i = read(tokens, 0, params) if tokens else (None, None)
+                value, i = read(tokens, 0, params, memo) if tokens else (None, None)
                 if i != len(tokens):
                     raise ValueError("assign lines read: assign <var> <set>")
+                if name in assignment:
+                    raise ValueError("duplicate assignment %s" % name)
                 assignment[name] = as_set(value, params)
                 continue
             node_id, rule = first, name
             if node_id in nodes:
                 raise ValueError("duplicate node id %s" % node_id)
-            premise_ids, concl, kwargs = _read_node(rule, rest, params)
+            premise_ids, concl, kwargs = _read_node(rule, rest, params, memo)
             undefined = [p for p in premise_ids if not isinstance(p, str) or p not in nodes]
             if undefined:
                 raise ValueError("undefined premise id %r" % (undefined[0],))
@@ -381,27 +387,30 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(nodes[last], params, assignment)
 
 
-def _read_node(rule: str, rest: str, params: dict) -> tuple:
-    """The premise ids, conclusion and witnesses after a node's rule."""
+def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
+    """The premise ids, conclusion and witnesses after a node's rule,
+    read through the script's ``memo``."""
     if rule not in RULES:
         raise ValueError("unknown rule %r" % rule)
     tokens = tokenize(rest)
     i, premise_ids = 0, []
     if tokens[:1] == ["["]:
-        premise_ids, i = read(tokens, 0, params)
+        premise_ids, i = read(tokens, 0, params, memo)
     if tokens[i:i + 2] != ["(", "seq"]:
         raise ValueError("missing conclusion sequent")
-    concl, i = read(tokens, i, params)
+    concl, i = read(tokens, i, params, memo)
     kwargs: dict = {}
     while i < len(tokens):
         key = tokens[i][:-1]
         if not tokens[i].endswith("="):
-            item = read(tokens, i, params)[0]
+            item = read(tokens, i, params, memo)[0]
             raise ValueError("witnesses read key=value, got %r" % (
                 render_formula(item) if isinstance(item, Formula) else item,))
         if key not in WITNESSES:
             raise ValueError("unknown witness key %r" % key)
-        value, i = read(tokens, i + 1, params)
+        if key in kwargs:
+            raise ValueError("repeated witness %s" % key)
+        value, i = read(tokens, i + 1, params, memo)
         if key in ("main", "formula"):
             value = as_formula(value)
         elif key.startswith("term"):

@@ -18,6 +18,7 @@ carried around inside reflection sequents.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -39,6 +40,24 @@ from .universe import (
 # terms
 
 
+def _hash_kept(cls):
+    """Make the frozen dataclass ``cls`` compute its hash, the hash of its
+    field tuple, on first use and keep it in the attribute ``_hash``."""
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = fields_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_kept
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -47,6 +66,7 @@ class Var:
         return "Var(%r)" % self.name
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Name:
     """A set constant naming a desk set."""
@@ -68,27 +88,54 @@ ZERO_TERM = Name(EMPTY)
 
 
 class _Formula:
-    """Base of the formula classes.  Each object stores its negation
-    (``negate``) and its quantifier instances by index (``component``)
-    once they are first asked for; the stores are plain attributes, not
-    dataclass fields, so ``==``, ``hash`` and ``repr`` do not see them."""
+    """Base of the formula classes.  Each object stores its hash, its
+    negation (``negate``), its quantifier instances by index
+    (``component``), its ``depth``, ``is_delta0``, ``support`` and
+    ``free_vars`` once they are first asked for; the stores are plain
+    attributes, not dataclass fields, so ``==``, ``repr`` and the value
+    of ``hash`` do not see them."""
 
     _negation = None
     _instances = None
+    _depth = None
+    _delta0 = None
+    _support = None
+    _free_vars = None
 
 
+def _kept(attr: str):
+    """Make a function of formulas keep its result on each formula
+    object, as the attribute ``attr``, the first time it is asked; a
+    sequent, which cannot keep attributes, is computed each time."""
+    def decorate(compute):
+        @functools.wraps(compute)
+        def kept(A):
+            if isinstance(A, frozenset):
+                return compute(A)
+            value = getattr(A, attr, None)
+            if value is None:
+                value = compute(A)
+                object.__setattr__(A, attr, value)
+            return value
+        return kept
+    return decorate
+
+
+@_hash_kept
 @dataclass(frozen=True)
 class Mem(_Formula):
     left: Term
     right: Term
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class NotMem(_Formula):
     left: Term
     right: Term
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Ad(_Formula):
     """Opaque atom: the term is a transitive model of the base theory."""
@@ -96,23 +143,27 @@ class Ad(_Formula):
     term: Term
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class NotAd(_Formula):
     term: Term
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Or(_Formula):
     left: "Formula"
     right: "Formula"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class And(_Formula):
     left: "Formula"
     right: "Formula"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class BEx(_Formula):
     """Bounded existential: exists var in bound, body."""
@@ -122,6 +173,7 @@ class BEx(_Formula):
     body: "Formula"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class BAll(_Formula):
     var: str
@@ -129,12 +181,14 @@ class BAll(_Formula):
     body: "Formula"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class Ex(_Formula):
     var: str
     body: "Formula"
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class All(_Formula):
     var: str
@@ -214,6 +268,7 @@ def _dual(A: Formula) -> Formula:
 # variables and substitution
 
 
+@_kept("_free_vars")
 def free_vars(A) -> frozenset:
     if isinstance(A, frozenset):
         out = frozenset()
@@ -315,6 +370,7 @@ def close(A: Formula, assignment: dict, keep=frozenset()) -> Formula:
 # classification
 
 
+@_kept("_delta0")
 def is_delta0(A: Formula) -> bool:
     """No unbounded quantifiers anywhere."""
     if isinstance(A, (Mem, NotMem, Ad, NotAd)):
@@ -370,6 +426,7 @@ def classify(A: Formula):
 # depth and support
 
 
+@_kept("_depth")
 def depth(A: Formula) -> int:
     """Unbounded-quantifier nesting measure: 0 for a bounded formula, one
     more than its deepest part for any other."""
@@ -392,6 +449,7 @@ def _term_names(t: Term) -> frozenset:
     return frozenset()
 
 
+@_kept("_support")
 def support(A) -> frozenset:
     """Desk sets named in a formula, or in each member of a sequent."""
     if isinstance(A, frozenset):
@@ -706,10 +764,15 @@ def tokenize(text: str) -> list:
     return _TOKEN.findall(text)
 
 
-def read(tokens: list, i: int, params: dict) -> tuple:
+def read(tokens: list, i: int, params: dict, memo: dict) -> tuple:
     """The item at ``tokens[i]`` and the index past it: an atom, a set
     literal ``{...}`` of sets and parameter names, a list ``[...]``, or a
-    formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a sequent."""
+    formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a sequent.
+
+    ``memo`` maps the tuple of a formula's parts, each already read, to
+    the formula built from them, so equal formulas read through one memo
+    are one object.  Its keys read atoms by ``params``: a caller that
+    changes ``params`` must clear it."""
     stack = []  # the enclosing open brackets, each with its items
     bracket = items = None  # the innermost open bracket and its items
     for j in range(i, len(tokens)):
@@ -734,7 +797,13 @@ def read(tokens: list, i: int, params: dict) -> tuple:
             elif bracket is None and parts[:1] == ["seq"]:
                 value = frozenset(as_formula(x) for x in parts[1:])
             else:
-                value = formula_from_tree(parts, params)
+                key = tuple(parts)
+                try:
+                    value = memo.get(key)
+                except TypeError:  # an unhashable [...] list, which formula_from_tree rejects
+                    value = formula_from_tree(parts, params)
+                if value is None:
+                    value = memo[key] = formula_from_tree(parts, params)
         if bracket is None:
             return value, j + 1
         items.append(value)
@@ -744,7 +813,7 @@ def read(tokens: list, i: int, params: dict) -> tuple:
 def read_text(text: str, params: dict):
     """The one item a whole text holds."""
     tokens = tokenize(text)
-    item, i = read(tokens, 0, params)
+    item, i = read(tokens, 0, params, {})
     if i < len(tokens):
         raise ValueError("trailing input: %r" % " ".join(tokens[i:]))
     return item

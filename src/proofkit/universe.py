@@ -36,9 +36,12 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True)
 class Concrete:
-    """A hereditarily finite set, given extensionally."""
+    """A hereditarily finite set, given extensionally.  It keeps its
+    abstract atoms (``_abstract_atoms``) once computed, as a plain
+    attribute that ``==``, ``hash`` and ``repr`` do not see."""
 
     members: frozenset
+    _atoms = None
 
     def __repr__(self):
         return "Concrete(%s)" % (render_set(self),)
@@ -239,10 +242,11 @@ def _abstract_atoms(a: DeskSet) -> frozenset:
     """Abstract parameters hereditarily inside *a* (including *a* itself)."""
     if isinstance(a, Abstract):
         return frozenset({a})
-    out = frozenset()
-    for b in a.members:
-        out |= _abstract_atoms(b)
-    return out
+    atoms = a._atoms
+    if atoms is None:
+        atoms = frozenset().union(*map(_abstract_atoms, a.members))
+        object.__setattr__(a, "_atoms", atoms)
+    return atoms
 
 
 def hull_contains(P: Hull, x) -> bool:

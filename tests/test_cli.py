@@ -75,6 +75,17 @@ class TestCheck:
         assert "node 0: (%s) needs a formula" % line.split()[1] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header, message", [
+        ("param p rank 1\nparam p rank 2", "line 2: duplicate param p"),
+        ("assign x {}\nassign x {{}}", "line 2: duplicate assignment x"),
+    ])
+    def test_repeated_header_is_a_parse_error(self, tmp_path, capsys, header, message):
+        bad = tmp_path / "bad.proof"
+        bad.write_text(header + "\nn1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n",
+                       encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err == "parse error: %s\n" % message
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.proof"]) == 1
 

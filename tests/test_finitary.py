@@ -4,7 +4,7 @@ and the proof-script text format."""
 import random
 
 import pytest
-from test_formulas import random_formula
+from test_formulas import random_formula, subformulas
 
 from proofkit import finitary
 from proofkit.corpus import ONE, TRANS3, TWO, build_corpus
@@ -403,6 +403,10 @@ class TestReader:
          "witnesses read key=value, got '(in 0 0)'"),
         ("n1 logax (seq (in 0 0) (notin 0 0)) mian=(in 0 0)",
          "unknown witness key 'mian'"),
+        ("n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0) main=(in 0 0)",
+         "repeated witness main"),
+        ("n1 logax (seq (or [n1] (in 0 0))) main=(in 0 0)",
+         "formula expressions are lists, got ['n1']"),
         ("n1 logax main=(in 0 0)", "missing conclusion sequent"),
         ("n1 logax", "missing conclusion sequent"),
         ("n1 cut [n0] (seq (in 0 0)) formula=(in 0 0)", "undefined premise id 'n0'"),
@@ -439,6 +443,37 @@ class TestReader:
         # only the prefix: the rest quotes the unread input
         with pytest.raises(ValueError, match=r"^trailing input: "):
             parse(text)
+
+    # two logax nodes over A and its negation, the premises of a cut
+    SHARED = (
+        "n1 logax (seq {A} {N}) main={A}\n"
+        "{between}"
+        "n2 logax (seq {A} {N}) main={A}\n"
+        "n3 cut [n1,n2] (seq {A} {N}) formula=(in 0 0)\n")
+
+    def test_equal_texts_read_as_one_object(self):
+        text = self.SHARED.format(
+            A="(or (in 0 0) (ex x (in x 0)))",
+            N="(and (notin 0 0) (all x (notin x 0)))", between="")
+        root = parse_script(text).root
+        n1, n2 = root.premises
+        assert n1.main is n2.main
+        assert root.formula is n1.main.left
+        objects = lambda node: {id(A) for A in node.conclusion}
+        assert objects(n1) == objects(n2) == objects(root)
+        other = parse_script(text).root
+        assert other.premises[0].main == n1.main
+        mine = {id(B) for A in root.conclusion for B in subformulas(A)}
+        theirs = {id(B) for A in other.conclusion for B in subformulas(A)}
+        assert not mine & theirs
+
+    def test_a_param_line_changes_how_later_atoms_read(self):
+        text = self.SHARED.format(
+            A="(in p 0)", N="(notin p 0)", between="param p rank 1\n")
+        script = parse_script(text)
+        n1, n2 = script.root.premises
+        assert n1.main == Mem(Var("p"), ZERO_TERM)
+        assert n2.main == Mem(Name(script.params["p"]), ZERO_TERM)
 
     def test_agrees_with_reference_on_corpus(self):
         for e in build_corpus():

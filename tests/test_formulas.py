@@ -170,6 +170,49 @@ def subformulas(A):
     return out
 
 
+FORMULA_CLASSES = (Mem, NotMem, Ad, NotAd, Or, And, BEx, BAll, Ex, All)
+
+
+def _as_tuples(x):
+    """A formula or term as nested tuples of its fields, all the way down."""
+    if isinstance(x, (Var, Name, *FORMULA_CLASSES)):
+        return tuple(_as_tuples(getattr(x, f.name)) for f in fields(x))
+    return x
+
+
+def ref_hash(A):
+    """The hash of A's field tuple, with no stored hash taking part."""
+    return hash(_as_tuples(A))
+
+
+def _terms(A):
+    if isinstance(A, (Mem, NotMem)):
+        return [A.left, A.right]
+    if isinstance(A, (Ad, NotAd)):
+        return [A.term]
+    if isinstance(A, (BEx, BAll)):
+        return [A.bound]
+    return []
+
+
+def ref_is_delta0(A):
+    return not any(isinstance(B, (Ex, All)) for B in subformulas(A))
+
+
+def ref_support(A):
+    return frozenset(t.value for B in subformulas(A) for t in _terms(B)
+                     if isinstance(t, Name))
+
+
+def ref_free_vars(A):
+    names = {t.name for t in _terms(A) if isinstance(t, Var)}
+    if isinstance(A, (Or, And)):
+        names |= ref_free_vars(A.left) | ref_free_vars(A.right)
+    elif isinstance(A, (BEx, BAll, Ex, All)):
+        names |= ref_free_vars(A.body) - {A.var}
+    return frozenset(names)
+
+
 def reference_sample(seed, count=10_000):
     rng = random.Random(seed)
     return [random_formula(rng, rng.randrange(6)) for _ in range(count)]
@@ -258,15 +301,33 @@ class TestStoredResults:
                 component(broken, ONE)
         assert broken._instances == {}
 
+    def test_kept_attributes_agree_with_reference(self):
+        rng = random.Random(14)
+        for _ in range(2000):
+            A = random_formula(rng, rng.randrange(6), ("x",))
+            for B in subformulas(A):
+                for _ in range(2):  # computed and kept, then read back
+                    assert hash(B) == ref_hash(B)
+                    assert depth(B) == ref_depth(B)
+                    assert is_delta0(B) == ref_is_delta0(B)
+                    assert support(B) == ref_support(B)
+                    assert free_vars(B) == ref_free_vars(B)
+                assert support(B) is support(B)
+                assert free_vars(B) is free_vars(B)
+            G = seq(A, negate(A))
+            assert support(G) == ref_support(A) | ref_support(negate(A))
+            assert free_vars(G) == ref_free_vars(A) | ref_free_vars(negate(A))
+
     def test_stores_are_not_fields(self):
         rng = random.Random(13)
         for _ in range(300):
-            A = random_formula(rng, 4)
+            A = random_formula(rng, 4, ("x",))
             fresh_copy = parse_formula(render_formula(A))
             negate(A)
             for B in subformulas(A):
                 if isinstance(B, (BEx, BAll, Ex, All)):
                     component(B, ONE)
+                hash(B), depth(B), is_delta0(B), support(B), free_vars(B)
             assert A == fresh_copy and hash(A) == hash(fresh_copy)
             assert repr(A) == repr(fresh_copy)
 
@@ -286,8 +347,20 @@ class TestStoredResults:
         negate(A)
         if names[-1] == "body":
             component(A, ONE)
+        depth(A), is_delta0(A), support(A), free_vars(A)
         assert [f.name for f in fields(A)] == names
         assert hash(A) == hash(tuple(getattr(A, n) for n in names))
+        assert A._hash == hash(A)
+
+    @pytest.mark.parametrize("t, names", [
+        (Var("x"), ["name"]),
+        (Name(ONE), ["value"]),
+        (ZERO_TERM, ["value"]),
+    ])
+    def test_term_hash_is_the_hash_of_the_field(self, t, names):
+        assert [f.name for f in fields(t)] == names
+        assert hash(t) == hash(tuple(getattr(t, n) for n in names))
+        assert t._hash == hash(t)
 
 
 class TestClassify:
@@ -497,6 +570,15 @@ class TestTextSyntax:
     def test_sequent_roundtrip(self):
         G = seq(Mem(ZERO_TERM, Name(ONE)), Ad(ZERO_TERM))
         assert parse_sequent(render_sequent(G)) == G
+
+    def test_deep_nesting_reads_without_recursion(self):
+        # the chains of 3,000 nested connectives that test_cli checks,
+        # past the interpreter's recursion limit
+        A, B = "(in 0 0)", "(notin 0 0)"
+        for _ in range(3000):
+            A, B = "(or (in 0 0) %s)" % A, "(and (notin 0 0) %s)" % B
+        G = parse_sequent("(seq %s %s)" % (A, B))
+        assert len(G) == 2
 
     def test_rejects_negation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 ranks, and hulls."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -154,8 +155,39 @@ class TestHull:
         assert not hull_contains(EMPTY_HULL, s)
         assert hull_contains(hull_extend(EMPTY_HULL, a), s)
 
+    def test_concrete_sets_against_a_recursive_walk(self):
+        a, b, c = (Abstract(n, Sub(cnf_from_int(1))) for n in "abc")
+        hulls = [EMPTY_HULL, hull_extend(EMPTY_HULL, a),
+                 hull_extend(EMPTY_HULL, Concrete(frozenset({b, ONE})))]
+        rng = random.Random(15)
+        checked = {True: 0, False: 0}
+        for _ in range(500):
+            s = random_desk_set(rng, 4, [EMPTY, ONE, a, b, c])
+            for P in hulls:
+                for _ in range(2):  # computed and kept, then read back
+                    answer = hull_contains(P, s)
+                    assert answer == all(hull_contains(P, p) for p in ref_abstract_atoms(s))
+                checked[bool(ref_abstract_atoms(s))] += 1
+        assert min(checked.values()) > 100
+
     def test_subsumes(self):
         a = Abstract("a", Sub(cnf_from_int(1)))
         h = hull_extend(EMPTY_HULL, a)
         assert hull_subsumes(h, EMPTY_HULL)
         assert not hull_subsumes(EMPTY_HULL, h)
+
+
+def ref_abstract_atoms(a):
+    """The abstract parameters hereditarily inside a, by a recursive walk."""
+    if isinstance(a, Abstract):
+        return {a}
+    return set().union(*(ref_abstract_atoms(b) for b in a.members))
+
+
+def random_desk_set(rng, depth, leaves):
+    """A random concrete set of nesting at most ``depth`` over ``leaves``."""
+    members = (
+        rng.choice(leaves) if depth == 1 or rng.random() < 0.4
+        else random_desk_set(rng, depth - 1, leaves)
+        for _ in range(rng.randrange(4)))
+    return Concrete(frozenset(members))
