@@ -1,18 +1,19 @@
-"""Local correctness checking, desk-scale soundness evaluation, and
-trace export for derivation terms.
+"""Local correctness checking with trace export, and desk-scale
+soundness evaluation, for derivation terms.
 
 The checker expands a term to a given depth (sampling indices for
 conjunctions over the whole universe) and verifies, at every visited
 node, the control condition (all parameters inside the hull; ordinal
 bounds lie in every hull by closure), strict descent of ordinal bounds,
-rank bookkeeping, and the side conditions of each inference.  The
-evaluator certifies that a cut-free, reflection-free derivation really
-ends in a true sequent, using a bounded-witness search entirely
-independent of the derivation machinery; a separate brute-force oracle
-evaluates sequents classically over a rank-bounded fragment of the
-hereditarily finite sets for cross-checking.  Both run the one truth evaluator of ``formulas`` and
-differ only in what unbounded quantifiers range over; the checker reads
-every decomposition from there too.
+rank bookkeeping, and the side conditions of each inference; the same
+walk writes one trace line per visited node.  The evaluator certifies
+that a cut-free, reflection-free derivation really ends in a true
+sequent, using a bounded-witness search entirely independent of the
+derivation machinery; a separate brute-force oracle evaluates sequents
+classically over a rank-bounded fragment of the hereditarily finite
+sets for cross-checking.  Both run the one truth evaluator of
+``formulas`` and differ only in what unbounded quantifiers range over;
+the checker reads every decomposition from there too.
 """
 
 from __future__ import annotations
@@ -95,7 +96,11 @@ def default_sampler(seed: int = 0, count: int = 2):
 class Report:
     violations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    visited: int = 0
+    lines: list = field(default_factory=list)  # the trace, one line per visited node
+
+    @property
+    def visited(self) -> int:
+        return len(self.lines)
 
     @property
     def passed(self) -> bool:
@@ -103,21 +108,36 @@ class Report:
 
 
 def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
-    """Expand to depth k and verify every visited node locally."""
+    """Expand to depth k and verify every visited node locally.
+
+    Each visited node also gets a trace line, in preorder: ``nid rule
+    main bound rank gens parent``, where ``nid`` is the visit count,
+    ``gens`` the number of hull generators and ``parent`` the parent's
+    ``nid`` (0 at the root); a node whose expansion raises gets ``nid
+    error <exception> - - rank gens parent``.  The lines are
+    deterministic for a fixed sampler."""
     sampler = sampler or default_sampler()
     report = Report()
+    lines = report.lines
 
     def bad(path, msg):
         report.violations.append((path, msg))
 
-    def visit(term, fuel, path):
-        report.visited += 1
+    def visit(term, fuel, path, parent):
+        nid = len(lines) + 1
         sig = term.sig
+        tail = "%d %d %d" % (sig.rank, len(sig.hull.generators), parent)
         try:
             v = rule_of(term)
         except (ConstructionError, EvaluationError) as ex:
+            lines.append("%d error %s - - %s" % (nid, type(ex).__name__, tail))
             bad(path, "expansion error: %s" % ex)
             return
+        main = (
+            render_formula(v.main).replace(" ", "~") if v.main is not None else "-"
+        )
+        lines.append("%d %s %s %s %s" % (
+            nid, v.rule_name, main, render(sig.bound).replace(" ", ""), tail))
         if v.sig != sig:
             bad(path, "signature drift in unfolding")
         for a in support(sig.seq):
@@ -186,9 +206,19 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                         # a settled bounded conjunction decomposes by its
                         # truth value, not over its connective
                         bad(path, "conjunctive inference on a bounded sentence")
-                    note, visits = _visits(v, sampler)
-                    if note:
-                        report.notes.append((path, note))
+                    # a sample of the universe, none of a set bounded by
+                    # an abstract parameter, all premises otherwise
+                    J = v.index_set
+                    if J == J_UNIVERSE:
+                        report.notes.append((path, "universe index set sampled"))
+                        visits = [("s%d" % n, b) for n, b in enumerate(sampler(v))]
+                    elif isinstance(J, JBounded) and isinstance(J.bound, Abstract):
+                        report.notes.append((path, "abstract index set skipped"))
+                        visits = []
+                    else:
+                        prefix = "i" if isinstance(J, JBounded) else ""
+                        visits = [("%s%d" % (prefix, n), b)
+                                  for n, b in enumerate(J.members())]
                     for label, iota in visits:
                         comp = component(v.main, iota)
                         hull_i = (
@@ -230,27 +260,16 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
             if psig.hull != want_hull:
                 bad(child, "premise hull mismatch")
             if fuel > 0:
-                visit(p, fuel - 1, child)
+                visit(p, fuel - 1, child, nid)
 
-    visit(d, k, "0")
+    visit(d, k, "0", 0)
     return report
 
 
-def _visits(v, sampler) -> tuple:
-    """The premises an expansion of the explicit node v visits, as a
-    note (or None) and a list of (label, index) pairs: a sample of the
-    universe, none of a set bounded by an abstract parameter, all
-    premises otherwise."""
-    if isinstance(v, WedgeNode):
-        J = v.index_set
-        if J == J_UNIVERSE:
-            return "universe index set sampled", [
-                ("s%d" % n, b) for n, b in enumerate(sampler(v))]
-        if isinstance(J, JBounded):
-            if isinstance(J.bound, Abstract):
-                return "abstract index set skipped", []
-            return None, [("i%d" % n, b) for n, b in enumerate(J.members())]
-    return None, [(str(n), i) for n, i in enumerate(v.indices())]
+def trace_lines(d: DerivTerm, k: int, sampler=None) -> list:
+    """The trace of a depth-k local check: one line per node that
+    ``check_local`` visits, deterministic for a fixed sampler."""
+    return check_local(d, k, sampler).lines
 
 
 def _guard_matches(guard: Formula, A: Formula, point) -> bool:
@@ -346,41 +365,3 @@ def oracle_eval(A: Formula, max_rank: int = 4) -> bool:
 def oracle_sequent(seq, max_rank: int = 4) -> bool:
     """A sequent is true when some member is."""
     return any(oracle_eval(A, max_rank) for A in seq)
-
-
-# ---------------------------------------------------------------------------
-# trace export
-
-
-def trace_lines(d: DerivTerm, k: int, sampler=None) -> list:
-    """Line-per-node export of a depth-k expansion, deterministic for a
-    fixed sampler."""
-    sampler = sampler or default_sampler()
-    lines = []
-    counter = [0]
-
-    def walk(term, fuel, parent):
-        counter[0] += 1
-        nid = counter[0]
-        sig = term.sig
-        try:
-            v = rule_of(term)
-        except (ConstructionError, EvaluationError) as ex:
-            lines.append("%d error %s - - %d %d %d" % (
-                nid, type(ex).__name__, sig.rank, len(sig.hull.generators), parent))
-            return
-        main = (
-            render_formula(v.main).replace(" ", "~") if v.main is not None else "-"
-        )
-        lines.append(
-            "%d %s %s %s %d %d %d"
-            % (nid, v.rule_name, main, render(sig.bound).replace(" ", ""),
-               sig.rank, len(sig.hull.generators), parent)
-        )
-        if fuel <= 0:
-            return
-        for _, i in _visits(v, sampler)[1]:
-            walk(v.premise(i), fuel - 1, nid)
-
-    walk(d, k, 0)
-    return lines

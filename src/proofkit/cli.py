@@ -7,8 +7,9 @@ its embedding would receive, and ``elim`` embeds a script, applies
 predicative cut elimination, checks the result locally, and writes a
 line-record trace.  All randomness flows from ``--seed``; the exit
 status is 0 exactly when no diagnostic was emitted.  A construction or
-evaluation error, or input nested too deeply to walk, ends the run with
-one ``error: ...`` line and exit status 1.
+evaluation error, input nested too deeply to walk, or a trace that
+cannot be written ends the run with one ``error: ...`` line and exit
+status 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .checking import check_local, default_sampler, trace_lines
+from .checking import check_local, default_sampler
 from .derivations import ConstructionError, Emb, elim_cuts
 from .finitary import check_proof, end_sequent, parse_script
 from .formulas import render_sequent
@@ -102,7 +103,8 @@ def cmd_elim(args) -> int:
     m = d.sig.rank
     if args.rounds is None:
         args.rounds = m
-    for _ in range(args.rounds):
+    # each round lowers the rank by one, so rounds past m are no-ops
+    for _ in range(min(args.rounds, m)):
         d = elim_cuts(d)
 
     sampler = default_sampler(seed=args.seed)
@@ -111,8 +113,8 @@ def cmd_elim(args) -> int:
     out_dir = _out_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / (Path(args.proof).stem + ".trace")
-    lines = trace_lines(d, args.depth, sampler=default_sampler(seed=args.seed))
-    trace_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    trace_path.write_text("".join(line + "\n" for line in report.lines),
+                          encoding="utf-8")
 
     summary = [
         "initial rank: %d" % m,
@@ -123,16 +125,16 @@ def cmd_elim(args) -> int:
         "trace: %s" % trace_path,
     ]
     if args.format == "lines":
-        for line in lines:
+        for line in report.lines:
             print(line)
     for line in summary:
         print(line)
 
     status = 0
-    if args.rounds == m and d.sig.rank != 0:
+    if args.rounds >= m and d.sig.rank != 0:
         print("expected a cut-free result after %d rounds" % m, file=sys.stderr)
         status = 1
-    if args.rounds == m and not script.assignment:
+    if args.rounds >= m and not script.assignment:
         expected = omega_tower(m, times_nat(OMEGA, m))
         if d.sig.bound != expected:
             print(
@@ -146,10 +148,10 @@ def cmd_elim(args) -> int:
     return status
 
 
-def _positive_depth(text: str) -> int:
+def _nonnegative(text: str) -> int:
     k = int(text)
     if k < 0:
-        raise argparse.ArgumentTypeError("depth must be nonnegative")
+        raise argparse.ArgumentTypeError("must be nonnegative")
     return k
 
 
@@ -184,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_elim.add_argument("proof", help="proof script file")
     p_elim.add_argument("--N", type=_valid_n, default=2,
                         help="reflection class parameter (default 2)")
-    p_elim.add_argument("--rounds", type=_positive_depth, default=None,
+    p_elim.add_argument("--rounds", type=_nonnegative, default=None,
                         help="cut-elimination rounds (default: embedding rank)")
-    p_elim.add_argument("--depth", type=_positive_depth, default=3,
+    p_elim.add_argument("--depth", type=_nonnegative, default=3,
                         help="local-check and trace expansion depth")
     p_elim.add_argument("--seed", type=int, default=0,
                         help="sampler seed for universe-indexed conjunctions")
@@ -203,7 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConstructionError, EvaluationError, RecursionError) as ex:
+    except (ConstructionError, EvaluationError, RecursionError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
 

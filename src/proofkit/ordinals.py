@@ -326,6 +326,7 @@ def _rebuild(parts: list[OrdCode]) -> OrdCode:
     return Sum(tuple(big) + tuple(small))
 
 
+@lru_cache(maxsize=None)
 def _cmp(a: OrdCode, b: OrdCode) -> int:
     if a == b:
         return EQUAL
@@ -530,6 +531,7 @@ def _is_token(s: str) -> bool:
     return s.isalnum() or s == "w"
 
 
+@lru_cache(maxsize=None)
 def render(a: OrdCode) -> str:
     """Bracketed text form; ``parse(render(a)) == a`` for normal codes."""
     if isinstance(a, Sub):

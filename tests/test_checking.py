@@ -4,6 +4,7 @@ import pytest
 
 from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
+    ConstructionError,
     CutNode,
     Emb,
     RefNode,
@@ -28,6 +29,7 @@ from proofkit.formulas import (
     Ex,
     J_TWO,
     J_UNIVERSE,
+    JBounded,
     Mem,
     Name,
     NotMem,
@@ -271,3 +273,24 @@ class TestTraces:
             parts = line.split()
             assert len(parts) == 7
             int(parts[0]), int(parts[-1])
+
+    def test_trace_lists_the_nodes_the_check_visits(self):
+        # ONE is not in {0}, so the check expects no premise and the
+        # trace lists the root alone
+        B = negate(BAll("x", Name(ONE), Mem(Var("x"), Name(ONE))))
+        comp = NotMem(Name(ONE), Name(ONE))
+        d = VeeNode(sig([B]), B, ONE, TrueLeaf(sig([B, comp], bound=0), comp))
+        assert len(trace_lines(d, 3)) == check_local(d, 3).visited == 1
+
+    def test_premise_error_is_reported_and_traced(self):
+        A = BAll("x", Name(ONE), NotMem(Var("x"), Var("x")))
+
+        def prem(iota):
+            raise ConstructionError("no premise here")
+
+        d = WedgeNode(sig([A]), A, JBounded(ONE), prem)
+        lines = trace_lines(d, 3)
+        assert len(lines) == 1 and lines[0].startswith("1 wedge ")
+        report = check_local(d, 3)
+        assert ("0", "premise error at i0: no premise here") in report.violations
+        assert report.lines == lines

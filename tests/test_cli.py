@@ -1,5 +1,7 @@
 """Command-line front end: ord, check, elim."""
 
+import warnings
+
 import pytest
 from test_finitary import cut_chain, shared_dag
 
@@ -183,6 +185,32 @@ class TestElim:
     def test_rejects_small_n(self, scripts):
         with pytest.raises(SystemExit):
             main(["elim", scripts["pair"], "--N", "1"])
+
+    @pytest.mark.parametrize("flag", ["--rounds", "--depth"])
+    def test_negative_count_names_its_flag(self, scripts, capsys, flag):
+        with pytest.raises(SystemExit):
+            main(["elim", scripts["pair"], flag, "-1"])
+        assert "argument %s: must be nonnegative" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, rounds", [("taut-depth0", "3"), ("one-cut", "5")])
+    def test_rounds_past_the_rank_are_no_ops(self, scripts, tmp_path, capsys,
+                                             name, rounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "elim", scripts[name], "--rounds", rounds, "--out", str(tmp_path),
+            ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "rounds: %s\nfinal rank: 0\n" % rounds in captured.out
+
+    def test_out_naming_a_file_is_one_error_line(self, scripts, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["elim", scripts["pair"], "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestDeepAndSharedScripts:

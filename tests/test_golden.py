@@ -72,11 +72,17 @@ def test_corpus_digest():
 
 def test_intern_table_grows_with_codes_not_runs():
     """A second run of the corpus pipeline builds only ordinal codes the
-    first one interned, so the table keeps its size."""
+    first one interned, and renders and compares only codes the first
+    one did, so the intern table and the caches keep their sizes."""
+
+    def sizes():
+        return (len(ordinals._INTERNED), ordinals.render.cache_info().currsize,
+                ordinals._cmp.cache_info().currsize)
+
     corpus_record()
-    size = len(ordinals._INTERNED)
+    before = sizes()
     corpus_record()
-    assert len(ordinals._INTERNED) == size
+    assert sizes() == before
 
 
 def test_bounded_wedge_labels_follow_trace_order():
