@@ -162,6 +162,11 @@ def _valid_n(text: str) -> int:
     return n
 
 
+# argparse names a type by its __name__ when int() rejects the text
+_nonnegative.__name__ = "nonnegative integer"
+_valid_n.__name__ = "integer N >= 2"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proofkit",

@@ -21,6 +21,7 @@ other node must be a premise of it, hereditarily.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .formulas import (
     Ad,
@@ -392,20 +393,25 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
     read through the script's ``memo``."""
     if rule not in RULES:
         raise ValueError("unknown rule %r" % rule)
-    tokens = tokenize(rest)
-    i, premise_ids = 0, []
-    if tokens[:1] == ["["]:
-        premise_ids, i = read(tokens, 0, params, memo)
-    if tokens[i:i + 2] != ["(", "seq"]:
-        raise ValueError("missing conclusion sequent")
-    concl, i = read(tokens, i, params, memo)
+    try:
+        premise_ids, concl, tokens = _read_by_text(rest, params, memo)
+        i = 0
+    except ValueError:  # an irregular line: the token reader reads it and reports
+        tokens = tokenize(rest)
+        i, premise_ids = 0, []
+        if tokens[:1] == ["["]:
+            premise_ids, i = read(tokens, 0, params, memo)
+        if tokens[i:i + 2] != ["(", "seq"]:
+            raise ValueError("missing conclusion sequent")
+        concl, i = read(tokens, i, params, memo)
     kwargs: dict = {}
     while i < len(tokens):
-        key = tokens[i][:-1]
-        if not tokens[i].endswith("="):
+        key = tokens[i]
+        if not isinstance(key, str) or not key.endswith("="):
             item = read(tokens, i, params, memo)[0]
             raise ValueError("witnesses read key=value, got %r" % (
                 render_formula(item) if isinstance(item, Formula) else item,))
+        key = key[:-1]
         if key not in WITNESSES:
             raise ValueError("unknown witness key %r" % key)
         if key in kwargs:
@@ -419,6 +425,67 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
             raise ValueError("%s takes a variable, got %r" % (key, value))
         kwargs[key] = value
     return premise_ids, concl, kwargs
+
+
+#: the step in parenthesis depth at each byte, -1 as a signed byte
+_PAREN_STEPS = bytes(1 if b == ord("(") else 255 if b == ord(")") else 0 for b in range(256))
+
+
+def _paren_depths(text: str) -> list:
+    """The parenthesis depth after each character of ``text``; a
+    character outside Latin-1 encodes as one byte ``?``, which keeps the
+    positions."""
+    steps = text.encode("latin-1", "replace").translate(_PAREN_STEPS)
+    return list(accumulate(memoryview(steps).cast("b")))
+
+
+def _read_by_text(rest: str, params: dict, memo: dict) -> tuple:
+    """The premise ids, the conclusion and the witness tokens of a
+    regular line, ``[ids] (seq member ...) key=value ...`` with its
+    parentheses balanced; each ``main=``/``formula=`` value is among the
+    tokens as the formula it reads as.  Each sequent member and formula
+    value is looked up in ``memo`` by its text, and only text the memo
+    has not seen goes to the token reader.  Raises ValueError for any
+    other line."""
+    start = rest.find("(")
+    if not rest.startswith("(seq", start):
+        raise ValueError("no sequent")
+    depth = _paren_depths(rest)
+    if depth[-1] or min(depth) < 0:
+        raise ValueError("unbalanced parentheses")
+    premise_ids, prefix = [], tokenize(rest[:start])
+    if prefix:
+        premise_ids, i = read(prefix, 0, params, memo)
+        if i < len(prefix) or not isinstance(premise_ids, list):
+            raise ValueError("not a premise list")
+    end = depth.index(0, start)  # the sequent's ")"
+    members, pos = [], start + 4
+    while True:
+        member = rest.find("(", pos, end)
+        gap = rest[pos:end if member < 0 else member]
+        if gap.strip() and tokenize(gap):
+            raise ValueError("a sequent member that is not a formula")
+        if member < 0:
+            break
+        pos = depth.index(1, member) + 1
+        members.append(_formula_by_text(rest[member:pos], params, memo))
+    tokens, pos = [], end + 1
+    while (opening := rest.find("(", pos)) >= 0:
+        tokens += tokenize(rest[pos:opening])
+        if tokens[-1:] not in (["main="], ["formula="]):
+            raise ValueError("a formula that is not a main= or formula= value")
+        pos = depth.index(0, opening) + 1
+        tokens.append(_formula_by_text(rest[opening:pos], params, memo))
+    tokens += tokenize(rest[pos:])
+    return premise_ids, frozenset(members), tokens
+
+
+def _formula_by_text(text: str, params: dict, memo: dict) -> Formula:
+    """The formula ``text`` reads as, kept in ``memo`` under its text."""
+    A = memo.get(text)
+    if A is None:
+        A = memo[text] = as_formula(read(tokenize(text), 0, params, memo)[0])
+    return A
 
 
 def render_script(script: ProofScript) -> str:

@@ -752,22 +752,54 @@ def render_sequent(G: Sequent) -> str:
     return "(seq %s)" % " ".join(sorted(render_formula(A) for A in G))
 
 
-#: Brackets, atoms (maybe ending in ``=``) and ``=``; whitespace and
-#: commas separate them.
-_TOKEN = re.compile(r"[(){}\[\]]|[^\s(){}\[\],=]+=?|=")
+#: Runs of braces and commas, brackets, atoms (maybe ending in ``=``) and
+#: ``=``; whitespace and commas separate them.
+_TOKEN = re.compile(r"\{[{},]*\}|[(){}\[\]]|[^\s(){}\[\],=]+=?|=")
 _CLOSER = {"(": ")", "{": "}", "[": "]"}
 _PUNCTUATION = {*_CLOSER, *_CLOSER.values()}
 _UNCLOSED = {"(": "missing closing parenthesis", "{": "unterminated set literal", "[": "missing ]"}
 
+#: Every set literal of braces alone by its text, such as ``{{},{{}}}``.
+#: It names no parameter, so it reads the same in every script; the
+#: table grows with the number of distinct texts, not of reads.
+_LITERALS: dict = {}
+
 
 def tokenize(text: str) -> list:
-    return _TOKEN.findall(text)
+    """The tokens of ``text``.  A run of braces and commas that is one
+    set literal, its braces nesting and closing at its last character,
+    is one token, read once into ``_LITERALS``; any other run is split
+    into its braces."""
+    tokens = []
+    for tok in _TOKEN.findall(text):
+        if tok[0] == "{" and len(tok) > 1 and tok not in _LITERALS and not _literal(tok):
+            tokens += tok.replace(",", "")
+        else:
+            tokens.append(tok)
+    return tokens
+
+
+def _literal(run: str) -> bool:
+    """Read the run of braces and commas into ``_LITERALS`` if it is one
+    set literal; say whether it was."""
+    braces = list(run.replace(",", ""))
+    try:
+        value, i = read(braces, 0, {}, {})
+    except ValueError:  # unterminated
+        return False
+    if i < len(braces):
+        return False
+    _LITERALS[run] = value
+    return True
 
 
 def read(tokens: list, i: int, params: dict, memo: dict) -> tuple:
     """The item at ``tokens[i]`` and the index past it: an atom, a set
     literal ``{...}`` of sets and parameter names, a list ``[...]``, or a
     formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a sequent.
+    A token that ``tokenize`` found to be a literal of braces alone reads
+    as its set in ``_LITERALS``; a token that is not a string is an item
+    read already and stands for itself.
 
     ``memo`` maps the tuple of a formula's parts, each already read, to
     the formula built from them, so equal formulas read through one memo
@@ -778,7 +810,9 @@ def read(tokens: list, i: int, params: dict, memo: dict) -> tuple:
     for j in range(i, len(tokens)):
         tok = tokens[j]
         if tok not in _PUNCTUATION:
-            value = as_set(tok, params) if bracket == "{" else tok
+            value = _LITERALS.get(tok)
+            if value is None:
+                value = as_set(tok, params) if bracket == "{" else tok
         elif tok in _CLOSER:
             if bracket == "{" and tok != "{":
                 raise ValueError("unexpected %r in a set literal" % tok)
@@ -815,7 +849,9 @@ def read_text(text: str, params: dict):
     tokens = tokenize(text)
     item, i = read(tokens, 0, params, {})
     if i < len(tokens):
-        raise ValueError("trailing input: %r" % " ".join(tokens[i:]))
+        # a literal's braces are quoted one by one, like the other brackets
+        rest = (" ".join(t.replace(",", "")) if t in _LITERALS else t for t in tokens[i:])
+        raise ValueError("trailing input: %r" % " ".join(rest))
     return item
 
 

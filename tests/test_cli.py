@@ -192,6 +192,15 @@ class TestElim:
             main(["elim", scripts["pair"], flag, "-1"])
         assert "argument %s: must be nonnegative" % flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, kind", [
+        ("--rounds", "nonnegative integer"), ("--depth", "nonnegative integer"),
+        ("--N", "integer N >= 2")])
+    def test_non_integer_names_the_kind_of_value(self, scripts, capsys, flag, kind):
+        with pytest.raises(SystemExit):
+            main(["elim", scripts["pair"], flag, "abc"])
+        err = capsys.readouterr().err
+        assert "argument %s: invalid %s value: 'abc'" % (flag, kind) in err
+
     @pytest.mark.parametrize("name, rounds", [("taut-depth0", "3"), ("one-cut", "5")])
     def test_rounds_past_the_rank_are_no_ops(self, scripts, tmp_path, capsys,
                                              name, rounds):

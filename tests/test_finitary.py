@@ -6,7 +6,7 @@ import random
 import pytest
 from test_formulas import random_formula, subformulas
 
-from proofkit import finitary
+from proofkit import finitary, formulas
 from proofkit.corpus import ONE, TRANS3, TWO, build_corpus
 from proofkit.derivations import emb_rank
 from proofkit.finitary import (
@@ -426,6 +426,20 @@ class TestReader:
         ("param p rank W", "parameter ranks lie below Omega"),
         ("assign x", "assign lines read: assign <var> <set>"),
         ("assign x {} {}", "assign lines read: assign <var> <set>"),
+        # runs of braces that are not one literal
+        ("assign x {{}}}", "assign lines read: assign <var> <set>"),
+        ("assign x {}}{{}", "assign lines read: assign <var> <set>"),
+        ("assign x {{},q}", "unknown set parameter 'q'"),
+        ("n1 logax (seq (in 0 {{}}}) (notin 0 0)) main=(in 0 0)",
+         "missing closing parenthesis"),
+        ("n1 logax (seq (in 0 {}}{{}) (notin 0 0)) main=(in 0 0)",
+         "missing closing parenthesis"),
+        ("n1 logax (seq (in 0 {{},q}) (notin 0 0)) main=(in 0 0)",
+         "unknown set parameter 'q'"),
+        # a member whose parentheses do not close before main=
+        ("n1 logax (seq (in 0 0) (notin 0 0 main=(in 0 0)",
+         "missing closing parenthesis"),
+        ("n1 logax (seq (in 0 0) (notin 0 0 main=(in 0 0)))", "notin takes two terms"),
     ]
 
     @pytest.mark.parametrize("line, message", MALFORMED)
@@ -443,6 +457,11 @@ class TestReader:
         # only the prefix: the rest quotes the unread input
         with pytest.raises(ValueError, match=r"^trailing input: "):
             parse(text)
+
+    def test_trailing_literal_is_quoted_brace_by_brace(self):
+        with pytest.raises(ValueError) as info:
+            parse_formula("(in 0 0) {{},{}}")
+        assert str(info.value) == "trailing input: '{ { } { } }'"
 
     # two logax nodes over A and its negation, the premises of a cut
     SHARED = (
@@ -495,6 +514,70 @@ class TestReader:
             assert parse_sequent(sequent) == frozenset(
                 ref_formula(t, {}) for t in ref_parse_sexp(sequent)[1:])
             assert parse_set(render_set(s)) == ref_parse_set(render_set(s)) == s
+
+    def test_agrees_with_reference_on_repeated_text(self):
+        """Later lines repeat earlier members, formula values and set
+        literals, verbatim or spaced apart, and a param line falls
+        between equal texts, which then read differently."""
+        rng = random.Random(11)
+        for _ in range(300):
+            sets = [render_set(random_set(rng, 4)) for _ in range(3)]
+            members = [render_formula(random_formula(rng, rng.randrange(4)))
+                       for _ in range(3)]
+            members += ["(in p %s)" % sets[0], "(notin %s %s)" % (sets[1], sets[2])]
+            lines, param_at = [], rng.randrange(1, 6)
+            for k in range(1, 6):
+                if k == param_at:
+                    lines.append("param p rank 1")
+                lines.append("assign a%d %s" % (k, rng.choice(sets)))
+                chosen = rng.sample(members, 3)
+                lines.append("n%d or %s(seq %s) main=%s term=%s" % (
+                    k, "[n%d] " % (k - 1) if k > 1 else "", " ".join(chosen),
+                    rng.choice(chosen), rng.choice(sets)))
+            text = "\n".join(lines) + "\n"
+            old = ref_parse_script(text)
+            spaced = "\n".join(
+                rng.choice([line, respaced(line)]) for line in lines) + "\n"
+            for new in (parse_script(text), parse_script(spaced)):
+                assert (new.root, new.params, new.assignment) == (
+                    old.root, old.params, old.assignment)
+
+    def test_a_literal_read_by_two_scripts_is_one_object(self):
+        text = ("assign v {{},{{}}}\n"
+                "n1 logax (seq (in 0 {{},{{}}}) (notin 0 {{},{{}}})) "
+                "main=(in 0 {{},{{}}})\n")
+        one, two = parse_script(text), parse_script(text)
+        assert one.assignment["v"] is two.assignment["v"]
+        assert one.root.main.right.value is two.root.main.right.value
+        assert one.root.main.right.value is one.assignment["v"]
+        spaced = parse_script(respaced(text))
+        assert spaced.assignment == one.assignment
+
+    def test_literal_table_grows_with_texts_not_runs(self):
+        texts = [render_script(e.script) for e in build_corpus()]
+        for text in texts:
+            parse_script(text)
+        before = dict(formulas._LITERALS)
+        assert any(len(t) > 2 for t in before)  # the corpus names some literals
+        for text in texts:
+            parse_script(text)
+        assert formulas._LITERALS == before
+        assert all(formulas._LITERALS[t] is s for t, s in before.items())
+
+    def test_deep_members_read_without_recursion(self):
+        # past the interpreter's recursion limit, like the too-deep input
+        # that proofkit check reports as one error line
+        A, B = "(in 0 {{}})", "(notin 0 {{}})"
+        for _ in range(3000):
+            A, B = "(or (in 0 0) %s)" % A, "(and (notin 0 0) %s)" % B
+        root = parse_script("n1 logax (seq %s %s) main=%s\n" % (A, B, A)).root
+        assert any(member is root.main for member in root.conclusion)
+
+
+def respaced(line):
+    """``line`` with its set literals and lists spaced apart, as in
+    ``{ {}, { {} } }``."""
+    return line.replace(",", ", ").replace("{{", "{ {").replace("}}", "} }")
 
 
 def ref_check_proof(pi, N=2, every_path=False):
