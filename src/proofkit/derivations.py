@@ -414,7 +414,9 @@ class Weak(DerivTerm):
         for a in support(sig.seq - old.seq):
             if not hull_contains(sig.hull, a):
                 raise ConstructionError("added formulas must live in the new hull")
-        self.sub = sub
+        # all five conditions are transitive, so a weakening of a
+        # weakening is one of the inner term
+        self.sub = sub.sub if isinstance(sub, Weak) else sub
         self.sig = sig
 
     def _expand(self):
@@ -426,7 +428,9 @@ def fit(
 ) -> DerivTerm:
     """d at the given hull, cut rank and sequent, and at ``bound`` if
     given, else at its own bound: d itself when that changes nothing,
-    its weakening otherwise."""
+    its weakening otherwise.  The new signature is checked against d's;
+    when d is itself a weakening, the result weakens d's sub, so a
+    chain of weakenings is one term."""
     old = d.sig
     # tuples compare their items by identity first, so an unchanged
     # sequent object is not compared member by member
@@ -435,24 +439,6 @@ def fit(
     ):
         return d
     return Weak(d, Sig(hull, old.bound if bound is None else bound, rank_, seq))
-
-
-def weaken(
-    d: DerivTerm,
-    delta: Sequent = frozenset(),
-    bound: OrdCode | None = None,
-    rank_: int | None = None,
-    hull: Hull | None = None,
-) -> DerivTerm:
-    """Widen a signature along any of its four components."""
-    old = d.sig
-    return fit(
-        d,
-        old.hull if hull is None else hull,
-        old.rank if rank_ is None else rank_,
-        old.seq | delta if delta else old.seq,
-        bound,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -955,9 +941,8 @@ class Red(DerivTerm):
             right = fit(Red(C, d0, v.sub), sig.hull, m, sig.seq | {C_iota})
             return CutNode(sig, C_iota, left, right)
 
-        return _map_premises(
-            v, sig, lambda p, hull: Red(C, weaken(d0, hull=hull), weaken(p, hull=hull))
-        )
+        return _map_premises(v, sig, lambda p, hull: Red(
+            C, fit(d0, hull, m, d0.sig.seq), fit(p, hull, p.sig.rank, p.sig.seq)))
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,7 @@ def leq(a: OrdCode, b: OrdCode) -> bool:
     return cmp(a, b) != GREATER
 
 
+@lru_cache(maxsize=None)
 def add(a: OrdCode, b: OrdCode) -> OrdCode:
     """Ordinal sum in normal form; left parts below b's head are absorbed."""
     _require(a)
@@ -391,6 +392,7 @@ def nat_sum(a: OrdCode, b: OrdCode) -> OrdCode:
     return _rebuild(merged)
 
 
+@lru_cache(maxsize=None)
 def omega_exp(a: OrdCode) -> OrdCode:
     """The code of ``w^a``."""
     _require(a)

@@ -263,7 +263,8 @@ def hull_contains(P: Hull, x) -> bool:
     if isinstance(x, OrdCode):
         return True
     if isinstance(x, Concrete):
-        return all(_contains_abstract(P, p) for p in _abstract_atoms(x))
+        atoms = _abstract_atoms(x)
+        return not atoms or all(_contains_abstract(P, p) for p in atoms)
     if isinstance(x, Abstract):
         return _contains_abstract(P, x)
     raise TypeError("hull membership is defined for desk sets and codes")

@@ -23,8 +23,9 @@ from proofkit.derivations import (
     emb_bound,
     emb_rank,
     fit,
+    Weak,
+    _map_premises,
     rule_of,
-    weaken,
 )
 from proofkit.finitary import ax_foundation
 from proofkit.formulas import (
@@ -50,7 +51,8 @@ from proofkit.ordinals import (
     omega_exp,
     times_nat,
 )
-from proofkit.universe import EMPTY, EMPTY_HULL, rank
+from proofkit.ordinals import Sub, cnf_from_int
+from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, hull_extend, rank
 
 M00 = Mem(ZERO_TERM, ZERO_TERM)
 M01 = Mem(ZERO_TERM, Name(ONE))  # true
@@ -59,6 +61,17 @@ M01 = Mem(ZERO_TERM, Name(ONE))  # true
 def leaf(main, extra=(), bound=0, hull=EMPTY_HULL, rank_=0):
     s = frozenset({main}) | frozenset(extra)
     return TrueLeaf(Sig(hull, from_nat(bound), rank_, s), main)
+
+
+PARAM = Abstract("p", Sub(cnf_from_int(1)))
+
+
+def sample_indices(v):
+    """The indices of v's premises, and for a conjunction two small sets
+    it admits."""
+    if isinstance(v, WedgeNode):
+        return [i for i in (0, 1, EMPTY, ONE) if v.index_set.contains(i)]
+    return v.indices()
 
 
 def corpus_terms():
@@ -134,30 +147,30 @@ class TestExpansion:
 class TestWeaken:
     def test_adds_members(self):
         d = leaf(M01)
-        w = weaken(d, delta=frozenset({M00}))
+        w = fit(d, EMPTY_HULL, 0, frozenset({M01, M00}))
         assert w.sig.seq == frozenset({M01, M00})
         assert isinstance(rule_of(w), TrueLeaf)
 
     def test_raises_bound_and_rank(self):
         d = leaf(M01)
-        w = weaken(d, bound=OMEGA, rank_=3)
+        w = fit(d, EMPTY_HULL, 3, d.sig.seq, bound=OMEGA)
         assert w.sig.bound == OMEGA
         assert w.sig.rank == 3
 
     def test_rejects_lower_bound(self):
         d = leaf(M01, bound=5)
         with pytest.raises(ConstructionError):
-            weaken(d, bound=ZERO)
+            fit(d, EMPTY_HULL, 0, d.sig.seq, bound=ZERO)
 
     def test_rejects_lower_rank(self):
         d = leaf(M01, rank_=2)
         with pytest.raises(ConstructionError):
-            weaken(d, rank_=1)
+            fit(d, EMPTY_HULL, 1, d.sig.seq)
 
     def test_unchanged_signature_returns_the_term(self):
         d = leaf(M01, bound=2)
-        assert weaken(d) is d
-        assert weaken(d, delta=frozenset({M01}), bound=from_nat(2)) is d
+        assert fit(d, EMPTY_HULL, 0, d.sig.seq) is d
+        assert fit(d, EMPTY_HULL, 0, frozenset({M01}), bound=from_nat(2)) is d
         assert fit(d, EMPTY_HULL, 0, frozenset({M01})) is d
 
     def test_fit_keeps_the_bound(self):
@@ -165,6 +178,42 @@ class TestWeaken:
         w = fit(d, EMPTY_HULL, 1, frozenset({M01, M00}))
         assert w.sig == Sig(EMPTY_HULL, from_nat(2), 1, frozenset({M01, M00}))
         assert w.sub is d
+
+    def test_a_chain_of_weakenings_is_one_term(self):
+        # the inner weakening's premises, fitted again at the outer
+        # signature, are what the two-layer chain unfolded to
+        P = hull_extend(EMPTY_HULL, PARAM)
+        checked = 0
+        for _, d in corpus_terms():
+            s = d.sig
+            w = fit(d, EMPTY_HULL, s.rank + 1, s.seq | {M00})
+            sig = Sig(P, add(s.bound, from_nat(1)), s.rank + 2, s.seq | {M00, M01})
+            one = fit(w, sig.hull, sig.rank, sig.seq, bound=sig.bound)
+            assert isinstance(one, Weak) and one.sub is d and one.sig == sig
+            two = _map_premises(rule_of(w), sig)
+            v = rule_of(one)
+            assert (type(v), v.sig, v.main) == (type(two), two.sig, two.main)
+            for iota in sample_indices(v):
+                p, q = v.premise(iota), two.premise(iota)
+                assert p.sig == q.sig and rule_of(p).sig == rule_of(q).sig
+                checked += 1
+        assert checked > 10
+
+    def test_a_weakening_is_checked_against_its_own_signature(self):
+        # d itself would allow each of these signatures; w does not
+        d = leaf(M01)
+        P = hull_extend(EMPTY_HULL, PARAM)
+        seq2 = frozenset({M01, M00})
+        w = fit(d, P, 2, seq2, bound=from_nat(3))
+        for hull, rank_, seq_, bound in [
+            (EMPTY_HULL, 2, seq2, 3),  # shrinks the hull
+            (P, 1, seq2, 3),  # lowers the rank
+            (P, 2, seq2, 1),  # lowers the bound
+            (P, 2, d.sig.seq, 3),  # drops a member
+        ]:
+            with pytest.raises(ConstructionError):
+                fit(w, hull, rank_, seq_, bound=from_nat(bound))
+            fit(d, hull, rank_, seq_, bound=from_nat(bound))
 
 
 class TestTwoPremiseNodes:

@@ -73,11 +73,13 @@ def test_corpus_digest():
 def test_intern_table_grows_with_codes_not_runs():
     """A second run of the corpus pipeline builds only ordinal codes the
     first one interned, and renders and compares only codes the first
-    one did, so the intern table and the caches keep their sizes."""
+    one did, so the intern table and the caches of ``render``, ``_cmp``,
+    ``add`` and ``omega_exp`` keep their sizes."""
 
     def sizes():
-        return (len(ordinals._INTERNED), ordinals.render.cache_info().currsize,
-                ordinals._cmp.cache_info().currsize)
+        return (len(ordinals._INTERNED),) + tuple(
+            f.cache_info().currsize for f in (ordinals.render, ordinals._cmp,
+                                              ordinals.add, ordinals.omega_exp))
 
     corpus_record()
     before = sizes()

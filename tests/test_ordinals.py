@@ -235,6 +235,14 @@ class TestValidateNf:
         for _ in range(1000):
             assert validate_nf(random_code(rng, 10))
 
+    def test_cached_operations_reject_a_malformed_code_every_time(self):
+        bad = Sum((ONE, OMEGA))
+        for _ in range(2):
+            for call in (lambda: add(bad, ONE), lambda: add(ONE, bad),
+                         lambda: omega_exp(bad)):
+                with pytest.raises(MalformedOrdinalError):
+                    call()
+
 
 def ref_tokenize(text):
     """The ordinal tokenizer as a character-by-character scan, for reference."""

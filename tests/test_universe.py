@@ -170,6 +170,17 @@ class TestHull:
                 checked[bool(ref_abstract_atoms(s))] += 1
         assert min(checked.values()) > 100
 
+    def test_hereditarily_finite_index_leaves_the_hull(self):
+        a, b = (Abstract(n, Sub(cnf_from_int(1))) for n in "ab")
+        P = hull_extend(EMPTY_HULL, a)
+        for s in (EMPTY, TWO, Concrete(frozenset({TWO}))):
+            assert hull_extend(P, s) is P
+            assert hull_extend(EMPTY_HULL, s) is EMPTY_HULL
+        for s in (Concrete(frozenset({EMPTY, b})),
+                  Concrete(frozenset({TWO, Concrete(frozenset({a, b}))}))):
+            assert not hull_contains(P, s)
+            assert hull_extend(P, s) != P
+
     def test_subsumes(self):
         a = Abstract("a", Sub(cnf_from_int(1)))
         h = hull_extend(EMPTY_HULL, a)
