@@ -21,7 +21,6 @@ other node must be a premise of it, hereditarily.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .formulas import (
     Ad,
@@ -34,6 +33,7 @@ from .formulas import (
     Mem,
     NotMem,
     Or,
+    Reader,
     Sequent,
     Term,
     Var,
@@ -47,13 +47,11 @@ from .formulas import (
     member_pi,
     negate,
     not_equals,
-    read,
     relativize,
     render_formula,
     render_sequent,
     render_term,
     subst,
-    tokenize,
 )
 from .ordinals import parse as parse_ord, render as render_ord
 from .universe import Abstract, render_set
@@ -338,9 +336,12 @@ class ProofScript:
 
 
 def parse_script(text: str) -> ProofScript:
+    """The proof a script holds.  One ``Reader`` memo serves the whole
+    script, so each distinct member, value and literal text is read once
+    and equal formulas are one object; a ``param`` line clears it."""
     params: dict = {}
     assignment: dict = {}
-    memo: dict = {}  # the reader's formulas by their parts; atoms read by params
+    memo: dict = {}  # the reader's formulas and sets by text and by parts
     nodes: dict = {}
     unused: dict = {}  # node id -> line number, for the nodes no line uses yet
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -359,9 +360,9 @@ def parse_script(text: str) -> ProofScript:
                 memo.clear()
                 continue
             if first == "assign":
-                tokens = tokenize(rest)
-                value, i = read(tokens, 0, params, memo) if tokens else (None, None)
-                if i != len(tokens):
+                items = Reader(rest, params, memo)
+                value = items.item() if items.tokens(1) else None
+                if value is None or items.tokens(1):
                     raise ValueError("assign lines read: assign <var> <set>")
                 if name in assignment:
                     raise ValueError("duplicate assignment %s" % name)
@@ -393,30 +394,23 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
     read through the script's ``memo``."""
     if rule not in RULES:
         raise ValueError("unknown rule %r" % rule)
-    try:
-        premise_ids, concl, tokens = _read_by_text(rest, params, memo)
-        i = 0
-    except ValueError:  # an irregular line: the token reader reads it and reports
-        tokens = tokenize(rest)
-        i, premise_ids = 0, []
-        if tokens[:1] == ["["]:
-            premise_ids, i = read(tokens, 0, params, memo)
-        if tokens[i:i + 2] != ["(", "seq"]:
-            raise ValueError("missing conclusion sequent")
-        concl, i = read(tokens, i, params, memo)
+    items = Reader(rest, params, memo)
+    premise_ids = items.item() if items.tokens(1) == ["["] else []
+    if items.tokens(2) != ["(", "seq"]:
+        raise ValueError("missing conclusion sequent")
+    concl = items.item()
     kwargs: dict = {}
-    while i < len(tokens):
-        key = tokens[i]
+    while items.tokens(1):
+        key = items.item()
         if not isinstance(key, str) or not key.endswith("="):
-            item = read(tokens, i, params, memo)[0]
             raise ValueError("witnesses read key=value, got %r" % (
-                render_formula(item) if isinstance(item, Formula) else item,))
+                render_formula(key) if isinstance(key, Formula) else key,))
         key = key[:-1]
         if key not in WITNESSES:
             raise ValueError("unknown witness key %r" % key)
         if key in kwargs:
             raise ValueError("repeated witness %s" % key)
-        value, i = read(tokens, i + 1, params, memo)
+        value = items.item()
         if key in ("main", "formula"):
             value = as_formula(value)
         elif key.startswith("term"):
@@ -425,67 +419,6 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
             raise ValueError("%s takes a variable, got %r" % (key, value))
         kwargs[key] = value
     return premise_ids, concl, kwargs
-
-
-#: the step in parenthesis depth at each byte, -1 as a signed byte
-_PAREN_STEPS = bytes(1 if b == ord("(") else 255 if b == ord(")") else 0 for b in range(256))
-
-
-def _paren_depths(text: str) -> list:
-    """The parenthesis depth after each character of ``text``; a
-    character outside Latin-1 encodes as one byte ``?``, which keeps the
-    positions."""
-    steps = text.encode("latin-1", "replace").translate(_PAREN_STEPS)
-    return list(accumulate(memoryview(steps).cast("b")))
-
-
-def _read_by_text(rest: str, params: dict, memo: dict) -> tuple:
-    """The premise ids, the conclusion and the witness tokens of a
-    regular line, ``[ids] (seq member ...) key=value ...`` with its
-    parentheses balanced; each ``main=``/``formula=`` value is among the
-    tokens as the formula it reads as.  Each sequent member and formula
-    value is looked up in ``memo`` by its text, and only text the memo
-    has not seen goes to the token reader.  Raises ValueError for any
-    other line."""
-    start = rest.find("(")
-    if not rest.startswith("(seq", start):
-        raise ValueError("no sequent")
-    depth = _paren_depths(rest)
-    if depth[-1] or min(depth) < 0:
-        raise ValueError("unbalanced parentheses")
-    premise_ids, prefix = [], tokenize(rest[:start])
-    if prefix:
-        premise_ids, i = read(prefix, 0, params, memo)
-        if i < len(prefix) or not isinstance(premise_ids, list):
-            raise ValueError("not a premise list")
-    end = depth.index(0, start)  # the sequent's ")"
-    members, pos = [], start + 4
-    while True:
-        member = rest.find("(", pos, end)
-        gap = rest[pos:end if member < 0 else member]
-        if gap.strip() and tokenize(gap):
-            raise ValueError("a sequent member that is not a formula")
-        if member < 0:
-            break
-        pos = depth.index(1, member) + 1
-        members.append(_formula_by_text(rest[member:pos], params, memo))
-    tokens, pos = [], end + 1
-    while (opening := rest.find("(", pos)) >= 0:
-        tokens += tokenize(rest[pos:opening])
-        if tokens[-1:] not in (["main="], ["formula="]):
-            raise ValueError("a formula that is not a main= or formula= value")
-        pos = depth.index(0, opening) + 1
-        tokens.append(_formula_by_text(rest[opening:pos], params, memo))
-    tokens += tokenize(rest[pos:])
-    return premise_ids, frozenset(members), tokens
-
-
-def _formula_by_text(text: str, params: dict, memo: dict) -> Formula:
-    """The formula ``text`` reads as, kept in ``memo`` under its text."""
-    A = memo.get(text)
-    if A is None:
-        A = memo[text] = as_formula(read(tokenize(text), 0, params, memo)[0])
-    return A
 
 
 def render_script(script: ProofScript) -> str:

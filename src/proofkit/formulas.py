@@ -752,105 +752,121 @@ def render_sequent(G: Sequent) -> str:
     return "(seq %s)" % " ".join(sorted(render_formula(A) for A in G))
 
 
-#: Runs of braces and commas, brackets, atoms (maybe ending in ``=``) and
-#: ``=``; whitespace and commas separate them.
-_TOKEN = re.compile(r"\{[{},]*\}|[(){}\[\]]|[^\s(){}\[\],=]+=?|=")
+#: Brackets, atoms (maybe ending in ``=``) and ``=``; whitespace and
+#: commas separate them.
+_TOKEN = re.compile(r"[(){}\[\]]|[^\s(){}\[\],=]+=?|=")
 _CLOSER = {"(": ")", "{": "}", "[": "]"}
 _PUNCTUATION = {*_CLOSER, *_CLOSER.values()}
 _UNCLOSED = {"(": "missing closing parenthesis", "{": "unterminated set literal", "[": "missing ]"}
 
-#: Every set literal of braces alone by its text, such as ``{{},{{}}}``.
-#: It names no parameter, so it reads the same in every script; the
-#: table grows with the number of distinct texts, not of reads.
-_LITERALS: dict = {}
+#: the step in the depth of parentheses and braces at each byte, -1 as
+#: a signed byte
+_DEPTH_STEPS = bytes(1 if b in b"({" else 255 if b in b")}" else 0 for b in range(256))
 
 
-def tokenize(text: str) -> list:
-    """The tokens of ``text``.  A run of braces and commas that is one
-    set literal, its braces nesting and closing at its last character,
-    is one token, read once into ``_LITERALS``; any other run is split
-    into its braces."""
-    tokens = []
-    for tok in _TOKEN.findall(text):
-        if tok[0] == "{" and len(tok) > 1 and tok not in _LITERALS and not _literal(tok):
-            tokens += tok.replace(",", "")
-        else:
-            tokens.append(tok)
-    return tokens
+class Reader:
+    """The items of one text, read in turn: an atom, a set literal
+    ``{...}`` of sets and parameter names, a list ``[...]``, or a
+    formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a
+    sequent.
 
+    ``memo`` keeps each formula under the tuple of its parts and each set
+    under the frozenset of its members, each part already read, so equal
+    formulas and sets read through one memo are one object.  It also keeps
+    each outermost span, sequent member and set literal under its text:
+    the reader finds the matching closer from the text's bracket depths,
+    looks the text up, and reads the span token by token only on a miss.
+    Deeper spans are not kept by text, as the keys of a chain of nested
+    spans would grow with the square of its length.  A sequent and a list
+    are kept under neither.  The keys read atoms by ``params``: a caller
+    that changes ``params`` must clear the memo."""
 
-def _literal(run: str) -> bool:
-    """Read the run of braces and commas into ``_LITERALS`` if it is one
-    set literal; say whether it was."""
-    braces = list(run.replace(",", ""))
-    try:
-        value, i = read(braces, 0, {}, {})
-    except ValueError:  # unterminated
-        return False
-    if i < len(braces):
-        return False
-    _LITERALS[run] = value
-    return True
+    def __init__(self, text: str, params: dict, memo: dict):
+        self.text, self.params, self.memo = text, params, memo
+        self.pos = 0
+        self._depth = None  # the bracket depth after each character, once asked for
 
+    def tokens(self, n: int | None = None) -> list:
+        """The next ``n`` tokens, or all that are left, without reading them."""
+        out, pos = [], self.pos
+        while len(out) != n and (m := _TOKEN.search(self.text, pos)):
+            out.append(m[0])
+            pos = m.end()
+        return out
 
-def read(tokens: list, i: int, params: dict, memo: dict) -> tuple:
-    """The item at ``tokens[i]`` and the index past it: an atom, a set
-    literal ``{...}`` of sets and parameter names, a list ``[...]``, or a
-    formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a sequent.
-    A token that ``tokenize`` found to be a literal of braces alone reads
-    as its set in ``_LITERALS``; a token that is not a string is an item
-    read already and stands for itself.
-
-    ``memo`` maps the tuple of a formula's parts, each already read, to
-    the formula built from them, so equal formulas read through one memo
-    are one object.  Its keys read atoms by ``params``: a caller that
-    changes ``params`` must clear it."""
-    stack = []  # the enclosing open brackets, each with its items
-    bracket = items = None  # the innermost open bracket and its items
-    for j in range(i, len(tokens)):
-        tok = tokens[j]
-        if tok not in _PUNCTUATION:
-            value = _LITERALS.get(tok)
-            if value is None:
+    def item(self):
+        """The next item; ValueError when there is none or it is malformed."""
+        text, params, memo, depth = self.text, self.params, self.memo, self._depth
+        stack = []  # the enclosing open brackets, each with its items and text
+        bracket = items = key = None  # the innermost open bracket, its items and text
+        pos = self.pos
+        while m := _TOKEN.search(text, pos):
+            tok, pos = m[0], m.end()
+            if tok not in _PUNCTUATION:
                 value = as_set(tok, params) if bracket == "{" else tok
-        elif tok in _CLOSER:
-            if bracket == "{" and tok != "{":
-                raise ValueError("unexpected %r in a set literal" % tok)
-            stack.append((bracket, items))
-            bracket, items = tok, []
-            continue
-        else:
-            if tok != _CLOSER.get(bracket):
-                raise ValueError(_UNCLOSED.get(bracket, "unexpected closing parenthesis"))
-            closed, parts = bracket, items
-            bracket, items = stack.pop()
-            if closed == "{":
-                value = Concrete(frozenset(parts))
-            elif closed == "[":
-                value = parts
-            elif bracket is None and parts[:1] == ["seq"]:
-                value = frozenset(as_formula(x) for x in parts[1:])
-            else:
-                key = tuple(parts)
-                try:
-                    value = memo.get(key)
-                except TypeError:  # an unhashable [...] list, which formula_from_tree rejects
-                    value = formula_from_tree(parts, params)
+            elif tok in _CLOSER:
+                if bracket == "{" and tok != "{":
+                    raise ValueError("unexpected %r in a set literal" % tok)
+                span = value = None
+                # an outermost span, a sequent member or a set literal, none
+                # nested in another of its kind: each character is looked up
+                # at most twice.  "(seq" is no formula and is not kept.
+                if (tok == "{" and bracket != "{" or tok == "(" and not text.startswith("seq", pos)
+                        and (bracket is None or len(stack) == 1 and items[:1] == ["seq"])):
+                    # the text up to the closer that the depths match with
+                    # this bracket (none if no closer does); a non-Latin-1
+                    # character encodes as one byte, which keeps positions
+                    if depth is None:
+                        steps = text.encode("latin-1", "replace").translate(_DEPTH_STEPS)
+                        depth = self._depth = list(
+                            itertools.accumulate(memoryview(steps).cast("b")))
+                    try:
+                        span = text[pos - 1:depth.index(depth[pos - 1] - 1, pos) + 1]
+                    except ValueError:
+                        pass
+                    value = memo.get(span)
                 if value is None:
-                    value = memo[key] = formula_from_tree(parts, params)
-        if bracket is None:
-            return value, j + 1
-        items.append(value)
-    raise ValueError(_UNCLOSED[bracket] if bracket else "unexpected end of expression")
+                    stack.append((bracket, items, key))
+                    bracket, items, key = tok, [], span
+                    continue
+                pos += len(span) - 1
+            else:
+                if tok != _CLOSER.get(bracket):
+                    raise ValueError(_UNCLOSED.get(bracket, "unexpected closing parenthesis"))
+                closed, parts, span = bracket, items, key
+                bracket, items, key = stack.pop()
+                if closed == "[":
+                    value = parts
+                elif closed == "{":
+                    members = frozenset(parts)
+                    value = memo.get(members)
+                    if value is None:
+                        value = memo[members] = Concrete(members)
+                elif bracket is None and parts[:1] == ["seq"]:
+                    value = frozenset(as_formula(x) for x in parts[1:])
+                    span = None  # a sequent is kept under no text
+                else:
+                    parts = tuple(parts)
+                    try:
+                        value = memo.get(parts)
+                    except TypeError:  # an unhashable [...] list, which formula_from_tree rejects
+                        value = formula_from_tree(parts, params)
+                    if value is None:
+                        value = memo[parts] = formula_from_tree(parts, params)
+                if span is not None:
+                    memo[span] = value
+            if bracket is None:
+                self.pos = pos
+                return value
+            items.append(value)
+        raise ValueError(_UNCLOSED[bracket] if bracket else "unexpected end of expression")
 
 
 def read_text(text: str, params: dict):
     """The one item a whole text holds."""
-    tokens = tokenize(text)
-    item, i = read(tokens, 0, params, {})
-    if i < len(tokens):
-        # a literal's braces are quoted one by one, like the other brackets
-        rest = (" ".join(t.replace(",", "")) if t in _LITERALS else t for t in tokens[i:])
+    items = Reader(text, params, {})
+    item = items.item()
+    if rest := items.tokens():
         raise ValueError("trailing input: %r" % " ".join(rest))
     return item
 

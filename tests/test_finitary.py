@@ -2,8 +2,10 @@
 and the proof-script text format."""
 
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from test_formulas import random_formula, subformulas
 
 from proofkit import finitary, formulas
@@ -440,6 +442,11 @@ class TestReader:
         ("n1 logax (seq (in 0 0) (notin 0 0 main=(in 0 0)",
          "missing closing parenthesis"),
         ("n1 logax (seq (in 0 0) (notin 0 0 main=(in 0 0)))", "notin takes two terms"),
+        # no "(seq" where the conclusion belongs: checked before it is read
+        ("n1 logax (sq (in 0 0) (notin 0 0)) main=(in 0 0)", "missing conclusion sequent"),
+        ("n1 logax (frob 0) main=(in 0 0)", "missing conclusion sequent"),
+        ("n1 logax ((in 0 0) (notin 0 0)) main=(in 0 0)", "missing conclusion sequent"),
+        ("n1 logax (in 0 {(in 0 0)}) main=(in 0 0)", "missing conclusion sequent"),
     ]
 
     @pytest.mark.parametrize("line, message", MALFORMED)
@@ -542,27 +549,68 @@ class TestReader:
                 assert (new.root, new.params, new.assignment) == (
                     old.root, old.params, old.assignment)
 
-    def test_a_literal_read_by_two_scripts_is_one_object(self):
-        text = ("assign v {{},{{}}}\n"
-                "n1 logax (seq (in 0 {{},{{}}}) (notin 0 {{},{{}}})) "
-                "main=(in 0 {{},{{}}})\n")
-        one, two = parse_script(text), parse_script(text)
-        assert one.assignment["v"] is two.assignment["v"]
-        assert one.root.main.right.value is two.root.main.right.value
-        assert one.root.main.right.value is one.assignment["v"]
-        spaced = parse_script(respaced(text))
-        assert spaced.assignment == one.assignment
+    # a text read once reads the same wherever it recurs, except where
+    # the reader must not take it as read: a sequent is no formula, and a
+    # set literal holds no formula
+    LEAF_LINE = "n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n"
 
-    def test_literal_table_grows_with_texts_not_runs(self):
+    @pytest.mark.parametrize("seq", ["(seq", "( seq"])
+    def test_a_sequent_read_before_is_no_formula(self, seq):
+        text = ("n1 logax %s (in 0 0) (notin 0 0)) main=(in 0 0)\n"
+                "n2 logax (seq (or %s (in 0 0) (notin 0 0)) (in 0 0))) main=(in 0 0)\n"
+                % (seq, seq))
+        with pytest.raises(ValueError, match=r"^line 2: unknown formula head 'seq'$"):
+            parse_script(text)
+
+    def test_a_formula_read_before_is_not_a_set_member(self):
+        text = self.LEAF_LINE + "n2 logax (seq (in 0 {(in 0 0)})) main=(in 0 0)\n"
+        with pytest.raises(ValueError) as info:
+            parse_script(text)
+        assert str(info.value) == "line 2: unexpected '(' in a set literal"
+
+    @pytest.mark.parametrize("members", ["(in 0 0)", "(in 0 0) (notin 0 0)"])
+    def test_a_sequent_read_before_is_no_main_formula(self, members):
+        sequent = "(seq %s)" % members
+        text = "n1 logax %s main=%s\n" % (sequent, sequent)
+        with pytest.raises(ValueError) as info:
+            parse_script(text)
+        assert str(info.value) == (
+            "line 1: formula expressions are lists, got %r" % parse_sequent(sequent))
+
+    def test_a_literal_is_one_object_throughout_a_script(self):
+        text = ("assign v {{},{{}}}\n"
+                "assign w { {}, { {} } }\n"
+                "n1 ex (seq (ex x (in x {{},{{}}})) (bex y {{},{{}}} (in y y))) "
+                "main=(ex x (in x {{},{{}}})) term={{},{{}}}\n"
+                "n2 ball [n1] (seq (ball y {{},{{}}} (notin y y)) (in 0 {{},{{}}})) "
+                "main=(ball y {{},{{}}} (notin y y)) var=z\n")
+        script = parse_script(text)
+        n1 = script.root.premises[0]
+        one = script.assignment["v"]
+        assert one == parse_set("{{},{{}}}")
+        found = [script.assignment["w"], n1.term.value, n1.main.body.right.value,
+                 script.root.main.bound.value]
+        found += [A.bound.value for A in n1.conclusion if isinstance(A, BEx)]
+        found += [A.right.value for A in script.root.conclusion if isinstance(A, Mem)]
+        assert len(found) == 6
+        assert all(s is one for s in found)
+
+    def test_a_second_parse_grows_no_module_table(self):
+        def sizes():
+            return {(module.__name__, name): len(value)
+                    for module in (formulas, finitary)
+                    for name, value in vars(module).items()
+                    if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
         texts = [render_script(e.script) for e in build_corpus()]
         for text in texts:
             parse_script(text)
-        before = dict(formulas._LITERALS)
-        assert any(len(t) > 2 for t in before)  # the corpus names some literals
+        before = sizes()
+        # and a literal no other test reads
+        texts.append("assign v %s\n%s" % ("{" * 17 + "}" * 17, self.LEAF_LINE))
         for text in texts:
             parse_script(text)
-        assert formulas._LITERALS == before
-        assert all(formulas._LITERALS[t] is s for t, s in before.items())
+        assert sizes() == before
 
     def test_deep_members_read_without_recursion(self):
         # past the interpreter's recursion limit, like the too-deep input
@@ -572,6 +620,61 @@ class TestReader:
             A, B = "(or (in 0 0) %s)" % A, "(and (notin 0 0) %s)" % B
         root = parse_script("n1 logax (seq %s %s) main=%s\n" % (A, B, A)).root
         assert any(member is root.main for member in root.conclusion)
+
+    def test_text_keys_grow_with_the_text_not_its_depth(self):
+        A = "(in 0 {{}})"
+        for _ in range(3000):
+            A = "(or (in 0 0) %s)" % A
+        text = "(seq %s (and %s %s)) %s" % (A, A, A, A)
+        memo = {}
+        items = formulas.Reader(text, {}, memo)
+        while items.tokens(1):
+            items.item()
+        assert sum(len(key) for key in memo if isinstance(key, str)) <= 2 * len(text)
+
+
+CORPUS_LINES = [(text, k) for text in (render_script(e.script) for e in build_corpus())
+                for k in range(len(text.splitlines()))]
+#: what an edit puts in: brackets, separators, keys, heads, atoms
+PIECES = ["(", ")", "{", "}", "[", "]", ",", " ", "=", "0", "x", "p", "n1", "seq", "in",
+          "or", "ex", "main=", "formula=", "term=", "var=", "{}", "(in 0 0)", "\n", "#"]
+
+
+@st.composite
+def edited_scripts(draw):
+    """A corpus script with one character or one token of one line
+    deleted, replaced or inserted before."""
+    text, k = draw(st.sampled_from(CORPUS_LINES))
+    lines = text.splitlines()
+    line = lines[k]
+    if draw(st.booleans()):  # a character
+        i = draw(st.integers(0, len(line) - 1))
+        j = i + 1
+    else:  # a token
+        m = draw(st.sampled_from(list(formulas._TOKEN.finditer(line))))
+        i, j = m.span()
+    piece = draw(st.sampled_from(PIECES) | st.characters())
+    edit = draw(st.sampled_from(["delete", "replace", "insert"]))
+    if edit == "delete":
+        piece = ""
+    elif edit == "insert":
+        j = i
+    lines[k] = line[:i] + piece + line[j:]
+    return "\n".join(lines) + "\n"
+
+
+class TestRobustness:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edited_scripts())
+    def test_an_edited_script_reads_or_names_its_line(self, text):
+        try:
+            script = parse_script(text)
+        except ValueError as e:
+            # a script whose one node line is commented out has no line to name
+            assert re.match(r"line \d+: ", str(e)) or str(e) == "empty proof script", str(e)
+            return
+        assert parse_script(render_script(script)) == script
 
 
 def respaced(line):

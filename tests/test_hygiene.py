@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name in the package is used, and
-every module-level function and class of the package is used somewhere.
+"""Source hygiene: every imported name in the package is used, every
+module-level function and class of the package is used somewhere, and
+the package's module-level tables and caches are the known ones.
 
 Parses ``src/proofkit/*.py`` with ``ast``; the package ``__init__``
 re-exports names, and ``from __future__ import annotations`` is a
@@ -109,3 +110,55 @@ def unreferenced_definitions() -> dict:
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == {}
+
+
+#: The module-level tables a function of the package writes into, and
+#: its ``lru_cache``d functions.  Each lives as long as the process, so
+#: one more is a decision, not a detail: add it here with its reason.
+KNOWN_TABLES = {
+    "ordinals._INTERNED",  # one object per ordinal code
+    # ordinal arithmetic and checks, by interned argument
+    "ordinals.cnf_is_valid",
+    "ordinals.validate_nf",
+    "ordinals._parts",
+    "ordinals._cmp",
+    "ordinals.add",
+    "ordinals.omega_exp",
+    "ordinals.render",
+    "universe._hf_by_rank",  # the hereditarily finite sets by rank
+}
+
+
+def _decorator_name(d) -> str:
+    if isinstance(d, ast.Call):
+        d = d.func
+    return d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", "")
+
+
+def module_tables() -> set:
+    """``module.name`` for each module-level name of the package that a
+    function writes an entry into (``name[...] = ...``) and for each
+    function decorated with ``lru_cache`` or ``cache``."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        top = {t.id for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+               for t in ast.walk(stmt) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if {_decorator_name(d) for d in fn.decorator_list} & {"lru_cache", "cache"}:
+                out.add("%s.%s" % (path.stem, fn.name))
+            local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            local |= {n.id for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            for n in ast.walk(fn):
+                if (isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id in top - local):
+                    out.add("%s.%s" % (path.stem, n.value.id))
+    return out
+
+
+def test_module_tables_are_the_known_ones():
+    assert module_tables() == KNOWN_TABLES
