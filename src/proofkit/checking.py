@@ -59,8 +59,8 @@ from .universe import (
     Concrete,
     EvaluationError,
     enumerate_hf,
+    hull_at,
     hull_contains,
-    hull_extend,
     is_concrete,
     witness_pool,
 )
@@ -221,11 +221,7 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                                   for n, b in enumerate(J.members())]
                     for label, iota in visits:
                         comp = component(v.main, iota)
-                        hull_i = (
-                            hull_extend(sig.hull, iota)
-                            if isinstance(iota, (Concrete, Abstract))
-                            else sig.hull
-                        )
+                        hull_i = hull_at(sig.hull, iota)
                         try:
                             p = v.premise(iota)
                         except (IndexError, ConstructionError, EvaluationError) as ex:

@@ -76,6 +76,7 @@ from .universe import (
     EvaluationError,
     Hull,
     OMEGA_WITNESS,
+    hull_at,
     hull_contains,
     hull_extend,
     hull_extend_list,
@@ -266,13 +267,6 @@ class RefNode(_TwoPremiseNode):
         self.right = right
 
 
-def _extend_for(hull: Hull, iota) -> Hull:
-    """The hull of the premise at iota: extended by a set index."""
-    if isinstance(iota, (Concrete, Abstract)):
-        return hull_extend(hull, iota)
-    return hull
-
-
 # ---------------------------------------------------------------------------
 # tautologies: gamma, not-A, A in 2 dp(A) steps
 
@@ -283,7 +277,6 @@ class Taut(DerivTerm):
         if free_vars(A):
             raise ConstructionError("tautology derivations need sentences")
         self.A = A
-        self.gamma = gamma
         seq = gamma | {negate(A), A}
         self.sig = Sig(hull, _fin(2 * depth(A)), 0, seq)
 
@@ -301,7 +294,7 @@ class Taut(DerivTerm):
 
         def prem(iota):
             C_iota = component(C, iota)
-            hull_i = _extend_for(P, iota)
+            hull_i = hull_at(P, iota)
             inner = Taut(C_iota, seq, hull_i)
             vee_sig = Sig(hull_i, _fin(2 * d - 1), 0, seq | {C_iota})
             return VeeNode(vee_sig, negate(C), iota, inner)
@@ -454,7 +447,6 @@ class AxEmb(DerivTerm):
             raise ConstructionError("axiom embedding needs an axiom node")
         self.node = node
         self.assignment = dict(assignment)
-        self.N = N
         inst = fin.axiom_instance(node, N)
         self.inst = close(inst, assignment)
         seq = frozenset(close(A, assignment) for A in node.conclusion)
@@ -831,7 +823,7 @@ def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
         return VeeNode(sig, v.main, v.iota, sub)
     if isinstance(v, WedgeNode):
         def prem(iota):
-            hull = _extend_for(P, iota)
+            hull = hull_at(P, iota)
             p = wrap(v.premise(iota), hull)
             return fit(p, hull, m, seq | {component(v.main, iota)})
 
@@ -863,9 +855,8 @@ class Inv(DerivTerm):
         self.notC = negate(C)
         self.iota = iota
         old = sub.sig
-        hull = _extend_for(old.hull, iota)
+        hull = hull_at(old.hull, iota)
         comp = negate(component(C, iota))
-        self.comp = comp
         self.sig = Sig(hull, old.bound, old.rank, (old.seq - {self.notC}) | {comp})
 
     def _expand(self):
@@ -909,13 +900,13 @@ class Red(DerivTerm):
         self.C = C
         self.d0 = d0
         self.d1 = d1
-        self.delta = d0.sig.seq - {negate(C)}
-        self.gamma = d1.sig.seq - {C}
+        delta = d0.sig.seq - {negate(C)}
+        gamma = d1.sig.seq - {C}
         self.sig = Sig(
             d0.sig.hull,
             add(d0.sig.bound, d1.sig.bound),
             m,
-            self.delta | self.gamma,
+            delta | gamma,
         )
 
     def _expand(self):

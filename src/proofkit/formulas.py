@@ -18,10 +18,10 @@ carried around inside reflection sequents.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .universe import (
     Abstract,
@@ -90,35 +90,14 @@ ZERO_TERM = Name(EMPTY)
 class _Formula:
     """Base of the formula classes.  Each object stores its hash, its
     negation (``negate``), its quantifier instances by index
-    (``component``), its ``depth``, ``is_delta0``, ``support`` and
-    ``free_vars`` once they are first asked for; the stores are plain
-    attributes, not dataclass fields, so ``==``, ``repr`` and the value
-    of ``hash`` do not see them."""
+    (``component``) and its record of syntactic facts (``facts``) once
+    they are first asked for; the stores are plain attributes, not
+    dataclass fields, so ``==``, ``repr`` and the value of ``hash`` do
+    not see them."""
 
     _negation = None
     _instances = None
-    _depth = None
-    _delta0 = None
-    _support = None
-    _free_vars = None
-
-
-def _kept(attr: str):
-    """Make a function of formulas keep its result on each formula
-    object, as the attribute ``attr``, the first time it is asked; a
-    sequent, which cannot keep attributes, is computed each time."""
-    def decorate(compute):
-        @functools.wraps(compute)
-        def kept(A):
-            if isinstance(A, frozenset):
-                return compute(A)
-            value = getattr(A, attr, None)
-            if value is None:
-                value = compute(A)
-                object.__setattr__(A, attr, value)
-            return value
-        return kept
-    return decorate
+    _facts = None
 
 
 @_hash_kept
@@ -265,43 +244,125 @@ def _dual(A: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# variables and substitution
+# syntactic facts
 
 
-@_kept("_free_vars")
+class Facts(NamedTuple):
+    """What the calculus reads off a formula's syntax, kept on the
+    formula by ``facts``."""
+
+    free_vars: frozenset
+    all_vars: frozenset  # every variable name, bound or free
+    support: frozenset  # the desk sets named
+    depth: int  # unbounded-quantifier nesting; 0 exactly when bounded
+    sigma: int  # the least i with the formula in Sigma_i
+    pi: int  # the least i with the formula in Pi_i; 0 exactly when bounded
+    opaque: bool  # whether an ad/notad atom occurs
+
+
+def facts(A: Formula) -> Facts:
+    """A's record, built from its parts' records the first time it is
+    asked for and kept on A.  A bounded connective is as deep as its
+    deepest part, plus one unless that is 0; an unbounded quantifier is
+    one deeper than its body.  An unbounded quantifier over a body of
+    levels (s, p) is Sigma_max(s,1) and then Pi one higher (existential),
+    or Pi_max(p,1) and then Sigma one higher (universal)."""
+    F = getattr(A, "_facts", None)
+    if F is not None:
+        return F
+    if isinstance(A, (Or, And)):
+        L, R = facts(A.left), facts(A.right)
+        d = max(L.depth, R.depth)
+        F = Facts(L.free_vars | R.free_vars, L.all_vars | R.all_vars,
+                  L.support | R.support, d + 1 if d else 0,
+                  max(L.sigma, R.sigma), max(L.pi, R.pi), L.opaque or R.opaque)
+    elif isinstance(A, (BEx, BAll, Ex, All)):
+        B = facts(A.body)
+        fv, av, names = B.free_vars - {A.var}, B.all_vars | {A.var}, B.support
+        d, s, p = B.depth, B.sigma, B.pi
+        if isinstance(A, Ex):
+            d, s = d + 1, max(s, 1)
+            p = s + 1
+        elif isinstance(A, All):
+            d, p = d + 1, max(p, 1)
+            s = p + 1
+        else:
+            if isinstance(A.bound, Var):
+                fv, av = fv | {A.bound.name}, av | {A.bound.name}
+            else:
+                names = names | {A.bound.value}
+            d = d + 1 if d else 0
+        F = Facts(fv, av, names, d, s, p, B.opaque)
+    else:
+        if isinstance(A, (Mem, NotMem)):
+            terms = A.left, A.right
+        elif isinstance(A, (Ad, NotAd)):
+            terms = (A.term,)
+        else:
+            raise TypeError("not a formula: %r" % (A,))
+        fv = frozenset(t.name for t in terms if isinstance(t, Var))
+        names = frozenset(t.value for t in terms if isinstance(t, Name))
+        F = Facts(fv, fv, names, 0, 0, 0, isinstance(A, (Ad, NotAd)))
+    object.__setattr__(A, "_facts", F)
+    return F
+
+
 def free_vars(A) -> frozenset:
+    """Free variable names of a formula, or of each member of a sequent."""
     if isinstance(A, frozenset):
         out = frozenset()
         for member in A:
-            out |= free_vars(member)
+            out |= facts(member).free_vars
         return out
-    if isinstance(A, (Mem, NotMem)):
-        return frozenset(
-            t.name for t in (A.left, A.right) if isinstance(t, Var)
-        )
-    if isinstance(A, (Ad, NotAd)):
-        return frozenset({A.term.name}) if isinstance(A.term, Var) else frozenset()
-    if isinstance(A, (Or, And)):
-        return free_vars(A.left) | free_vars(A.right)
-    if isinstance(A, (BEx, BAll)):
-        bound_fv = (
-            frozenset({A.bound.name}) if isinstance(A.bound, Var) else frozenset()
-        )
-        return bound_fv | (free_vars(A.body) - {A.var})
-    if isinstance(A, (Ex, All)):
-        return free_vars(A.body) - {A.var}
-    raise TypeError("not a formula: %r" % (A,))
+    return facts(A).free_vars
+
+
+def support(A) -> frozenset:
+    """Desk sets named in a formula, or in each member of a sequent."""
+    if isinstance(A, frozenset):
+        out = frozenset()
+        for member in A:
+            out |= facts(member).support
+        return out
+    return facts(A).support
 
 
 def all_vars(A: Formula) -> frozenset:
     """Every variable name in A, bound or free."""
-    if isinstance(A, (Or, And)):
-        return all_vars(A.left) | all_vars(A.right)
-    if isinstance(A, (BEx, BAll)) and isinstance(A.bound, Var):
-        return all_vars(A.body) | {A.var, A.bound.name}
-    if isinstance(A, (BEx, BAll, Ex, All)):
-        return all_vars(A.body) | {A.var}
-    return free_vars(A)
+    return facts(A).all_vars
+
+
+def depth(A: Formula) -> int:
+    """Unbounded-quantifier nesting measure: 0 for a bounded formula, one
+    more than its deepest part for any other."""
+    return facts(A).depth
+
+
+def is_delta0(A: Formula) -> bool:
+    """No unbounded quantifiers anywhere."""
+    return facts(A).pi == 0
+
+
+def member_pi(A: Formula, i: int) -> bool:
+    """Is A a Pi_i formula (syntactically)?  Pi_i for i <= 0 is Delta_0."""
+    return facts(A).pi <= max(i, 0)
+
+
+def classify(A: Formula):
+    """Minimal hierarchy level of A.
+
+    Returns "Delta0", ("Sigma", i), ("Pi", i), or ("Delta", i) when A
+    lies in both Sigma_i and Pi_i without being lower.
+    """
+    F = facts(A)
+    s, p = F.sigma, F.pi
+    if s == p:
+        return "Delta0" if s == 0 else ("Delta", s)
+    return ("Sigma", s) if s < p else ("Pi", p)
+
+
+# ---------------------------------------------------------------------------
+# variables and substitution
 
 
 def fresh(base: str, avoid) -> str:
@@ -364,110 +425,6 @@ def close(A: Formula, assignment: dict, keep=frozenset()) -> Formula:
     for v in sorted(free_vars(A) - keep):
         A = subst(A, v, Name(assignment.get(v, EMPTY)))
     return A
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-@_kept("_delta0")
-def is_delta0(A: Formula) -> bool:
-    """No unbounded quantifiers anywhere."""
-    if isinstance(A, (Mem, NotMem, Ad, NotAd)):
-        return True
-    if isinstance(A, (Or, And)):
-        return is_delta0(A.left) and is_delta0(A.right)
-    if isinstance(A, (BEx, BAll)):
-        return is_delta0(A.body)
-    return False
-
-
-def _levels(A: Formula) -> tuple:
-    """The least i with A in Sigma_i and the least i with A in Pi_i,
-    read bottom-up; (0, 0) exactly for bounded formulas.  An unbounded
-    quantifier over a body of levels (s, p) is Sigma_max(s,1) and then
-    Pi one higher (existential), or Pi_max(p,1) and then Sigma one higher
-    (universal)."""
-    if isinstance(A, (Mem, NotMem, Ad, NotAd)):
-        return 0, 0
-    if isinstance(A, (Or, And)):
-        sl, pl = _levels(A.left)
-        sr, pr = _levels(A.right)
-        return max(sl, sr), max(pl, pr)
-    if isinstance(A, (BEx, BAll)):
-        return _levels(A.body)
-    if isinstance(A, Ex):
-        s = max(_levels(A.body)[0], 1)
-        return s, s + 1
-    if isinstance(A, All):
-        p = max(_levels(A.body)[1], 1)
-        return p + 1, p
-    raise TypeError("not a formula: %r" % (A,))
-
-
-def member_pi(A: Formula, i: int) -> bool:
-    """Is A a Pi_i formula (syntactically)?  Pi_i for i <= 0 is Delta_0."""
-    return _levels(A)[1] <= max(i, 0)
-
-
-def classify(A: Formula):
-    """Minimal hierarchy level of A.
-
-    Returns "Delta0", ("Sigma", i), ("Pi", i), or ("Delta", i) when A
-    lies in both Sigma_i and Pi_i without being lower.
-    """
-    s, p = _levels(A)
-    if s == p:
-        return "Delta0" if s == 0 else ("Delta", s)
-    return ("Sigma", s) if s < p else ("Pi", p)
-
-
-# ---------------------------------------------------------------------------
-# depth and support
-
-
-@_kept("_depth")
-def depth(A: Formula) -> int:
-    """Unbounded-quantifier nesting measure: 0 for a bounded formula, one
-    more than its deepest part for any other."""
-    if isinstance(A, (Mem, NotMem, Ad, NotAd)):
-        return 0
-    if isinstance(A, (Or, And)):
-        d = max(depth(A.left), depth(A.right))
-    elif isinstance(A, (BEx, BAll)):
-        d = depth(A.body)
-    elif isinstance(A, (Ex, All)):
-        return depth(A.body) + 1
-    else:
-        raise TypeError("not a formula: %r" % (A,))
-    return d + 1 if d else 0
-
-
-def _term_names(t: Term) -> frozenset:
-    if isinstance(t, Name):
-        return frozenset({t.value})
-    return frozenset()
-
-
-@_kept("_support")
-def support(A) -> frozenset:
-    """Desk sets named in a formula, or in each member of a sequent."""
-    if isinstance(A, frozenset):
-        out = frozenset()
-        for member in A:
-            out |= support(member)
-        return out
-    if isinstance(A, (Mem, NotMem)):
-        return _term_names(A.left) | _term_names(A.right)
-    if isinstance(A, (Ad, NotAd)):
-        return _term_names(A.term)
-    if isinstance(A, (Or, And)):
-        return support(A.left) | support(A.right)
-    if isinstance(A, (BEx, BAll)):
-        return _term_names(A.bound) | support(A.body)
-    if isinstance(A, (Ex, All)):
-        return support(A.body)
-    raise TypeError("not a formula or sequent: %r" % (A,))
 
 
 # ---------------------------------------------------------------------------
@@ -649,24 +606,11 @@ def decompose(A: Formula) -> Decomposition:
 # truth evaluation
 
 
-def contains_opaque(A: Formula) -> bool:
-    if isinstance(A, (Ad, NotAd)):
-        return True
-    if isinstance(A, (Or, And)):
-        return contains_opaque(A.left) or contains_opaque(A.right)
-    if isinstance(A, (BEx, BAll, Ex, All)):
-        return contains_opaque(A.body)
-    return False
-
-
 def determinable(A: Formula) -> bool:
     """Whether evaluation can settle A: a sentence with neither opaque
     atoms nor abstract parameters."""
-    return (
-        not contains_opaque(A)
-        and all(is_concrete(a) for a in support(A))
-        and not free_vars(A)
-    )
+    F = facts(A)
+    return not F.opaque and all(is_concrete(a) for a in F.support) and not F.free_vars
 
 
 def _term_value(t: Term) -> DeskSet:

@@ -231,6 +231,14 @@ def hull_extend(P: Hull, iota: DeskSet) -> Hull:
     return Hull(P.generators | {iota})
 
 
+def hull_at(P: Hull, iota) -> Hull:
+    """The hull of the premise at index iota: P extended by a desk set,
+    P itself at a binary index 0 or 1."""
+    if isinstance(iota, (Concrete, Abstract)):
+        return hull_extend(P, iota)
+    return P
+
+
 def hull_extend_list(P: Hull, iotas) -> Hull:
     """Fold hull_extend left over a parameter list."""
     for iota in iotas:

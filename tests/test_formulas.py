@@ -25,13 +25,16 @@ from proofkit.formulas import (
     Or,
     Var,
     ZERO_TERM,
+    all_vars,
     classify,
     close,
     component,
     decompose,
     depth,
+    determinable,
     equals,
     eval_formula_bounded,
+    facts,
     free_vars,
     is_delta0,
     is_sentence,
@@ -47,7 +50,13 @@ from proofkit.formulas import (
     subst,
     support,
 )
-from proofkit.universe import Concrete, EMPTY, EvaluationError
+from proofkit.universe import (
+    Concrete,
+    EMPTY,
+    EvaluationError,
+    OMEGA_WITNESS,
+    is_concrete,
+)
 
 ONE = Concrete(frozenset({EMPTY}))
 TWO = Concrete(frozenset({EMPTY, ONE}))
@@ -204,6 +213,17 @@ def ref_support(A):
                      if isinstance(t, Name))
 
 
+def ref_all_vars(A):
+    return frozenset({t.name for B in subformulas(A) for t in _terms(B)
+                      if isinstance(t, Var)}
+                     | {B.var for B in subformulas(A) if isinstance(B, (BEx, BAll, Ex, All))})
+
+
+def ref_determinable(A):
+    return (not any(isinstance(B, (Ad, NotAd)) for B in subformulas(A))
+            and all(is_concrete(a) for a in ref_support(A)) and not ref_free_vars(A))
+
+
 def ref_free_vars(A):
     names = {t.name for t in _terms(A) if isinstance(t, Var)}
     if isinstance(A, (Or, And)):
@@ -312,8 +332,15 @@ class TestStoredResults:
                     assert is_delta0(B) == ref_is_delta0(B)
                     assert support(B) == ref_support(B)
                     assert free_vars(B) == ref_free_vars(B)
+                    assert classify(B) == ref_classify(B)
+                    assert all_vars(B) == ref_all_vars(B)
+                    assert determinable(B) == ref_determinable(B)
+                assert facts(B) is facts(B)
                 assert support(B) is support(B)
                 assert free_vars(B) is free_vars(B)
+                # B naming an abstract set wherever x is free
+                abstract = subst(B, "x", Name(OMEGA_WITNESS))
+                assert determinable(abstract) == ref_determinable(abstract)
             G = seq(A, negate(A))
             assert support(G) == ref_support(A) | ref_support(negate(A))
             assert free_vars(G) == ref_free_vars(A) | ref_free_vars(negate(A))
@@ -328,8 +355,17 @@ class TestStoredResults:
                 if isinstance(B, (BEx, BAll, Ex, All)):
                     component(B, ONE)
                 hash(B), depth(B), is_delta0(B), support(B), free_vars(B)
+                classify(B), member_pi(B, 1), all_vars(B), determinable(B)
+                stores = set(vars(B)) - {f.name for f in fields(B)}
+                assert stores <= {"_hash", "_negation", "_instances", "_facts"}
             assert A == fresh_copy and hash(A) == hash(fresh_copy)
             assert repr(A) == repr(fresh_copy)
+
+    @pytest.mark.parametrize("ask", [free_vars, support, depth, is_delta0])
+    @pytest.mark.parametrize("x", [None, Var("x")])
+    def test_a_non_formula_is_refused(self, ask, x):
+        with pytest.raises(TypeError, match="not a formula"):
+            ask(x)
 
     @pytest.mark.parametrize("A, names", [
         (Mem(ZERO_TERM, Name(ONE)), ["left", "right"]),
