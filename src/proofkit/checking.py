@@ -45,6 +45,7 @@ from .formulas import (
     determinable,
     eval_formula_bounded,
     evaluate,
+    free_vars,
     is_delta0,
     member_pi,
     negate,
@@ -289,34 +290,47 @@ INCONCLUSIVE = "inconclusive"
 REFUTED = "refuted"
 
 
-def _witnesses(B: Formula):
-    """The witnesses an unbounded existential B is searched over: small
-    hereditarily finite sets and everything hereditarily inside B's
-    parameters.  An unbounded universal is never certified here."""
-    if not isinstance(B, Ex):
-        return None
-    return witness_pool(16, support(B))
+def _witness_domain():
+    """A new domain callback for the certifier.  An unbounded existential
+    B under ``env`` is searched over small hereditarily finite sets and
+    everything hereditarily inside the parameters of its instance: B's
+    own and the values ``env`` gives B's free variables.  An unbounded
+    universal is never certified here.  The callback builds each pool
+    once and keeps it, under its parameters, for its own lifetime."""
+    pools = {}
+
+    def witnesses(B: Formula, env: dict):
+        if not isinstance(B, Ex):
+            return None
+        params = support(B) | {env[v] for v in free_vars(B) if v in env}
+        pool = pools.get(params)
+        if pool is None:
+            pool = pools[params] = witness_pool(16, params)
+        return pool
+
+    return witnesses
 
 
-def certify(A: Formula) -> bool:
+def certify(A: Formula, witnesses) -> bool:
     """Bounded-witness certification that a sentence is true: unbounded
-    existentials search a pool of witnesses, unbounded universals are
-    never certified."""
-    return determinable(A) and evaluate(A, _witnesses)
+    existentials search the pools of ``witnesses``, a domain from
+    ``_witness_domain``; unbounded universals are never certified."""
+    return determinable(A) and evaluate(A, witnesses, {})
 
 
 def eval_cutfree(d: DerivTerm, k: int) -> EvalResult:
-    """Certify a cut-free, reflection-free derivation's end sequent."""
+    """Certify a cut-free, reflection-free derivation's end sequent.
+    The witness pools live for this one call."""
     for a in support(d.sig.seq):
         if not is_concrete(a):
             raise EvaluationError("end sequent mentions an abstract parameter")
     if d.sig.rank != 0:
         raise EvaluationError("soundness evaluation needs a cut-free signature")
-    return _ev(d, k)
+    return _ev(d, k, _witness_domain())
 
 
-def _ev(d: DerivTerm, k: int) -> EvalResult:
-    if any(certify(A) for A in d.sig.seq):
+def _ev(d: DerivTerm, k: int, witnesses) -> EvalResult:
+    if any(certify(A, witnesses) for A in d.sig.seq):
         return EvalResult(VERIFIED)
     if k <= 0:
         return EvalResult(INCONCLUSIVE, "depth limit")
@@ -328,11 +342,11 @@ def _ev(d: DerivTerm, k: int) -> EvalResult:
             return EvalResult(INCONCLUSIVE, "opaque leaf")
         return EvalResult(REFUTED, "false leaf")  # a true leaf was certified above
     if isinstance(v, VeeNode):
-        return _ev(v.sub, k - 1)
+        return _ev(v.sub, k - 1, witnesses)
     if isinstance(v, WedgeNode):
         if v.index_set == J_UNIVERSE:
             return EvalResult(INCONCLUSIVE, "universe conjunction")
-        results = [_ev(v.premise(i), k - 1) for i in v.indices()]
+        results = [_ev(v.premise(i), k - 1, witnesses) for i in v.indices()]
         if any(r.status == REFUTED for r in results):
             return EvalResult(REFUTED, "refuted premise")
         if all(r.status == VERIFIED for r in results):
@@ -348,14 +362,15 @@ def _ev(d: DerivTerm, k: int) -> EvalResult:
 
 
 def oracle_eval(A: Formula, max_rank: int = 4) -> bool:
-    """Classical truth over a rank-bounded fragment: unbounded
-    quantifiers range over all hereditarily finite sets up to max_rank
-    plus everything hereditarily inside the sentence's parameters."""
+    """Classical truth over a finite fragment: unbounded quantifiers
+    range over the first ``2 ** max_rank`` hereditarily finite sets (at
+    the default 4, the 16 sets of rank at most 3) plus each of the
+    sentence's parameters and everything hereditarily inside it."""
     params = support(A)
     if not all(is_concrete(a) for a in params):
         raise EvaluationError("oracle needs concrete parameters")
     domain = witness_pool(2 ** max_rank, params)
-    return evaluate(A, lambda B: domain)
+    return evaluate(A, lambda B, env: domain, {})
 
 
 def oracle_sequent(seq, max_rank: int = 4) -> bool:

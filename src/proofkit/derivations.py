@@ -52,7 +52,6 @@ from .formulas import (
     is_delta0,
     negate,
     split,
-    subst,
     support,
 )
 from .ordinals import (
@@ -524,7 +523,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         phi = close(node.formula, ax.assignment, {x})
         chosen = frozenset(
             b for b in set_members(a_val)
-            if eval_formula_bounded(subst(phi, x, Name(b)))
+            if eval_formula_bounded(phi, {x: b})
         )
         return _witnessed(sig, inst, Concrete(chosen), _fin(0))
 
@@ -537,7 +536,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         for u in set_members(a_val):
             hit = None
             for v in pool:
-                if eval_formula_bounded(subst(subst(phi, x, Name(u)), y, Name(v))):
+                if eval_formula_bounded(phi, {x: u, y: v}):
                     hit = v
                     break
             if hit is None:

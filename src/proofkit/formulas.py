@@ -613,47 +613,61 @@ def determinable(A: Formula) -> bool:
     return not F.opaque and all(is_concrete(a) for a in F.support) and not F.free_vars
 
 
-def _term_value(t: Term) -> DeskSet:
-    if isinstance(t, Var):
-        raise EvaluationError("open term %r in evaluation" % (t,))
-    return t.value
+def _term_value(t: Term, env: dict) -> DeskSet:
+    if isinstance(t, Name):
+        return t.value
+    try:
+        return env[t.name]
+    except KeyError:
+        raise EvaluationError("open term %r in evaluation" % (t,)) from None
 
 
-def evaluate(A: Formula, domain) -> bool:
-    """Classical truth of a sentence over concrete sets.
+def evaluate(A: Formula, domain, env: dict) -> bool:
+    """Classical truth of A over concrete sets, each variable read from
+    ``env``, a dict from variable names to desk sets; a variable that
+    ``env`` does not bind raises EvaluationError.
 
-    Bounded quantifiers range over their bounding set.  An unbounded
-    quantifier B ranges over ``domain(B)``; when that is None, B is
-    left undecided and counts as false.  ``domain`` may also raise."""
+    A quantifier binds its variable to each set it ranges over in turn,
+    in its own copy of ``env``, and evaluates its one body, so no
+    instance is built.  Bounded quantifiers range over their bounding
+    set.  An unbounded quantifier B ranges over ``domain(B, env)``; when
+    that is None, B is left undecided and counts as false.  ``domain``
+    may also raise."""
     if isinstance(A, Mem):
-        return set_member(_term_value(A.left), _term_value(A.right))
+        return set_member(_term_value(A.left, env), _term_value(A.right, env))
     if isinstance(A, NotMem):
-        return not set_member(_term_value(A.left), _term_value(A.right))
+        return not set_member(_term_value(A.left, env), _term_value(A.right, env))
     if isinstance(A, (Ad, NotAd)):
         raise EvaluationError("opaque atom cannot be evaluated")
     if isinstance(A, Or):
-        return evaluate(A.left, domain) or evaluate(A.right, domain)
+        return evaluate(A.left, domain, env) or evaluate(A.right, domain, env)
     if isinstance(A, And):
-        return evaluate(A.left, domain) and evaluate(A.right, domain)
+        return evaluate(A.left, domain, env) and evaluate(A.right, domain, env)
     if isinstance(A, (BEx, BAll)):
-        sets = set_members(_term_value(A.bound))
+        sets = set_members(_term_value(A.bound, env))
     elif isinstance(A, (Ex, All)):
-        sets = domain(A)
+        sets = domain(A, env)
         if sets is None:
             return False
     else:
         raise EvaluationError("not a formula: %r" % (A,))
-    instances = (evaluate(subst(A.body, A.var, Name(b)), domain) for b in sets)
-    return any(instances) if isinstance(A, (BEx, Ex)) else all(instances)
+    exists = isinstance(A, (BEx, Ex))
+    var, body, inner = A.var, A.body, dict(env)
+    for b in sets:
+        inner[var] = b
+        if evaluate(body, domain, inner) == exists:
+            return exists
+    return not exists
 
 
-def _bounded_only(B: Formula):
+def _bounded_only(B: Formula, env: dict):
     raise EvaluationError("unbounded quantifier in bounded evaluation")
 
 
-def eval_formula_bounded(A: Formula) -> bool:
-    """Classical truth of a bounded sentence over concrete sets."""
-    return evaluate(A, _bounded_only)
+def eval_formula_bounded(A: Formula, env: dict | None = None) -> bool:
+    """Classical truth of a bounded formula over concrete sets, each
+    variable read from ``env`` (none when it is not given)."""
+    return evaluate(A, _bounded_only, env or {})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from proofkit import checking
 from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
     ConstructionError,
@@ -13,6 +14,7 @@ from proofkit.derivations import (
     VeeNode,
     WedgeNode,
     elim_cuts,
+    rule_of,
 )
 from proofkit.checking import (
     check_local,
@@ -36,14 +38,58 @@ from proofkit.formulas import (
     Or,
     Var,
     ZERO_TERM,
+    close,
+    determinable,
+    equals,
     negate,
     reflection_guard,
+    support,
 )
 from proofkit.ordinals import OMEGA, Sub, cnf_from_int, from_nat
-from proofkit.universe import Abstract, Concrete, EMPTY, EMPTY_HULL, EvaluationError, Hull
+from proofkit.universe import (
+    Abstract,
+    Concrete,
+    EMPTY,
+    EMPTY_HULL,
+    EvaluationError,
+    Hull,
+    enumerate_hf,
+    is_concrete,
+    rank_int,
+    transitive_closure,
+    witness_pool,
+)
+from test_formulas import ref_evaluate
 
 M00 = Mem(ZERO_TERM, ZERO_TERM)  # false
 M01 = Mem(ZERO_TERM, Name(ONE))  # true
+
+
+def von_neumann(n):
+    out = EMPTY
+    for _ in range(n):
+        out = Concrete(out.members | {out})
+    return out
+
+
+def corpus_outputs():
+    """Each corpus entry's cut-free result, by name."""
+    out = {}
+    for e in build_corpus():
+        d = Emb(e.script.root, e.script.assignment, EMPTY_HULL)
+        for _ in range(d.sig.rank):
+            d = elim_cuts(d)
+        out[e.name] = d
+    return out
+
+
+def ref_certify(A):
+    """certify by substitution, each existential instance searched over
+    its own pool of 16 sets and its parameters' closure."""
+    def domain(B):
+        return witness_pool(16, support(B)) if isinstance(B, Ex) else None
+
+    return determinable(A) and ref_evaluate(A, domain)
 
 
 def sig(members, bound=1, rank=0, hull=EMPTY_HULL):
@@ -211,6 +257,62 @@ class TestEvalCutfree:
             assert result.status == "verified-true", (e.name, result)
             assert oracle_sequent(d.sig.seq)
 
+    # eval_cutfree of each corpus output at depths 0, 1, 2 and 8
+    VERDICTS = {
+        "infinity": [("inconclusive", "depth limit")]
+        + [("inconclusive", "universe conjunction")] * 3,
+        "reflection": [("inconclusive", "depth limit")] * 3 + [("inconclusive", "reflection")],
+    }
+
+    def test_corpus_verdicts_are_unchanged(self, monkeypatch):
+        outputs = corpus_outputs()
+        # the corpus outputs and the premises below them, two levels deep
+        nodes, todo = [], [(d, 2) for d in outputs.values()]
+        while todo:
+            d, k = todo.pop()
+            nodes.append(d)
+            v = rule_of(d)
+            if k and isinstance(v, VeeNode):
+                todo.append((v.sub, k - 1))
+            elif k and isinstance(v, WedgeNode) and v.index_set != J_UNIVERSE:
+                todo += [(v.premise(i), k - 1) for i in v.indices()]
+        nodes = [d for d in nodes if all(is_concrete(a) for a in support(d.sig.seq))]
+        assert len(nodes) > len(outputs)
+        witnesses = checking._witness_domain()
+        for A in {A for d in nodes for A in d.sig.seq}:
+            for B in (A, negate(A)):
+                assert checking.certify(B, witnesses) == ref_certify(B), B
+
+        def verdicts(ds):
+            results = [eval_cutfree(d, k) for d in ds for k in (0, 1, 2, 8)]
+            return [(r.status, r.reason) for r in results]
+
+        for name, d in outputs.items():
+            assert verdicts([d]) == self.VERDICTS.get(name, [("verified-true", "")] * 4), name
+        got = verdicts(nodes)
+        monkeypatch.setattr(checking, "certify", lambda A, witnesses: ref_certify(A))
+        assert got == verdicts(nodes)
+
+    def test_a_nested_existential_searches_its_instance_pool(self):
+        # x ranges over the ordinals below 6; those of rank 4 and 5 lie
+        # outside the first 16 sets, so their pools differ
+        A = BAll("x", Name(von_neumann(6)), Ex("y", equals(Var("y"), Var("x"))))
+        seen = []
+        witnesses = checking._witness_domain()
+
+        def domain(B, env):
+            pool = witnesses(B, env)
+            seen.append((B, dict(env), pool))
+            return pool
+
+        assert checking.certify(A, domain)
+        assert len(seen) == 6
+        for B, env, pool in seen:
+            assert pool == witness_pool(16, support(close(B, env)))
+        assert len({len(pool) for _, _, pool in seen}) == 3  # 16, 16 + 1 and 16 + 2 sets
+        # one pool per parameter set in one call
+        assert seen[0][2] is witnesses(seen[0][0], seen[0][1])
+
     def test_requires_cutfree(self):
         left = TrueLeaf(sig([negate(M00), M01], bound=0), negate(M00))
         right = TrueLeaf(sig([M00, M01], bound=0), M01)
@@ -244,6 +346,23 @@ class TestOracle:
     def test_unbounded_quantifiers(self):
         assert oracle_eval(Ex("x", Mem(ZERO_TERM, Var("x"))))
         assert not oracle_eval(All("x", Mem(ZERO_TERM, Var("x"))))
+
+    def test_default_domain_is_the_sixteen_sets_of_rank_at_most_three(self, monkeypatch):
+        domains = []
+
+        def spy(A, domain, env):
+            domains.append(domain(A, env))
+            return True
+
+        monkeypatch.setattr(checking, "evaluate", spy)
+        P = von_neumann(6)
+        oracle_eval(Ex("x", Mem(Var("x"), Name(P))))
+        [pool] = domains
+        small = enumerate_hf(16)
+        assert pool[:16] == small
+        assert {rank_int(a) for a in small} == {0, 1, 2, 3}  # so all 16 sets of rank <= 3
+        assert set(pool) == set(small) | transitive_closure(P) | {P}
+        assert len(pool) == len(set(pool)) == 16 + 3  # the ordinals 4, 5 and 6
 
     def test_sequent_truth(self):
         assert oracle_sequent(frozenset({M00, M01}))

@@ -27,7 +27,8 @@ from proofkit.derivations import (
     _map_premises,
     rule_of,
 )
-from proofkit.finitary import ax_foundation
+from proofkit.checking import check_local
+from proofkit.finitary import ProofNode, ax_collection, ax_foundation
 from proofkit.formulas import (
     BAll,
     Ex,
@@ -52,7 +53,7 @@ from proofkit.ordinals import (
     times_nat,
 )
 from proofkit.ordinals import Sub, cnf_from_int
-from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, hull_extend, rank
+from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, Concrete, hull_extend, rank
 
 M00 = Mem(ZERO_TERM, ZERO_TERM)
 M01 = Mem(ZERO_TERM, Name(ONE))  # true
@@ -127,6 +128,18 @@ class TestExpansion:
         # the explicit node always carries the term's own signature
         for _, d in corpus_terms():
             assert rule_of(d).sig == d.sig
+
+    def test_collection_under_one_variable_name(self):
+        # with var = var2 the formula's x is the inner binder's, so the
+        # witness search reads it at the candidate witness y, not at x
+        phi = Mem(ZERO_TERM, Var("x"))
+        inst = ax_collection(Name(ONE), "x", "x", phi)
+        node = ProofNode("axiom:collection", seq(inst), term=Name(ONE),
+                         var="x", var2="x", formula=phi)
+        d = Emb(node, {}, EMPTY_HULL)
+        v = rule_of(rule_of(d).sub)
+        assert v.iota == Concrete(frozenset({ONE}))
+        assert check_local(d, 4).passed
 
     def test_fund_requires_single_free_var(self):
         inst = ax_foundation("x", "z", Mem(Var("x"), Var("y")))

@@ -5,6 +5,7 @@ import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofkit import formulas
 from proofkit.formulas import (
@@ -34,6 +35,7 @@ from proofkit.formulas import (
     determinable,
     equals,
     eval_formula_bounded,
+    evaluate,
     facts,
     free_vars,
     is_delta0,
@@ -50,12 +52,18 @@ from proofkit.formulas import (
     subst,
     support,
 )
+from proofkit.corpus import build_corpus
 from proofkit.universe import (
     Concrete,
     EMPTY,
     EvaluationError,
     OMEGA_WITNESS,
+    enumerate_hf,
     is_concrete,
+    render_set,
+    set_member,
+    set_members,
+    witness_pool,
 )
 
 ONE = Concrete(frozenset({EMPTY}))
@@ -231,6 +239,35 @@ def ref_free_vars(A):
     elif isinstance(A, (BEx, BAll, Ex, All)):
         names |= ref_free_vars(A.body) - {A.var}
     return frozenset(names)
+
+
+def ref_evaluate(A, domain):
+    """evaluate by substitution: each witness gives a new instance of the
+    body, and an unbounded quantifier B ranges over ``domain(B)``, B with
+    the outer witnesses already substituted."""
+    def value(t):
+        if isinstance(t, Var):
+            raise EvaluationError("open term %r in evaluation" % (t,))
+        return t.value
+
+    if isinstance(A, Mem):
+        return set_member(value(A.left), value(A.right))
+    if isinstance(A, NotMem):
+        return not set_member(value(A.left), value(A.right))
+    if isinstance(A, (Ad, NotAd)):
+        raise EvaluationError("opaque atom cannot be evaluated")
+    if isinstance(A, Or):
+        return ref_evaluate(A.left, domain) or ref_evaluate(A.right, domain)
+    if isinstance(A, And):
+        return ref_evaluate(A.left, domain) and ref_evaluate(A.right, domain)
+    if isinstance(A, (BEx, BAll)):
+        sets = set_members(value(A.bound))
+    else:
+        sets = domain(A)
+        if sets is None:
+            return False
+    instances = (ref_evaluate(subst(A.body, A.var, Name(b)), domain) for b in sets)
+    return any(instances) if isinstance(A, (BEx, Ex)) else all(instances)
 
 
 def reference_sample(seed, count=10_000):
@@ -564,6 +601,98 @@ class TestEval:
     def test_rejects_opaque(self):
         with pytest.raises(EvaluationError):
             eval_formula_bounded(Ad(ZERO_TERM))
+
+
+def _pool(B, params):
+    """A small search domain for the unbounded quantifier B: existentials
+    range over four sets and those inside the parameters, universals
+    over four sets; each in an order fixed by the sets alone."""
+    if isinstance(B, All):
+        return enumerate_hf(4)
+    return sorted(witness_pool(4, params), key=render_set)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except EvaluationError as ex:
+        return str(ex)
+
+
+def assert_evaluates_as_reference(A):
+    """``evaluate`` gives what substitution gives, value or error, when the
+    domain reads the instance's parameters from the environment."""
+    def domain(B, env):
+        return _pool(B, support(B) | {env[v] for v in free_vars(B) if v in env})
+
+    got = _outcome(lambda: evaluate(A, domain, {}))
+    assert got == _outcome(lambda: ref_evaluate(A, lambda B: _pool(B, support(B)))), A
+
+
+_VARS = ("x", "y")
+_TERMS = st.sampled_from([ZERO_TERM, Name(ONE), Name(TWO), *map(Var, _VARS)])
+_ATOMS = st.builds(Mem, _TERMS, _TERMS) | st.builds(NotMem, _TERMS, _TERMS)
+_BINDERS = st.sampled_from(_VARS)  # two names, so binders often shadow
+
+
+def _compound(parts):
+    return (st.builds(Or, parts, parts) | st.builds(And, parts, parts)
+            | st.builds(BEx, _BINDERS, _TERMS, parts) | st.builds(BAll, _BINDERS, _TERMS, parts)
+            | st.builds(Ex, _BINDERS, parts) | st.builds(All, _BINDERS, parts))
+
+
+class TestEvaluateInAnEnvironment:
+    def test_corpus_sentences_agree_with_reference(self):
+        for e in build_corpus():
+            for A in e.script.root.conclusion:
+                for B in subformulas(A):  # the open parts raise "open term"
+                    assert_evaluates_as_reference(B)
+
+    @pytest.mark.parametrize("A", [
+        # a shadowed binder: the inner x ranges over the outer x
+        BEx("x", Name(TWO), BAll("x", Var("x"), Mem(Var("x"), Name(ONE)))),
+        BEx("x", Name(TWO), BAll("x", Var("x"), NotMem(Var("x"), Var("x")))),
+        # the outer x is read again after an inner binder of x
+        BAll("x", Name(ONE), And(BEx("x", Name(TWO), Mem(ZERO_TERM, Var("x"))),
+                                 NotMem(ZERO_TERM, Var("x")))),
+        # a bounded quantifier whose bound is an outer bound variable
+        BAll("x", Name(TWO), BAll("y", Var("x"), Mem(Var("y"), Var("x")))),
+        Ex("x", BEx("y", Var("x"), Mem(Var("y"), Name(ONE)))),
+        # unbounded quantifiers, one under the other, and a shadowed one
+        All("x", Ex("y", Mem(Var("x"), Var("y")))),
+        Ex("x", All("y", Or(NotMem(Var("y"), Var("x")), Mem(Var("y"), Name(TWO))))),
+        Ex("x", Ex("x", Mem(Var("x"), Name(TWO)))),
+        # open: a variable outside every binder, also after a sibling's binder
+        BAll("x", Name(TWO), Mem(Var("x"), Var("y"))),
+        And(BEx("y", Name(ONE), Mem(Var("y"), Name(ONE))), Mem(Var("y"), Name(ONE))),
+    ])
+    def test_edge_cases_agree_with_reference(self, A):
+        assert_evaluates_as_reference(A)
+        assert_evaluates_as_reference(negate(A))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(_ATOMS, _compound, max_leaves=8))
+    def test_random_formulas_agree_with_reference(self, A):
+        assert_evaluates_as_reference(A)
+
+    def test_evaluate_builds_no_instances(self, monkeypatch):
+        calls = []
+        real = formulas.subst
+        monkeypatch.setattr(formulas, "subst", lambda *a: calls.append(a) or real(*a))
+        A = All("x", BEx("y", Name(TWO), Or(NotMem(Var("x"), Var("x")), Mem(Var("y"), Var("x")))))
+        assert evaluate(A, lambda B, env: enumerate_hf(4), {})
+        assert evaluate(Ex("x", BAll("y", Var("x"), Mem(Var("y"), Name(TWO)))),
+                        lambda B, env: enumerate_hf(4), {})
+        assert calls == []
+
+    def test_an_unbound_variable_is_an_open_term(self):
+        A = BAll("x", Name(ONE), Mem(Var("x"), Var("y")))
+        for env in ({}, {"x": ONE}):
+            with pytest.raises(EvaluationError, match="open term Var\\('y'\\)"):
+                evaluate(A, lambda B, env: None, env)
+        assert evaluate(A, lambda B, env: None, {"y": ONE})
+        with pytest.raises(EvaluationError, match="open term"):
+            eval_formula_bounded(Mem(Var("x"), ZERO_TERM))
 
 
 class TestSubst:
