@@ -338,7 +338,7 @@ def _ev(d: DerivTerm, k: int, witnesses) -> EvalResult:
     if isinstance(v, RefNode):
         return EvalResult(INCONCLUSIVE, "reflection")
     if isinstance(v, TrueLeaf):
-        if v.undetermined:
+        if not determinable(v.main):
             return EvalResult(INCONCLUSIVE, "opaque leaf")
         return EvalResult(REFUTED, "false leaf")  # a true leaf was certified above
     if isinstance(v, VeeNode):
@@ -361,18 +361,17 @@ def _ev(d: DerivTerm, k: int, witnesses) -> EvalResult:
 # brute-force truth oracle (independent of the derivation machinery)
 
 
-def oracle_eval(A: Formula, max_rank: int = 4) -> bool:
+def oracle_eval(A: Formula) -> bool:
     """Classical truth over a finite fragment: unbounded quantifiers
-    range over the first ``2 ** max_rank`` hereditarily finite sets (at
-    the default 4, the 16 sets of rank at most 3) plus each of the
+    range over the 16 sets of rank at most 3 plus each of the
     sentence's parameters and everything hereditarily inside it."""
     params = support(A)
     if not all(is_concrete(a) for a in params):
         raise EvaluationError("oracle needs concrete parameters")
-    domain = witness_pool(2 ** max_rank, params)
+    domain = witness_pool(16, params)
     return evaluate(A, lambda B, env: domain, {})
 
 
-def oracle_sequent(seq, max_rank: int = 4) -> bool:
+def oracle_sequent(seq) -> bool:
     """A sequent is true when some member is."""
-    return any(oracle_eval(A, max_rank) for A in seq)
+    return any(oracle_eval(A) for A in seq)

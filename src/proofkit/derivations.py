@@ -100,12 +100,8 @@ class Sig:
     seq: Sequent
 
 
-def _fin(n: int) -> OrdCode:
-    return from_nat(n)
-
-
 def _bump(alpha: OrdCode, n: int) -> OrdCode:
-    return add(alpha, _fin(n))
+    return add(alpha, from_nat(n))
 
 
 class DerivTerm:
@@ -153,17 +149,16 @@ class ExplicitNode(DerivTerm):
 
 class TrueLeaf(ExplicitNode):
     """Conjunctive inference over the empty index set: its main formula
-    is a true bounded sentence.  ``undetermined`` marks leaves whose
-    main contains opaque atoms or abstract parameters, where truth is
+    is a true bounded sentence.  When the main contains opaque atoms or
+    abstract parameters (it is not ``determinable``), its truth is
     asserted by the construction but not machine-checkable."""
 
     rule_name = "true-leaf"
 
-    def __init__(self, sig: Sig, main: Formula, undetermined: bool = False):
+    def __init__(self, sig: Sig, main: Formula):
         super().__init__()
         self.sig = sig
         self.main = main
-        self.undetermined = undetermined
 
 
 class VeeNode(ExplicitNode):
@@ -277,13 +272,13 @@ class Taut(DerivTerm):
             raise ConstructionError("tautology derivations need sentences")
         self.A = A
         seq = gamma | {negate(A), A}
-        self.sig = Sig(hull, _fin(2 * depth(A)), 0, seq)
+        self.sig = Sig(hull, from_nat(2 * depth(A)), 0, seq)
 
     def _expand(self):
         A, P, seq = self.A, self.sig.hull, self.sig.seq
         d = depth(A)
         if d == 0 and not determinable(A):
-            return TrueLeaf(self.sig, A, undetermined=True)
+            return TrueLeaf(self.sig, A)
         dec = decompose(A)
         # of A and not-A, the side that decomposes conjunctively; for a
         # bounded sentence, the true one
@@ -295,7 +290,7 @@ class Taut(DerivTerm):
             C_iota = component(C, iota)
             hull_i = hull_at(P, iota)
             inner = Taut(C_iota, seq, hull_i)
-            vee_sig = Sig(hull_i, _fin(2 * d - 1), 0, seq | {C_iota})
+            vee_sig = Sig(hull_i, from_nat(2 * d - 1), 0, seq | {C_iota})
             return VeeNode(vee_sig, negate(C), iota, inner)
 
         return WedgeNode(self.sig, C, dec.index_set, prem)
@@ -306,7 +301,7 @@ class Taut(DerivTerm):
 
 
 def _fund_bound(d: int, a: DeskSet) -> OrdCode:
-    return add(_fin(2 * d), times_nat(rank(a), 3))
+    return add(from_nat(2 * d), times_nat(rank(a), 3))
 
 
 class Fund(DerivTerm):
@@ -346,7 +341,7 @@ def _fund_progress(
     A_b = component(U, b)
     base = gamma | {B, A_b}
     r3 = times_nat(rank(b), 3)
-    vee_sig = Sig(hull, _bump(add(_fin(2 * d), r3), 2), 0, base)
+    vee_sig = Sig(hull, _bump(add(from_nat(2 * d), r3), 2), 0, base)
 
     if d == 0 and determinable(A_b):
         # a settled bounded induction formula: either A(b) itself is true,
@@ -356,12 +351,12 @@ def _fund_progress(
             return TrueLeaf(vee_sig, A_b)
         c = _minimal_failure(b, U)
         C_c = component(B, c)
-        leaf = _true_leaf(C_c, base | {C_c}, hull, _fin(0))
+        leaf = _true_leaf(C_c, base | {C_c}, hull, from_nat(0))
         return VeeNode(vee_sig, B, c, leaf)
 
     C_b = component(B, b)
     wedge_seq = base | {C_b}
-    wedge_sig = Sig(hull, _bump(add(_fin(2 * d), r3), 1), 0, wedge_seq)
+    wedge_sig = Sig(hull, _bump(add(from_nat(2 * d), r3), 1), 0, wedge_seq)
 
     def prem(i):
         if i == 0:
@@ -460,16 +455,16 @@ def _axemb_bound(node: fin.ProofNode, inst: Formula) -> OrdCode:
     if kind == "extensionality":
         return ORD_ZERO
     if kind in ("union", "separation"):
-        return _fin(1)
+        return from_nat(1)
     if kind == "pair":
-        return _fin(2)
+        return from_nat(2)
     if kind in ("collection", "infinity"):
-        return _fin(3)
+        return from_nat(3)
     if kind == "foundation":
-        return add(OMEGA, _fin(2))
+        return add(OMEGA, from_nat(2))
     if kind == "reflection":
         d = depth(inst.left)  # inst.left is the negated reflected formula
-        return _fin(max(2 * d, 2) + 3)
+        return from_nat(max(2 * d, 2) + 3)
     raise ConstructionError("unknown axiom %r" % kind)
 
 
@@ -479,12 +474,9 @@ def axemb_rank(node: fin.ProofNode) -> int:
 
 
 def _true_leaf(M: Formula, seq: Sequent, hull: Hull, bound: OrdCode) -> TrueLeaf:
-    sig = Sig(hull, bound, 0, seq)
-    if determinable(M):
-        if not eval_formula_bounded(M):
-            raise ConstructionError("axiom embedding produced a false leaf")
-        return TrueLeaf(sig, M)
-    return TrueLeaf(sig, M, undetermined=True)
+    if determinable(M) and not eval_formula_bounded(M):
+        raise ConstructionError("axiom embedding produced a false leaf")
+    return TrueLeaf(Sig(hull, bound, 0, seq), M)
 
 
 def _witnessed(sig: Sig, A: Formula, w: DeskSet, bound: OrdCode) -> VeeNode:
@@ -508,14 +500,14 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         body = inst.body
         a_val = body.left.left.value
         b_val = body.right.left.value
-        return _witnessed(sig, inst, Concrete(frozenset({a_val, b_val})), _fin(1))
+        return _witnessed(sig, inst, Concrete(frozenset({a_val, b_val})), from_nat(1))
 
     if kind == "union":
         a_val = _closed_value(node.term, ax.assignment)
         members = set()
         for b in set_members(a_val):
             members |= set_members(b)
-        return _witnessed(sig, inst, Concrete(frozenset(members)), _fin(0))
+        return _witnessed(sig, inst, Concrete(frozenset(members)), from_nat(0))
 
     if kind == "separation":
         a_val = _closed_value(node.term, ax.assignment)
@@ -525,7 +517,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
             b for b in set_members(a_val)
             if eval_formula_bounded(phi, {x: b})
         )
-        return _witnessed(sig, inst, Concrete(chosen), _fin(0))
+        return _witnessed(sig, inst, Concrete(chosen), from_nat(0))
 
     if kind == "collection":
         a_val = _closed_value(node.term, ax.assignment)
@@ -545,8 +537,8 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
                 )
             found.append(hit)
         right = inst.right  # exists z forall x in a exists y in z phi
-        vee2 = _witnessed(Sig(P, _fin(1), 0, seq | {right}), right,
-                          Concrete(frozenset(found)), _fin(0))
+        vee2 = _witnessed(Sig(P, from_nat(1), 0, seq | {right}), right,
+                          Concrete(frozenset(found)), from_nat(0))
         return VeeNode(sig, inst, 1, vee2)
 
     if kind == "infinity":
@@ -561,10 +553,10 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
 
             def inner(i):
                 part = component(matrix, i)
-                return _true_leaf(part, wedge_seq | {part}, hull_i, _fin(0))
+                return _true_leaf(part, wedge_seq | {part}, hull_i, from_nat(0))
 
-            wedge = WedgeNode(Sig(hull_i, _fin(1), 0, wedge_seq), matrix, J_TWO, inner)
-            return VeeNode(Sig(hull_i, _fin(2), 0, prem_seq), comp, OMEGA_WITNESS, wedge)
+            wedge = WedgeNode(Sig(hull_i, from_nat(1), 0, wedge_seq), matrix, J_TWO, inner)
+            return VeeNode(Sig(hull_i, from_nat(2), 0, prem_seq), comp, OMEGA_WITNESS, wedge)
 
         return WedgeNode(sig, inst, J_UNIVERSE, prem)
 
@@ -578,7 +570,7 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
             return _fund_progress(a, B, U, wedge_seq, hull_extend(P, a), d)
 
         wedge = WedgeNode(wedge_sig, U, J_UNIVERSE, prem)
-        vee2 = VeeNode(Sig(P, add(OMEGA, _fin(1)), 0, seq | {B}), inst, 1, wedge)
+        vee2 = VeeNode(Sig(P, add(OMEGA, from_nat(1)), 0, seq | {B}), inst, 1, wedge)
         return VeeNode(sig, inst, 0, vee2)
 
     if kind == "reflection":
@@ -589,11 +581,11 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         guard = negate(ex_part)
         d = depth(refl)
         ref_seq = seq | {A, ex_part}
-        ref_sig = Sig(P, _fin(max(2 * d, 2) + 1), 0, ref_seq)
+        ref_sig = Sig(P, from_nat(max(2 * d, 2) + 1), 0, ref_seq)
         left = Taut(refl, ref_seq, P)
         right = Taut(ex_part, ref_seq | {guard}, P)
         ref = RefNode(ref_sig, refl, point, guard, left, right)
-        vee2 = VeeNode(Sig(P, _fin(max(2 * d, 2) + 2), 0, seq | {A}), inst, 1, ref)
+        vee2 = VeeNode(Sig(P, from_nat(max(2 * d, 2) + 2), 0, seq | {A}), inst, 1, ref)
         return VeeNode(sig, inst, 0, vee2)
 
     raise ConstructionError("unknown axiom %r" % kind)
@@ -693,10 +685,10 @@ def _emb_expand(e: Emb) -> ExplicitNode:
                 return TrueLeaf(sig, main)
             sub = e._sub(pi.premises[0])
             base = fit(sub, P, m, seq | {a0, a1})
-            il = _true_leaf(negate(a0), seq | {a1, negate(a0)}, P, _fin(0))
+            il = _true_leaf(negate(a0), seq | {a1, negate(a0)}, P, from_nat(0))
             inner = CutNode(
                 Sig(P, _bump(sub.sig.bound, 1), m, seq | {a1}), a0, il, base)
-            ol = _true_leaf(negate(a1), seq | {negate(a1)}, P, _fin(0))
+            ol = _true_leaf(negate(a1), seq | {negate(a1)}, P, from_nat(0))
             return CutNode(sig, a1, ol, inner)
         sub = e._sub(pi.premises[0])
         inner = fit(sub, P, m, seq | {a0, a1})
@@ -715,7 +707,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
                      if not eval_formula_bounded(c))
             comp = parts[i]
             right = fit(e._sub(pi.premises[i]), P, m, seq | {comp})
-            left = _true_leaf(negate(comp), seq | {negate(comp)}, P, _fin(0))
+            left = _true_leaf(negate(comp), seq | {negate(comp)}, P, from_nat(0))
             return CutNode(sig, comp, left, right)
         subs = [e._sub(p) for p in pi.premises]
 
@@ -751,7 +743,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         # effectively a proof of the conclusion, cut against its negation
         right = fit(e._sub(pi.premises[0]), P, m, seq | {membership})
         not_mem = negate(membership)
-        left = _true_leaf(not_mem, seq | {not_mem}, P, _fin(1))
+        left = _true_leaf(not_mem, seq | {not_mem}, P, from_nat(1))
         return CutNode(sig, membership, left, right)
 
     if pi.rule == "ball":
@@ -766,7 +758,7 @@ def _emb_expand(e: Emb) -> ExplicitNode:
             notmem = NotMem(Name(b), main.bound)
             right = fit(sub, hull_b, m, target | {notmem})
             mem = negate(notmem)
-            left = _true_leaf(mem, target | {mem}, hull_b, _fin(1))
+            left = _true_leaf(mem, target | {mem}, hull_b, from_nat(1))
             cut_sig = Sig(hull_b, _bump(sub.sig.bound, 1), m, target)
             return CutNode(cut_sig, notmem, left, right)
 
@@ -816,7 +808,7 @@ def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
     sequent plus the premise's own formula."""
     P, m, seq = sig.hull, sig.rank, sig.seq
     if isinstance(v, TrueLeaf):
-        return TrueLeaf(sig, v.main, v.undetermined)
+        return TrueLeaf(sig, v.main)
     if isinstance(v, VeeNode):
         sub = fit(wrap(v.sub, P), P, m, seq | {component(v.main, v.iota)})
         return VeeNode(sig, v.main, v.iota, sub)

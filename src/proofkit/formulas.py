@@ -88,8 +88,9 @@ ZERO_TERM = Name(EMPTY)
 
 
 class _Formula:
-    """Base of the formula classes.  Each object stores its hash, its
-    negation (``negate``), its quantifier instances by index
+    """Base of the formula classes.  Each class has its head word
+    (``head``) and its dual class (``dual``).  Each object stores its
+    hash, its negation (``negate``), its quantifier instances by index
     (``component``) and its record of syntactic facts (``facts``) once
     they are first asked for; the stores are plain attributes, not
     dataclass fields, so ``==``, ``repr`` and the value of ``hash`` do
@@ -176,6 +177,25 @@ class All(_Formula):
 
 Formula = Mem | NotMem | Ad | NotAd | Or | And | BEx | BAll | Ex | All
 
+
+def _dual_pairs(*pairs) -> dict:
+    """Give each class of each dual pair ``(A, a, B, b)`` its head word
+    and its dual; the classes by head word."""
+    for A, a, B, b in pairs:
+        A.head, A.dual, B.head, B.dual = a, B, b, A
+    return {C.head: C for A, _, B, _ in pairs for C in (A, B)}
+
+
+#: The formula classes by head word: five dual pairs, each pair with
+#: equal fields.
+BY_HEAD = _dual_pairs(
+    (Mem, "in", NotMem, "notin"),
+    (Ad, "ad", NotAd, "notad"),
+    (Or, "or", And, "and"),
+    (BEx, "bex", BAll, "ball"),
+    (Ex, "ex", All, "all"),
+)
+
 Sequent = frozenset
 
 
@@ -220,26 +240,16 @@ def negate(A: Formula) -> Formula:
 
 
 def _dual(A: Formula) -> Formula:
-    if isinstance(A, Mem):
-        return NotMem(A.left, A.right)
-    if isinstance(A, NotMem):
-        return Mem(A.left, A.right)
-    if isinstance(A, Ad):
-        return NotAd(A.term)
-    if isinstance(A, NotAd):
-        return Ad(A.term)
-    if isinstance(A, Or):
-        return And(negate(A.left), negate(A.right))
-    if isinstance(A, And):
-        return Or(negate(A.left), negate(A.right))
-    if isinstance(A, BEx):
-        return BAll(A.var, A.bound, negate(A.body))
-    if isinstance(A, BAll):
-        return BEx(A.var, A.bound, negate(A.body))
-    if isinstance(A, Ex):
-        return All(A.var, negate(A.body))
-    if isinstance(A, All):
-        return Ex(A.var, negate(A.body))
+    if isinstance(A, (Mem, NotMem)):
+        return A.dual(A.left, A.right)
+    if isinstance(A, (Ad, NotAd)):
+        return A.dual(A.term)
+    if isinstance(A, (Or, And)):
+        return A.dual(negate(A.left), negate(A.right))
+    if isinstance(A, (BEx, BAll)):
+        return A.dual(A.var, A.bound, negate(A.body))
+    if isinstance(A, (Ex, All)):
+        return A.dual(A.var, negate(A.body))
     raise TypeError("not a formula: %r" % (A,))
 
 
@@ -385,26 +395,16 @@ def subst(A: Formula, var: str, value: Term) -> Formula:
     """Substitution of a term for the free occurrences of a variable.
     Raises ValueError when a variable term would be captured: a binder
     of its name has the substituted variable free in its body."""
-    if isinstance(A, Mem):
-        return Mem(_subst_term(A.left, var, value), _subst_term(A.right, var, value))
-    if isinstance(A, NotMem):
-        return NotMem(_subst_term(A.left, var, value), _subst_term(A.right, var, value))
-    if isinstance(A, Ad):
-        return Ad(_subst_term(A.term, var, value))
-    if isinstance(A, NotAd):
-        return NotAd(_subst_term(A.term, var, value))
-    if isinstance(A, Or):
-        return Or(subst(A.left, var, value), subst(A.right, var, value))
-    if isinstance(A, And):
-        return And(subst(A.left, var, value), subst(A.right, var, value))
-    if isinstance(A, BEx):
-        return BEx(A.var, _subst_term(A.bound, var, value), _subst_body(A, var, value))
-    if isinstance(A, BAll):
-        return BAll(A.var, _subst_term(A.bound, var, value), _subst_body(A, var, value))
-    if isinstance(A, Ex):
-        return A if A.var == var else Ex(A.var, _subst_body(A, var, value))
-    if isinstance(A, All):
-        return A if A.var == var else All(A.var, _subst_body(A, var, value))
+    if isinstance(A, (Mem, NotMem)):
+        return type(A)(_subst_term(A.left, var, value), _subst_term(A.right, var, value))
+    if isinstance(A, (Ad, NotAd)):
+        return type(A)(_subst_term(A.term, var, value))
+    if isinstance(A, (Or, And)):
+        return type(A)(subst(A.left, var, value), subst(A.right, var, value))
+    if isinstance(A, (BEx, BAll)):
+        return type(A)(A.var, _subst_term(A.bound, var, value), _subst_body(A, var, value))
+    if isinstance(A, (Ex, All)):
+        return A if A.var == var else type(A)(A.var, _subst_body(A, var, value))
     raise TypeError("not a formula: %r" % (A,))
 
 
@@ -435,18 +435,12 @@ def relativize(A: Formula, c: Term) -> Formula:
     """Bound every unbounded quantifier in A by the term c."""
     if isinstance(A, (Mem, NotMem, Ad, NotAd)):
         return A
-    if isinstance(A, Or):
-        return Or(relativize(A.left, c), relativize(A.right, c))
-    if isinstance(A, And):
-        return And(relativize(A.left, c), relativize(A.right, c))
-    if isinstance(A, BEx):
-        return BEx(A.var, A.bound, relativize(A.body, c))
-    if isinstance(A, BAll):
-        return BAll(A.var, A.bound, relativize(A.body, c))
-    if isinstance(A, Ex):
-        return BEx(A.var, c, relativize(A.body, c))
-    if isinstance(A, All):
-        return BAll(A.var, c, relativize(A.body, c))
+    if isinstance(A, (Or, And)):
+        return type(A)(relativize(A.left, c), relativize(A.right, c))
+    if isinstance(A, (BEx, BAll)):
+        return type(A)(A.var, A.bound, relativize(A.body, c))
+    if isinstance(A, (Ex, All)):  # the bounded quantifier of the same kind
+        return BY_HEAD["b" + A.head](A.var, c, relativize(A.body, c))
     raise TypeError("not a formula: %r" % (A,))
 
 
@@ -675,26 +669,16 @@ def eval_formula_bounded(A: Formula, env: dict | None = None) -> bool:
 
 
 def render_formula(A: Formula) -> str:
-    if isinstance(A, Mem):
-        return "(in %s %s)" % (render_term(A.left), render_term(A.right))
-    if isinstance(A, NotMem):
-        return "(notin %s %s)" % (render_term(A.left), render_term(A.right))
-    if isinstance(A, Ad):
-        return "(ad %s)" % render_term(A.term)
-    if isinstance(A, NotAd):
-        return "(notad %s)" % render_term(A.term)
-    if isinstance(A, Or):
-        return "(or %s %s)" % (render_formula(A.left), render_formula(A.right))
-    if isinstance(A, And):
-        return "(and %s %s)" % (render_formula(A.left), render_formula(A.right))
-    if isinstance(A, BEx):
-        return "(bex %s %s %s)" % (A.var, render_term(A.bound), render_formula(A.body))
-    if isinstance(A, BAll):
-        return "(ball %s %s %s)" % (A.var, render_term(A.bound), render_formula(A.body))
-    if isinstance(A, Ex):
-        return "(ex %s %s)" % (A.var, render_formula(A.body))
-    if isinstance(A, All):
-        return "(all %s %s)" % (A.var, render_formula(A.body))
+    if isinstance(A, (Mem, NotMem)):
+        return "(%s %s %s)" % (A.head, render_term(A.left), render_term(A.right))
+    if isinstance(A, (Ad, NotAd)):
+        return "(%s %s)" % (A.head, render_term(A.term))
+    if isinstance(A, (Or, And)):
+        return "(%s %s %s)" % (A.head, render_formula(A.left), render_formula(A.right))
+    if isinstance(A, (BEx, BAll)):
+        return "(%s %s %s %s)" % (A.head, A.var, render_term(A.bound), render_formula(A.body))
+    if isinstance(A, (Ex, All)):
+        return "(%s %s %s)" % (A.head, A.var, render_formula(A.body))
     raise TypeError("not a formula: %r" % (A,))
 
 
@@ -858,30 +842,26 @@ def formula_from_tree(tree: list, params: dict) -> Formula:
     if not tree:
         raise ValueError("formula expressions are lists, got []")
     head = tree[0]
-    if head in ("in", "notin"):
+    cls = BY_HEAD.get(head) if isinstance(head, str) else None
+    if cls in (Mem, NotMem):
         if len(tree) != 3:
             raise ValueError("%s takes two terms" % head)
-        cls = Mem if head == "in" else NotMem
         return cls(as_term(tree[1], params), as_term(tree[2], params))
-    if head in ("ad", "notad"):
+    if cls in (Ad, NotAd):
         if len(tree) != 2:
             raise ValueError("%s takes one term" % head)
-        cls = Ad if head == "ad" else NotAd
         return cls(as_term(tree[1], params))
-    if head in ("or", "and"):
+    if cls in (Or, And):
         if len(tree) != 3:
             raise ValueError("%s takes two formulas" % head)
-        cls = Or if head == "or" else And
         return cls(as_formula(tree[1]), as_formula(tree[2]))
-    if head in ("bex", "ball"):
+    if cls in (BEx, BAll):
         if len(tree) != 4 or not isinstance(tree[1], str):
             raise ValueError("%s takes a variable, a bound and a body" % head)
-        cls = BEx if head == "bex" else BAll
         return cls(tree[1], as_term(tree[2], params), as_formula(tree[3]))
-    if head in ("ex", "all"):
+    if cls in (Ex, All):
         if len(tree) != 3 or not isinstance(tree[1], str):
             raise ValueError("%s takes a variable and a body" % head)
-        cls = Ex if head == "ex" else All
         return cls(tree[1], as_formula(tree[2]))
     if head == "not":
         raise ValueError("input must be negation-normal; apply de Morgan first")

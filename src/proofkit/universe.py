@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .ordinals import LESS, ONE, SUB_W, ZERO, OrdCode, Sub, add, cmp
 
@@ -37,11 +38,11 @@ class EvaluationError(Exception):
 @dataclass(frozen=True)
 class Concrete:
     """A hereditarily finite set, given extensionally.  It keeps its
-    abstract atoms (``_abstract_atoms``) once computed, as a plain
-    attribute that ``==``, ``hash`` and ``repr`` do not see."""
+    record of facts (``set_facts``) once computed, as a plain attribute
+    that ``==``, ``hash`` and ``repr`` do not see."""
 
     members: frozenset
-    _atoms = None
+    _facts = None
 
     def __repr__(self):
         return "Concrete(%s)" % (render_set(self),)
@@ -72,33 +73,54 @@ EMPTY = Concrete(frozenset())
 OMEGA_WITNESS = Abstract("omega", SUB_W)
 
 
+class SetFacts(NamedTuple):
+    """What the calculus reads off a desk set, kept on a concrete set by
+    ``set_facts``."""
+
+    atoms: frozenset  # the abstract parameters inside, an abstract set itself
+    rank: OrdCode
+    text: str  # the literal, members in the order of their texts
+
+
+def set_facts(a: DeskSet) -> SetFacts:
+    """a's record, built from its members' records the first time it is
+    asked for and kept on a concrete a.  A set's rank is the least
+    ordinal above its members' ranks; an abstract set's is declared."""
+    if isinstance(a, Abstract):
+        return SetFacts(frozenset({a}), a.declared_rank, a.name)
+    F = a._facts
+    if F is not None:
+        return F
+    parts = [set_facts(b) for b in a.members]
+    r = ZERO
+    for p in parts:
+        succ = add(p.rank, ONE)
+        if cmp(r, succ) == LESS:
+            r = succ
+    F = SetFacts(frozenset().union(*(p.atoms for p in parts)), r,
+                 "{" + ",".join(sorted(p.text for p in parts)) + "}")
+    object.__setattr__(a, "_facts", F)
+    return F
+
+
 def is_concrete(a: DeskSet) -> bool:
     """True when *a* and everything hereditarily inside it is Concrete."""
-    if isinstance(a, Abstract):
-        return False
-    return all(is_concrete(b) for b in a.members)
+    return not set_facts(a).atoms
 
 
 def rank(a: DeskSet) -> OrdCode:
     """Set-theoretic rank: sup of member ranks plus one, or the declared one."""
-    if isinstance(a, Abstract):
-        return a.declared_rank
-    best = ZERO
-    for b in a.members:
-        succ = add(rank(b), ONE)
-        if cmp(best, succ) == LESS:
-            best = succ
-    return best
+    return set_facts(a).rank
 
 
 def rank_int(a: DeskSet) -> int:
     """Rank of a fully concrete set as a plain integer; EvaluationError
-    on reaching an abstract parameter."""
-    if isinstance(a, Abstract):
+    when an abstract parameter is inside."""
+    F = set_facts(a)
+    if F.atoms:
         raise EvaluationError("rank_int needs a concrete set")
-    if not a.members:
-        return 0
-    return 1 + max(rank_int(b) for b in a.members)
+    terms = F.rank.value.terms  # a finite rank: none, or the one term w^0 * n
+    return terms[0][1] if terms else 0
 
 
 def transitive_closure(a: DeskSet) -> frozenset:
@@ -143,10 +165,7 @@ def set_member(x: DeskSet, a: DeskSet) -> bool:
 
 
 def render_set(a: DeskSet) -> str:
-    if isinstance(a, Abstract):
-        return a.name
-    inner = sorted(render_set(b) for b in a.members)
-    return "{" + ",".join(inner) + "}"
+    return set_facts(a).text
 
 
 def parse_set(text: str, params: dict | None = None) -> DeskSet:
@@ -246,45 +265,26 @@ def hull_extend_list(P: Hull, iotas) -> Hull:
     return P
 
 
-def _abstract_atoms(a: DeskSet) -> frozenset:
-    """Abstract parameters hereditarily inside *a* (including *a* itself)."""
-    if isinstance(a, Abstract):
-        return frozenset({a})
-    atoms = a._atoms
-    if atoms is None:
-        atoms = frozenset().union(*map(_abstract_atoms, a.members))
-        object.__setattr__(a, "_atoms", atoms)
-    return atoms
-
-
 def hull_contains(P: Hull, x) -> bool:
     """Decide membership of a desk set or an ordinal code in the hull.
 
     Every hereditarily finite set is in every transitive admissible
-    hull.  An abstract parameter is in when it is a generator or sits in
-    the transitive closure of one.  Ordinal codes are always in: codes
-    below epsilon_0 arise from 0 by the closure operations, Omega is in
-    by definition, and every code here is built from those two layers by
-    addition, natural sum and exponentiation, under all of which hulls
-    are closed.
+    hull.  A desk set is in when each abstract parameter inside it is
+    the infinity witness or inside a generator, that is, a generator or
+    in the transitive closure of one.  Ordinal codes are always in:
+    codes below epsilon_0 arise from 0 by the closure operations, Omega
+    is in by definition, and every code here is built from those two
+    layers by addition, natural sum and exponentiation, under all of
+    which hulls are closed.
     """
     if isinstance(x, OrdCode):
         return True
-    if isinstance(x, Concrete):
-        atoms = _abstract_atoms(x)
-        return not atoms or all(_contains_abstract(P, p) for p in atoms)
-    if isinstance(x, Abstract):
-        return _contains_abstract(P, x)
-    raise TypeError("hull membership is defined for desk sets and codes")
-
-
-def _contains_abstract(P: Hull, p: Abstract) -> bool:
-    if p == OMEGA_WITNESS:
-        return True
-    for g in P.generators:
-        if g == p or p in transitive_closure(g):
-            return True
-    return False
+    if not isinstance(x, (Concrete, Abstract)):
+        raise TypeError("hull membership is defined for desk sets and codes")
+    atoms = set_facts(x).atoms
+    return not atoms or all(
+        p == OMEGA_WITNESS or any(p in set_facts(g).atoms for g in P.generators)
+        for p in atoms)
 
 
 def hull_subsumes(P2: Hull, P1: Hull) -> bool:

@@ -25,6 +25,7 @@ from proofkit.checking import (
     trace_lines,
 )
 from proofkit.formulas import (
+    Ad,
     All,
     And,
     BAll,
@@ -164,7 +165,7 @@ class TestMutations:
     def test_hull_control_condition(self):
         a = Abstract("a", Sub(cnf_from_int(1)))
         A = Mem(ZERO_TERM, Name(a))
-        d = TrueLeaf(sig([A]), A, undetermined=True)
+        d = TrueLeaf(sig([A]), A)
         assert "control condition: parameter outside hull" in violations(d)
 
     def test_bound_outside_hull(self):
@@ -211,7 +212,7 @@ class TestMutations:
         A = BAll("x", Name(ONE), Mem(Var("x"), Name(ONE)))
         B = negate(A)  # bounded-existential over {0}
         comp = NotMem(Name(ONE), Name(ONE))
-        p = TrueLeaf(sig([B, comp], bound=0), comp, undetermined=False)
+        p = TrueLeaf(sig([B, comp], bound=0), comp)
         d = VeeNode(sig([B]), B, ONE, p)  # ONE is not a member of {0}
         assert "index outside the index set" in violations(d)
 
@@ -323,9 +324,19 @@ class TestEvalCutfree:
     def test_rejects_abstract_end_sequent(self):
         a = Abstract("a", Sub(cnf_from_int(1)))
         A = Mem(ZERO_TERM, Name(a))
-        d = TrueLeaf(sig([A]), A, undetermined=True)
+        d = TrueLeaf(sig([A]), A)
         with pytest.raises(EvaluationError):
             eval_cutfree(d, 3)
+
+    def test_a_leaf_is_judged_by_its_main_formula(self):
+        # a leaf on the false (in 0 0) is refuted, as check_local reports
+        # it false; a leaf on an opaque atom stays undecided
+        d = TrueLeaf(sig([M00], bound=0), M00)
+        assert eval_cutfree(d, 3) == checking.EvalResult("refuted", "false leaf")
+        assert "leaf asserts a false sentence" in violations(d)
+        A = Ad(ZERO_TERM)
+        d = TrueLeaf(sig([A], bound=0), A)
+        assert eval_cutfree(d, 3) == checking.EvalResult("inconclusive", "opaque leaf")
 
     def test_inconclusive_depth(self):
         A = All("x", Or(Mem(Var("x"), Name(ONE)), NotMem(Var("x"), Name(ONE))))

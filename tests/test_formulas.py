@@ -168,6 +168,101 @@ def ref_negate(A):
     raise TypeError("not a formula: %r" % (A,))
 
 
+def ref_subst_term(t, var, value):
+    return value if isinstance(t, Var) and t.name == var else t
+
+
+def ref_subst(A, var, value):
+    """subst with a branch per class."""
+    if isinstance(A, Mem):
+        return Mem(ref_subst_term(A.left, var, value), ref_subst_term(A.right, var, value))
+    if isinstance(A, NotMem):
+        return NotMem(ref_subst_term(A.left, var, value), ref_subst_term(A.right, var, value))
+    if isinstance(A, Ad):
+        return Ad(ref_subst_term(A.term, var, value))
+    if isinstance(A, NotAd):
+        return NotAd(ref_subst_term(A.term, var, value))
+    if isinstance(A, Or):
+        return Or(ref_subst(A.left, var, value), ref_subst(A.right, var, value))
+    if isinstance(A, And):
+        return And(ref_subst(A.left, var, value), ref_subst(A.right, var, value))
+    if A.var == var:
+        body = A.body
+    elif isinstance(value, Var) and value.name == A.var and var in ref_free_vars(A.body):
+        raise ValueError("substituting %s for %s: captured by the quantifier on %s"
+                         % (value.name, var, A.var))
+    else:
+        body = ref_subst(A.body, var, value)
+    if isinstance(A, BEx):
+        return BEx(A.var, ref_subst_term(A.bound, var, value), body)
+    if isinstance(A, BAll):
+        return BAll(A.var, ref_subst_term(A.bound, var, value), body)
+    if isinstance(A, Ex):
+        return Ex(A.var, body)
+    if isinstance(A, All):
+        return All(A.var, body)
+    raise TypeError("not a formula: %r" % (A,))
+
+
+def ref_relativize(A, c):
+    """relativize with a branch per class."""
+    if isinstance(A, (Mem, NotMem, Ad, NotAd)):
+        return A
+    if isinstance(A, Or):
+        return Or(ref_relativize(A.left, c), ref_relativize(A.right, c))
+    if isinstance(A, And):
+        return And(ref_relativize(A.left, c), ref_relativize(A.right, c))
+    if isinstance(A, BEx):
+        return BEx(A.var, A.bound, ref_relativize(A.body, c))
+    if isinstance(A, BAll):
+        return BAll(A.var, A.bound, ref_relativize(A.body, c))
+    if isinstance(A, Ex):
+        return BEx(A.var, c, ref_relativize(A.body, c))
+    if isinstance(A, All):
+        return BAll(A.var, c, ref_relativize(A.body, c))
+    raise TypeError("not a formula: %r" % (A,))
+
+
+def ref_render_term(t):
+    if isinstance(t, Var):
+        return t.name
+    return "0" if t == ZERO_TERM else render_set(t.value)
+
+
+def ref_render_formula(A):
+    """render_formula with a branch per class."""
+    r, t = ref_render_formula, ref_render_term
+    if isinstance(A, Mem):
+        return "(in %s %s)" % (t(A.left), t(A.right))
+    if isinstance(A, NotMem):
+        return "(notin %s %s)" % (t(A.left), t(A.right))
+    if isinstance(A, Ad):
+        return "(ad %s)" % t(A.term)
+    if isinstance(A, NotAd):
+        return "(notad %s)" % t(A.term)
+    if isinstance(A, Or):
+        return "(or %s %s)" % (r(A.left), r(A.right))
+    if isinstance(A, And):
+        return "(and %s %s)" % (r(A.left), r(A.right))
+    if isinstance(A, BEx):
+        return "(bex %s %s %s)" % (A.var, t(A.bound), r(A.body))
+    if isinstance(A, BAll):
+        return "(ball %s %s %s)" % (A.var, t(A.bound), r(A.body))
+    if isinstance(A, Ex):
+        return "(ex %s %s)" % (A.var, r(A.body))
+    if isinstance(A, All):
+        return "(all %s %s)" % (A.var, r(A.body))
+    raise TypeError("not a formula: %r" % (A,))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
 def ref_component(A, iota):
     """component without the stored instances: a substitution per call."""
     if isinstance(A, (Or, And)):
@@ -358,6 +453,23 @@ class TestStoredResults:
                 component(broken, ONE)
         assert broken._instances == {}
 
+    def test_rewriting_agrees_with_reference(self):
+        rng = random.Random(14)
+        values = [ZERO_TERM, Name(TWO), Var("x"), Var("v0"), Var("v1")]
+        captured = 0
+        for _ in range(2000):
+            A = random_formula(rng, rng.randrange(6), ("x",))
+            for B in subformulas(A):
+                assert render_formula(B) == ref_render_formula(B)
+                for c in (Var("c"), Name(TWO)):
+                    assert relativize(B, c) == ref_relativize(B, c)
+                for var in ("x", "v0", "v1"):
+                    for value in values:
+                        got = outcome(subst, B, var, value)
+                        assert got == outcome(ref_subst, B, var, value)
+                        captured += isinstance(got, tuple)
+        assert captured > 100
+
     def test_kept_attributes_agree_with_reference(self):
         rng = random.Random(14)
         for _ in range(2000):
@@ -434,6 +546,38 @@ class TestStoredResults:
         assert [f.name for f in fields(t)] == names
         assert hash(t) == hash(tuple(getattr(t, n) for n in names))
         assert t._hash == hash(t)
+
+
+class TestHeadWords:
+    """Each formula class has a head word and a dual, the class of its
+    negation; formulas.BY_HEAD finds the class by head word."""
+
+    EXAMPLES = [
+        Mem(ZERO_TERM, Name(ONE)), NotMem(Var("x"), Name(ONE)),
+        Ad(Var("x")), NotAd(ZERO_TERM),
+        Or(Ad(ZERO_TERM), NotAd(ZERO_TERM)), And(Ad(ZERO_TERM), NotAd(ZERO_TERM)),
+        BEx("x", Name(TWO), Ad(Var("x"))), BAll("x", Var("y"), Ad(Var("x"))),
+        Ex("x", Ad(Var("x"))), All("x", Ad(Var("x"))),
+    ]
+
+    def test_every_class_has_a_head_word(self):
+        assert [type(A) for A in self.EXAMPLES] == list(FORMULA_CLASSES)
+        assert formulas.BY_HEAD == {A.head: type(A) for A in self.EXAMPLES}
+        assert list(formulas.BY_HEAD) == [
+            "in", "notin", "ad", "notad", "or", "and", "bex", "ball", "ex", "all"]
+
+    @pytest.mark.parametrize("A", EXAMPLES, ids=lambda A: A.head)
+    def test_head_word_reads_renders_and_negates(self, A):
+        # the parts as the reader gives them: a term as its atom or set
+        parts = [A.head] + [
+            x.name if isinstance(x, Var) else x.value if isinstance(x, Name) else x
+            for x in (getattr(A, f.name) for f in fields(A))]
+        assert formulas.formula_from_tree(parts, {}) == A
+        text = render_formula(A)
+        assert text.startswith("(%s " % A.head)
+        assert parse_formula(text) == A
+        assert type(negate(A)) is A.dual and A.dual.dual is type(A)
+        assert [f.name for f in fields(A.dual)] == [f.name for f in fields(A)]
 
 
 class TestClassify:

@@ -103,8 +103,7 @@ def test_bounded_wedge_labels_follow_trace_order():
             comp = NotMem(Name(iota), Name(iota))
             # only the target's premise fails to descend
             height = from_nat(2 if iota == target else 0)
-            return TrueLeaf(Sig(hull, height, 0, frozenset({A, comp})), comp,
-                            undetermined=iota == p)
+            return TrueLeaf(Sig(hull, height, 0, frozenset({A, comp})), comp)
 
         d = WedgeNode(top, A, JBounded(bound), prem)
         children = [line.split()[2] for line in trace_lines(d, 1)[1:]]

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the package is used, every
 module-level function and class of the package is used somewhere, and
-the package's module-level tables and caches are the known ones.
+the package's module-level tables and caches and its stores on objects
+are the known ones.
 
 Parses ``src/proofkit/*.py`` with ``ast``; the package ``__init__``
 re-exports names, and ``from __future__ import annotations`` is a
@@ -162,3 +163,37 @@ def module_tables() -> set:
 
 def test_module_tables_are_the_known_ones():
     assert module_tables() == KNOWN_TABLES
+
+
+#: The attributes a function of the package keeps on an object with
+#: ``object.__setattr__(x, "<name>", ...)``, by module.  Each is a store
+#: on every object of its kind that ``==``, ``hash`` and ``repr`` must
+#: not see, so one more is a decision, not a detail: add it here with
+#: its reason.
+KNOWN_STORES = {
+    # a formula's or a term's hash, its negation, its quantifier
+    # instances by index and its record of syntactic facts
+    "formulas": {"_hash", "_negation", "_instances", "_facts"},
+    "ordinals": {"_hash"},  # an interned code's hash
+    "universe": {"_facts"},  # a concrete set's record of facts
+}
+
+
+def object_stores() -> dict:
+    """The literal attribute names that each module of the package sets
+    with ``object.__setattr__``.  The ordinal intern table also sets a
+    new code's fields this way, by a computed name, which is no store."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "__setattr__"
+                    and isinstance(n.func.value, ast.Name) and n.func.value.id == "object"
+                    and len(n.args) == 3 and isinstance(n.args[1], ast.Constant)):
+                out.setdefault(path.stem, set()).add(n.args[1].value)
+    return out
+
+
+def test_object_stores_are_the_known_ones():
+    assert object_stores() == KNOWN_STORES

@@ -3,16 +3,18 @@ ranks, and hulls."""
 
 import hashlib
 import random
+from dataclasses import fields
 
 import pytest
 
-from proofkit.ordinals import OMEGA, Sub, cmp, cnf_from_int, LESS
+from proofkit.ordinals import OMEGA, ONE as ORD_ONE, ZERO, Sub, add, cmp, cnf_from_int, LESS
 from proofkit.universe import (
     Abstract,
     Concrete,
     EMPTY,
     EMPTY_HULL,
     EvaluationError,
+    Hull,
     OMEGA_WITNESS,
     HF_LIMIT,
     enumerate_hf,
@@ -24,6 +26,7 @@ from proofkit.universe import (
     rank,
     rank_int,
     render_set,
+    set_facts,
     set_member,
     set_members,
     transitive_closure,
@@ -158,16 +161,17 @@ class TestHull:
     def test_concrete_sets_against_a_recursive_walk(self):
         a, b, c = (Abstract(n, Sub(cnf_from_int(1))) for n in "abc")
         hulls = [EMPTY_HULL, hull_extend(EMPTY_HULL, a),
-                 hull_extend(EMPTY_HULL, Concrete(frozenset({b, ONE})))]
-        rng = random.Random(15)
+                 hull_extend(EMPTY_HULL, Concrete(frozenset({b, ONE}))),
+                 Hull(frozenset({b, Concrete(frozenset({TWO, Concrete(frozenset({c}))}))}))]
         checked = {True: 0, False: 0}
-        for _ in range(500):
-            s = random_desk_set(rng, 4, [EMPTY, ONE, a, b, c])
+        for s in random_desk_sets(15, [a, b, c]):
             for P in hulls:
                 for _ in range(2):  # computed and kept, then read back
-                    answer = hull_contains(P, s)
-                    assert answer == all(hull_contains(P, p) for p in ref_abstract_atoms(s))
+                    assert hull_contains(P, s) == ref_hull_contains(P, s)
                 checked[bool(ref_abstract_atoms(s))] += 1
+            for p in (a, b, c, OMEGA_WITNESS):
+                assert [hull_contains(P, p) for P in hulls] == [
+                    ref_hull_contains(P, p) for P in hulls]
         assert min(checked.values()) > 100
 
     def test_hereditarily_finite_index_leaves_the_hull(self):
@@ -188,11 +192,100 @@ class TestHull:
         assert not hull_subsumes(EMPTY_HULL, h)
 
 
+class TestSetFacts:
+    """set_facts against the recursive walks it replaced."""
+
+    def test_against_recursive_walks(self):
+        # the sets of test_concrete_sets_against_a_recursive_walk, one
+        # parameter of infinite rank
+        leaves = [Abstract("a", Sub(cnf_from_int(1))), Abstract("b", Sub(cnf_from_int(1))),
+                  Abstract("c", OMEGA_WITNESS.declared_rank)]
+        checked = {True: 0, False: 0}
+        for s in random_desk_sets(15, leaves) + enumerate_hf(300):
+            for _ in range(2):  # computed and kept, then read back
+                assert is_concrete(s) == ref_is_concrete(s)
+                assert rank(s) == ref_rank(s)
+                assert render_set(s) == ref_render_set(s)
+                assert repr(s) == "Concrete(%s)" % ref_render_set(s)
+                assert rank_int_outcome(rank_int, s) == rank_int_outcome(ref_rank_int, s)
+            assert set_facts(s) is set_facts(s)
+            assert set_facts(s).atoms == ref_abstract_atoms(s)
+            checked[ref_is_concrete(s)] += 1
+        assert min(checked.values()) > 100
+        for p in leaves:
+            assert (is_concrete(p), rank(p), render_set(p)) == (False, p.declared_rank, p.name)
+            assert rank_int_outcome(rank_int, p) == rank_int_outcome(ref_rank_int, p)
+
+    def test_the_record_is_not_a_field(self):
+        a = Abstract("a", Sub(cnf_from_int(1)))
+        for s in random_desk_sets(17, [a])[:200]:
+            fresh_copy = Concrete(frozenset(s.members))
+            set_facts(s)
+            assert "_facts" in vars(s) and "_facts" not in vars(fresh_copy)
+            assert [f.name for f in fields(s)] == ["members"]
+            assert s == fresh_copy and hash(s) == hash(fresh_copy)
+            assert repr(s) == repr(fresh_copy)
+
+
+def ref_is_concrete(a):
+    if isinstance(a, Abstract):
+        return False
+    return all(ref_is_concrete(b) for b in a.members)
+
+
+def ref_rank(a):
+    if isinstance(a, Abstract):
+        return a.declared_rank
+    best = ZERO
+    for b in a.members:
+        succ = add(ref_rank(b), ORD_ONE)
+        if cmp(best, succ) == LESS:
+            best = succ
+    return best
+
+
+def ref_rank_int(a):
+    if isinstance(a, Abstract):
+        raise EvaluationError("rank_int needs a concrete set")
+    if not a.members:
+        return 0
+    return 1 + max(ref_rank_int(b) for b in a.members)
+
+
+def ref_render_set(a):
+    if isinstance(a, Abstract):
+        return a.name
+    return "{" + ",".join(sorted(ref_render_set(b) for b in a.members)) + "}"
+
+
+def rank_int_outcome(fn, a):
+    """fn(a), or the type and message of the error it raises."""
+    try:
+        return fn(a)
+    except EvaluationError as e:
+        return type(e), str(e)
+
+
+def ref_hull_contains(P, x):
+    """hull_contains by a transitive closure walk per generator."""
+    if isinstance(x, Abstract):
+        return x == OMEGA_WITNESS or any(
+            g == x or x in transitive_closure(g) for g in P.generators)
+    return all(ref_hull_contains(P, p) for p in ref_abstract_atoms(x))
+
+
 def ref_abstract_atoms(a):
     """The abstract parameters hereditarily inside a, by a recursive walk."""
     if isinstance(a, Abstract):
         return {a}
     return set().union(*(ref_abstract_atoms(b) for b in a.members))
+
+
+def random_desk_sets(seed, abstract, count=500):
+    """``count`` random concrete sets of nesting at most 4 over the empty
+    set, {0} and the ``abstract`` parameters."""
+    rng = random.Random(seed)
+    return [random_desk_set(rng, 4, [EMPTY, ONE, *abstract]) for _ in range(count)]
 
 
 def random_desk_set(rng, depth, leaves):
