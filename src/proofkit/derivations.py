@@ -606,13 +606,13 @@ def emb_rank(pi: fin.ProofNode) -> int:
     ranks: dict = {}
     for node in fin.post_order(pi):
         if node.rule == "logax":
-            r = 2 * depth(close(node.main, {}))
+            r = 2 * depth(node.main)
         elif node.rule in fin.AXIOM_RULES:
             r = axemb_rank(node)
         else:
             r = max(ranks[id(p)] for p in node.premises) + 1
             if node.rule == "cut":
-                r = max(r, depth(close(node.formula, {})) + 1)
+                r = max(r, depth(node.formula) + 1)
         ranks[id(node)] = r
     return ranks[id(pi)]
 

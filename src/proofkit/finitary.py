@@ -338,10 +338,13 @@ class ProofScript:
 def parse_script(text: str) -> ProofScript:
     """The proof a script holds.  One ``Reader`` memo serves the whole
     script, so each distinct member, value and literal text is read once
-    and equal formulas are one object; a ``param`` line clears it."""
+    and equal formulas are one object.  It also keeps a node line's
+    conclusion and witnesses under the text after its premise ids once
+    that text reads, so nodes with equal tails share them.  A ``param``
+    line clears it all."""
     params: dict = {}
     assignment: dict = {}
-    memo: dict = {}  # the reader's formulas and sets by text and by parts
+    memo: dict = {}  # the reader's formulas and sets by text and by parts, and node tails
     nodes: dict = {}
     unused: dict = {}  # node id -> line number, for the nodes no line uses yet
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -391,11 +394,18 @@ def parse_script(text: str) -> ProofScript:
 
 def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
     """The premise ids, conclusion and witnesses after a node's rule,
-    read through the script's ``memo``."""
+    read through the script's ``memo``, which keeps the conclusion and
+    witnesses under the text after the premise ids once they read."""
     if rule not in RULES:
         raise ValueError("unknown rule %r" % rule)
     items = Reader(rest, params, memo)
     premise_ids = items.item() if items.tokens(1) == ["["] else []
+    # the reader's keys are texts, frozensets and tuples of parts, no part
+    # None, so this key is none of theirs
+    tail = (None, rest[items.pos:].lstrip())
+    kept = memo.get(tail)
+    if kept is not None:
+        return (premise_ids, *kept)
     if items.tokens(2) != ["(", "seq"]:
         raise ValueError("missing conclusion sequent")
     concl = items.item()
@@ -418,6 +428,7 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
         elif not isinstance(value, str):
             raise ValueError("%s takes a variable, got %r" % (key, value))
         kwargs[key] = value
+    memo[tail] = concl, kwargs
     return premise_ids, concl, kwargs
 
 

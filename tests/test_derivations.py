@@ -1,9 +1,11 @@
 """Derivation terms: lazy expansion, embedding signatures, weakening,
 reduction, and predicative cut elimination."""
 
+import random
 import warnings
 
 import pytest
+from test_formulas import random_formula
 
 from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
@@ -25,10 +27,11 @@ from proofkit.derivations import (
     fit,
     Weak,
     _map_premises,
+    axemb_rank,
     rule_of,
 )
 from proofkit.checking import check_local
-from proofkit.finitary import ProofNode, ax_collection, ax_foundation
+from proofkit.finitary import AXIOM_RULES, ProofNode, ax_collection, ax_foundation, post_order
 from proofkit.formulas import (
     BAll,
     Ex,
@@ -38,6 +41,8 @@ from proofkit.formulas import (
     Or,
     Var,
     ZERO_TERM,
+    close,
+    depth,
     negate,
     seq,
 )
@@ -80,7 +85,35 @@ def corpus_terms():
         yield e, Emb(e.script.root, e.script.assignment, EMPTY_HULL)
 
 
+def ref_emb_rank(pi):
+    """emb_rank as it was, reading the depth of each logical axiom's main
+    formula and each cut formula after closing it."""
+    ranks = {}
+    for node in post_order(pi):
+        if node.rule == "logax":
+            r = 2 * depth(close(node.main, {}))
+        elif node.rule in AXIOM_RULES:
+            r = axemb_rank(node)
+        else:
+            r = max(ranks[id(p)] for p in node.premises) + 1
+            if node.rule == "cut":
+                r = max(r, depth(close(node.formula, {})) + 1)
+        ranks[id(node)] = r
+    return ranks[id(pi)]
+
+
 class TestEmbeddingSignature:
+    def test_rank_agrees_with_closing_reference(self):
+        for e in build_corpus():
+            assert emb_rank(e.script.root) == ref_emb_rank(e.script.root), e.name
+        # no corpus formula is open: cuts over logical axioms on open ones
+        rng = random.Random(4)
+        for _ in range(300):
+            A, C = (random_formula(rng, rng.randrange(5), ("a", "b")) for _ in "AC")
+            ax = ProofNode("logax", seq(A, negate(A)), main=A)
+            cut = ProofNode("cut", seq(A), (ax, ax), formula=C)
+            assert emb_rank(cut) == ref_emb_rank(cut)
+
     def test_rank_and_bound_formula(self):
         for e, d in corpus_terms():
             m = emb_rank(e.script.root)

@@ -455,6 +455,44 @@ class TestReader:
             parse_script("# one malformed line\n" + line + "\n")
         assert str(info.value) == "line 2: " + message
 
+    # a line that repeats the tail of an earlier well-formed line after
+    # its rule or premise ids, or breaks it; each follows the lines of
+    # READ_BEFORE and gives the message it gives after the first of them
+    TAIL = "(seq (in 0 0) (notin 0 0)) main=(in 0 0)"
+    READ_BEFORE = ("n1 logax (seq (in 0 {{}}) (notin 0 {{}})) main=(in 0 {{}})",
+                   "n2 logax " + TAIL)
+    REPEATED_TAIL = [
+        ("n3 frob " + TAIL, "unknown rule 'frob'"),
+        ("n1 logax " + TAIL, "duplicate node id n1"),
+        ("n3 or [n0] " + TAIL, "undefined premise id 'n0'"),
+        ("n3 or [n1,n0] " + TAIL, "undefined premise id 'n0'"),
+        ("n3 logax " + TAIL + " foo", "witnesses read key=value, got 'foo'"),
+        ("n3 logax " + TAIL + " main=(in 0 0)", "repeated witness main"),
+        ("n3 logax " + TAIL[:-1], "missing closing parenthesis"),
+        ("n3 logax (seq (in 0 0) (notin 0 0)) main=", "unexpected end of expression"),
+        ("n3 logax (seq (in 0 0) (notin 0 0) main=(in 0 0)", "missing closing parenthesis"),
+        # a whole tail the memo keeps under its text: a set literal, a
+        # sequent member, a value
+        ("n3 logax {{}}", "missing conclusion sequent"),
+        ("n3 logax (in 0 {{}})", "missing conclusion sequent"),
+        ("n3 logax [n1] (notin 0 {{}})", "missing conclusion sequent"),
+    ]
+
+    @pytest.mark.parametrize("line, message", REPEATED_TAIL)
+    def test_malformed_line_after_a_repeated_tail(self, line, message):
+        for count in (1, 2):  # the second time, TAIL has been read
+            with pytest.raises(ValueError) as info:
+                parse_script("\n".join(self.READ_BEFORE[:count] + (line,)) + "\n")
+            assert str(info.value) == "line %d: %s" % (count + 1, message)
+
+    def test_equal_tails_share_their_objects(self):
+        text = "n1 logax {T}\nn2 logax {T}\nn3 or [n1,n2] {T}\n".format(T=self.TAIL)
+        root = parse_script(text).root
+        n1, n2 = root.premises
+        assert n1 is not n2
+        assert n1.conclusion is n2.conclusion is root.conclusion
+        assert n1.main is n2.main is root.main
+
     @pytest.mark.parametrize("parse, text", [
         (parse_formula, "(in 0 0) x"),
         (parse_formula, "(in 0 0))"),
@@ -500,6 +538,10 @@ class TestReader:
         n1, n2 = script.root.premises
         assert n1.main == Mem(Var("p"), ZERO_TERM)
         assert n2.main == Mem(Name(script.params["p"]), ZERO_TERM)
+        # n2 repeats n1's tail, read again after the param line
+        assert n1.conclusion == {Mem(Var("p"), ZERO_TERM), NotMem(Var("p"), ZERO_TERM)}
+        assert n2.conclusion == script.root.conclusion == {
+            Mem(Name(script.params["p"]), ZERO_TERM), NotMem(Name(script.params["p"]), ZERO_TERM)}
 
     def test_agrees_with_reference_on_corpus(self):
         for e in build_corpus():
@@ -794,7 +836,7 @@ class TestDeepAndSharedProofs:
         calls = []
 
         def counted(node, N):
-            calls.append(node)
+            calls.append(id(node))  # a node's repr walks all 2**39 paths below it
             return expected_premises(node, N)
 
         monkeypatch.setattr(finitary, "expected_premises", counted)

@@ -626,6 +626,16 @@ class TestDepth:
         for A in reference_sample(6):
             assert depth(A) == ref_depth(A)
 
+    def test_closing_keeps_depth(self):
+        # emb_rank reads an open formula's depth as that of its closure
+        rng = random.Random(9)
+        sample = reference_sample(9, 1000) + [
+            random_formula(rng, rng.randrange(6), ("a", "b")) for _ in range(2000)]
+        assert sum(bool(free_vars(A)) for A in sample) > 1000
+        for A in sample:
+            for assignment in ({}, {"a": ONE}, {"a": TWO, "b": EMPTY}):
+                assert depth(close(A, assignment)) == depth(A)
+
 
 class TestSupport:
     def test_atoms(self):
