@@ -8,10 +8,10 @@ and with all set parameters and the bound itself inside the ``hull``.
 Terms come in two layers.  Explicit nodes (TrueLeaf, VeeNode,
 WedgeNode, CutNode, RefNode) mirror the five infinitary inferences and
 carry their premises directly -- conjunctive premises lazily, as a
-function of the index.  Defined notations (Taut, Fund, AxEmb, Emb,
-Weak, Red, Inv, Drop, E) denote derivations built by the standard
-proof-theoretic constructions: tautology and foundation derivations of
-finite height, the embedding of finitary proofs, weakening, reduction
+function of the index.  Defined notations (Taut, Fund, Emb, Weak, Red,
+Inv, Drop, E) denote derivations built by the standard proof-theoretic
+constructions: tautology and foundation derivations of finite height,
+the embedding of finitary proofs and axiom instances, weakening, reduction
 of a disjunctive cut formula, inversion, removal of a false bounded
 formula, and one round of predicative cut-elimination.  ``unfold``
 rewrites one defined layer into an explicit node with the same
@@ -349,10 +349,7 @@ def _fund_progress(
         # progress-failure sentence outright
         if eval_formula_bounded(A_b):
             return TrueLeaf(vee_sig, A_b)
-        c = _minimal_failure(b, U)
-        C_c = component(B, c)
-        leaf = _true_leaf(C_c, base | {C_c}, hull, from_nat(0))
-        return VeeNode(vee_sig, B, c, leaf)
+        return _witnessed(vee_sig, B, _minimal_failure(b, U), from_nat(0))
 
     C_b = component(B, b)
     wedge_seq = base | {C_b}
@@ -432,42 +429,6 @@ def fit(
 # axiom embeddings
 
 
-class AxEmb(DerivTerm):
-    """Cut-free derivation of a closed theory-axiom instance."""
-
-    def __init__(self, node: fin.ProofNode, assignment: dict, hull: Hull, N: int):
-        super().__init__()
-        if node.rule not in fin.AXIOM_RULES:
-            raise ConstructionError("axiom embedding needs an axiom node")
-        self.node = node
-        self.assignment = dict(assignment)
-        inst = fin.axiom_instance(node, N)
-        self.inst = close(inst, assignment)
-        seq = frozenset(close(A, assignment) for A in node.conclusion)
-        self.sig = Sig(hull, _axemb_bound(node, self.inst), 0, seq)
-
-    def _expand(self):
-        return _axemb_expand(self)
-
-
-def _axemb_bound(node: fin.ProofNode, inst: Formula) -> OrdCode:
-    kind = node.rule.split(":")[1]
-    if kind == "extensionality":
-        return ORD_ZERO
-    if kind in ("union", "separation"):
-        return from_nat(1)
-    if kind == "pair":
-        return from_nat(2)
-    if kind in ("collection", "infinity"):
-        return from_nat(3)
-    if kind == "foundation":
-        return add(OMEGA, from_nat(2))
-    if kind == "reflection":
-        d = depth(inst.left)  # inst.left is the negated reflected formula
-        return from_nat(max(2 * d, 2) + 3)
-    raise ConstructionError("unknown axiom %r" % kind)
-
-
 def axemb_rank(node: fin.ProofNode) -> int:
     """Cut rank assigned to an axiom by the embedding."""
     return 2 if node.rule == "axiom:foundation" else 1
@@ -487,9 +448,28 @@ def _witnessed(sig: Sig, A: Formula, w: DeskSet, bound: OrdCode) -> VeeNode:
     return VeeNode(sig, A, w, leaf)
 
 
-def _axemb_expand(ax: AxEmb) -> ExplicitNode:
-    node, inst, sig = ax.node, ax.inst, ax.sig
+def _both_disjuncts(sig: Sig, A: Formula, inner: DerivTerm) -> VeeNode:
+    """sig's sequent, which holds the disjunction A, from ``inner``, a
+    derivation of it plus both disjuncts: the disjunctive inference
+    into A at index 1, then at index 0."""
+    upper = Sig(sig.hull, _bump(inner.sig.bound, 1), sig.rank, sig.seq | {A.left})
+    return VeeNode(sig, A, 0, VeeNode(upper, A, 1, inner))
+
+
+def _cut_away(sig: Sig, C: Formula, right: DerivTerm, bound: OrdCode) -> CutNode:
+    """sig's sequent from ``right``, a derivation of it plus the false
+    bounded formula C: the cut on C against a true leaf on not-C at
+    ``bound``."""
+    not_c = negate(C)
+    return CutNode(sig, C, _true_leaf(not_c, sig.seq | {not_c}, sig.hull, bound), right)
+
+
+def _axemb_expand(node: fin.ProofNode, assignment: dict, sig: Sig, N: int) -> ExplicitNode:
+    """The last inference of a cut-free derivation of the closed axiom
+    instance at ``node``, at sig's hull, bound and sequent."""
+    inst = close(fin.axiom_instance(node, N), assignment)
     P, seq = sig.hull, sig.seq
+    sig = Sig(P, sig.bound, 0, seq)
     kind = node.rule.split(":")[1]
 
     if kind == "extensionality":
@@ -503,16 +483,16 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         return _witnessed(sig, inst, Concrete(frozenset({a_val, b_val})), from_nat(1))
 
     if kind == "union":
-        a_val = _closed_value(node.term, ax.assignment)
+        a_val = _closed_value(node.term, assignment)
         members = set()
         for b in set_members(a_val):
             members |= set_members(b)
         return _witnessed(sig, inst, Concrete(frozenset(members)), from_nat(0))
 
     if kind == "separation":
-        a_val = _closed_value(node.term, ax.assignment)
+        a_val = _closed_value(node.term, assignment)
         x = node.var
-        phi = close(node.formula, ax.assignment, {x})
+        phi = close(node.formula, assignment, {x})
         chosen = frozenset(
             b for b in set_members(a_val)
             if eval_formula_bounded(phi, {x: b})
@@ -520,9 +500,9 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         return _witnessed(sig, inst, Concrete(chosen), from_nat(0))
 
     if kind == "collection":
-        a_val = _closed_value(node.term, ax.assignment)
+        a_val = _closed_value(node.term, assignment)
         x, y = node.var, node.var2
-        phi = close(node.formula, ax.assignment, {x, y})
+        phi = close(node.formula, assignment, {x, y})
         pool = witness_pool(8, [a_val])
         found = []
         for u in set_members(a_val):
@@ -564,31 +544,26 @@ def _axemb_expand(ax: AxEmb) -> ExplicitNode:
         B, U = inst.left, inst.right  # the progress failure, forall x phi
         d = depth(U.body)
         wedge_seq = seq | {B, U}
-        wedge_sig = Sig(P, OMEGA, 0, wedge_seq)
 
         def prem(a):
             return _fund_progress(a, B, U, wedge_seq, hull_extend(P, a), d)
 
-        wedge = WedgeNode(wedge_sig, U, J_UNIVERSE, prem)
-        vee2 = VeeNode(Sig(P, add(OMEGA, from_nat(1)), 0, seq | {B}), inst, 1, wedge)
-        return VeeNode(sig, inst, 0, vee2)
+        wedge = WedgeNode(Sig(P, OMEGA, 0, wedge_seq), U, J_UNIVERSE, prem)
+        return _both_disjuncts(sig, inst, wedge)
 
-    if kind == "reflection":
-        A = inst.left  # negated reflected formula
-        refl = negate(A)
-        ex_part = inst.right
-        point = Name(_closed_value(node.term, ax.assignment))
-        guard = negate(ex_part)
-        d = depth(refl)
-        ref_seq = seq | {A, ex_part}
-        ref_sig = Sig(P, from_nat(max(2 * d, 2) + 1), 0, ref_seq)
-        left = Taut(refl, ref_seq, P)
-        right = Taut(ex_part, ref_seq | {guard}, P)
-        ref = RefNode(ref_sig, refl, point, guard, left, right)
-        vee2 = VeeNode(Sig(P, from_nat(max(2 * d, 2) + 2), 0, seq | {A}), inst, 1, ref)
-        return VeeNode(sig, inst, 0, vee2)
-
-    raise ConstructionError("unknown axiom %r" % kind)
+    # reflection
+    A = inst.left  # negated reflected formula
+    refl = negate(A)
+    ex_part = inst.right
+    point = Name(_closed_value(node.term, assignment))
+    guard = negate(ex_part)
+    d = depth(refl)
+    ref_seq = seq | {A, ex_part}
+    ref_sig = Sig(P, from_nat(max(2 * d, 2) + 1), 0, ref_seq)
+    left = Taut(refl, ref_seq, P)
+    right = Taut(ex_part, ref_seq | {guard}, P)
+    ref = RefNode(ref_sig, refl, point, guard, left, right)
+    return _both_disjuncts(sig, inst, ref)
 
 
 def _closed_value(t: Term, assignment: dict) -> DeskSet:
@@ -643,33 +618,34 @@ class Emb(DerivTerm):
         seq = frozenset(close(A, assignment) for A in pi.conclusion)
         self.sig = Sig(full_hull, emb_bound(self.m, values), self.m, seq)
 
-    def _sub(self, pi: fin.ProofNode, extra: dict | None = None) -> "Emb":
+    def _premise(self, k: int, hull: Hull, seq: Sequent, extra: dict | None = None) -> DerivTerm:
+        """The embedding of premise k, under the assignment updated by
+        ``extra``, fitted to ``hull``, this embedding's rank and ``seq``."""
         assignment = dict(self.assignment)
         if extra:
             assignment.update(extra)
-        return Emb(pi, assignment, self.base_hull, self.N)
+        sub = Emb(self.pi.premises[k], assignment, self.base_hull, self.N)
+        return fit(sub, hull, self.m, seq)
 
     def _expand(self):
         return _emb_expand(self)
 
 
 def _emb_expand(e: Emb) -> ExplicitNode:
-    pi, sig, N = e.pi, e.sig, e.N
-    P, m, seq = sig.hull, sig.rank, sig.seq
+    pi, sig = e.pi, e.sig
+    P, seq = sig.hull, sig.seq
 
     if pi.rule == "logax":
         t = Taut(close(pi.main, e.assignment), seq, P)
         return _map_premises(rule_of(t), sig)
 
     if pi.rule in fin.AXIOM_RULES:
-        ax = AxEmb(pi, e.assignment, P, N)
-        return _map_premises(rule_of(ax), sig)
+        return _map_premises(_axemb_expand(pi, e.assignment, sig, e.N), sig)
 
     if pi.rule == "cut":
         C = close(pi.formula, e.assignment)
-        left = fit(e._sub(pi.premises[0]), P, m, seq | {negate(C)})
-        right = fit(e._sub(pi.premises[1]), P, m, seq | {C})
-        return CutNode(sig, C, left, right)
+        left = e._premise(0, P, seq | {negate(C)})
+        return CutNode(sig, C, left, e._premise(1, P, seq | {C}))
 
     main = close(pi.main, e.assignment)
 
@@ -683,17 +659,11 @@ def _emb_expand(e: Emb) -> ExplicitNode:
                     "cannot orient a bounded disjunction with opaque parts")
             if eval_formula_bounded(main):
                 return TrueLeaf(sig, main)
-            sub = e._sub(pi.premises[0])
-            base = fit(sub, P, m, seq | {a0, a1})
-            il = _true_leaf(negate(a0), seq | {a1, negate(a0)}, P, from_nat(0))
-            inner = CutNode(
-                Sig(P, _bump(sub.sig.bound, 1), m, seq | {a1}), a0, il, base)
-            ol = _true_leaf(negate(a1), seq | {negate(a1)}, P, from_nat(0))
-            return CutNode(sig, a1, ol, inner)
-        sub = e._sub(pi.premises[0])
-        inner = fit(sub, P, m, seq | {a0, a1})
-        vee1 = VeeNode(Sig(P, _bump(sub.sig.bound, 1), m, seq | {a0}), main, 1, inner)
-        return VeeNode(sig, main, 0, vee1)
+            inner = e._premise(0, P, seq | {a0, a1})
+            upper = Sig(P, _bump(inner.sig.bound, 1), sig.rank, seq | {a1})
+            zero = from_nat(0)
+            return _cut_away(sig, a1, _cut_away(upper, a0, inner, zero), zero)
+        return _both_disjuncts(sig, main, e._premise(0, P, seq | {a0, a1}))
 
     if pi.rule == "and":
         if is_delta0(main):
@@ -702,33 +672,25 @@ def _emb_expand(e: Emb) -> ExplicitNode:
                     "cannot orient a bounded conjunction with opaque parts")
             if eval_formula_bounded(main):
                 return TrueLeaf(sig, main)
-            parts = [main.left, main.right]
-            i = next(k for k, c in enumerate(parts)
-                     if not eval_formula_bounded(c))
-            comp = parts[i]
-            right = fit(e._sub(pi.premises[i]), P, m, seq | {comp})
-            left = _true_leaf(negate(comp), seq | {negate(comp)}, P, from_nat(0))
-            return CutNode(sig, comp, left, right)
-        subs = [e._sub(p) for p in pi.premises]
+            i = int(eval_formula_bounded(main.left))  # the first false conjunct
+            comp = component(main, i)
+            return _cut_away(sig, comp, e._premise(i, P, seq | {comp}), from_nat(0))
 
         def prem(i):
-            return fit(subs[i], P, m, seq | {component(main, i)})
+            return e._premise(i, P, seq | {component(main, i)})
 
         return WedgeNode(sig, main, J_TWO, prem)
 
     if pi.rule == "ex":
         iota = _closed_value(pi.term, e.assignment)
-        comp = component(main, iota)
-        inner = fit(e._sub(pi.premises[0]), P, m, seq | {comp})
+        inner = e._premise(0, P, seq | {component(main, iota)})
         return VeeNode(sig, main, iota, inner)
 
     if pi.rule == "all":
         v = pi.var
 
         def prem(b):
-            hull_b = hull_extend(P, b)
-            comp = component(main, b)
-            return fit(e._sub(pi.premises[0], {v: b}), hull_b, m, seq | {comp})
+            return e._premise(0, hull_extend(P, b), seq | {component(main, b)}, {v: b})
 
         return WedgeNode(sig, main, J_UNIVERSE, prem)
 
@@ -736,33 +698,25 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         iota = _closed_value(pi.term, e.assignment)
         membership = Mem(Name(iota), main.bound)
         if eval_formula_bounded(membership):
-            comp = component(main, iota)
-            inner = fit(e._sub(pi.premises[1]), P, m, seq | {comp})
+            inner = e._premise(1, P, seq | {component(main, iota)})
             return VeeNode(sig, main, iota, inner)
         # witness misses the bounding set: the membership premise is
         # effectively a proof of the conclusion, cut against its negation
-        right = fit(e._sub(pi.premises[0]), P, m, seq | {membership})
-        not_mem = negate(membership)
-        left = _true_leaf(not_mem, seq | {not_mem}, P, from_nat(1))
-        return CutNode(sig, membership, left, right)
+        right = e._premise(0, P, seq | {membership})
+        return _cut_away(sig, membership, right, from_nat(1))
 
     if pi.rule == "ball":
         v = pi.var
-        bound_val = main.bound.value
 
         def prem(b):
             hull_b = hull_extend(P, b)
-            comp = component(main, b)
-            target = seq | {comp}
-            sub = e._sub(pi.premises[0], {v: b})
+            target = seq | {component(main, b)}
             notmem = NotMem(Name(b), main.bound)
-            right = fit(sub, hull_b, m, target | {notmem})
-            mem = negate(notmem)
-            left = _true_leaf(mem, target | {mem}, hull_b, from_nat(1))
-            cut_sig = Sig(hull_b, _bump(sub.sig.bound, 1), m, target)
-            return CutNode(cut_sig, notmem, left, right)
+            right = e._premise(0, hull_b, target | {notmem}, {v: b})
+            cut_sig = Sig(hull_b, _bump(right.sig.bound, 1), sig.rank, target)
+            return _cut_away(cut_sig, notmem, right, from_nat(1))
 
-        return WedgeNode(sig, main, JBounded(bound_val), prem)
+        return WedgeNode(sig, main, JBounded(main.bound.value), prem)
 
     raise ConstructionError("cannot embed rule %r" % pi.rule)
 

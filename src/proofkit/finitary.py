@@ -202,11 +202,11 @@ def axiom_instance(node: ProofNode, N: int) -> Formula:
 
 @dataclass
 class CheckResult:
-    ok: bool
     diagnostics: list = field(default_factory=list)
 
-    def __bool__(self):
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return not self.diagnostics
 
 
 def expected_premises(node: ProofNode, N: int) -> list:
@@ -301,7 +301,7 @@ def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
     is reported at the first path that reaches its node, and a premise
     sequent mismatch at the path of every edge that has one."""
     if N < 2:
-        return CheckResult(False, [("", "N must be at least 2")])
+        return CheckResult([("", "N must be at least 2")])
     diags, walked, stack = [], set(), [(pi, "0", False)]
     while stack:
         node, path, mismatch = stack.pop()
@@ -321,7 +321,7 @@ def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
         for i in reversed(range(len(need))):
             sub = node.premises[i]
             stack.append((sub, "%s.%d" % (path, i), sub.conclusion != need[i]))
-    return CheckResult(not diags, diags)
+    return CheckResult(diags)
 
 
 # ---------------------------------------------------------------------------

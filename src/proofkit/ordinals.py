@@ -141,7 +141,6 @@ def cnf_cmp(a: CNF, b: CNF) -> int:
     return LESS if len(a.terms) < len(b.terms) else GREATER
 
 
-@lru_cache(maxsize=None)
 def cnf_is_valid(a: CNF) -> bool:
     if not isinstance(a, CNF):
         return False

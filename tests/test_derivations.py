@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 from test_formulas import random_formula
+from test_perfbench import BALL_SCRIPT
 
 from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
@@ -31,7 +32,15 @@ from proofkit.derivations import (
     rule_of,
 )
 from proofkit.checking import check_local
-from proofkit.finitary import AXIOM_RULES, ProofNode, ax_collection, ax_foundation, post_order
+from proofkit.finitary import (
+    AXIOM_RULES,
+    ProofNode,
+    ax_collection,
+    ax_foundation,
+    check_proof,
+    parse_script,
+    post_order,
+)
 from proofkit.formulas import (
     BAll,
     Ex,
@@ -44,6 +53,7 @@ from proofkit.formulas import (
     close,
     depth,
     negate,
+    parse_formula,
     seq,
 )
 from proofkit.ordinals import (
@@ -188,6 +198,93 @@ class TestExpansion:
         v = rule_of(f)
         assert isinstance(v, WedgeNode) and v.sig == f.sig
         assert rule_of(v.premise(ONE)).main == NotMem(Name(ONE), Name(ONE))
+
+
+#: Checked proofs whose last rule introduces a false bounded formula:
+#: the embedding cuts the false part away against a true leaf.
+OR_SCRIPT = """\
+n1 logax (seq (in {} {}) (in {{}} {}) (notin {} {})) main=(in {} {})
+n2 or [n1] (seq (or (in {} {}) (in {{}} {})) (notin {} {})) main=(or (in {} {}) (in {{}} {}))
+"""
+AND_SCRIPT = """\
+n1 logax (seq (in {} {}) (notin {} {}) (notin {} {{}})) main=(in {} {})
+n2 logax (seq (in {} {{}}) (notin {} {}) (notin {} {{}})) main=(in {} {{}})
+n3 and [n1,n2] (seq (and (in {} {}) (in {} {{}})) (notin {} {}) (notin {} {{}})) \
+main=(and (in {} {}) (in {} {{}}))
+"""
+BEX_SCRIPT = """\
+n1 logax (seq (in {{}} {{}}) (notin {{}} {{}}) (notin {{}} {})) main=(in {{}} {{}})
+n2 logax (seq (in {{}} {}) (notin {{}} {{}}) (notin {{}} {})) main=(in {{}} {})
+n3 bex [n1,n2] (seq (bex x {{}} (in x {})) (notin {{}} {{}}) (notin {{}} {})) \
+main=(bex x {{}} (in x {})) term={{}}
+"""
+
+
+def embed_checked(text, rank_):
+    script = parse_script(text)
+    assert check_proof(script.root).ok
+    assert emb_rank(script.root) == rank_
+    return Emb(script.root, script.assignment, EMPTY_HULL)
+
+
+def cut_on(t, C):
+    v = rule_of(t)
+    assert isinstance(v, CutNode) and v.cut_formula == C
+    return v
+
+
+def assert_leaf(t, main, seq_, hull, bound):
+    """t is a true leaf on main over seq_ plus main, at hull and bound."""
+    v = rule_of(t)
+    assert isinstance(v, TrueLeaf) and v.main == main
+    assert v.sig.seq == seq_ | {main}
+    assert (v.sig.hull, v.sig.bound) == (hull, from_nat(bound))
+
+
+class TestBoundedShapes:
+    """The embedding of a rule that introduces a false bounded formula:
+    each false part is cut away against a true leaf on its negation."""
+
+    def test_false_disjunction_cuts_away_both_disjuncts(self):
+        d = embed_checked(OR_SCRIPT, 1)
+        a0, a1 = parse_formula("(in {} {})"), parse_formula("(in {{}} {})")
+        outer = cut_on(d, a1)
+        assert outer.sig == d.sig
+        assert_leaf(outer.left, negate(a1), d.sig.seq, EMPTY_HULL, 0)
+        inner = cut_on(outer.right, a0)
+        assert inner.sig.seq == d.sig.seq | {a1}
+        assert_leaf(inner.left, negate(a0), inner.sig.seq, EMPTY_HULL, 0)
+        assert rule_of(inner.right).sig.seq == inner.sig.seq | {a0}
+
+    def test_false_conjunction_cuts_away_its_false_conjunct(self):
+        d = embed_checked(AND_SCRIPT, 1)
+        a0 = parse_formula("(in {} {})")
+        cut = cut_on(d, a0)
+        assert cut.sig == d.sig
+        assert_leaf(cut.left, negate(a0), d.sig.seq, EMPTY_HULL, 0)
+        assert rule_of(cut.right).sig.seq == d.sig.seq | {a0}
+
+    def test_witness_outside_the_bound_cuts_away_its_membership(self):
+        d = embed_checked(BEX_SCRIPT, 1)
+        mem = parse_formula("(in {{}} {{}})")
+        cut = cut_on(d, mem)
+        assert cut.sig == d.sig
+        assert_leaf(cut.left, negate(mem), d.sig.seq, EMPTY_HULL, 1)
+        assert rule_of(cut.right).sig.seq == d.sig.seq | {mem}
+
+    def test_bounded_universal_cuts_away_each_non_membership(self):
+        d = embed_checked(BALL_SCRIPT, 2)
+        main = parse_formula("(ball x0 {{{}}} (in x0 {{{}},{}}))")
+        wedge = rule_of(d)
+        assert isinstance(wedge, WedgeNode) and wedge.main == main
+        assert wedge.indices() == [ONE]
+        notmem = NotMem(Name(ONE), main.bound)
+        cut = cut_on(wedge.premise(ONE), notmem)
+        hull = hull_extend(d.sig.hull, ONE)
+        assert cut.sig.seq == d.sig.seq | {parse_formula("(in {{}} {{{}},{}})")}
+        assert_leaf(cut.left, negate(notmem), cut.sig.seq, hull, 1)
+        right = rule_of(cut.right)
+        assert isinstance(right, VeeNode) and right.sig.seq == cut.sig.seq | {notmem}
 
 
 class TestWeaken:

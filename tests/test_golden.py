@@ -8,10 +8,15 @@ checker's violations, notes and visited count, and the final bound.
 For concrete entries without reflection it also covers the
 ``eval_cutfree(d, 8)`` verdict and reason and the oracle's verdict on
 the end sequent.  A refactor that changes any of these changes the
-digest.
+digest.  ``POOL_DIGESTS`` pins the benchmark's outcomes on its small
+seed-7 pools the same way.
 """
 
 import hashlib
+
+import families
+import pytest
+import worker
 
 from proofkit import ordinals
 from proofkit.checking import (
@@ -68,6 +73,24 @@ def test_corpus_digest():
     record = corpus_record()
     digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
     assert digest == GOLDEN
+
+
+#: ``worker.digest`` of the small seed-7 benchmark pools that
+#: ``perfbench/test_perfbench.py::test_known_answers`` runs.  It covers
+#: each case's outcome fingerprint: for ``elim`` the trace lines, the
+#: violations and the notes of the local check after the default rounds.
+POOL_DIGESTS = {
+    ("check", 20): "e44ba949b3e5e808",
+    ("elim", 10): "9ae08ff2e2f7ffc1",
+    ("sound", 18): "10fe112d66268d6f",
+}
+
+
+@pytest.mark.parametrize("workload,size", sorted(POOL_DIGESTS))
+def test_benchmark_pool_digest(workload, size):
+    pool = families.GENERATORS[workload](7, size)
+    fingerprints = [worker.run_one(workload, case)[1].fingerprint for case in pool]
+    assert worker.digest(workload, fingerprints) == POOL_DIGESTS[workload, size]
 
 
 def test_intern_table_grows_with_codes_not_runs():

@@ -119,7 +119,6 @@ def test_every_definition_is_referenced():
 KNOWN_TABLES = {
     "ordinals._INTERNED",  # one object per ordinal code
     # ordinal arithmetic and checks, by interned argument
-    "ordinals.cnf_is_valid",
     "ordinals.validate_nf",
     "ordinals._parts",
     "ordinals._cmp",
