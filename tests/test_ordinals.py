@@ -1,6 +1,7 @@
 """Ordinal notation system: normal forms, ordering, arithmetic, interning."""
 
 import copy
+import hashlib
 import importlib.util
 import pickle
 import random
@@ -326,6 +327,34 @@ class TestRenderParse:
         a, b = parse_query("w^(W+1) ? W")
         assert cmp(a, b) == GREATER
         assert parse_query("W + W") == Sum((OMEGA, OMEGA))
+
+
+def behaviour_texts():
+    """The text of every result the ordinal operations give on the codes
+    of size 6 and on 2,000 random codes."""
+    rng = random.Random(19)
+    codes = enumerate_codes(6)
+    randoms = [random_code(rng, rng.randint(1, 10)) for _ in range(2000)]
+    for a in codes + randoms:
+        yield render(a)
+        yield str(tree_size(a))
+        for n in (0, 1, 2, 3, 7):
+            yield render(times_nat(a, n))
+        yield render(omega_exp(a))
+        for k in (1, 2, 3):
+            yield render(omega_tower(k, a))
+        yield render(parse(render(a)))
+    pairs = [(a, b) for a in codes for b in codes] + list(zip(randoms, randoms[1:]))
+    for a, b in pairs:
+        yield str(cmp(a, b))
+        yield render(add(a, b))
+        yield render(nat_sum(a, b))
+
+
+def test_behaviour_digest():
+    text = "\n".join(behaviour_texts())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5c20b584a02cb8ecbd9952b6909c6aa19c20112c38205700f7765e2a0772d4e4")
 
 
 class TestEnumerate:
