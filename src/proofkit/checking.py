@@ -71,13 +71,13 @@ from .universe import (
 # sampling strategy for conjunctions over the universe
 
 
-def default_sampler(seed: int = 0, count: int = 2):
+def default_sampler(seed: int = 0):
     """Deterministic index supplier for universe-indexed conjunctions:
-    the hull's abstract generators plus a seed-chosen handful of
-    hereditarily finite sets."""
+    the hull's abstract generators plus two seed-chosen hereditarily
+    finite sets."""
     rng = random.Random(seed)
     pool = list(enumerate_hf(6))
-    picks = [pool[i] for i in sorted(rng.sample(range(len(pool)), count))]
+    picks = [pool[i] for i in sorted(rng.sample(range(len(pool)), 2))]
 
     def sample(node):
         abstracts = sorted(

@@ -55,14 +55,13 @@ from .formulas import (
     support,
 )
 from .ordinals import (
-    EQUAL,
+    GREATER,
     OMEGA,
     OrdCode,
     ZERO as ORD_ZERO,
     add,
     cmp,
     from_nat,
-    leq,
     nat_sum,
     omega_exp,
     times_nat,
@@ -391,7 +390,7 @@ class Weak(DerivTerm):
             raise ConstructionError("weakening must not shrink the hull")
         if sig.rank < old.rank:
             raise ConstructionError("weakening must not lower the cut rank")
-        if not leq(old.bound, sig.bound):
+        if cmp(old.bound, sig.bound) == GREATER:
             raise ConstructionError("weakening must not lower the bound")
         if not old.seq <= sig.seq:
             raise ConstructionError("weakening only adds sequent members")
@@ -407,22 +406,17 @@ class Weak(DerivTerm):
         return _map_premises(rule_of(self.sub), self.sig)
 
 
-def fit(
-    d: DerivTerm, hull: Hull, rank_: int, seq: Sequent, bound: OrdCode | None = None
-) -> DerivTerm:
-    """d at the given hull, cut rank and sequent, and at ``bound`` if
-    given, else at its own bound: d itself when that changes nothing,
-    its weakening otherwise.  The new signature is checked against d's;
-    when d is itself a weakening, the result weakens d's sub, so a
-    chain of weakenings is one term."""
+def fit(d: DerivTerm, hull: Hull, rank_: int, seq: Sequent) -> DerivTerm:
+    """d at the given hull, cut rank and sequent, at its own bound: d
+    itself when that changes nothing, its weakening otherwise.  The new
+    signature is checked against d's; when d is itself a weakening, the
+    result weakens d's sub, so a chain of weakenings is one term."""
     old = d.sig
     # tuples compare their items by identity first, so an unchanged
     # sequent object is not compared member by member
-    if (hull, rank_, seq) == (old.hull, old.rank, old.seq) and (
-        bound is None or bound == old.bound
-    ):
+    if (hull, rank_, seq) == (old.hull, old.rank, old.seq):
         return d
-    return Weak(d, Sig(hull, old.bound if bound is None else bound, rank_, seq))
+    return Weak(d, Sig(hull, old.bound, rank_, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +591,7 @@ def emb_bound(m: int, values) -> OrdCode:
     acc = ORD_ZERO
     for a in values:
         acc = nat_sum(acc, times_nat(rank(a), 3))
-    out = times_nat(OMEGA, m)
-    if cmp(acc, ORD_ZERO) == EQUAL:
-        return out
-    return add(out, acc)
+    return add(times_nat(OMEGA, m), acc)
 
 
 class Emb(DerivTerm):

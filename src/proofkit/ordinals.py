@@ -1,29 +1,29 @@
 """Ordinal notation codes below epsilon_(Omega+1).
 
-Codes are finite trees built from four constructors:
-
-* ``Sub(v)``   -- an ordinal below Omega, given in Cantor normal form below
-  epsilon_0 (the desk-scale stand-in for arbitrary ordinals of the universe);
-* ``OMEGA``    -- the order type of the universe's ordinals;
-* ``WPow(a)``  -- ``w^a`` for a code ``a`` strictly above Omega;
-* ``Sum(ps)``  -- a sum of two or more additively principal parts, written
-  non-increasing, with head part >= Omega.
-
-``w^Omega`` normalizes to ``OMEGA`` itself; omega-powers with exponent below
-Omega live inside ``Sub``.  Normal forms are unique: distinct normal trees
-denote distinct ordinals.  Non-normal inputs are rejected by the public
+A code is one ``OrdCode(terms)``: the Cantor normal form
+``w^e1 * c1 + ... + w^ek * ck``, written as the tuple of its
+``(exponent, coefficient)`` pairs, with strictly decreasing exponents
+and positive int coefficients; the empty tuple is zero.  An exponent is
+a code other than Omega, or the marker ``OMEGA_LOG``, which stands for
+Omega itself: Omega is the fixed point ``w^Omega``, so its own code is
+``OrdCode(((OMEGA_LOG, 1),))``.  Codes below Omega are the Cantor normal
+forms below epsilon_0 (the desk-scale stand-in for the ordinals of the
+universe).  Normal forms are unique: distinct normal codes denote
+distinct ordinals.  Non-normal inputs are rejected by the public
 operations, never silently repaired.
 
-Codes (and the ``CNF`` values inside ``Sub``) are hash-consed: building a
-code equal to an existing one returns that object, so equality is
-identity and each hash is computed once, when the node is built.
+Codes and the marker are hash-consed: building a code equal to an
+existing one returns that object, so equality is identity and each hash
+is computed once, when the code is built.  Five functions keep an
+unbounded cache by interned argument: ``validate_nf``, the comparison
+``_cmp``, ``add``, ``omega_exp`` and ``render``.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache, reduce
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -93,181 +93,68 @@ class _Interned:
 
 
 # ---------------------------------------------------------------------------
-# Cantor normal form below epsilon_0 (the sub-Omega layer).
-# ---------------------------------------------------------------------------
-
-
-class CNF(_Interned):
-    """Sum of ``w^e * c`` terms with strictly decreasing exponents.
-
-    ``terms`` is a tuple of (exponent, coefficient) pairs; the empty tuple
-    is zero.  Exponents are themselves CNF values.
-    """
-
-    __slots__ = ("terms",)
-    terms: tuple[tuple[CNF, int], ...]
-
-    def __new__(cls, terms: tuple[tuple[CNF, int], ...] = ()) -> CNF:
-        return cls._intern((terms,))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-CNF_ZERO = CNF()
-CNF_ONE = CNF(((CNF_ZERO, 1),))
-CNF_W = CNF(((CNF_ONE, 1),))
-
-
-def cnf_from_int(n: int) -> CNF:
-    if n < 0:
-        raise ValueError("natural number expected")
-    if n == 0:
-        return CNF_ZERO
-    return CNF(((CNF_ZERO, n),))
-
-
-def cnf_cmp(a: CNF, b: CNF) -> int:
-    if a == b:
-        return EQUAL
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = cnf_cmp(ea, eb)
-        if c != EQUAL:
-            return c
-        if ca != cb:
-            return LESS if ca < cb else GREATER
-    if len(a.terms) == len(b.terms):
-        return EQUAL
-    return LESS if len(a.terms) < len(b.terms) else GREATER
-
-
-def cnf_is_valid(a: CNF) -> bool:
-    if not isinstance(a, CNF):
-        return False
-    for (e, c) in a.terms:
-        if not isinstance(c, int) or c < 1 or not cnf_is_valid(e):
-            return False
-    for (e0, _), (e1, _) in zip(a.terms, a.terms[1:]):
-        if cnf_cmp(e0, e1) != GREATER:
-            return False
-    return True
-
-
-def cnf_add(a: CNF, b: CNF) -> CNF:
-    if b.is_zero():
-        return a
-    if a.is_zero():
-        return b
-    head = b.terms[0][0]
-    kept = []
-    for (e, c) in a.terms:
-        cc = cnf_cmp(e, head)
-        if cc == GREATER:
-            kept.append((e, c))
-        elif cc == EQUAL:
-            kept.append((e, c + b.terms[0][1]))
-            return CNF(tuple(kept) + b.terms[1:])
-        else:
-            break
-    return CNF(tuple(kept) + b.terms)
-
-
-def cnf_omega_exp(e: CNF) -> CNF:
-    return CNF(((e, 1),))
-
-
-def cnf_is_principal(a: CNF) -> bool:
-    return len(a.terms) == 1 and a.terms[0][1] == 1
-
-
-# ---------------------------------------------------------------------------
-# Codes below epsilon_(Omega+1).
+# Codes.
 # ---------------------------------------------------------------------------
 
 
 class OrdCode(_Interned):
-    """A code: ``Sub``, ``OmegaCode``, ``WPow`` or ``Sum``."""
+    """``w^e1 * c1 + ... + w^ek * ck``, its ``(exponent, coefficient)``
+    pairs in ``terms``."""
+
+    __slots__ = ("terms",)
+    terms: tuple[tuple[OrdCode | OmegaLog, int], ...]
+
+    def __new__(cls, terms: tuple[tuple[OrdCode | OmegaLog, int], ...] = ()) -> OrdCode:
+        return cls._intern((terms,))
+
+
+class OmegaLog(_Interned):
+    """The exponent of Omega in its own normal form ``w^Omega``."""
 
     __slots__ = ()
 
-
-class Sub(OrdCode):
-    __slots__ = ("value",)
-    value: CNF
-
-    def __new__(cls, value: CNF) -> Sub:
-        return cls._intern((value,))
-
-
-class OmegaCode(OrdCode):
-    __slots__ = ()
-
-    def __new__(cls) -> OmegaCode:
+    def __new__(cls) -> OmegaLog:
         return cls._intern(())
 
 
-class WPow(OrdCode):
-    __slots__ = ("exponent",)
-    exponent: OrdCode
-
-    def __new__(cls, exponent: OrdCode) -> WPow:
-        return cls._intern((exponent,))
-
-
-class Sum(OrdCode):
-    __slots__ = ("parts",)
-    parts: tuple[OrdCode, ...]
-
-    def __new__(cls, parts: tuple[OrdCode, ...]) -> Sum:
-        return cls._intern((parts,))
-
-
-OMEGA = OmegaCode()
-ZERO = Sub(CNF_ZERO)
-ONE = Sub(CNF_ONE)
-SUB_W = Sub(CNF_W)
+OMEGA_LOG = OmegaLog()
+ZERO = OrdCode()
+ONE = OrdCode(((ZERO, 1),))
+SUB_W = OrdCode(((ONE, 1),))
+OMEGA = OrdCode(((OMEGA_LOG, 1),))
 
 
 def from_nat(n: int) -> OrdCode:
-    return Sub(cnf_from_int(n))
+    if n < 0:
+        raise ValueError("natural number expected")
+    return OrdCode(((ZERO, n),)) if n else ZERO
 
 
 def is_principal(a: OrdCode) -> bool:
-    """An additively principal normal code: Omega, a WPow, or a sub-Omega
-    omega-power."""
-    if isinstance(a, OmegaCode):
-        return True
-    if isinstance(a, WPow):
-        return True
-    if isinstance(a, Sub):
-        return cnf_is_principal(a.value)
-    return False
+    """An additively principal code: one term, with coefficient 1."""
+    return len(a.terms) == 1 and a.terms[0][1] == 1
+
+
+def _ecmp(x: OrdCode | OmegaLog, y: OrdCode | OmegaLog) -> int:
+    """Compare two exponents, reading ``OMEGA_LOG`` as Omega."""
+    return _cmp(OMEGA if x == OMEGA_LOG else x, OMEGA if y == OMEGA_LOG else y)
 
 
 @lru_cache(maxsize=None)
 def validate_nf(a: OrdCode) -> bool:
     """True iff every normal-form invariant holds at every node of ``a``."""
-    if isinstance(a, Sub):
-        return cnf_is_valid(a.value)
-    if isinstance(a, OmegaCode):
-        return True
-    if isinstance(a, WPow):
-        if not validate_nf(a.exponent):
+    if not isinstance(a, OrdCode):
+        return False
+    prev = None
+    for e, c in a.terms:
+        if not isinstance(c, int) or c < 1:
             return False
-        return _cmp(a.exponent, OMEGA) == GREATER
-    if isinstance(a, Sum):
-        if len(a.parts) < 2:
+        if e != OMEGA_LOG and (e == OMEGA or not validate_nf(e)):
             return False
-        for p in a.parts:
-            if not validate_nf(p) or not is_principal(p):
-                return False
-        if isinstance(a.parts[0], Sub):
+        if prev is not None and _ecmp(prev, e) != GREATER:
             return False
-        for p, q in zip(a.parts, a.parts[1:]):
-            if _cmp(p, q) == LESS:
-                return False
-        return True
-    return False
+        prev = e
+    return True
 
 
 def _require(a: OrdCode) -> None:
@@ -275,76 +162,18 @@ def _require(a: OrdCode) -> None:
         raise MalformedOrdinalError(f"not a normal-form code: {a!r}")
 
 
-def _plog(p: OrdCode) -> OrdCode:
-    """Exponent of an additively principal code (``w^x -> x``)."""
-    if isinstance(p, OmegaCode):
-        return OMEGA
-    if isinstance(p, WPow):
-        return p.exponent
-    if isinstance(p, Sub):
-        return Sub(p.value.terms[0][0])
-    raise MalformedOrdinalError(f"not principal: {p!r}")
-
-
-def _pcmp(p: OrdCode, q: OrdCode) -> int:
-    if p == q:
-        return EQUAL
-    return _cmp(_plog(p), _plog(q))
-
-
-@lru_cache(maxsize=None)
-def _parts(a: OrdCode) -> tuple[OrdCode, ...]:
-    """Non-increasing list of additively principal parts of ``a``."""
-    if isinstance(a, Sum):
-        return a.parts
-    if isinstance(a, Sub):
-        out = []
-        for (e, c) in a.value.terms:
-            out.extend([Sub(cnf_omega_exp(e))] * c)
-        return tuple(out)
-    return (a,)
-
-
-def _rebuild(parts: list[OrdCode]) -> OrdCode:
-    if not parts:
-        return ZERO
-    split = len(parts)
-    for i, p in enumerate(parts):
-        if isinstance(p, Sub):
-            split = i
-            break
-    big = parts[:split]
-    small = parts[split:]
-    if not big:
-        acc = CNF_ZERO
-        for p in small:
-            acc = cnf_add(acc, p.value)  # type: ignore[union-attr]
-        return Sub(acc)
-    if len(big) == 1 and not small:
-        return big[0]
-    return Sum(tuple(big) + tuple(small))
-
-
 @lru_cache(maxsize=None)
 def _cmp(a: OrdCode, b: OrdCode) -> int:
-    if a == b:
+    # distinct normal codes denote distinct ordinals, so the first
+    # distinct exponents decide
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if ea != eb:
+            return _ecmp(ea, eb)
+        if ca != cb:
+            return LESS if ca < cb else GREATER
+    if len(a.terms) == len(b.terms):
         return EQUAL
-    a_sub = isinstance(a, Sub)
-    b_sub = isinstance(b, Sub)
-    if a_sub and b_sub:
-        return cnf_cmp(a.value, b.value)
-    if a_sub:
-        return LESS
-    if b_sub:
-        return GREATER
-    pa, pb = _parts(a), _parts(b)
-    for x, y in zip(pa, pb):
-        c = _pcmp(x, y)
-        if c != EQUAL:
-            return c
-    if len(pa) == len(pb):
-        return EQUAL
-    return LESS if len(pa) < len(pb) else GREATER
+    return LESS if len(a.terms) < len(b.terms) else GREATER
 
 
 def cmp(a: OrdCode, b: OrdCode) -> int:
@@ -354,52 +183,40 @@ def cmp(a: OrdCode, b: OrdCode) -> int:
     return _cmp(a, b)
 
 
-def leq(a: OrdCode, b: OrdCode) -> bool:
-    return cmp(a, b) != GREATER
-
-
 @lru_cache(maxsize=None)
 def add(a: OrdCode, b: OrdCode) -> OrdCode:
-    """Ordinal sum in normal form; left parts below b's head are absorbed."""
+    """Ordinal sum in normal form: the terms of a below b's head are
+    absorbed, and on an equal head the coefficients add."""
     _require(a)
     _require(b)
-    pb = _parts(b)
-    if not pb:
+    if b == ZERO:
         return a
-    head = pb[0]
-    kept = []
-    for p in _parts(a):
-        if _pcmp(p, head) != LESS:
-            kept.append(p)
-        else:
-            break
-    return _rebuild(kept + list(pb))
+    head, c = b.terms[0]
+    i = 0
+    while i < len(a.terms) and _ecmp(a.terms[i][0], head) == GREATER:
+        i += 1
+    if i < len(a.terms) and a.terms[i][0] == head:
+        return OrdCode(a.terms[:i] + ((head, a.terms[i][1] + c),) + b.terms[1:])
+    return OrdCode(a.terms[:i] + b.terms)
 
 
 def nat_sum(a: OrdCode, b: OrdCode) -> OrdCode:
-    """Natural (commutative) sum: merge of the principal-part multisets."""
+    """Natural (commutative) sum: the terms of a and b merged, the
+    coefficients of equal exponents added."""
     _require(a)
     _require(b)
-    merged = list(_parts(a))
-    for q in _parts(b):
-        for i, p in enumerate(merged):
-            if _pcmp(q, p) == GREATER:
-                merged.insert(i, q)
-                break
-        else:
-            merged.append(q)
-    return _rebuild(merged)
+    merged = dict(a.terms)
+    for e, c in b.terms:
+        merged[e] = merged.get(e, 0) + c
+    return OrdCode(tuple(sorted(merged.items(), reverse=True,
+                                key=cmp_to_key(lambda s, t: _ecmp(s[0], t[0])))))
 
 
 @lru_cache(maxsize=None)
 def omega_exp(a: OrdCode) -> OrdCode:
     """The code of ``w^a``."""
     _require(a)
-    if isinstance(a, Sub):
-        return Sub(cnf_omega_exp(a.value))
-    if isinstance(a, OmegaCode):
-        return OMEGA
-    return WPow(a)
+    return OMEGA if a == OMEGA else OrdCode(((a, 1),))
 
 
 def omega_tower(n: int, base: OrdCode) -> OrdCode:
@@ -414,42 +231,42 @@ def omega_tower(n: int, base: OrdCode) -> OrdCode:
 
 
 def times_nat(a: OrdCode, n: int) -> OrdCode:
-    """``a * n`` by binary doubling: the summands are all equal, so
-    associativity lets a + ... + a be grouped into a, a*2, a*4, ...,
-    and ``add`` runs O(log n) times."""
+    """``a * n``: each copy of a after the first absorbs the tail of the
+    one before it, so only the head coefficient is multiplied."""
     if n < 0:
         raise ValueError("natural number expected")
-    out = ZERO
-    while n:
-        if n & 1:
-            out = add(out, a)
-        n >>= 1
-        if n:
-            a = add(a, a)
-    return out
+    if n == 0 or a == ZERO:
+        return ZERO
+    _require(a)
+    (e, c), rest = a.terms[0], a.terms[1:]
+    return OrdCode(((e, c * n),) + rest)
 
 
 def tree_size(a: OrdCode) -> int:
-    if isinstance(a, (Sub, OmegaCode)):
+    """The size ``enumerate_codes`` counts: 1 for a code at most Omega,
+    1 + the size of e for ``w^e`` above Omega, and otherwise 1 + the
+    sizes of a's additively principal parts, each counted once per unit
+    of its coefficient."""
+    if _cmp(a, OMEGA) != GREATER:
         return 1
-    if isinstance(a, WPow):
-        return 1 + tree_size(a.exponent)
-    return 1 + sum(tree_size(p) for p in a.parts)
+    sizes = [c * (1 if e == OMEGA_LOG or _cmp(e, OMEGA) == LESS else 1 + tree_size(e))
+             for e, c in a.terms]
+    return sizes[0] if is_principal(a) else 1 + sum(sizes)
 
 
 # ---------------------------------------------------------------------------
 # Generation and enumeration (test support).
 # ---------------------------------------------------------------------------
 
-_SUB_ATOMS = (CNF_ZERO, CNF_ONE, cnf_from_int(2), cnf_from_int(3), CNF_W,
-              cnf_add(CNF_W, CNF_ONE), cnf_omega_exp(CNF_W))
+_SUB_ATOMS = (ZERO, ONE, from_nat(2), from_nat(3), SUB_W,
+              OrdCode(((ONE, 1), (ZERO, 1))), OrdCode(((SUB_W, 1),)))
 
 
 def random_code(rng: random.Random, size: int) -> OrdCode:
     """A random normal code of roughly the given tree size."""
     if size <= 1:
         if rng.random() < 0.5:
-            return Sub(rng.choice(_SUB_ATOMS))
+            return rng.choice(_SUB_ATOMS)
         return OMEGA
     r = rng.random()
     if r < 0.35:
@@ -462,13 +279,11 @@ def random_code(rng: random.Random, size: int) -> OrdCode:
 
 
 def enumerate_codes(max_size: int,
-                    sub_values: tuple[CNF, ...] = (CNF_ZERO, CNF_ONE, CNF_W),
+                    sub_values: tuple[OrdCode, ...] = (ZERO, ONE, SUB_W),
                     ) -> list[OrdCode]:
-    """All normal codes of tree size <= max_size whose Sub leaves carry one
-    of the given sub-Omega values."""
+    """All normal codes of tree size <= max_size built from Omega and the
+    given codes below Omega, smallest first."""
     by_size: dict[int, list[OrdCode]] = {s: [] for s in range(1, max_size + 1)}
-    if max_size >= 1:
-        by_size[1] = [Sub(v) for v in sub_values] + [OMEGA]
     principals: dict[int, list[OrdCode]] = {s: [] for s in range(1, max_size + 1)}
 
     def note(code: OrdCode, size: int) -> None:
@@ -476,28 +291,28 @@ def enumerate_codes(max_size: int,
         if is_principal(code):
             principals[size].append(code)
 
-    for c in list(by_size.get(1, [])):
-        if is_principal(c):
-            principals[1].append(c)
+    if max_size >= 1:
+        for c in (*sub_values, OMEGA):
+            note(c, 1)
 
     for size in range(2, max_size + 1):
         # w^x for x of size-1, x > Omega
         for x in by_size[size - 1]:
             if _cmp(x, OMEGA) == GREATER:
-                note(WPow(x), size)
-        # sums: head >= Omega, parts principal, non-increasing, n >= 2
-        def extend(budget: int, acc: list[OrdCode]) -> None:
+                note(omega_exp(x), size)
+        # sums: two or more non-increasing principal parts, head >= Omega
+        def extend(budget: int, parts: list[OrdCode]) -> None:
             if budget == 0:
-                if len(acc) >= 2:
-                    note(Sum(tuple(acc)), size)
+                if len(parts) >= 2:
+                    note(reduce(add, parts), size)
                 return
             for s in range(1, budget + 1):
                 for p in principals[s]:
-                    if not acc:
-                        if not isinstance(p, Sub):
+                    if not parts:
+                        if _cmp(p, OMEGA) != LESS:
                             extend(budget - s, [p])
-                    elif _pcmp(acc[-1], p) != LESS:
-                        extend(budget - s, acc + [p])
+                    elif _cmp(parts[-1], p) != LESS:
+                        extend(budget - s, parts + [p])
 
         extend(size - 1, [])
     out: list[OrdCode] = []
@@ -511,38 +326,33 @@ def enumerate_codes(max_size: int,
 # ---------------------------------------------------------------------------
 
 
-def _render_cnf(v: CNF) -> str:
-    if v.is_zero():
-        return "0"
-    chunks = []
-    for (e, c) in v.terms:
-        if e == CNF_ZERO:
-            chunks.append(str(c))
-            continue
-        if e == CNF_ONE:
-            base = "w"
-        else:
-            inner = _render_cnf(e)
-            base = f"w^{inner}" if _is_token(inner) else f"w^({inner})"
-        chunks.append(base if c == 1 else f"{base}*{c}")
-    return " + ".join(chunks)
-
-
 def _is_token(s: str) -> bool:
     return s.isalnum() or s == "w"
 
 
+def _power(e: OrdCode | OmegaLog) -> str:
+    """The text of ``w^e``."""
+    if e == OMEGA_LOG:
+        return "W"
+    if e == ZERO:
+        return "1"
+    if e == ONE:
+        return "w"
+    inner = render(e)
+    return f"w^{inner}" if _is_token(inner) else f"w^({inner})"
+
+
 @lru_cache(maxsize=None)
 def render(a: OrdCode) -> str:
-    """Bracketed text form; ``parse(render(a)) == a`` for normal codes."""
-    if isinstance(a, Sub):
-        return _render_cnf(a.value)
-    if isinstance(a, OmegaCode):
-        return "W"
-    if isinstance(a, WPow):
-        inner = render(a.exponent)
-        return f"w^{inner}" if _is_token(inner) else f"w^({inner})"
-    return " + ".join(render(p) for p in a.parts)
+    """Bracketed text form; ``parse(render(a)) == a`` for normal codes.
+    Below Omega a term is written with its coefficient (``w*2 + 5``),
+    at or above Omega part by part (``W + W + w + 1``)."""
+    if a == ZERO:
+        return "0"
+    if _cmp(a, OMEGA) == LESS:
+        return " + ".join(str(c) if e == ZERO else _power(e) if c == 1
+                          else f"{_power(e)}*{c}" for e, c in a.terms)
+    return " + ".join(_power(e) for e, c in a.terms for _ in range(c))
 
 
 #: whitespace, or one of: a token, a ``w_`` without its subscript, any

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ordinals import LESS, ONE, SUB_W, ZERO, OrdCode, Sub, add, cmp
+from .ordinals import LESS, OMEGA, ONE, SUB_W, ZERO, OrdCode, add, cmp, validate_nf
 
 
 class EvaluationError(Exception):
@@ -56,7 +56,8 @@ class Abstract:
     declared_rank: OrdCode
 
     def __post_init__(self):
-        if not isinstance(self.declared_rank, Sub):
+        r = self.declared_rank
+        if not (validate_nf(r) and cmp(r, OMEGA) == LESS):
             raise ValueError("parameter ranks lie below Omega")
 
     def __repr__(self):
@@ -119,7 +120,7 @@ def rank_int(a: DeskSet) -> int:
     F = set_facts(a)
     if F.atoms:
         raise EvaluationError("rank_int needs a concrete set")
-    terms = F.rank.value.terms  # a finite rank: none, or the one term w^0 * n
+    terms = F.rank.terms  # a finite rank: none, or the one term w^0 * n
     return terms[0][1] if terms else 0
 
 

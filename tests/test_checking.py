@@ -46,7 +46,7 @@ from proofkit.formulas import (
     reflection_guard,
     support,
 )
-from proofkit.ordinals import OMEGA, Sub, cnf_from_int, from_nat
+from proofkit.ordinals import OMEGA, from_nat
 from proofkit.universe import (
     Abstract,
     Concrete,
@@ -163,7 +163,7 @@ class TestMutations:
         assert "reflection guard sentence malformed" in violations(d)
 
     def test_hull_control_condition(self):
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         A = Mem(ZERO_TERM, Name(a))
         d = TrueLeaf(sig([A]), A)
         assert "control condition: parameter outside hull" in violations(d)
@@ -172,7 +172,7 @@ class TestMutations:
         # ordinal bounds are always inside the hull by closure; a sequent
         # parameter outside it is the violation surface, so check a term
         # whose premise hull forgets the parent's widening instead
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         h = Hull(frozenset({a}))
         A = Ex("x", Mem(ZERO_TERM, Var("x")))
         comp = Mem(ZERO_TERM, Name(ONE))
@@ -322,7 +322,7 @@ class TestEvalCutfree:
             eval_cutfree(d, 3)
 
     def test_rejects_abstract_end_sequent(self):
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         A = Mem(ZERO_TERM, Name(a))
         d = TrueLeaf(sig([A]), A)
         with pytest.raises(EvaluationError):
@@ -392,8 +392,8 @@ class TestTraces:
     def test_seed_changes_universe_sampling(self):
         e = next(x for x in build_corpus() if x.name == "taut-depth2")
         d = Emb(e.script.root, {}, EMPTY_HULL)
-        a = trace_lines(d, 3, sampler=default_sampler(seed=0, count=3))
-        b = trace_lines(d, 3, sampler=default_sampler(seed=9, count=3))
+        a = trace_lines(d, 3, sampler=default_sampler(seed=0))
+        b = trace_lines(d, 3, sampler=default_sampler(seed=9))
         assert a != b
 
     def test_line_shape(self):

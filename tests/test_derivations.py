@@ -59,7 +59,6 @@ from proofkit.formulas import (
 from proofkit.ordinals import (
     LESS,
     OMEGA,
-    WPow,
     ZERO,
     add,
     cmp,
@@ -67,7 +66,6 @@ from proofkit.ordinals import (
     omega_exp,
     times_nat,
 )
-from proofkit.ordinals import Sub, cnf_from_int
 from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, Concrete, hull_extend, rank
 
 M00 = Mem(ZERO_TERM, ZERO_TERM)
@@ -79,7 +77,7 @@ def leaf(main, extra=(), bound=0, hull=EMPTY_HULL, rank_=0):
     return TrueLeaf(Sig(hull, from_nat(bound), rank_, s), main)
 
 
-PARAM = Abstract("p", Sub(cnf_from_int(1)))
+PARAM = Abstract("p", from_nat(1))
 
 
 def sample_indices(v):
@@ -296,14 +294,14 @@ class TestWeaken:
 
     def test_raises_bound_and_rank(self):
         d = leaf(M01)
-        w = fit(d, EMPTY_HULL, 3, d.sig.seq, bound=OMEGA)
+        w = Weak(d, Sig(EMPTY_HULL, OMEGA, 3, d.sig.seq))
         assert w.sig.bound == OMEGA
         assert w.sig.rank == 3
 
     def test_rejects_lower_bound(self):
         d = leaf(M01, bound=5)
         with pytest.raises(ConstructionError):
-            fit(d, EMPTY_HULL, 0, d.sig.seq, bound=ZERO)
+            Weak(d, Sig(EMPTY_HULL, ZERO, 0, d.sig.seq))
 
     def test_rejects_lower_rank(self):
         d = leaf(M01, rank_=2)
@@ -313,7 +311,6 @@ class TestWeaken:
     def test_unchanged_signature_returns_the_term(self):
         d = leaf(M01, bound=2)
         assert fit(d, EMPTY_HULL, 0, d.sig.seq) is d
-        assert fit(d, EMPTY_HULL, 0, frozenset({M01}), bound=from_nat(2)) is d
         assert fit(d, EMPTY_HULL, 0, frozenset({M01})) is d
 
     def test_fit_keeps_the_bound(self):
@@ -331,7 +328,7 @@ class TestWeaken:
             s = d.sig
             w = fit(d, EMPTY_HULL, s.rank + 1, s.seq | {M00})
             sig = Sig(P, add(s.bound, from_nat(1)), s.rank + 2, s.seq | {M00, M01})
-            one = fit(w, sig.hull, sig.rank, sig.seq, bound=sig.bound)
+            one = Weak(w, sig)
             assert isinstance(one, Weak) and one.sub is d and one.sig == sig
             two = _map_premises(rule_of(w), sig)
             v = rule_of(one)
@@ -347,16 +344,17 @@ class TestWeaken:
         d = leaf(M01)
         P = hull_extend(EMPTY_HULL, PARAM)
         seq2 = frozenset({M01, M00})
-        w = fit(d, P, 2, seq2, bound=from_nat(3))
+        w = Weak(d, Sig(P, from_nat(3), 2, seq2))
         for hull, rank_, seq_, bound in [
             (EMPTY_HULL, 2, seq2, 3),  # shrinks the hull
             (P, 1, seq2, 3),  # lowers the rank
             (P, 2, seq2, 1),  # lowers the bound
             (P, 2, d.sig.seq, 3),  # drops a member
         ]:
+            sig = Sig(hull, from_nat(bound), rank_, seq_)
             with pytest.raises(ConstructionError):
-                fit(w, hull, rank_, seq_, bound=from_nat(bound))
-            fit(d, hull, rank_, seq_, bound=from_nat(bound))
+                Weak(w, sig)
+            Weak(d, sig)
 
 
 class TestTwoPremiseNodes:

@@ -36,7 +36,7 @@ from proofkit.formulas import (
     Var,
     render_formula,
 )
-from proofkit.ordinals import Sub, cnf_from_int, from_nat, render
+from proofkit.ordinals import from_nat, render
 from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, Concrete, Hull
 
 GOLDEN = "40532853a5c571bd9bb7835c2d2988313e12e8845c88da12e59cc37f4cab3f22"
@@ -114,7 +114,7 @@ def test_bounded_wedge_labels_follow_trace_order():
     """``check_local`` labels the premises of a set-indexed conjunction
     i0, i1, ... in the order ``trace_lines`` visits them, also when the
     bounding set mixes abstract and concrete members."""
-    p = Abstract("p", Sub(cnf_from_int(1)))
+    p = Abstract("p", from_nat(1))
     members = [EMPTY, ONE, p]
     bound = Concrete(frozenset(members))
     hull = Hull(frozenset({p}))

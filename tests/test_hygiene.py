@@ -120,7 +120,6 @@ KNOWN_TABLES = {
     "ordinals._INTERNED",  # one object per ordinal code
     # ordinal arithmetic and checks, by interned argument
     "ordinals.validate_nf",
-    "ordinals._parts",
     "ordinals._cmp",
     "ordinals.add",
     "ordinals.omega_exp",

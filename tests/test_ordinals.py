@@ -11,26 +11,22 @@ import pytest
 
 from proofkit import ordinals
 from proofkit.ordinals import (
-    CNF,
-    CNF_ONE,
-    CNF_W,
-    CNF_ZERO,
     EQUAL,
     GREATER,
     LESS,
     MalformedOrdinalError,
     OMEGA,
-    OmegaCode,
+    OMEGA_LOG,
+    ONE,
+    OmegaLog,
     OrdCode,
     OrdinalParseError,
-    Sub,
-    Sum,
-    WPow,
+    SUB_W,
     ZERO,
     add,
     cmp,
-    cnf_from_int,
     enumerate_codes,
+    from_nat as fin,
     nat_sum,
     omega_exp,
     omega_tower,
@@ -43,20 +39,28 @@ from proofkit.ordinals import (
     validate_nf,
 )
 
-ONE = Sub(CNF_ONE)
-W_SUB = Sub(CNF_W)  # the ordinal omega, below Omega
+W_PLUS_1 = OrdCode(((OMEGA_LOG, 1), (ZERO, 1)))
 
 
-def fin(n):
-    return Sub(cnf_from_int(n))
+def power(e):
+    """The code of ``w^e``, built by hand."""
+    return OrdCode(((e, 1),))
+
+
+def omega_times(n):
+    return OrdCode(((OMEGA_LOG, n),))
+
+
+#: not normal: a rising exponent
+RISING = OrdCode(((ZERO, 1), (OMEGA_LOG, 1)))
 
 
 class TestCmp:
     def test_sub_below_omega(self):
-        assert cmp(W_SUB, OMEGA) == LESS
+        assert cmp(SUB_W, OMEGA) == LESS
 
     def test_wpow_above_omega(self):
-        assert cmp(WPow(Sum((OMEGA, ONE))), OMEGA) == GREATER
+        assert cmp(power(W_PLUS_1), OMEGA) == GREATER
 
     def test_reflexive_equal_random(self):
         rng = random.Random(0)
@@ -73,7 +77,7 @@ class TestCmp:
 
     def test_rejects_malformed(self):
         with pytest.raises(MalformedOrdinalError):
-            cmp(Sum((ONE, OMEGA)), OMEGA)
+            cmp(RISING, OMEGA)
 
 
 class TestAdd:
@@ -81,7 +85,7 @@ class TestAdd:
         assert add(fin(3), OMEGA) == OMEGA
 
     def test_omega_plus_omega(self):
-        assert add(OMEGA, OMEGA) == Sum((OMEGA, OMEGA))
+        assert add(OMEGA, OMEGA) == omega_times(2)
 
     def test_right_identity(self):
         rng = random.Random(2)
@@ -113,7 +117,7 @@ class TestAdd:
 
 class TestNatSum:
     def test_merges_principal_parts(self):
-        assert nat_sum(Sum((OMEGA, OMEGA)), OMEGA) == Sum((OMEGA, OMEGA, OMEGA))
+        assert nat_sum(omega_times(2), OMEGA) == omega_times(3)
 
     def test_identity(self):
         rng = random.Random(6)
@@ -122,7 +126,7 @@ class TestNatSum:
             assert nat_sum(a, ZERO) == a
 
     def test_below_omega_tail(self):
-        assert nat_sum(ONE, OMEGA) == Sum((OMEGA, ONE))
+        assert nat_sum(ONE, OMEGA) == W_PLUS_1
 
     def test_commutative_random(self):
         rng = random.Random(7)
@@ -148,17 +152,16 @@ class TestOmegaExp:
         assert omega_exp(OMEGA) == OMEGA
 
     def test_above_omega(self):
-        a = Sum((OMEGA, ONE))
-        assert omega_exp(a) == WPow(a)
+        assert omega_exp(W_PLUS_1) == power(W_PLUS_1)
 
     def test_below_omega(self):
         assert omega_exp(fin(2)) == parse("w^2")
 
     def test_towers(self):
-        a = Sum((OMEGA, ONE))
+        a = W_PLUS_1
         assert omega_tower(0, a) == a
-        assert omega_tower(1, a) == WPow(a)
-        assert omega_tower(2, a) == WPow(WPow(a))
+        assert omega_tower(1, a) == power(a)
+        assert omega_tower(2, a) == power(power(a))
 
     def test_lemma_inequality_random(self):
         # beta < alpha implies omega^beta + omega^beta <= omega^alpha
@@ -204,32 +207,39 @@ class TestTimesNat:
         calls = []
         real_add = ordinals.add
         monkeypatch.setattr(ordinals, "add", lambda a, b: calls.append(1) or real_add(a, b))
-        assert times_nat(OMEGA, 3000) == Sum((OMEGA,) * 3000)
+        assert times_nat(OMEGA, 3000) == omega_times(3000)
         assert len(calls) <= 2 * (3000).bit_length()
 
     def test_finite_multiple(self):
-        assert times_nat(OMEGA, 2) == Sum((OMEGA, OMEGA))
+        assert times_nat(OMEGA, 2) == omega_times(2)
         assert times_nat(fin(2), 3) == fin(6)
 
 
 class TestValidateNf:
     def test_decreasing_violation(self):
-        assert not validate_nf(Sum((ONE, OMEGA)))
+        assert not validate_nf(RISING)
+        assert not validate_nf(OrdCode(((ZERO, 1), (ONE, 1))))
+        assert not validate_nf(OrdCode(((ONE, 1), (ONE, 1))))
 
-    def test_wpow_needs_large_exponent(self):
-        assert not validate_nf(WPow(ONE))
-        assert not validate_nf(WPow(OMEGA))
+    def test_omega_is_no_exponent(self):
+        # Omega is w^Omega, written with the marker
+        assert not validate_nf(power(OMEGA))
+        assert validate_nf(power(OMEGA_LOG))
 
-    def test_sum_needs_two_parts(self):
-        assert not validate_nf(Sum((OMEGA,)))
+    def test_coefficients_are_positive_ints(self):
+        for c in (0, -1, 1.5, "2"):
+            assert not validate_nf(OrdCode(((OMEGA_LOG, c),)))
 
-    def test_sum_head_at_least_omega(self):
-        assert not validate_nf(Sum((ONE, ONE)))
+    def test_exponents_are_normal(self):
+        assert not validate_nf(power(RISING))
+        assert not validate_nf(power("W"))
+        assert not validate_nf(OrdCode(((OMEGA_LOG, 1), (power(RISING), 1))))
 
     def test_good_codes(self):
         assert validate_nf(OMEGA)
-        assert validate_nf(Sum((OMEGA, OMEGA, ONE)))
-        assert validate_nf(WPow(Sum((OMEGA, ONE))))
+        assert validate_nf(OrdCode(((OMEGA_LOG, 2), (ZERO, 1))))
+        assert validate_nf(power(W_PLUS_1))
+        assert validate_nf(power(ONE))  # w, below Omega
 
     def test_random_codes_valid(self):
         rng = random.Random(11)
@@ -237,7 +247,7 @@ class TestValidateNf:
             assert validate_nf(random_code(rng, 10))
 
     def test_cached_operations_reject_a_malformed_code_every_time(self):
-        bad = Sum((ONE, OMEGA))
+        bad = RISING
         for _ in range(2):
             for call in (lambda: add(bad, ONE), lambda: add(ONE, bad),
                          lambda: omega_exp(bad)):
@@ -292,9 +302,13 @@ class TestRenderParse:
     def test_examples(self):
         assert render(OMEGA) == "W"
         assert parse("W") == OMEGA
-        assert parse("w_2(W+1)") == WPow(WPow(Sum((OMEGA, ONE))))
-        assert parse("w_0(W+1)") == Sum((OMEGA, ONE))
+        assert parse("w_2(W+1)") == power(power(W_PLUS_1))
+        assert parse("w_0(W+1)") == W_PLUS_1
         assert parse("W * 3") == times_nat(OMEGA, 3)
+        # below Omega with coefficients, above it part by part
+        assert render(parse("w*2 + 5")) == "w*2 + 5"
+        assert render(parse("W*2 + w*2 + 2")) == "W + W + w + w + 1 + 1"
+        assert render(parse("w^(W*2 + 1)*2")) == "w^(W + W + 1) + w^(W + W + 1)"
 
     def test_roundtrip_random(self):
         rng = random.Random(12)
@@ -326,7 +340,7 @@ class TestRenderParse:
     def test_query(self):
         a, b = parse_query("w^(W+1) ? W")
         assert cmp(a, b) == GREATER
-        assert parse_query("W + W") == Sum((OMEGA, OMEGA))
+        assert parse_query("W + W") == omega_times(2)
 
 
 def behaviour_texts():
@@ -364,7 +378,7 @@ class TestEnumerate:
         assert all(validate_nf(c) for c in codes)
         assert all(tree_size(c) <= 6 for c in codes)
         assert OMEGA in codes
-        assert Sub(CNF_ZERO) in codes
+        assert ZERO in codes
 
     def test_monotone_in_budget(self):
         assert set(enumerate_codes(4)) <= set(enumerate_codes(6))
@@ -376,12 +390,9 @@ class TestEnumerate:
 # proofkit.ordinals run over them.
 # ---------------------------------------------------------------------------
 
-RefCNF = make_dataclass("CNF", [("terms", tuple, field(default=()))], frozen=True,
-                        namespace={"is_zero": lambda self: not self.terms})
-RefSub = make_dataclass("Sub", [("value", RefCNF)], frozen=True)
-RefOmegaCode = make_dataclass("OmegaCode", [], frozen=True)
-RefWPow = make_dataclass("WPow", [("exponent", object)], frozen=True)
-RefSum = make_dataclass("Sum", [("parts", tuple)], frozen=True)
+RefOrdCode = make_dataclass("OrdCode", [("terms", tuple, field(default=()))],
+                            frozen=True)
+RefOmegaLog = make_dataclass("OmegaLog", [], frozen=True)
 
 
 def reference_ordinals():
@@ -391,28 +402,20 @@ def reference_ordinals():
                                                   ordinals.__file__)
     ref = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ref)
-    ref.CNF, ref.Sub, ref.OmegaCode, ref.WPow, ref.Sum = (
-        RefCNF, RefSub, RefOmegaCode, RefWPow, RefSum)
-    ref.CNF_ZERO = RefCNF()
-    ref.CNF_ONE = RefCNF(((ref.CNF_ZERO, 1),))
-    ref.CNF_W = RefCNF(((ref.CNF_ONE, 1),))
-    ref.OMEGA = RefOmegaCode()
-    ref.ZERO, ref.ONE, ref.SUB_W = (RefSub(v) for v in
-                                    (ref.CNF_ZERO, ref.CNF_ONE, ref.CNF_W))
+    ref.OrdCode, ref.OmegaLog = RefOrdCode, RefOmegaLog
+    ref.OMEGA_LOG = RefOmegaLog()
+    ref.ZERO = RefOrdCode()
+    ref.ONE = RefOrdCode(((ref.ZERO, 1),))
+    ref.SUB_W = RefOrdCode(((ref.ONE, 1),))
+    ref.OMEGA = RefOrdCode(((ref.OMEGA_LOG, 1),))
     return ref
 
 
 def to_ref(x):
-    if isinstance(x, CNF):
-        return RefCNF(tuple((to_ref(e), c) for e, c in x.terms))
-    if isinstance(x, Sub):
-        return RefSub(to_ref(x.value))
-    if isinstance(x, OmegaCode):
-        return RefOmegaCode()
-    if isinstance(x, WPow):
-        return RefWPow(to_ref(x.exponent))
-    if isinstance(x, Sum):
-        return RefSum(tuple(to_ref(p) for p in x.parts))
+    if isinstance(x, OrdCode):
+        return RefOrdCode(tuple((to_ref(e), c) for e, c in x.terms))
+    if isinstance(x, OmegaLog):
+        return RefOmegaLog()
     return x
 
 
@@ -424,8 +427,16 @@ def outcome(fn, *args):
         return ("raises", type(e).__name__, str(e))
 
 
-MALFORMED = (Sum((ONE, OMEGA)), WPow(ONE), WPow(OMEGA), Sum((OMEGA,)),
-             Sum((ONE, ONE)), Sub(CNF(((CNF_ZERO, 1), (CNF_ONE, 1)))))
+#: one code per violation of the normal form
+MALFORMED = (
+    RISING,  # a rising exponent
+    OrdCode(((OMEGA_LOG, 1), (OMEGA_LOG, 1))),  # an equal exponent
+    OrdCode(((OMEGA_LOG, 0),)),  # a coefficient 0
+    OrdCode(((ONE, -1),)),  # a negative coefficient
+    OrdCode(((ONE, 1.5),)),  # a coefficient that is no int
+    power(OMEGA),  # the exponent Omega, not its marker
+    OrdCode(((OMEGA_LOG, 1), (power(RISING), 1))),  # a malformed exponent
+)
 
 
 def comparison_sample():
@@ -436,19 +447,21 @@ def comparison_sample():
 
 class TestInterning:
     def test_equal_codes_are_identical(self):
-        assert Sum((OMEGA, ONE)) is Sum((OMEGA, ONE))
-        assert parse("w^(W+1) + 2") is add(WPow(Sum((OMEGA, ONE))), fin(2))
-        assert CNF() is CNF_ZERO
+        assert OrdCode(((OMEGA_LOG, 1), (ZERO, 1))) is W_PLUS_1
+        assert parse("w^(W+1) + 2") is add(power(W_PLUS_1), fin(2))
+        assert OrdCode() is ZERO
+        assert OmegaLog() is OMEGA_LOG
 
     def test_hash_is_the_dataclass_hash(self):
         # the same in every process, whatever PYTHONHASHSEED is
-        assert hash(OMEGA) == 5740354900026072187
-        assert hash(ZERO) == 4510597632111149919
-        assert hash(ONE) == -1503045194600647154
+        assert hash(OMEGA) == 2314143519823651630
+        assert hash(ZERO) == -5486347211504344842
+        assert hash(ONE) == -9050475972158745190
+        assert hash(OMEGA_LOG) == hash(()) == 5740354900026072187
 
     def test_agrees_with_reference(self):
         ref = reference_ordinals()
-        assert ref.parse("W + 1") == RefSum((RefOmegaCode(), RefSub(ref.CNF_ONE)))
+        assert ref.parse("W + 1") == RefOrdCode(((RefOmegaLog(), 1), (ref.ZERO, 1)))
         codes = comparison_sample()
         for a in codes:
             r = to_ref(a)
@@ -474,15 +487,15 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(a)) is a
 
     def test_immutable(self):
-        a = Sum((OMEGA, ONE))
+        a = W_PLUS_1
         with pytest.raises(AttributeError):
-            a.parts = (OMEGA,)
+            a.terms = ()
         with pytest.raises(AttributeError):
-            del a.parts
+            del a.terms
         with pytest.raises(AttributeError):
-            CNF_ONE.terms = ()
+            OMEGA_LOG.terms = ()
 
     def test_ordcode_is_the_base_of_the_codes(self):
-        for a in (ZERO, OMEGA, WPow(Sum((OMEGA, ONE))), Sum((OMEGA, ONE))):
+        for a in (ZERO, OMEGA, power(W_PLUS_1), W_PLUS_1):
             assert isinstance(a, OrdCode)
-        assert not isinstance(CNF_ONE, OrdCode)
+        assert not isinstance(OMEGA_LOG, OrdCode)

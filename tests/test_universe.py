@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from proofkit.ordinals import OMEGA, ONE as ORD_ONE, ZERO, Sub, add, cmp, cnf_from_int, LESS
+from proofkit.ordinals import OMEGA, ONE as ORD_ONE, ZERO, OrdCode, add, cmp, from_nat, LESS
 from proofkit.universe import (
     Abstract,
     Concrete,
@@ -42,17 +42,23 @@ class TestSets:
         assert rank_int(EMPTY) == 0
         assert rank_int(ONE) == 1
         assert rank_int(TWO) == 2
-        assert rank(TWO) == Sub(cnf_from_int(2))
+        assert rank(TWO) == from_nat(2)
 
     def test_abstract_rank(self):
-        om = Abstract("om", Sub(cnf_from_int(5)))
-        assert rank(om) == Sub(cnf_from_int(5))
+        om = Abstract("om", from_nat(5))
+        assert rank(om) == from_nat(5)
         assert not is_concrete(om)
 
+    def test_abstract_rank_is_a_normal_code_below_omega(self):
+        rising = OrdCode(((ZERO, 1), (ORD_ONE, 1)))
+        for bad in (OMEGA, add(OMEGA, ORD_ONE), rising, 5):
+            with pytest.raises(ValueError, match="^parameter ranks lie below Omega$"):
+                Abstract("p", bad)
+
     def test_rank_over_an_abstract_member(self):
-        om = Abstract("om", Sub(cnf_from_int(5)))
+        om = Abstract("om", from_nat(5))
         inner = Concrete(frozenset({EMPTY, om}))
-        assert rank(inner) == Sub(cnf_from_int(6))
+        assert rank(inner) == from_nat(6)
         with pytest.raises(EvaluationError):
             rank_int(Concrete(frozenset({inner})))
 
@@ -67,7 +73,7 @@ class TestSets:
 
     def test_membership_needs_concrete(self):
         with pytest.raises(EvaluationError):
-            set_member(EMPTY, Abstract("a", Sub(cnf_from_int(1))))
+            set_member(EMPTY, Abstract("a", from_nat(1)))
 
     def test_transitive_closure(self):
         assert transitive_closure(TWO) == frozenset({EMPTY, ONE})
@@ -85,7 +91,7 @@ class TestRenderParse:
             assert parse_set(render_set(s)) == s
 
     def test_params(self):
-        om = Abstract("om", Sub(cnf_from_int(1)))
+        om = Abstract("om", from_nat(1))
         assert parse_set("om", {"om": om}) == om
 
 
@@ -119,7 +125,7 @@ class TestEnumerateHf:
 class TestWitnessPool:
     def test_small_sets_then_parameter_closure(self):
         big = Concrete(frozenset({Concrete(frozenset({TWO}))}))  # rank 4
-        pool = witness_pool(8, [big, Abstract("p", Sub(cnf_from_int(1)))])
+        pool = witness_pool(8, [big, Abstract("p", from_nat(1))])
         assert pool[:8] == enumerate_hf(8)
         assert pool[8:] == [big]  # the sets below it are already listed
 
@@ -142,24 +148,24 @@ class TestHull:
         assert hull_contains(EMPTY_HULL, OMEGA_WITNESS)
 
     def test_abstract_needs_generator(self):
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         assert not hull_contains(EMPTY_HULL, a)
         h = hull_extend(EMPTY_HULL, a)
         assert hull_contains(h, a)
 
     def test_extend_idempotent(self):
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         h = hull_extend(EMPTY_HULL, a)
         assert hull_extend(h, a) == h
 
     def test_concrete_envelope(self):
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         s = Concrete(frozenset({a}))
         assert not hull_contains(EMPTY_HULL, s)
         assert hull_contains(hull_extend(EMPTY_HULL, a), s)
 
     def test_concrete_sets_against_a_recursive_walk(self):
-        a, b, c = (Abstract(n, Sub(cnf_from_int(1))) for n in "abc")
+        a, b, c = (Abstract(n, from_nat(1)) for n in "abc")
         hulls = [EMPTY_HULL, hull_extend(EMPTY_HULL, a),
                  hull_extend(EMPTY_HULL, Concrete(frozenset({b, ONE}))),
                  Hull(frozenset({b, Concrete(frozenset({TWO, Concrete(frozenset({c}))}))}))]
@@ -175,7 +181,7 @@ class TestHull:
         assert min(checked.values()) > 100
 
     def test_hereditarily_finite_index_leaves_the_hull(self):
-        a, b = (Abstract(n, Sub(cnf_from_int(1))) for n in "ab")
+        a, b = (Abstract(n, from_nat(1)) for n in "ab")
         P = hull_extend(EMPTY_HULL, a)
         for s in (EMPTY, TWO, Concrete(frozenset({TWO}))):
             assert hull_extend(P, s) is P
@@ -186,7 +192,7 @@ class TestHull:
             assert hull_extend(P, s) != P
 
     def test_subsumes(self):
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         h = hull_extend(EMPTY_HULL, a)
         assert hull_subsumes(h, EMPTY_HULL)
         assert not hull_subsumes(EMPTY_HULL, h)
@@ -198,7 +204,7 @@ class TestSetFacts:
     def test_against_recursive_walks(self):
         # the sets of test_concrete_sets_against_a_recursive_walk, one
         # parameter of infinite rank
-        leaves = [Abstract("a", Sub(cnf_from_int(1))), Abstract("b", Sub(cnf_from_int(1))),
+        leaves = [Abstract("a", from_nat(1)), Abstract("b", from_nat(1)),
                   Abstract("c", OMEGA_WITNESS.declared_rank)]
         checked = {True: 0, False: 0}
         for s in random_desk_sets(15, leaves) + enumerate_hf(300):
@@ -217,7 +223,7 @@ class TestSetFacts:
             assert rank_int_outcome(rank_int, p) == rank_int_outcome(ref_rank_int, p)
 
     def test_the_record_is_not_a_field(self):
-        a = Abstract("a", Sub(cnf_from_int(1)))
+        a = Abstract("a", from_nat(1))
         for s in random_desk_sets(17, [a])[:200]:
             fresh_copy = Concrete(frozenset(s.members))
             set_facts(s)
