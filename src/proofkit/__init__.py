@@ -3,124 +3,3 @@ epsilon number past Omega, a finitary sequent calculus for set theory
 with iterated admissibility, and lazily expanded operator-controlled
 infinitary derivations with embedding, reduction, and predicative cut
 elimination."""
-
-from .ordinals import (
-    EQUAL,
-    GREATER,
-    LESS,
-    MalformedOrdinalError,
-    OMEGA,
-    OrdCode,
-    ZERO,
-    add,
-    cmp,
-    enumerate_codes,
-    from_nat,
-    nat_sum,
-    omega_exp,
-    omega_tower,
-    parse,
-    parse_query,
-    random_code,
-    render,
-    times_nat,
-    validate_nf,
-)
-from .universe import (
-    Abstract,
-    Concrete,
-    DeskSet,
-    EMPTY,
-    EMPTY_HULL,
-    EvaluationError,
-    Hull,
-    OMEGA_WITNESS,
-    enumerate_hf,
-    hull_contains,
-    hull_extend,
-    hull_subsumes,
-    is_concrete,
-    parse_set,
-    rank,
-    rank_int,
-    render_set,
-    set_members,
-    transitive_closure,
-)
-from .formulas import (
-    Ad,
-    All,
-    And,
-    BAll,
-    BEx,
-    Ex,
-    Formula,
-    Mem,
-    Name,
-    NotAd,
-    NotMem,
-    Or,
-    Term,
-    Var,
-    ZERO_TERM,
-    classify,
-    close,
-    decompose,
-    depth,
-    eval_formula_bounded,
-    free_vars,
-    is_delta0,
-    is_sentence,
-    negate,
-    parse_formula,
-    parse_sequent,
-    relativize,
-    render_formula,
-    render_sequent,
-    seq,
-    subst,
-    support,
-)
-from .finitary import (
-    CheckResult,
-    ProofNode,
-    ProofScript,
-    ax_collection,
-    ax_extensionality,
-    ax_foundation,
-    ax_infinity,
-    ax_pair,
-    ax_reflection,
-    ax_separation,
-    ax_union,
-    check_proof,
-    end_sequent,
-    parse_script,
-    render_script,
-)
-from .derivations import (
-    ConstructionError,
-    CutNode,
-    DerivTerm,
-    Emb,
-    Red,
-    RefNode,
-    Sig,
-    TrueLeaf,
-    VeeNode,
-    WedgeNode,
-    elim_cuts,
-    emb_bound,
-    emb_rank,
-    rule_of,
-)
-from .checking import (
-    EvalResult,
-    Report,
-    check_local,
-    default_sampler,
-    eval_cutfree,
-    oracle_eval,
-    oracle_sequent,
-    trace_lines,
-)

@@ -39,7 +39,6 @@ from .formulas import (
     Formula,
     JBounded,
     J_UNIVERSE,
-    component,
     decompose,
     depth,
     determinable,
@@ -48,7 +47,6 @@ from .formulas import (
     free_vars,
     is_delta0,
     member_pi,
-    negate,
     reflection_guard,
     render_formula,
     split,
@@ -60,7 +58,6 @@ from .universe import (
     Concrete,
     EvaluationError,
     enumerate_hf,
-    hull_at,
     hull_contains,
     is_concrete,
     witness_pool,
@@ -146,12 +143,11 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                 bad(path, "control condition: parameter outside hull")
                 break
 
-        premises = []  # (label, expected seq, expected hull, term)
-
-        if isinstance(v, TrueLeaf):
-            if v.main not in sig.seq:
-                bad(path, "main formula not in sequent")
-            elif not is_delta0(v.main):
+        visits = []  # (label, index) of each premise to check
+        if isinstance(v, (TrueLeaf, VeeNode, WedgeNode)) and v.main not in sig.seq:
+            bad(path, "main formula not in sequent")
+        elif isinstance(v, TrueLeaf):
+            if not is_delta0(v.main):
                 bad(path, "leaf main formula not bounded")
             elif determinable(v.main):
                 if not eval_formula_bounded(v.main):
@@ -159,95 +155,78 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
             else:
                 report.notes.append((path, "leaf truth not machine-checkable"))
         elif isinstance(v, VeeNode):
-            if v.main not in sig.seq:
-                bad(path, "main formula not in sequent")
+            A = v.main
+            dec = split(A)
+            if dec is not None and dec.polarity == DISJUNCTIVE and not dec.by_truth:
+                pass  # set-indexed reading, whatever the truth value
+            elif not is_delta0(A):
+                bad(path, "disjunctive inference on a conjunctive formula")
+            elif not determinable(A):
+                report.notes.append((path, "polarity not machine-checkable"))
+            elif decompose(A).polarity == CONJUNCTIVE:
+                bad(path, "disjunctive inference on a conjunctive formula")
             else:
-                A = v.main
-                dec = split(A)
-                if (dec is not None and dec.polarity == DISJUNCTIVE
-                        and not dec.by_truth):
-                    pass  # set-indexed reading, whatever the truth value
-                elif not is_delta0(A):
-                    bad(path, "disjunctive inference on a conjunctive formula")
-                elif not determinable(A):
-                    report.notes.append(
-                        (path, "polarity not machine-checkable"))
-                elif decompose(A).polarity == CONJUNCTIVE:
-                    bad(path, "disjunctive inference on a conjunctive formula")
-                else:
-                    bad(path, "disjunctive inference on an empty index set")
-                J = dec.index_set if dec is not None else None
-                abstract = isinstance(J, JBounded) and isinstance(J.bound, Abstract)
-                if abstract:
-                    report.notes.append(
-                        (path, "index set bounded by an abstract parameter"))
-                if abstract or (J is not None and J.contains(v.iota)):
-                    premises.append(
-                        ("0", sig.seq | {component(A, v.iota)}, sig.hull, v.sub))
-                else:
-                    # no component A_iota, so no premise to expect
-                    bad(path, "index outside the index set")
+                bad(path, "disjunctive inference on an empty index set")
+            J = dec.index_set if dec is not None else None
+            abstract = isinstance(J, JBounded) and isinstance(J.bound, Abstract)
+            if abstract:
+                report.notes.append((path, "index set bounded by an abstract parameter"))
+            if abstract or (J is not None and J.contains(v.iota)):
+                visits = [("0", v.iota)]
+            else:
+                # no component A_iota, so no premise to expect
+                bad(path, "index outside the index set")
         elif isinstance(v, WedgeNode):
-            if v.main not in sig.seq:
-                bad(path, "main formula not in sequent")
-            else:
-                A = v.main
-                dec = split(A)
-                if (dec is None or dec.polarity != CONJUNCTIVE
-                        or dec.index_set is None):
-                    if is_delta0(A):
-                        bad(path, "conjunctive inference on a bounded sentence")
-                    else:
-                        bad(path,
-                            "conjunctive inference on a disjunctive formula")
+            A = v.main
+            dec = split(A)
+            if dec is None or dec.polarity != CONJUNCTIVE or dec.index_set is None:
+                if is_delta0(A):
+                    bad(path, "conjunctive inference on a bounded sentence")
                 else:
-                    if v.index_set != dec.index_set:
-                        bad(path, "index set mismatch")
-                    if dec.by_truth and determinable(A):
-                        # a settled bounded conjunction decomposes by its
-                        # truth value, not over its connective
-                        bad(path, "conjunctive inference on a bounded sentence")
-                    # a sample of the universe, none of a set bounded by
-                    # an abstract parameter, all premises otherwise
-                    J = v.index_set
-                    if J == J_UNIVERSE:
-                        report.notes.append((path, "universe index set sampled"))
-                        visits = [("s%d" % n, b) for n, b in enumerate(sampler(v))]
-                    elif isinstance(J, JBounded) and isinstance(J.bound, Abstract):
-                        report.notes.append((path, "abstract index set skipped"))
-                        visits = []
-                    else:
-                        prefix = "i" if isinstance(J, JBounded) else ""
-                        visits = [("%s%d" % (prefix, n), b)
-                                  for n, b in enumerate(J.members())]
-                    for label, iota in visits:
-                        comp = component(v.main, iota)
-                        hull_i = hull_at(sig.hull, iota)
-                        try:
-                            p = v.premise(iota)
-                        except (IndexError, ConstructionError, EvaluationError) as ex:
-                            bad(path, "premise error at %s: %s" % (label, ex))
-                            continue
-                        premises.append((label, sig.seq | {comp}, hull_i, p))
+                    bad(path, "conjunctive inference on a disjunctive formula")
+            else:
+                if v.index_set != dec.index_set:
+                    bad(path, "index set mismatch")
+                if dec.by_truth and determinable(A):
+                    # a settled bounded conjunction decomposes by its
+                    # truth value, not over its connective
+                    bad(path, "conjunctive inference on a bounded sentence")
+                # a sample of the universe, none of a set bounded by
+                # an abstract parameter, all premises otherwise
+                J = v.index_set
+                if J == J_UNIVERSE:
+                    report.notes.append((path, "universe index set sampled"))
+                    visits = [("s%d" % n, b) for n, b in enumerate(sampler(v))]
+                elif isinstance(J, JBounded) and isinstance(J.bound, Abstract):
+                    report.notes.append((path, "abstract index set skipped"))
+                else:
+                    prefix = "i" if isinstance(J, JBounded) else ""
+                    visits = [("%s%d" % (prefix, n), b)
+                              for n, b in enumerate(J.members())]
         elif isinstance(v, CutNode):
-            C = v.cut_formula
-            if depth(C) >= sig.rank:
+            if depth(v.cut_formula) >= sig.rank:
                 bad(path, "cut rank violation")
-            premises.append(("0", sig.seq | {negate(C)}, sig.hull, v.left))
-            premises.append(("1", sig.seq | {C}, sig.hull, v.right))
+            visits = [("0", 0), ("1", 1)]
         elif isinstance(v, RefNode):
             if not member_pi(v.formula, N + 1):
                 bad(path, "reflection class violation")
             if not _guard_matches(v.guard, v.formula, v.point):
                 bad(path, "reflection guard sentence malformed")
-            premises.append(("0", sig.seq | {v.formula}, sig.hull, v.left))
-            premises.append(("1", sig.seq | {v.guard}, sig.hull, v.right))
+            visits = [("0", 0), ("1", 1)]
         else:
             bad(path, "unknown node kind")
 
-        for label, want_seq, want_hull, p in premises:
+        premises = []  # (label, index, term), each read before any is checked
+        for label, iota in visits:
+            try:
+                premises.append((label, iota, v.premise(iota)))
+            except (IndexError, ConstructionError, EvaluationError) as ex:
+                bad(path, "premise error at %s: %s" % (label, ex))
+
+        for label, iota, p in premises:
             child = "%s.%s" % (path, label)
             psig = p.sig
+            want_hull, want_seq = v.wants(sig, iota)
             if cmp(psig.bound, sig.bound) != LESS:
                 bad(child, "descent violation")
             if psig.rank != sig.rank:

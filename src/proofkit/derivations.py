@@ -145,6 +145,11 @@ class ExplicitNode(DerivTerm):
     def premise(self, iota) -> DerivTerm:
         raise IndexError("rule %s has no premise %r" % (self.rule_name, iota))
 
+    def wants(self, sig: Sig, iota) -> tuple:
+        """The premise rule: the hull and the sequent that premise iota
+        must have when this node concludes ``sig``."""
+        raise IndexError("rule %s has no premise %r" % (self.rule_name, iota))
+
 
 class TrueLeaf(ExplicitNode):
     """Conjunctive inference over the empty index set: its main formula
@@ -180,6 +185,9 @@ class VeeNode(ExplicitNode):
             raise IndexError("this disjunctive inference used index %r" % (self.iota,))
         return self.sub
 
+    def wants(self, sig: Sig, iota) -> tuple:
+        return sig.hull, sig.seq | {component(self.main, iota)}
+
 
 class WedgeNode(ExplicitNode):
     """Conjunctive inference: one premise per index, computed lazily."""
@@ -202,6 +210,9 @@ class WedgeNode(ExplicitNode):
             self.index_set.require(iota)
             self._cache[iota] = self._premise_fn(iota)
         return self._cache[iota]
+
+    def wants(self, sig: Sig, iota) -> tuple:
+        return hull_at(sig.hull, iota), sig.seq | {component(self.main, iota)}
 
 
 class _TwoPremiseNode(ExplicitNode):
@@ -233,6 +244,10 @@ class CutNode(_TwoPremiseNode):
         self.left = left
         self.right = right
 
+    def wants(self, sig: Sig, iota) -> tuple:
+        C = self.cut_formula
+        return sig.hull, sig.seq | {C if iota else negate(C)}
+
 
 class RefNode(_TwoPremiseNode):
     """Reflection inference: from A at the point c, and from the guard
@@ -258,6 +273,9 @@ class RefNode(_TwoPremiseNode):
         self.guard = guard
         self.left = left
         self.right = right
+
+    def wants(self, sig: Sig, iota) -> tuple:
+        return sig.hull, sig.seq | {self.guard if iota else self.formula}
 
 
 # ---------------------------------------------------------------------------
@@ -748,32 +766,26 @@ def _same(p: DerivTerm, hull: Hull) -> DerivTerm:
 
 def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
     """Copy an explicit node at a new signature.  Each premise p becomes
-    ``wrap(p, hull)`` fitted at its own bound to its hull -- the node's,
-    widened by a set index -- the node's cut rank, and the node's
-    sequent plus the premise's own formula."""
-    P, m, seq = sig.hull, sig.rank, sig.seq
+    ``wrap(p, hull)`` fitted at its own bound and the node's cut rank to
+    the hull and sequent that the node's rule wants of it at ``sig``."""
     if isinstance(v, TrueLeaf):
         return TrueLeaf(sig, v.main)
     if isinstance(v, VeeNode):
-        sub = fit(wrap(v.sub, P), P, m, seq | {component(v.main, v.iota)})
-        return VeeNode(sig, v.main, v.iota, sub)
+        return VeeNode(sig, v.main, v.iota, _refit(v, sig, wrap, v.iota, v.sub))
     if isinstance(v, WedgeNode):
-        def prem(iota):
-            hull = hull_at(P, iota)
-            p = wrap(v.premise(iota), hull)
-            return fit(p, hull, m, seq | {component(v.main, iota)})
-
-        return WedgeNode(sig, v.main, v.index_set, prem)
+        return WedgeNode(sig, v.main, v.index_set,
+                         lambda iota: _refit(v, sig, wrap, iota, v.premise(iota)))
+    if not isinstance(v, _TwoPremiseNode):
+        raise TypeError("not an explicit node: %r" % (v,))
+    left, right = _refit(v, sig, wrap, 0, v.left), _refit(v, sig, wrap, 1, v.right)
     if isinstance(v, CutNode):
-        C = v.cut_formula
-        left = fit(wrap(v.left, P), P, m, seq | {negate(C)})
-        right = fit(wrap(v.right, P), P, m, seq | {C})
-        return CutNode(sig, C, left, right)
-    if isinstance(v, RefNode):
-        left = fit(wrap(v.left, P), P, m, seq | {v.formula})
-        right = fit(wrap(v.right, P), P, m, seq | {v.guard})
-        return RefNode(sig, v.formula, v.point, v.guard, left, right)
-    raise TypeError("not an explicit node: %r" % (v,))
+        return CutNode(sig, v.cut_formula, left, right)
+    return RefNode(sig, v.formula, v.point, v.guard, left, right)
+
+
+def _refit(v: ExplicitNode, sig: Sig, wrap, iota, p: DerivTerm) -> DerivTerm:
+    hull, seq = v.wants(sig, iota)
+    return fit(wrap(p, hull), hull, sig.rank, seq)
 
 
 # ---------------------------------------------------------------------------

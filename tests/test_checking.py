@@ -180,6 +180,49 @@ class TestMutations:
         d = VeeNode(Sig(h, from_nat(1), 0, frozenset([A])), A, ONE, p)
         assert "premise hull mismatch" in violations(d)
 
+    def test_vee_premise_keeps_the_hull(self):
+        # a disjunctive premise stays in the node's hull, even at an
+        # abstract index outside it
+        a = Abstract("a", from_nat(1))
+        A = Ex("x", Mem(ZERO_TERM, Var("x")))
+        comp = Mem(ZERO_TERM, Name(a))
+        p = TrueLeaf(sig([A, comp], bound=0, hull=Hull(frozenset({a}))), comp)
+        d = VeeNode(sig([A]), A, a, p)
+        assert "premise hull mismatch" in violations(d)
+
+    def test_wedge_premise_widens_the_hull(self):
+        # a universe conjunction's premise at a sampled abstract index
+        # outside the hull must be widened by that index
+        a = Abstract("a", from_nat(1))
+        A = All("x", Or(Mem(ZERO_TERM, Var("x")), NotMem(ZERO_TERM, Var("x"))))
+        comp = close(A.body, {"x": a})
+
+        def node(hull):
+            p = TrueLeaf(sig([A, comp], bound=0, hull=hull), comp)
+            return WedgeNode(sig([A]), A, J_UNIVERSE, lambda iota: p)
+
+        def mismatches(d):
+            report = check_local(d, 2, sampler=lambda node: [a])
+            return [path for path, msg in report.violations
+                    if msg == "premise hull mismatch"]
+
+        assert mismatches(node(EMPTY_HULL)) == ["0.s0"]
+        assert mismatches(node(Hull(frozenset({a})))) == []
+
+    def test_two_premise_nodes_keep_the_hull(self):
+        a = Abstract("a", from_nat(1))
+        wide = Hull(frozenset({a}))
+        left = TrueLeaf(sig([negate(M00), M01], bound=0, rank=1, hull=wide), negate(M00))
+        right = TrueLeaf(sig([M00, M01], bound=0, rank=1), M01)
+        d = CutNode(sig([M01], bound=1, rank=1), M00, left, right)
+        assert violations(d) == ["premise hull mismatch"]
+        A = All("x", Ex("y", All("z", Mem(Var("x"), Var("z")))))
+        guard = reflection_guard(A, ZERO_TERM)
+        left = TrueLeaf(sig([M01, A], bound=0), M01)
+        right = TrueLeaf(sig([M01, guard], bound=0, hull=wide), M01)
+        d = RefNode(sig([M01], bound=1), A, ZERO_TERM, guard, left, right)
+        assert violations(d) == ["premise hull mismatch"]
+
     def test_premise_sequent_mismatch(self):
         A = Ex("x", Mem(ZERO_TERM, Var("x")))
         p = TrueLeaf(sig([M01], bound=0), M01)  # forgets A and the component

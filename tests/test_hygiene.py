@@ -3,12 +3,11 @@ module-level function and class of the package is used somewhere, and
 the package's module-level tables and caches and its stores on objects
 are the known ones.
 
-Parses ``src/proofkit/*.py`` with ``ast``; the package ``__init__``
-re-exports names, and ``from __future__ import annotations`` is a
-compiler directive, so both are exempt.  A definition counts as used
-when its name, or an attribute of its module by that name, is read in
-``src/``, ``tests/`` or ``perfbench/`` outside its own body and outside
-``__init__.py`` files.
+Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
+annotations`` is a compiler directive, so it is exempt.  A definition
+counts as used when its name, or an attribute of its module by that
+name, is read in ``src/``, ``tests/`` or ``perfbench/`` outside its own
+body.
 """
 
 import ast
@@ -51,7 +50,7 @@ def unused_imports(path: Path) -> list:
 
 
 def test_modules_use_every_imported_name():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules, "no modules found under %s" % SRC
     unused = {p.name: unused_imports(p) for p in modules}
     assert {k: v for k, v in unused.items() if v} == {}
@@ -89,14 +88,11 @@ def unreferenced_definitions() -> dict:
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in SCANNED
         for path in sorted((ROOT / top).rglob("*.py"))
-        if path.name != "__init__.py"
     }
     aliases = {path: _module_aliases(tree) for path, tree in trees.items()}
     refs = {path: _references(tree, aliases[path]) for path, tree in trees.items()}
     dead = {}
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         body = trees[path].body
         elsewhere = set().union(*(r for p, r in refs.items() if p != path))
         for i, stmt in enumerate(body):
