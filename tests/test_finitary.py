@@ -419,6 +419,21 @@ class TestReader:
          "bex takes a variable, a bound and a body"),
         ("n1 logax (seq (ex x y (in 0 0))) main=(in 0 0)",
          "ex takes a variable and a body"),
+        ("n1 logax (seq (in 0)) main=(in 0 0)", "in takes two terms"),
+        ("n1 logax (seq (notad 0 0)) main=(notad 0)", "notad takes one term"),
+        ("n1 logax (seq (and (in 0 0) (in 0 0) (in 0 0))) main=(in 0 0)",
+         "and takes two formulas"),
+        ("n1 logax (seq (ball x 0)) main=(in 0 0)",
+         "ball takes a variable, a bound and a body"),
+        ("n1 logax (seq (all x)) main=(in 0 0)", "all takes a variable and a body"),
+        # a binder that is not a variable: a set literal, a formula, a list
+        ("n1 logax (seq (ex {} (in 0 0))) main=(in 0 0)", "ex takes a variable and a body"),
+        ("n1 logax (seq (all (in 0 0) (in 0 0))) main=(in 0 0)",
+         "all takes a variable and a body"),
+        ("n1 logax (seq (bex [n1] 0 (in 0 0))) main=(in 0 0)",
+         "bex takes a variable, a bound and a body"),
+        ("n1 logax (seq (ball {} {} (in 0 0))) main=(in 0 0)",
+         "ball takes a variable, a bound and a body"),
         ("n1 logax (seq (in 0 0) (notin 0 0)) main=x",
          "formula expressions are lists, got 'x'"),
         ("n1 logax (seq x) main=(in 0 0)", "formula expressions are lists, got 'x'"),

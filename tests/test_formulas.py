@@ -223,6 +223,14 @@ def ref_relativize(A, c):
     raise TypeError("not a formula: %r" % (A,))
 
 
+def relativize_to_zero(A):
+    return relativize(A, ZERO_TERM)
+
+
+def subst_zero_for_y(A):
+    return subst(A, "y", ZERO_TERM)
+
+
 def ref_render_term(t):
     if isinstance(t, Var):
         return t.name
@@ -510,9 +518,13 @@ class TestStoredResults:
             assert A == fresh_copy and hash(A) == hash(fresh_copy)
             assert repr(A) == repr(fresh_copy)
 
-    @pytest.mark.parametrize("ask", [free_vars, support, depth, is_delta0])
-    @pytest.mark.parametrize("x", [None, Var("x")])
+    @pytest.mark.parametrize("ask", [
+        free_vars, support, depth, is_delta0,
+        negate, relativize_to_zero, render_formula, subst_zero_for_y])
+    @pytest.mark.parametrize("x", [
+        None, Var("x"), Or(None, Mem(ZERO_TERM, ZERO_TERM)), Ex("x", None)])
     def test_a_non_formula_is_refused(self, ask, x):
+        # also a formula with a part that is not one
         with pytest.raises(TypeError, match="not a formula"):
             ask(x)
 
