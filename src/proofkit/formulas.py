@@ -14,13 +14,19 @@ Atoms are ``t in s`` and ``t notin s`` together with the opaque pair
 ``ad(t)`` / ``notad(t)``.  The latter stand for "t is a transitive model
 of the base set theory"; they are never evaluated or decomposed, only
 carried around inside reflection sequents.
+
+``BY_HEAD`` declares each dual pair of formula classes once, with the
+kind of each field, and negation, facts, substitution, relativization,
+rendering and reading walk the fields by it.  Only the Sigma/Pi step of
+``ex``/``all``, their relativization and the binder rule of
+substitution are written per class.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .universe import (
@@ -89,7 +95,8 @@ ZERO_TERM = Name(EMPTY)
 
 class _Formula:
     """Base of the formula classes.  Each class has its head word
-    (``head``) and its dual class (``dual``).  Each object stores its
+    (``head``), its dual class (``dual``), its ``shape`` and its
+    ``arity`` (see ``_dual_pairs``).  Each object stores its
     hash, its negation (``negate``), its quantifier instances by index
     (``component``) and its record of syntactic facts (``facts``) once
     they are first asked for; the stores are plain attributes, not
@@ -179,22 +186,35 @@ Formula = Mem | NotMem | Ad | NotAd | Or | And | BEx | BAll | Ex | All
 
 
 def _dual_pairs(*pairs) -> dict:
-    """Give each class of each dual pair ``(A, a, B, b)`` its head word
-    and its dual; the classes by head word."""
-    for A, a, B, b in pairs:
+    """Give each class of each dual pair ``(A, a, B, b, kinds, arity)``
+    its head word, its dual, its ``shape`` (each field's name and kind:
+    ``Term``, ``Formula`` or ``str``, a bound variable's name) and its
+    ``arity``, the reader's text for its parts; the classes by head word."""
+    for A, a, B, b, kinds, arity in pairs:
         A.head, A.dual, B.head, B.dual = a, B, b, A
-    return {C.head: C for A, _, B, _ in pairs for C in (A, B)}
+        for C in (A, B):
+            C.shape, C.arity = tuple(zip([f.name for f in fields(C)], kinds, strict=True)), arity
+    return {C.head: C for A, _, B, *_ in pairs for C in (A, B)}
 
 
 #: The formula classes by head word: five dual pairs, each pair with
-#: equal fields.
+#: equal fields.  A variable field comes first: it binds in the formula
+#: fields after it.
 BY_HEAD = _dual_pairs(
-    (Mem, "in", NotMem, "notin"),
-    (Ad, "ad", NotAd, "notad"),
-    (Or, "or", And, "and"),
-    (BEx, "bex", BAll, "ball"),
-    (Ex, "ex", All, "all"),
+    (Mem, "in", NotMem, "notin", (Term, Term), "two terms"),
+    (Ad, "ad", NotAd, "notad", (Term,), "one term"),
+    (Or, "or", And, "and", (Formula, Formula), "two formulas"),
+    (BEx, "bex", BAll, "ball", (str, Term, Formula), "a variable, a bound and a body"),
+    (Ex, "ex", All, "all", (str, Formula), "a variable and a body"),
 )
+
+
+def _shape(A: Formula) -> tuple:
+    """The shape of A's class."""
+    if isinstance(A, _Formula):
+        return A.shape
+    raise TypeError("not a formula: %r" % (A,))
+
 
 Sequent = frozenset
 
@@ -233,24 +253,14 @@ def negate(A: Formula) -> Formula:
     store each other."""
     N = getattr(A, "_negation", None)
     if N is None:
-        N = _dual(A)
+        parts = []
+        for name, kind in _shape(A):
+            x = getattr(A, name)
+            parts.append(negate(x) if kind is Formula else x)
+        N = A.dual(*parts)
         object.__setattr__(A, "_negation", N)
         object.__setattr__(N, "_negation", A)
     return N
-
-
-def _dual(A: Formula) -> Formula:
-    if isinstance(A, (Mem, NotMem)):
-        return A.dual(A.left, A.right)
-    if isinstance(A, (Ad, NotAd)):
-        return A.dual(A.term)
-    if isinstance(A, (Or, And)):
-        return A.dual(negate(A.left), negate(A.right))
-    if isinstance(A, (BEx, BAll)):
-        return A.dual(A.var, A.bound, negate(A.body))
-    if isinstance(A, (Ex, All)):
-        return A.dual(A.var, negate(A.body))
-    raise TypeError("not a formula: %r" % (A,))
 
 
 # ---------------------------------------------------------------------------
@@ -280,39 +290,33 @@ def facts(A: Formula) -> Facts:
     F = getattr(A, "_facts", None)
     if F is not None:
         return F
-    if isinstance(A, (Or, And)):
-        L, R = facts(A.left), facts(A.right)
-        d = max(L.depth, R.depth)
-        F = Facts(L.free_vars | R.free_vars, L.all_vars | R.all_vars,
-                  L.support | R.support, d + 1 if d else 0,
-                  max(L.sigma, R.sigma), max(L.pi, R.pi), L.opaque or R.opaque)
-    elif isinstance(A, (BEx, BAll, Ex, All)):
-        B = facts(A.body)
-        fv, av, names = B.free_vars - {A.var}, B.all_vars | {A.var}, B.support
-        d, s, p = B.depth, B.sigma, B.pi
-        if isinstance(A, Ex):
-            d, s = d + 1, max(s, 1)
-            p = s + 1
-        elif isinstance(A, All):
-            d, p = d + 1, max(p, 1)
-            s = p + 1
-        else:
-            if isinstance(A.bound, Var):
-                fv, av = fv | {A.bound.name}, av | {A.bound.name}
+    fv = av = names = frozenset()
+    binder, d, s, p, opaque = None, 0, 0, 0, isinstance(A, (Ad, NotAd))
+    for name, kind in _shape(A):
+        x = getattr(A, name)
+        if kind is Formula:  # the first part's sets are kept, not copied
+            P = facts(x)
+            pv, pa = (P.free_vars, P.all_vars) if binder is None else (
+                P.free_vars - {binder}, P.all_vars | {binder})
+            fv, av = fv | pv if fv else pv, av | pa if av else pa
+            names = names | P.support if names else P.support
+            d, s, p, opaque = max(d, P.depth), max(s, P.sigma), max(p, P.pi), opaque or P.opaque
+        elif kind is Term:
+            if isinstance(x, Var):
+                fv = fv | {x.name}
             else:
-                names = names | {A.bound.value}
-            d = d + 1 if d else 0
-        F = Facts(fv, av, names, d, s, p, B.opaque)
-    else:
-        if isinstance(A, (Mem, NotMem)):
-            terms = A.left, A.right
-        elif isinstance(A, (Ad, NotAd)):
-            terms = (A.term,)
+                names = names | {x.value}
         else:
-            raise TypeError("not a formula: %r" % (A,))
-        fv = frozenset(t.name for t in terms if isinstance(t, Var))
-        names = frozenset(t.value for t in terms if isinstance(t, Name))
-        F = Facts(fv, fv, names, 0, 0, 0, isinstance(A, (Ad, NotAd)))
+            binder = x
+    if not fv <= av:  # a variable term
+        av = av | fv if av else fv
+    if isinstance(A, Ex):
+        d, s, p = d + 1, max(s, 1), max(s, 1) + 1
+    elif isinstance(A, All):
+        d, s, p = d + 1, max(p, 1) + 1, max(p, 1)
+    elif d:
+        d += 1
+    F = Facts(fv, av, names, d, s, p, opaque)
     object.__setattr__(A, "_facts", F)
     return F
 
@@ -381,42 +385,26 @@ def fresh(base: str, avoid) -> str:
     return next(name for name in names if name not in avoid)
 
 
-def is_sentence(A: Formula) -> bool:
-    return not free_vars(A)
-
-
-def _subst_term(t: Term, var: str, value: Term) -> Term:
-    if isinstance(t, Var) and t.name == var:
-        return value
-    return t
-
-
 def subst(A: Formula, var: str, value: Term) -> Formula:
     """Substitution of a term for the free occurrences of a variable.
     Raises ValueError when a variable term would be captured: a binder
     of its name has the substituted variable free in its body."""
-    if isinstance(A, (Mem, NotMem)):
-        return type(A)(_subst_term(A.left, var, value), _subst_term(A.right, var, value))
-    if isinstance(A, (Ad, NotAd)):
-        return type(A)(_subst_term(A.term, var, value))
-    if isinstance(A, (Or, And)):
-        return type(A)(subst(A.left, var, value), subst(A.right, var, value))
-    if isinstance(A, (BEx, BAll)):
-        return type(A)(A.var, _subst_term(A.bound, var, value), _subst_body(A, var, value))
-    if isinstance(A, (Ex, All)):
-        return A if A.var == var else type(A)(A.var, _subst_body(A, var, value))
-    raise TypeError("not a formula: %r" % (A,))
-
-
-def _subst_body(A: Formula, var: str, value: Term) -> Formula:
-    """The body of the quantifier A after substitution."""
-    if A.var == var:
-        return A.body
-    if isinstance(value, Var) and value.name == A.var and var in free_vars(A.body):
-        raise ValueError(
-            "substituting %s for %s: captured by the quantifier on %s"
-            % (value.name, var, A.var))
-    return subst(A.body, var, value)
+    binder, parts = None, []
+    for name, kind in _shape(A):
+        x = getattr(A, name)
+        if kind is str:
+            binder = x
+        elif kind is Term:
+            if isinstance(x, Var) and x.name == var:
+                x = value
+        elif binder != var:  # a binder of var keeps its body
+            if isinstance(value, Var) and value.name == binder and var in free_vars(x):
+                raise ValueError(
+                    "substituting %s for %s: captured by the quantifier on %s"
+                    % (value.name, var, binder))
+            x = subst(x, var, value)
+        parts.append(x)
+    return type(A)(*parts)
 
 
 def close(A: Formula, assignment: dict, keep=frozenset()) -> Formula:
@@ -433,15 +421,13 @@ def close(A: Formula, assignment: dict, keep=frozenset()) -> Formula:
 
 def relativize(A: Formula, c: Term) -> Formula:
     """Bound every unbounded quantifier in A by the term c."""
-    if isinstance(A, (Mem, NotMem, Ad, NotAd)):
-        return A
-    if isinstance(A, (Or, And)):
-        return type(A)(relativize(A.left, c), relativize(A.right, c))
-    if isinstance(A, (BEx, BAll)):
-        return type(A)(A.var, A.bound, relativize(A.body, c))
+    parts = []
+    for name, kind in _shape(A):
+        x = getattr(A, name)
+        parts.append(relativize(x, c) if kind is Formula else x)
     if isinstance(A, (Ex, All)):  # the bounded quantifier of the same kind
-        return BY_HEAD["b" + A.head](A.var, c, relativize(A.body, c))
-    raise TypeError("not a formula: %r" % (A,))
+        return BY_HEAD["b" + A.head](parts[0], c, parts[1])
+    return type(A)(*parts)
 
 
 def reflection_guard(A: Formula, point: Term, var: str = "z") -> Formula:
@@ -549,11 +535,6 @@ class Decomposition:
     polarity: str
     index_set: JEmpty | JTwo | JBounded | JUniverse | None
     main: Formula
-
-    def instantiate(self, iota) -> Formula:
-        """The component A_iota, for iota in the index set."""
-        self.index_set.require(iota)
-        return component(self.main, iota)
 
     @property
     def by_truth(self) -> bool:
@@ -669,17 +650,11 @@ def eval_formula_bounded(A: Formula, env: dict | None = None) -> bool:
 
 
 def render_formula(A: Formula) -> str:
-    if isinstance(A, (Mem, NotMem)):
-        return "(%s %s %s)" % (A.head, render_term(A.left), render_term(A.right))
-    if isinstance(A, (Ad, NotAd)):
-        return "(%s %s)" % (A.head, render_term(A.term))
-    if isinstance(A, (Or, And)):
-        return "(%s %s %s)" % (A.head, render_formula(A.left), render_formula(A.right))
-    if isinstance(A, (BEx, BAll)):
-        return "(%s %s %s %s)" % (A.head, A.var, render_term(A.bound), render_formula(A.body))
-    if isinstance(A, (Ex, All)):
-        return "(%s %s %s)" % (A.head, A.var, render_formula(A.body))
-    raise TypeError("not a formula: %r" % (A,))
+    shape, parts = _shape(A), [A.head]
+    for name, kind in shape:
+        x = getattr(A, name)
+        parts.append(x if kind is str else render_term(x) if kind is Term else render_formula(x))
+    return "(%s)" % " ".join(parts)
 
 
 def render_term(t: Term) -> str:
@@ -843,29 +818,23 @@ def formula_from_tree(tree: list, params: dict) -> Formula:
         raise ValueError("formula expressions are lists, got []")
     head = tree[0]
     cls = BY_HEAD.get(head) if isinstance(head, str) else None
-    if cls in (Mem, NotMem):
-        if len(tree) != 3:
-            raise ValueError("%s takes two terms" % head)
-        return cls(as_term(tree[1], params), as_term(tree[2], params))
-    if cls in (Ad, NotAd):
-        if len(tree) != 2:
-            raise ValueError("%s takes one term" % head)
-        return cls(as_term(tree[1], params))
-    if cls in (Or, And):
-        if len(tree) != 3:
-            raise ValueError("%s takes two formulas" % head)
-        return cls(as_formula(tree[1]), as_formula(tree[2]))
-    if cls in (BEx, BAll):
-        if len(tree) != 4 or not isinstance(tree[1], str):
-            raise ValueError("%s takes a variable, a bound and a body" % head)
-        return cls(tree[1], as_term(tree[2], params), as_formula(tree[3]))
-    if cls in (Ex, All):
-        if len(tree) != 3 or not isinstance(tree[1], str):
-            raise ValueError("%s takes a variable and a body" % head)
-        return cls(tree[1], as_formula(tree[2]))
-    if head == "not":
-        raise ValueError("input must be negation-normal; apply de Morgan first")
-    raise ValueError("unknown formula head %r" % (head,))
+    if cls is None:
+        if head == "not":
+            raise ValueError("input must be negation-normal; apply de Morgan first")
+        raise ValueError("unknown formula head %r" % (head,))
+    shape, parts = cls.shape, []
+    if len(tree) == len(shape) + 1:
+        for (_, kind), x in zip(shape, tree[1:]):
+            if kind is Term:
+                x = as_term(x, params)
+            elif kind is Formula:
+                x = as_formula(x)
+            elif not isinstance(x, str):  # the variable comes first
+                break
+            parts.append(x)
+    if len(parts) != len(shape):
+        raise ValueError("%s takes %s" % (head, cls.arity))
+    return cls(*parts)
 
 
 def parse_formula(text: str, params: dict | None = None) -> Formula:

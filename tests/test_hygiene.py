@@ -1,7 +1,7 @@
 """Source hygiene: every imported name in the package is used, every
-module-level function and class of the package is used somewhere, and
-the package's module-level tables and caches and its stores on objects
-are the known ones.
+module-level function and class of the package is used somewhere, the
+package's module-level tables and caches and its stores on objects are
+the known ones, and each formula class declares the kind of every field.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -11,7 +11,10 @@ body.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from proofkit import formulas
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "proofkit"
@@ -191,3 +194,21 @@ def object_stores() -> dict:
 
 def test_object_stores_are_the_known_ones():
     assert object_stores() == KNOWN_STORES
+
+
+#: The field kind that each field annotation of a formula class stands for.
+KIND_OF_ANNOTATION = {"str": str, "Term": formulas.Term, "'Formula'": formulas.Formula}
+
+
+def test_each_formula_class_declares_one_kind_per_field():
+    """Every class of ``formulas.BY_HEAD`` declares exactly one kind per
+    dataclass field, in field order, that fits the field's annotation; a
+    variable field comes only first, before the fields it binds in; and
+    each class has the fields of its dual."""
+    for head, C in formulas.BY_HEAD.items():
+        declared = [f.name for f in fields(C)]
+        kinds = [KIND_OF_ANNOTATION[f.type] for f in fields(C)]
+        assert C.shape == tuple(zip(declared, kinds)), head
+        assert str not in kinds[1:], head
+        assert [(f.name, f.type) for f in fields(C.dual)] == [
+            (f.name, f.type) for f in fields(C)], head
