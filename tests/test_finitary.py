@@ -462,6 +462,14 @@ class TestReader:
         ("n1 logax (frob 0) main=(in 0 0)", "missing conclusion sequent"),
         ("n1 logax ((in 0 0) (notin 0 0)) main=(in 0 0)", "missing conclusion sequent"),
         ("n1 logax (in 0 {(in 0 0)}) main=(in 0 0)", "missing conclusion sequent"),
+        # premise lists that are not a flat run of ids; REPEATED_TAIL has
+        # these after a defined n1, which an item before them would name
+        ("n1 cut [{}] (seq (in 0 0)) formula=(in 0 0)", "undefined premise id Concrete({})"),
+        ("n1 cut [[n1]] (seq (in 0 0)) formula=(in 0 0)", "undefined premise id ['n1']"),
+        ("n1 cut [n1)] (seq (in 0 0)) formula=(in 0 0)", "missing ]"),
+        ("n1 cut [n1=] (seq (in 0 0)) formula=(in 0 0)", "undefined premise id 'n1='"),
+        ("n1 cut [= n1] (seq (in 0 0)) formula=(in 0 0)", "undefined premise id '='"),
+        ("n1 cut [n1 (seq (in 0 0)) formula=(in 0 0)", "unknown formula head 'seq'"),
     ]
 
     @pytest.mark.parametrize("line, message", MALFORMED)
@@ -491,6 +499,14 @@ class TestReader:
         ("n3 logax {{}}", "missing conclusion sequent"),
         ("n3 logax (in 0 {{}})", "missing conclusion sequent"),
         ("n3 logax [n1] (notin 0 {{}})", "missing conclusion sequent"),
+        # premise lists that are not a flat run of ids
+        ("n3 or [n1 {}] " + TAIL, "undefined premise id Concrete({})"),
+        ("n3 or [n1,[n1]] " + TAIL, "undefined premise id ['n1']"),
+        ("n3 or [n1)] " + TAIL, "missing ]"),
+        ("n3 or [n1=] " + TAIL, "undefined premise id 'n1='"),
+        ("n3 or [n1 = n1] " + TAIL, "undefined premise id '='"),
+        ("n3 or [n1 " + TAIL, "unknown formula head 'seq'"),
+        ("n3 or , [n1 {}] " + TAIL, "undefined premise id Concrete({})"),
     ]
 
     @pytest.mark.parametrize("line, message", REPEATED_TAIL)
@@ -499,6 +515,24 @@ class TestReader:
             with pytest.raises(ValueError) as info:
                 parse_script("\n".join(self.READ_BEFORE[:count] + (line,)) + "\n")
             assert str(info.value) == "line %d: %s" % (count + 1, message)
+
+    @pytest.mark.parametrize("premises, plain", [
+        (", [n1]", "[n1]"), ("[ n1 ]", "[n1]"), ("[n1,,n1]", "[n1,n1]"),
+        (" ,,[ n1 ,n1, ]", "[n1,n1]"),
+    ])
+    def test_a_premise_list_reads_through_spaces_and_commas(self, premises, plain):
+        def read(ids):
+            return parse_script("n1 logax %s\nn2 cut %s (seq (in 0 0)) formula=(in 0 0)\n"
+                                % (self.TAIL, ids))
+
+        script = read(premises)
+        assert script == read(plain)
+        assert render_script(script) == render_script(read(plain))
+
+    @pytest.mark.parametrize("premises", ["[]", "[ , ]", ", []"])
+    def test_an_empty_premise_list_is_no_premises(self, premises):
+        script = parse_script("n1 logax %s %s\n" % (premises, self.TAIL))
+        assert script == parse_script("n1 logax %s\n" % self.TAIL)
 
     def test_equal_tails_share_their_objects(self):
         text = "n1 logax {T}\nn2 logax {T}\nn3 or [n1,n2] {T}\n".format(T=self.TAIL)
