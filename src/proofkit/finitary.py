@@ -20,6 +20,7 @@ other node must be a premise of it, hereditarily.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .formulas import (
@@ -37,6 +38,7 @@ from .formulas import (
     Sequent,
     Term,
     Var,
+    _TOKEN,
     all_vars,
     as_formula,
     as_set,
@@ -299,10 +301,17 @@ def post_order(root: ProofNode) -> list:
 def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
     """Verify each node once, in preorder, not below a faulty one; a fault
     is reported at the first path that reaches its node, and a premise
-    sequent mismatch at the path of every edge that has one."""
+    sequent mismatch at the path of every edge that has one.
+
+    Equal nodes under different parents are each walked, but their
+    inference is derived once: for the length of the call, what
+    ``expected_premises`` returns, or the message it raises, is kept
+    under the node's rule, conclusion and witnesses.  The key holds no
+    premise, so the premise count and each edge are checked per node."""
     if N < 2:
         return CheckResult([("", "N must be at least 2")])
     diags, walked, stack = [], set(), [(pi, "0", False)]
+    derived: dict = {}  # the premise sequents or fault of each inference, by value
     while stack:
         node, path, mismatch = stack.pop()
         if mismatch:
@@ -310,13 +319,21 @@ def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
         if id(node) in walked:
             continue
         walked.add(id(node))
-        try:
-            need = expected_premises(node, N)
-            if len(need) != len(node.premises):
-                raise ValueError("expected %d premises, found %d"
-                                 % (len(need), len(node.premises)))
-        except ValueError as e:
-            diags.append((path, str(e)))
+        key = (node.rule, node.conclusion, node.main, node.formula, node.term,
+               node.term2, node.term3, node.var, node.var2)
+        need = derived.get(key)
+        if need is None:
+            try:
+                need = expected_premises(node, N)
+            except ValueError as e:
+                need = str(e)
+            derived[key] = need
+        if isinstance(need, str):
+            diags.append((path, need))
+            continue
+        if len(need) != len(node.premises):
+            diags.append((path, "expected %d premises, found %d"
+                          % (len(need), len(node.premises))))
             continue
         for i in reversed(range(len(need))):
             sub = node.premises[i]
@@ -392,20 +409,34 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(nodes[last], params, assignment)
 
 
+#: A flat premise list: ``[``, ids with no bracket, brace or ``=``, and
+#: ``]``, after the whitespace and commas that the reader skips.
+_FLAT_PREMISES = re.compile(r"[\s,]*\[([^()\[\]{}=]*)\]")
+
+
 def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
     """The premise ids, conclusion and witnesses after a node's rule,
     read through the script's ``memo``, which keeps the conclusion and
-    witnesses under the text after the premise ids once they read."""
+    witnesses under the text after the premise ids once they read, until
+    the script is read or a ``param`` line clears it.  A flat premise
+    list is split by one match and no ``Reader``; any other list goes
+    through ``Reader``, which names its fault."""
     if rule not in RULES:
         raise ValueError("unknown rule %r" % rule)
-    items = Reader(rest, params, memo)
-    premise_ids = items.item() if items.tokens(1) == ["["] else []
+    flat = _FLAT_PREMISES.match(rest)
+    if flat:
+        premise_ids, pos = _TOKEN.findall(flat[1]), flat.end()
+    else:
+        items = Reader(rest, params, memo)
+        premise_ids = items.item() if items.tokens(1) == ["["] else []
+        pos = items.pos
     # the reader's keys are texts, frozensets and tuples of parts, no part
     # None, so this key is none of theirs
-    tail = (None, rest[items.pos:].lstrip())
+    tail = (None, rest[pos:].lstrip())
     kept = memo.get(tail)
     if kept is not None:
         return (premise_ids, *kept)
+    items = Reader(tail[1], params, memo)
     if items.tokens(2) != ["(", "seq"]:
         raise ValueError("missing conclusion sequent")
     concl = items.item()

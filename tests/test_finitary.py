@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+import families
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_formulas import random_formula, subformulas
 
@@ -23,6 +24,7 @@ from proofkit.finitary import (
     end_sequent,
     expected_premises,
     parse_script,
+    post_order,
     render_script,
 )
 from proofkit.formulas import (
@@ -848,6 +850,20 @@ def random_dag(rng):
     return nodes[-1]
 
 
+def inference(node):
+    """What ``expected_premises`` reads of a node: its rule, conclusion
+    and witnesses."""
+    return (node.rule, node.conclusion, *(getattr(node, key) for key in finitary.WITNESSES))
+
+
+def tree_script(lines):
+    """A script of numbered node lines, each ``(rule, premise numbers,
+    text after the premise ids)``."""
+    return "".join("n%d %s %s%s\n" % (k, rule, "[%s] " % ",".join("n%d" % p for p in ps)
+                                       if ps else "", tail)
+                   for k, (rule, ps, tail) in enumerate(lines, start=1))
+
+
 def is_subsequence(short, long):
     rest = iter(long)
     return all(item in rest for item in short)
@@ -891,7 +907,7 @@ class TestDeepAndSharedProofs:
         monkeypatch.setattr(finitary, "expected_premises", counted)
         script = parse_script(shared_dag(40))
         assert check_proof(script.root).ok
-        assert len(calls) == 40
+        assert len(calls) == 2  # one logax and one cut inference
         assert emb_rank(script.root) == 39
         assert render_script(script) == shared_dag(40)
 
@@ -919,6 +935,72 @@ class TestDeepAndSharedProofs:
         assert check_proof(parse_script(text).root).diagnostics == [
             ("0.0", "premise sequent mismatch"), ("0.1", "premise sequent mismatch")]
         assert calls == ["cut", "logax"]
+
+    def test_a_repeated_faulty_line_is_reported_at_each_path(self, monkeypatch):
+        calls = []
+
+        def counted(node, N):
+            calls.append(inference(node))
+            return expected_premises(node, N)
+
+        monkeypatch.setattr(finitary, "expected_premises", counted)
+        bad, good = LEAF + " main=(in 0 {{}})", LEAF + " main=(in 0 0)"
+        cut = LEAF + " formula=(in 0 0)"
+        text = tree_script([("logax", (), bad), ("logax", (), good), ("cut", (1, 2), cut),
+                            ("logax", (), bad), ("logax", (), good), ("cut", (4, 5), cut),
+                            ("cut", (3, 6), cut)])
+        root = parse_script(text).root
+        assert len(post_order(root)) == 7  # no node object is shared
+        diags = check_proof(root).diagnostics
+        lacks = "logical axiom lacks the complementary pair"
+        assert diags == ref_check_proof(root) == [("0.0.0", lacks), ("0.1.0", lacks)]
+        assert calls.count(inference(root.premises[1].premises[0])) == 1
+        assert len(calls) == 3  # the cut and both logical axioms
+
+    def test_a_repeated_short_cut_is_reported_at_each_path(self, monkeypatch):
+        calls = []
+
+        def counted(node, N):
+            calls.append(node.rule)
+            return expected_premises(node, N)
+
+        monkeypatch.setattr(finitary, "expected_premises", counted)
+        leaf, cut = LEAF + " main=(in 0 0)", LEAF + " formula=(in 0 0)"
+        text = tree_script([("logax", (), leaf), ("cut", (1,), cut),
+                            ("logax", (), leaf), ("cut", (3,), cut), ("cut", (2, 4), cut)])
+        root = parse_script(text).root
+        assert len(post_order(root)) == 5
+        diags = check_proof(root).diagnostics
+        short = "expected 2 premises, found 1"
+        assert diags == ref_check_proof(root) == [("0.0", short), ("0.1", short)]
+        assert calls == ["cut"]  # the root's inference, which both short cuts repeat
+
+    def test_each_distinct_inference_is_derived_once_per_script(self, monkeypatch):
+        """Over the seed-7 ``check`` pool of the benchmark: all of a
+        script's distinct inferences when it checks, some of them when a
+        fault stops the walk, and none twice."""
+        calls = []
+
+        def counted(node, N):
+            calls.append(inference(node))
+            return expected_premises(node, N)
+
+        monkeypatch.setattr(finitary, "expected_premises", counted)
+        derived = nodes = 0
+        for case in families.gen_check(7):
+            root = parse_script(case.text).root
+            calls.clear()
+            ok = check_proof(root).ok
+            walk = post_order(root)
+            distinct = {inference(node) for node in walk}
+            assert len(set(calls)) == len(calls)
+            if ok:
+                assert set(calls) == distinct
+            else:
+                assert set(calls) <= distinct
+            derived += len(calls)
+            nodes += len(walk)
+        assert (derived, nodes) == (5118, 15432)
 
     def test_random_dag_mutants_against_every_path_walk(self):
         rng = random.Random(20)
