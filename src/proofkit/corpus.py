@@ -1,8 +1,14 @@
-"""A small corpus of checked finitary proofs exercising every rule and
-axiom schema: logical tautologies of depths 0 through 3, one instance
-of each set-existence axiom, a foundation instance over a transitive
-rank-3 set, a reflection instance at the lowest admissible level, and a
-proof with a single cut.
+"""A small corpus of checked finitary proofs: logical tautologies of
+depths 0 through 3, one instance of each set-existence axiom, a
+foundation instance over a transitive rank-3 set and one with an
+unbounded induction formula, a reflection instance at the lowest
+admissible level, a proof with a single cut, and the rules ``ex``,
+``all``, ``and``, ``or`` and ``bex`` (witness inside the bound) over
+unbounded formulas.  So it takes every axiom schema and every rule but
+``ball``.  The embedding derives ``ball``, ``bex`` outside its bound
+and bounded ``or`` and ``and`` by cutting a false bounded formula
+against a true leaf at rank 0 below a cut of positive rank; those wait
+until that leaf is fitted to the cut rank.
 
 Each entry records whether its parameters are fully concrete (so the
 soundness evaluator applies) and whether its embedding contains a
@@ -27,6 +33,8 @@ from .finitary import (
 )
 from .formulas import (
     All,
+    And,
+    BEx,
     Ex,
     Mem,
     Name,
@@ -177,6 +185,55 @@ def one_cut_proof():
     return _entry("one-cut", root, has_cut=True)
 
 
+def ex_all_or_proof():
+    """The existential, universal and disjunctive rules over unbounded
+    formulas: (exists y, y notin 0) or (forall x, x in 0), from the
+    logical axiom on x in 0 with x as witness and as eigenvariable."""
+    x = Var("x")
+    ex_part = Ex("y", NotMem(Var("y"), ZERO_TERM))
+    all_part = All("x", Mem(x, ZERO_TERM))
+    ax = ProofNode("logax", seq(ex_part, all_part, NotMem(x, ZERO_TERM), Mem(x, ZERO_TERM)),
+                   main=Mem(x, ZERO_TERM))
+    ex = ProofNode("ex", seq(ex_part, all_part, Mem(x, ZERO_TERM)), (ax,),
+                   main=ex_part, term=x)
+    gen = ProofNode("all", seq(ex_part, all_part), (ex,), main=all_part, var="x")
+    D = Or(ex_part, all_part)
+    return _entry("ex-all-or", ProofNode("or", seq(D), (gen,), main=D))
+
+
+def and_proof():
+    """The conjunctive rule over an unbounded formula, with one premise
+    shared by both conjuncts."""
+    A = Ex("y", NotMem(Var("y"), ZERO_TERM))
+    ax = ProofNode("logax", seq(A, negate(A)), main=A)
+    C = And(A, A)
+    return _entry("and", ProofNode("and", seq(C, negate(A)), (ax, ax), main=C))
+
+
+def bex_proof():
+    """The bounded existential rule with its witness 0 inside the bound
+    {0}, on an unbounded body."""
+    one = Name(ONE)
+    side = (NotMem(ZERO_TERM, one), All("y", NotMem(ZERO_TERM, Var("y"))))
+    inside = ProofNode("logax", seq(Mem(ZERO_TERM, one), *side), main=Mem(ZERO_TERM, one))
+    body = Ex("y", Mem(ZERO_TERM, Var("y")))
+    holds = ProofNode("logax", seq(body, *side), main=body)
+    B = BEx("x", one, Ex("y", Mem(Var("x"), Var("y"))))
+    root = ProofNode("bex", seq(B, *side), (inside, holds), main=B, term=ZERO_TERM)
+    return _entry("bex", root)
+
+
+def foundation_unbounded_instance():
+    """A foundation instance whose induction formula is unbounded, so
+    its embedding derives each step by induction on rank."""
+    phi = All("y", Mem(Var("x"), Var("y")))
+    inst = ax_foundation("x", "z", phi)
+    return _entry(
+        "foundation-unbounded",
+        ProofNode("axiom:foundation", seq(inst), var="x", var2="z", formula=phi),
+    )
+
+
 BUILDERS = [
     taut_depth0,
     taut_depth1,
@@ -191,6 +248,10 @@ BUILDERS = [
     foundation_instance,
     reflection_instance,
     one_cut_proof,
+    ex_all_or_proof,
+    and_proof,
+    bex_proof,
+    foundation_unbounded_instance,
 ]
 
 

@@ -71,6 +71,10 @@ class TestCorpus:
         names = {e.name for e in build_corpus()}
         assert {"pair", "union", "collection", "foundation",
                 "reflection", "one-cut"} <= names
+        # ball waits for the embedding to fit its cut-away leaves to the
+        # cut rank; every other rule is taken by some entry
+        rules = {p.rule for e in build_corpus() for p in post_order(e.script.root)}
+        assert rules == finitary.RULES - {"ball"}
 
 
 class TestRules:

@@ -39,7 +39,7 @@ from proofkit.formulas import (
 from proofkit.ordinals import from_nat, render
 from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, Concrete, Hull
 
-GOLDEN = "40532853a5c571bd9bb7835c2d2988313e12e8845c88da12e59cc37f4cab3f22"
+GOLDEN = "a7b7eb16cda5f0ed18e766d1ee8c6328d22bc059c68693ab7880d27daa68cbd2"
 
 SEEDS = range(10)
 DEPTHS = (3, 5)
