@@ -7,7 +7,10 @@ from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
     ConstructionError,
     CutNode,
+    DerivTerm,
+    Drop,
     Emb,
+    ExplicitNode,
     RefNode,
     Sig,
     TrueLeaf,
@@ -29,7 +32,9 @@ from proofkit.formulas import (
     All,
     And,
     BAll,
+    BEx,
     Ex,
+    J_EMPTY,
     J_TWO,
     J_UNIVERSE,
     JBounded,
@@ -40,6 +45,7 @@ from proofkit.formulas import (
     Var,
     ZERO_TERM,
     close,
+    component,
     determinable,
     equals,
     negate,
@@ -289,6 +295,85 @@ class TestMutations:
         assert len(msgs) >= 6
 
 
+class Unfolding(DerivTerm):
+    """A hand-built term at ``sig`` that unfolds to ``node``."""
+
+    def __init__(self, sig, node):
+        super().__init__()
+        self.sig = sig
+        self.node = node
+
+    def _expand(self):
+        return self.node
+
+
+class StrayNode(ExplicitNode):
+    """An explicit node of none of the five inference kinds."""
+
+    def __init__(self, sig):
+        super().__init__()
+        self.sig = sig
+
+
+def _message_cases():
+    """(name, term, path, message, whether a violation or a note) for
+    each check_local message that no other test names."""
+    A_ex = Ex("x", Mem(ZERO_TERM, Var("x")))
+    comp = Mem(ZERO_TERM, Name(ONE))
+    a = Abstract("a", from_nat(1))
+    inside_a = Hull(frozenset({a}))
+    opaque = Or(Ad(ZERO_TERM), M00)  # bounded, with an opaque atom
+    B_a = BEx("x", Name(a), NotMem(Var("x"), ZERO_TERM))
+    settled = And(M01, M01)  # a true bounded conjunction
+    A_all = All("x", Or(M01, Mem(Var("x"), ZERO_TERM)))
+    A_a = BAll("x", Name(a), NotMem(Var("x"), ZERO_TERM))
+
+    def wedge(main, index_set):
+        def prem(i):
+            comp = component(main, i)
+            return TrueLeaf(sig([main, comp], bound=0), comp)
+
+        return WedgeNode(sig([main]), main, index_set, prem)
+
+    return [
+        ("drift", Unfolding(sig([M01], bound=2), TrueLeaf(sig([M01]), M01)),
+         "0", "signature drift in unfolding", True),
+        ("opaque polarity", VeeNode(sig([opaque]), opaque, 0,
+                                    TrueLeaf(sig([opaque, Ad(ZERO_TERM)], bound=0), Ad(ZERO_TERM))),
+         "0", "polarity not machine-checkable", False),
+        ("false atom", VeeNode(sig([M00]), M00, 0, TrueLeaf(sig([M00], bound=0), M00)),
+         "0", "disjunctive inference on an empty index set", True),
+        ("abstract bound", VeeNode(sig([B_a], hull=inside_a), B_a, EMPTY,
+                                   TrueLeaf(sig([B_a, negate(M00)], bound=0, hull=inside_a),
+                                            negate(M00))),
+         "0", "index set bounded by an abstract parameter", False),
+        ("wedge on an atom", wedge(M01, J_EMPTY),
+         "0", "conjunctive inference on a bounded sentence", True),
+        ("wedge on a settled and", wedge(settled, J_TWO),
+         "0", "conjunctive inference on a bounded sentence", True),
+        ("wedge on an existential", wedge(A_ex, J_UNIVERSE),
+         "0", "conjunctive inference on a disjunctive formula", True),
+        ("premise rank", VeeNode(sig([A_ex], rank=1), A_ex, ONE,
+                                 TrueLeaf(sig([A_ex, comp], bound=0), comp)),
+         "0.0", "premise rank mismatch", True),
+        ("stray node", StrayNode(sig([M01])), "0", "unknown node kind", True),
+        ("raising expansion", Drop(TrueLeaf(sig([M00, M01]), M00), M00),
+         "0", "expansion error: a false bounded sentence heads no rule", True),
+        ("opaque leaf", TrueLeaf(sig([Ad(ZERO_TERM)]), Ad(ZERO_TERM)),
+         "0", "leaf truth not machine-checkable", False),
+        ("universe wedge", wedge(A_all, J_UNIVERSE), "0", "universe index set sampled", False),
+        ("abstract wedge", WedgeNode(sig([A_a], hull=inside_a), A_a, JBounded(a), None),
+         "0", "abstract index set skipped", False),
+    ]
+
+
+@pytest.mark.parametrize("name,d,path,msg,violation", _message_cases(),
+                         ids=[c[0] for c in _message_cases()])
+def test_each_check_local_message_at_its_path(name, d, path, msg, violation):
+    report = check_local(d, 2)
+    assert (path, msg) in (report.violations if violation else report.notes)
+
+
 class TestEvalCutfree:
     def test_corpus_outputs_verified(self):
         for e in build_corpus():
@@ -392,7 +477,52 @@ class TestEvalCutfree:
         assert eval_cutfree(d, 3).status == "inconclusive"
 
 
+    # the main is bounded but opaque, so no sequent here is certified
+    # before its premises are judged
+    OPAQUE_BALL = BAll("x", Name(TWO), Or(Ad(Var("x")), Mem(Var("x"), Name(TWO))))
+
+    def bounded_wedge(self, odd):
+        """A conjunction over the members of TWO whose premise at EMPTY
+        is ``odd(seq)`` when given; every other premise steps into the
+        true disjunct."""
+        A = self.OPAQUE_BALL
+
+        def prem(b):
+            comp = close(A.body, {"x": b})
+            if b == EMPTY and odd is not None:
+                return odd(frozenset({A, comp}))
+            inner = TrueLeaf(Sig(EMPTY_HULL, from_nat(0), 0,
+                                 frozenset({A, comp, comp.right})), comp.right)
+            return VeeNode(Sig(EMPTY_HULL, from_nat(1), 0, frozenset({A, comp})), comp, 1, inner)
+
+        return WedgeNode(sig([A], bound=2), A, JBounded(TWO), prem)
+
+    @pytest.mark.parametrize("odd,verdict", [
+        (None, ("verified-true", "")),
+        (lambda s: TrueLeaf(Sig(EMPTY_HULL, from_nat(0), 0, s | {M00}), M00),
+         ("refuted", "refuted premise")),
+        (lambda s: TrueLeaf(Sig(EMPTY_HULL, from_nat(0), 0, s | {Ad(ZERO_TERM)}), Ad(ZERO_TERM)),
+         ("inconclusive", "opaque leaf")),
+    ], ids=["all-verified", "refuted", "inconclusive"])
+    def test_a_bounded_conjunction_is_judged_by_its_premises(self, odd, verdict):
+        d = self.bounded_wedge(odd)
+        assert not checking.certify(self.OPAQUE_BALL, checking._witness_domain())
+        result = eval_cutfree(d, 3)
+        assert (result.status, result.reason) == verdict
+
+    def test_a_cut_is_inconclusive(self):
+        left = TrueLeaf(sig([negate(M01), M00], bound=0), negate(M01))
+        right = TrueLeaf(sig([M01, M00], bound=0), M01)
+        d = CutNode(sig([M00], bound=1), M01, left, right)
+        assert eval_cutfree(d, 3) == checking.EvalResult("inconclusive", "cut")
+
+
 class TestOracle:
+    def test_needs_concrete_parameters(self):
+        a = Abstract("a", from_nat(1))
+        with pytest.raises(EvaluationError, match="oracle needs concrete parameters"):
+            oracle_eval(Mem(ZERO_TERM, Name(a)))
+
     def test_matches_bounded_eval(self):
         assert oracle_eval(M01)
         assert not oracle_eval(M00)

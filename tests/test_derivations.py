@@ -12,8 +12,10 @@ from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
     ConstructionError,
     CutNode,
+    Drop,
     Emb,
     Fund,
+    Inv,
     Red,
     RefNode,
     Sig,
@@ -43,6 +45,7 @@ from proofkit.finitary import (
 )
 from proofkit.formulas import (
     BAll,
+    BEx,
     Ex,
     Mem,
     Name,
@@ -410,6 +413,54 @@ class TestReduce:
         d1 = leaf(M01, extra=[C], bound=1, rank_=0)
         with pytest.raises(ConstructionError):
             Red(C, d0, d1)
+
+
+    def test_an_index_outside_the_hull_is_read_at_the_empty_set(self):
+        # the component does not mention the abstract index, so the
+        # inversion takes the premise at EMPTY, inside the hull
+        C = Ex("x", M01)
+        d0 = leaf(M01, extra=[negate(C)], bound=1, rank_=1)
+        d1 = VeeNode(Sig(EMPTY_HULL, from_nat(2), 1, frozenset({C, M01})), C, PARAM,
+                     leaf(M01, extra=[C], bound=1, rank_=1))
+        r = Red(C, d0, d1)
+        cut = rule_of(r)
+        assert isinstance(cut, CutNode) and cut.sig == r.sig and cut.cut_formula == M01
+        inv = cut.left.sub if isinstance(cut.left, Weak) else cut.left
+        assert isinstance(inv, Inv) and inv.iota == EMPTY
+        assert check_local(r, 3).passed
+
+    def test_an_index_outside_the_hull_in_the_component_is_refused(self):
+        C = Ex("x", Mem(ZERO_TERM, Var("x")))
+        comp = Mem(ZERO_TERM, Name(PARAM))
+        d0 = leaf(M01, extra=[negate(C)], bound=1, rank_=1)
+        d1 = VeeNode(Sig(EMPTY_HULL, from_nat(2), 1, frozenset({C, M01})), C, PARAM,
+                     leaf(M01, extra=[C, comp], bound=1, rank_=1))
+        with pytest.raises(ConstructionError, match="reduction index escapes the hull"):
+            rule_of(Red(C, d0, d1))
+
+
+class TestDrop:
+    FALSE_BEX = BEx("x", Name(ONE), Mem(Var("x"), ZERO_TERM))
+    FALSE_OR = Or(M00, M00)
+
+    def test_a_false_bounded_existential_is_dropped_with_its_component(self):
+        C = self.FALSE_BEX
+        d = VeeNode(Sig(EMPTY_HULL, from_nat(2), 0, frozenset({C, M01})), C, EMPTY,
+                    leaf(M01, extra=[C, M00], bound=1))
+        dropped = Drop(d, C)
+        v = rule_of(dropped)
+        assert isinstance(v, TrueLeaf) and v.main == M01
+        assert v.sig == dropped.sig and v.sig.seq == frozenset({M01})
+        assert check_local(dropped, 2).passed
+
+    @pytest.mark.parametrize("C,d", [
+        (FALSE_BEX, leaf(FALSE_BEX, extra=[M01])),
+        (FALSE_OR, VeeNode(Sig(EMPTY_HULL, from_nat(2), 0, frozenset({FALSE_OR, M01})),
+                           FALSE_OR, 0, leaf(M01, extra=[FALSE_OR, M00], bound=1))),
+    ], ids=["leaf-on-bex", "vee-on-or"])
+    def test_a_false_bounded_sentence_heads_no_rule(self, C, d):
+        with pytest.raises(ConstructionError, match="a false bounded sentence heads no rule"):
+            rule_of(Drop(d, C))
 
 
 class TestElimCuts:

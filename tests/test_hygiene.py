@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the package is used, every
 module-level function and class of the package is used somewhere, the
 package's module-level tables and caches and its stores on objects are
-the known ones, and each formula class declares the kind of every field.
+the known ones, each formula class declares the kind of every field,
+and every message of the local checker is named by some test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -212,3 +213,36 @@ def test_each_formula_class_declares_one_kind_per_field():
         assert str not in kinds[1:], head
         assert [(f.name, f.type) for f in fields(C.dual)] == [
             (f.name, f.type) for f in fields(C)], head
+
+
+def check_local_messages() -> set:
+    """The texts ``checking.check_local`` reports: each string it passes
+    to ``bad(...)`` or appends to ``report.notes``, and for a format
+    string the text before its first ``%``."""
+    tree = ast.parse((SRC / "checking.py").read_text(encoding="utf-8"))
+    [fn] = [n for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef) and n.name == "check_local"]
+    texts = []
+    for n in ast.walk(fn):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Name) and n.func.id == "bad":
+            texts.append(n.args[1])
+        elif (isinstance(n.func, ast.Attribute) and n.func.attr == "append"
+              and ast.unparse(n.func.value) == "report.notes"):
+            texts.append(n.args[0].elts[1])
+    out = set()
+    for t in texts:
+        if isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mod):
+            t = t.left
+        assert isinstance(t, ast.Constant) and isinstance(t.value, str), ast.unparse(t)
+        out.add(t.value.split("%", 1)[0])
+    return out
+
+
+def test_every_check_local_message_is_tested():
+    messages = check_local_messages()
+    assert len(messages) > 20
+    tests = "\n".join(p.read_text(encoding="utf-8")
+                      for p in sorted((ROOT / "tests").rglob("*.py")))
+    assert sorted(m for m in messages if m not in tests) == []
