@@ -8,12 +8,13 @@ and with all set parameters and the bound itself inside the ``hull``.
 Terms come in two layers.  Explicit nodes (TrueLeaf, VeeNode,
 WedgeNode, CutNode, RefNode) mirror the five infinitary inferences and
 carry their premises directly -- conjunctive premises lazily, as a
-function of the index.  Defined notations (Taut, Fund, Emb, Weak, Red,
-Inv, Drop, E) denote derivations built by the standard proof-theoretic
-constructions: tautology and foundation derivations of finite height,
-the embedding of finitary proofs and axiom instances, weakening, reduction
-of a disjunctive cut formula, inversion, removal of a false bounded
-formula, and one round of predicative cut-elimination.  ``unfold``
+function of the index.  Defined notations (Taut, Emb, Weak, Red, Inv,
+Drop, E) denote derivations built by the standard proof-theoretic
+constructions: tautology derivations of finite height, the embedding of
+finitary proofs and axiom instances (a foundation instance by induction
+on rank), weakening, reduction of a disjunctive cut formula, inversion,
+removal of a false bounded formula, and one round of predicative
+cut-elimination.  ``unfold``
 rewrites one defined layer into an explicit node with the same
 signature; iterating it expands any finite fragment of the denoted
 tree.
@@ -314,51 +315,31 @@ class Taut(DerivTerm):
 
 
 # ---------------------------------------------------------------------------
-# foundation: gamma, progress-failure, forall x in a A(x)
+# foundation: gamma, progress-failure, forall x A(x), by induction on rank
 
 
-def _fund_bound(d: int, a: DeskSet) -> OrdCode:
-    return add(from_nat(2 * d), times_nat(rank(a), 3))
+def _progress_wedge(sig: Sig, A: Formula, J, B: Formula, U: Formula) -> WedgeNode:
+    """The conjunction A over the index set J, at sig, of the progress
+    derivations at each index, for the progress failure B = exists x
+    (forall y in x A(y) and not A(x)) and the universal U = forall x
+    A(x): A is U over the universe at the top of a foundation instance,
+    and forall z in b A(z) over the members of b at each step below."""
+    return WedgeNode(sig, A, J, lambda c: _fund_progress(
+        c, B, U, sig.seq, hull_extend(sig.hull, c)))
 
 
-class Fund(DerivTerm):
-    """Derivation of {B, forall x in a A(x)} in 2 dp(A) + 3 rank(a)
-    steps, by recursion on rank(a), for the disjuncts of a foundation
-    instance: the progress failure B = exists x (forall y in x A(y) and
-    not A(x)) and the universal U = forall x A(x)."""
-
-    def __init__(self, a: DeskSet, B: Formula, U: Formula, gamma: Sequent, hull: Hull):
-        super().__init__()
-        if free_vars(B) or free_vars(U):
-            raise ConstructionError("foundation formula may only have the induction variable free")
-        self.a = a
-        self.B = B
-        self.U = U
-        self.all_in_a = component(B, a).left
-        self.d = depth(U.body)
-        seq = gamma | {B, self.all_in_a}
-        self.sig = Sig(hull, _fund_bound(self.d, a), 0, seq)
-
-    def _expand(self):
-        P, seq = self.sig.hull, self.sig.seq
-
-        def prem(b):
-            return _fund_progress(b, self.B, self.U, seq, hull_extend(P, b), self.d)
-
-        return WedgeNode(self.sig, self.all_in_a, JBounded(self.a), prem)
-
-
-def _fund_progress(
-    b: DeskSet, B: Formula, U: Formula, gamma: Sequent, hull: Hull, d: int
-) -> DerivTerm:
+def _fund_progress(b: DeskSet, B: Formula, U: Formula, gamma: Sequent, hull: Hull) -> DerivTerm:
     """Derivation of gamma, B, A(b) in 2d + 3 rank(b) + 2 steps, for the
-    progress failure B and the universal U = forall x A(x): conjunction
-    of the induction hypothesis below b with a tautology, then the
-    disjunctive step into the failure witness b."""
+    progress failure B and the universal U = forall x A(x), d the depth
+    of A: the disjunctive step into the failure witness b over the
+    conjunction of the induction hypothesis below b with a tautology.
+    The hypothesis is the progress wedge over the members of b, in
+    2d + 3 rank(b) steps."""
     A_b = component(U, b)
     base = gamma | {B, A_b}
-    r3 = times_nat(rank(b), 3)
-    vee_sig = Sig(hull, _bump(add(from_nat(2 * d), r3), 2), 0, base)
+    d = depth(U.body)
+    below = add(from_nat(2 * d), times_nat(rank(b), 3))
+    vee_sig = Sig(hull, _bump(below, 2), 0, base)
 
     if d == 0 and determinable(A_b):
         # a settled bounded induction formula: either A(b) itself is true,
@@ -370,14 +351,15 @@ def _fund_progress(
 
     C_b = component(B, b)
     wedge_seq = base | {C_b}
-    wedge_sig = Sig(hull, _bump(add(from_nat(2 * d), r3), 1), 0, wedge_seq)
+    all_in_b = C_b.left
 
     def prem(i):
         if i == 0:
-            return Fund(b, B, U, wedge_seq, hull)
+            hyp_sig = Sig(hull, below, 0, wedge_seq | {all_in_b})
+            return _progress_wedge(hyp_sig, all_in_b, JBounded(b), B, U)
         return Taut(A_b, wedge_seq, hull)
 
-    wedge = WedgeNode(wedge_sig, C_b, J_TWO, prem)
+    wedge = WedgeNode(Sig(hull, _bump(below, 1), 0, wedge_seq), C_b, J_TWO, prem)
     return VeeNode(vee_sig, B, b, wedge)
 
 
@@ -554,13 +536,7 @@ def _axemb_expand(node: fin.ProofNode, assignment: dict, sig: Sig, N: int) -> Ex
 
     if kind == "foundation":
         B, U = inst.left, inst.right  # the progress failure, forall x phi
-        d = depth(U.body)
-        wedge_seq = seq | {B, U}
-
-        def prem(a):
-            return _fund_progress(a, B, U, wedge_seq, hull_extend(P, a), d)
-
-        wedge = WedgeNode(Sig(P, OMEGA, 0, wedge_seq), U, J_UNIVERSE, prem)
+        wedge = _progress_wedge(Sig(P, OMEGA, 0, seq | {B, U}), U, J_UNIVERSE, B, U)
         return _both_disjuncts(sig, inst, wedge)
 
     # reflection

@@ -14,7 +14,6 @@ from proofkit.derivations import (
     CutNode,
     Drop,
     Emb,
-    Fund,
     Inv,
     Red,
     RefNode,
@@ -29,6 +28,7 @@ from proofkit.derivations import (
     emb_rank,
     fit,
     Weak,
+    _fund_progress,
     _map_premises,
     axemb_rank,
     rule_of,
@@ -44,9 +44,11 @@ from proofkit.finitary import (
     post_order,
 )
 from proofkit.formulas import (
+    All,
     BAll,
     BEx,
     Ex,
+    JBounded,
     Mem,
     Name,
     NotMem,
@@ -185,20 +187,23 @@ class TestExpansion:
         assert v.iota == Concrete(frozenset({ONE}))
         assert check_local(d, 4).passed
 
-    def test_fund_requires_single_free_var(self):
-        inst = ax_foundation("x", "z", Mem(Var("x"), Var("y")))
-        with pytest.raises(ConstructionError):
-            Fund(TWO, inst.left, inst.right, frozenset(), EMPTY_HULL)
-
-    def test_fund_reads_the_instance(self):
-        # the bounded universal is the progress failure's, bound variable
-        # included
-        inst = ax_foundation("x", "z", NotMem(Var("x"), Var("x")))
-        f = Fund(TWO, inst.left, inst.right, frozenset(), EMPTY_HULL)
-        assert f.all_in_a == BAll("z", Name(TWO), NotMem(Var("z"), Var("z")))
-        v = rule_of(f)
-        assert isinstance(v, WedgeNode) and v.sig == f.sig
-        assert rule_of(v.premise(ONE)).main == NotMem(Name(ONE), Name(ONE))
+    def test_progress_step_reads_the_instance(self):
+        # below b, the induction hypothesis is the progress wedge over
+        # b's members on the progress failure's bounded universal, bound
+        # variable included
+        inst = ax_foundation("x", "z", All("y", Mem(Var("x"), Var("y"))))
+        B, U = inst.left, inst.right
+        step = _fund_progress(TWO, B, U, frozenset(), EMPTY_HULL)
+        wedge = rule_of(step).sub
+        hyp = wedge.premise(0)
+        assert isinstance(hyp, WedgeNode) and hyp.index_set == JBounded(TWO)
+        assert hyp.main == BAll("z", Name(TWO), All("y", Mem(Var("z"), Var("y"))))
+        below = add(from_nat(2), times_nat(rank(TWO), 3))
+        assert hyp.sig == Sig(EMPTY_HULL, below, 0, wedge.sig.seq | {hyp.main})
+        assert step.sig.bound == add(below, from_nat(2))
+        v = rule_of(hyp.premise(ONE))
+        assert isinstance(v, VeeNode) and (v.main, v.iota) == (B, ONE)
+        assert check_local(step, 4).passed
 
 
 #: Checked proofs whose last rule introduces a false bounded formula:
@@ -392,8 +397,6 @@ class TestReduce:
             Red(C, d0, leaf(M01, extra=[C], bound=1))
 
     def test_rejects_conjunctive(self):
-        from proofkit.formulas import All
-
         C = All("x", Mem(Var("x"), Name(ONE)))
         d0 = leaf(M01, extra=[negate(C)], bound=1, rank_=1)
         d1 = leaf(M01, extra=[C], bound=1, rank_=1)
