@@ -330,46 +330,46 @@ def _message_cases():
 
     def wedge(main, index_set):
         def prem(i):
-            comp = component(main, i)
-            return TrueLeaf(sig([main, comp], bound=0), comp)
+            C_i = component(main, i)
+            return TrueLeaf(sig([main, C_i], bound=0), C_i)
 
         return WedgeNode(sig([main]), main, index_set, prem)
 
     return [
         ("drift", Unfolding(sig([M01], bound=2), TrueLeaf(sig([M01]), M01)),
          "0", "signature drift in unfolding", True),
-        ("opaque polarity", VeeNode(sig([opaque]), opaque, 0,
+        ("opaque-polarity", VeeNode(sig([opaque]), opaque, 0,
                                     TrueLeaf(sig([opaque, Ad(ZERO_TERM)], bound=0), Ad(ZERO_TERM))),
          "0", "polarity not machine-checkable", False),
-        ("false atom", VeeNode(sig([M00]), M00, 0, TrueLeaf(sig([M00], bound=0), M00)),
+        ("false-atom", VeeNode(sig([M00]), M00, 0, TrueLeaf(sig([M00], bound=0), M00)),
          "0", "disjunctive inference on an empty index set", True),
-        ("abstract bound", VeeNode(sig([B_a], hull=inside_a), B_a, EMPTY,
+        ("abstract-bound", VeeNode(sig([B_a], hull=inside_a), B_a, EMPTY,
                                    TrueLeaf(sig([B_a, negate(M00)], bound=0, hull=inside_a),
                                             negate(M00))),
          "0", "index set bounded by an abstract parameter", False),
-        ("wedge on an atom", wedge(M01, J_EMPTY),
+        ("wedge-on-an-atom", wedge(M01, J_EMPTY),
          "0", "conjunctive inference on a bounded sentence", True),
-        ("wedge on a settled and", wedge(settled, J_TWO),
+        ("wedge-on-a-settled-and", wedge(settled, J_TWO),
          "0", "conjunctive inference on a bounded sentence", True),
-        ("wedge on an existential", wedge(A_ex, J_UNIVERSE),
+        ("wedge-on-an-existential", wedge(A_ex, J_UNIVERSE),
          "0", "conjunctive inference on a disjunctive formula", True),
-        ("premise rank", VeeNode(sig([A_ex], rank=1), A_ex, ONE,
+        ("premise-rank", VeeNode(sig([A_ex], rank=1), A_ex, ONE,
                                  TrueLeaf(sig([A_ex, comp], bound=0), comp)),
          "0.0", "premise rank mismatch", True),
-        ("stray node", StrayNode(sig([M01])), "0", "unknown node kind", True),
-        ("raising expansion", Drop(TrueLeaf(sig([M00, M01]), M00), M00),
+        ("stray-node", StrayNode(sig([M01])), "0", "unknown node kind", True),
+        ("raising-expansion", Drop(TrueLeaf(sig([M00, M01]), M00), M00),
          "0", "expansion error: a false bounded sentence heads no rule", True),
-        ("opaque leaf", TrueLeaf(sig([Ad(ZERO_TERM)]), Ad(ZERO_TERM)),
+        ("opaque-leaf", TrueLeaf(sig([Ad(ZERO_TERM)]), Ad(ZERO_TERM)),
          "0", "leaf truth not machine-checkable", False),
-        ("universe wedge", wedge(A_all, J_UNIVERSE), "0", "universe index set sampled", False),
-        ("abstract wedge", WedgeNode(sig([A_a], hull=inside_a), A_a, JBounded(a), None),
+        ("universe-wedge", wedge(A_all, J_UNIVERSE), "0", "universe index set sampled", False),
+        ("abstract-wedge", WedgeNode(sig([A_a], hull=inside_a), A_a, JBounded(a), None),
          "0", "abstract index set skipped", False),
     ]
 
 
-@pytest.mark.parametrize("name,d,path,msg,violation", _message_cases(),
-                         ids=[c[0] for c in _message_cases()])
-def test_each_check_local_message_at_its_path(name, d, path, msg, violation):
+@pytest.mark.parametrize("d,path,msg,violation",
+                         [pytest.param(*case, id=name) for name, *case in _message_cases()])
+def test_each_check_local_message_at_its_path(d, path, msg, violation):
     report = check_local(d, 2)
     assert (path, msg) in (report.violations if violation else report.notes)
 
@@ -476,7 +476,6 @@ class TestEvalCutfree:
         d = WedgeNode(sig([A]), A, J_UNIVERSE, prem)
         assert eval_cutfree(d, 3).status == "inconclusive"
 
-
     # the main is bounded but opaque, so no sequent here is certified
     # before its premises are judged
     OPAQUE_BALL = BAll("x", Name(TWO), Or(Ad(Var("x")), Mem(Var("x"), Name(TWO))))
@@ -491,17 +490,15 @@ class TestEvalCutfree:
             comp = close(A.body, {"x": b})
             if b == EMPTY and odd is not None:
                 return odd(frozenset({A, comp}))
-            inner = TrueLeaf(Sig(EMPTY_HULL, from_nat(0), 0,
-                                 frozenset({A, comp, comp.right})), comp.right)
-            return VeeNode(Sig(EMPTY_HULL, from_nat(1), 0, frozenset({A, comp})), comp, 1, inner)
+            inner = TrueLeaf(sig([A, comp, comp.right], bound=0), comp.right)
+            return VeeNode(sig([A, comp]), comp, 1, inner)
 
         return WedgeNode(sig([A], bound=2), A, JBounded(TWO), prem)
 
     @pytest.mark.parametrize("odd,verdict", [
         (None, ("verified-true", "")),
-        (lambda s: TrueLeaf(Sig(EMPTY_HULL, from_nat(0), 0, s | {M00}), M00),
-         ("refuted", "refuted premise")),
-        (lambda s: TrueLeaf(Sig(EMPTY_HULL, from_nat(0), 0, s | {Ad(ZERO_TERM)}), Ad(ZERO_TERM)),
+        (lambda s: TrueLeaf(sig(s | {M00}, bound=0), M00), ("refuted", "refuted premise")),
+        (lambda s: TrueLeaf(sig(s | {Ad(ZERO_TERM)}, bound=0), Ad(ZERO_TERM)),
          ("inconclusive", "opaque leaf")),
     ], ids=["all-verified", "refuted", "inconclusive"])
     def test_a_bounded_conjunction_is_judged_by_its_premises(self, odd, verdict):
