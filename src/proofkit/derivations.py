@@ -22,6 +22,14 @@ tree.
 Explicit nodes are deliberately unvalidated -- the local checker exists
 to catch bad ones -- while the defined notations validate their
 preconditions at construction time.
+
+A premise used twice at one wanted signature is one term.  A cut whose
+two premises are one script node, with the cut formula and its negation
+both in its conclusion, embeds that node once; ``_map_premises``
+rebuilds such a premise once for both sides, and ``E`` lowers it once
+where it eliminates the cut.  Each term is a function of its arguments,
+so this changes no signature, only how often one term is built and
+unfolded.
 """
 
 from __future__ import annotations
@@ -629,8 +637,11 @@ def _emb_expand(e: Emb) -> ExplicitNode:
 
     if pi.rule == "cut":
         C = close(pi.formula, e.assignment)
-        left = e._premise(0, P, seq | {negate(C)})
-        return CutNode(sig, C, left, e._premise(1, P, seq | {C}))
+        left_seq, right_seq = seq | {negate(C)}, seq | {C}
+        left = e._premise(0, P, left_seq)
+        if pi.premises[1] is pi.premises[0] and right_seq == left_seq:
+            return CutNode(sig, C, left, left)
+        return CutNode(sig, C, left, e._premise(1, P, right_seq))
 
     main = close(pi.main, e.assignment)
 
@@ -743,7 +754,10 @@ def _same(p: DerivTerm, hull: Hull) -> DerivTerm:
 def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
     """Copy an explicit node at a new signature.  Each premise p becomes
     ``wrap(p, hull)`` fitted at its own bound and the node's cut rank to
-    the hull and sequent that the node's rule wants of it at ``sig``."""
+    the hull and sequent that the node's rule wants of it at ``sig``.
+    A premise used twice at one wanted signature is one term: when both
+    premises are one term and the rule wants the same of each, it is
+    rebuilt once and stands on both sides."""
     if isinstance(v, TrueLeaf):
         return TrueLeaf(sig, v.main)
     if isinstance(v, VeeNode):
@@ -753,7 +767,11 @@ def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
                          lambda iota: _refit(v, sig, wrap, iota, v.premise(iota)))
     if not isinstance(v, _TwoPremiseNode):
         raise TypeError("not an explicit node: %r" % (v,))
-    left, right = _refit(v, sig, wrap, 0, v.left), _refit(v, sig, wrap, 1, v.right)
+    left = _refit(v, sig, wrap, 0, v.left)
+    if v.right is v.left and v.wants(sig, 1) == v.wants(sig, 0):
+        right = left
+    else:
+        right = _refit(v, sig, wrap, 1, v.right)
     if isinstance(v, CutNode):
         return CutNode(sig, v.cut_formula, left, right)
     return RefNode(sig, v.formula, v.point, v.guard, left, right)
@@ -883,7 +901,7 @@ class E(DerivTerm):
         if isinstance(v, CutNode) and depth(v.cut_formula) == m:
             C = v.cut_formula
             left = E(v.left)
-            right = E(v.right)
+            right = left if v.right is v.left else E(v.right)
             if decompose(C).polarity == DISJUNCTIVE:
                 red = Red(C, left, right)
             else:

@@ -2,7 +2,9 @@
 
 import warnings
 
+import families
 import pytest
+from test_derivations import tree_copy
 from test_finitary import cut_chain, shared_dag
 
 from proofkit.cli import main
@@ -242,6 +244,21 @@ class TestDeepAndSharedScripts:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "node 0%s: logical axiom lacks the complementary pair" % (".0" * 39)]
+
+    @pytest.mark.parametrize("i", [0, 2], ids=["valid", "ball"])
+    def test_elim_of_a_dag_prints_what_its_tree_copy_does(self, tmp_path, capsys, i):
+        case = families.gen_elim(7, 3)[i]
+        outputs = []
+        for kind, text in (("dag", case.text), ("tree", tree_copy(case.text))):
+            path = tmp_path / kind / "case.proof"
+            path.parent.mkdir()
+            path.write_text(text, encoding="utf-8")
+            status = main(["elim", str(path), "--out", str(tmp_path / "out")])
+            captured = capsys.readouterr()
+            trace = (tmp_path / "out" / "case.trace").read_text(encoding="utf-8")
+            outputs.append((status, captured.out, captured.err, trace))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (1 if case.kind == "ball" else 0)
 
     def test_premise_of_a_faulty_node_is_not_checked(self, tmp_path, capsys):
         # the foundation axiom lacks its formula=, which would fail inside

@@ -3,15 +3,19 @@ reduction, and predicative cut elimination."""
 
 import random
 import warnings
+from dataclasses import replace
 
+import families
 import pytest
 from test_formulas import random_formula
 from test_perfbench import BALL_SCRIPT
 
+from proofkit import derivations
 from proofkit.corpus import ONE, TWO, build_corpus
 from proofkit.derivations import (
     ConstructionError,
     CutNode,
+    DerivTerm,
     Drop,
     Emb,
     Inv,
@@ -33,18 +37,21 @@ from proofkit.derivations import (
     axemb_rank,
     rule_of,
 )
-from proofkit.checking import check_local
+from proofkit.checking import check_local, default_sampler
 from proofkit.finitary import (
     AXIOM_RULES,
     ProofNode,
+    ProofScript,
     ax_collection,
     ax_foundation,
     check_proof,
     parse_script,
     post_order,
+    render_script,
 )
 from proofkit.formulas import (
     All,
+    And,
     BAll,
     BEx,
     Ex,
@@ -381,6 +388,112 @@ class TestTwoPremiseNodes:
         assert not isinstance(ref, CutNode) and not isinstance(cut, RefNode)
 
 
+def tree_copy(text: str) -> str:
+    """The script of the same proof with each shared node written out
+    again, under a fresh id, wherever it is used."""
+    script = parse_script(text)
+
+    def copy(n):
+        return replace(n, premises=tuple(copy(p) for p in n.premises))
+
+    return render_script(ProofScript(copy(script.root), script.params, script.assignment))
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """A counter of the terms unfolded from now on."""
+    count = [0]
+    unfold = DerivTerm.unfold
+
+    def counted(term):
+        if term._unfolded is None:
+            count[0] += 1
+        return unfold(term)
+
+    monkeypatch.setattr(DerivTerm, "unfold", counted)
+    return count
+
+
+#: ``cut [n1,n1]`` over a logical axiom on an unbounded sentence: rank 3
+SHARED_CUT = """\
+n1 logax (seq (ex x (in x {})) (all x (notin x {}))) main=(ex x (in x {}))
+n2 cut [n1,n1] (seq (ex x (in x {})) (all x (notin x {}))) formula=(ex x (in x {}))
+"""
+
+
+class TestSharedPremises:
+    """A premise used twice at one wanted signature is one term."""
+
+    def test_a_shared_cut_premise_is_one_term(self):
+        d = embed_checked(SHARED_CUT, 3)
+        v = cut_on(d, parse_formula("(ex x (in x {}))"))
+        assert v.left is v.right
+        once = cut_on(E(d), v.cut_formula)  # depth 1 below rank 2: the cut survives
+        assert once.left is once.right
+
+    def test_a_tree_copy_keeps_its_premises_apart(self):
+        d = embed_checked(tree_copy(SHARED_CUT), 3)
+        v = cut_on(d, parse_formula("(ex x (in x {}))"))
+        assert v.left is not v.right
+        once = cut_on(E(d), v.cut_formula)
+        assert once.left is not once.right
+
+    @pytest.mark.parametrize("text,shared", [(SHARED_CUT, True),
+                                             (tree_copy(SHARED_CUT), False)],
+                             ids=["dag", "tree"])
+    def test_the_round_that_eliminates_the_cut_lowers_a_shared_premise_once(
+            self, monkeypatch, text, shared):
+        reductions = []
+
+        class Recorded(Red):
+            def __init__(self, C, d0, d1):
+                reductions.append(d0 is d1)
+                super().__init__(C, d0, d1)
+
+        monkeypatch.setattr(derivations, "Red", Recorded)
+        d = E(E(embed_checked(text, 3)))  # the second round takes the depth-1 cut
+        rule_of(d)
+        assert reductions[0] is shared
+
+    def test_mapping_refits_a_shared_premise_once_per_wanted_signature(self):
+        A = parse_formula("(ex x (in x {}))")
+        p = leaf(M01, rank_=1)
+        calls = []
+
+        def wrap(q, hull):
+            calls.append(q)
+            return q
+
+        both = Sig(EMPTY_HULL, from_nat(1), 1, frozenset({M01, A, negate(A)}))
+        v = _map_premises(CutNode(both, A, p, p), both, wrap)
+        assert v.left is v.right and calls == [p]
+        # without A and its negation in the conclusion the two premises
+        # want different sequents, so each is fitted on its own
+        calls.clear()
+        apart = Sig(EMPTY_HULL, from_nat(1), 1, frozenset({M01}))
+        v = _map_premises(CutNode(apart, A, p, p), apart, wrap)
+        assert calls == [p, p]
+        assert (v.left.sig.seq, v.right.sig.seq) == (
+            frozenset({M01, negate(A)}), frozenset({M01, A}))
+
+    def test_a_dag_checks_as_its_tree_copy_with_fewer_expansions(self, expansions):
+        counts = {"dag": 0, "tree": 0}
+        for case in families.gen_elim(7, 20):
+            reports = {}
+            for kind, text in (("dag", case.text), ("tree", tree_copy(case.text))):
+                before = expansions[0]
+                script = parse_script(text)
+                d = Emb(script.root, script.assignment, EMPTY_HULL)
+                for _ in range(d.sig.rank):
+                    d = elim_cuts(d)
+                report = check_local(d, case.expect["depth"], sampler=default_sampler(
+                    seed=case.expect["sampler_seed"]))
+                reports[kind] = (report.lines, report.violations, report.notes)
+                counts[kind] += expansions[0] - before
+            assert reports["dag"] == reports["tree"]
+        assert counts["dag"] <= 0.8 * counts["tree"], counts
+
+
 class TestReduce:
     def test_bound_is_ordinal_sum(self):
         C = M00  # false
@@ -392,8 +505,8 @@ class TestReduce:
 
     def test_rejects_true_delta0(self):
         C = M01
-        d0 = leaf(M00 and negate(M00), extra=[negate(C)], bound=1)
-        with pytest.raises(ConstructionError):
+        d0 = leaf(And(M00, negate(M00)), extra=[negate(C)], bound=1)
+        with pytest.raises(ConstructionError, match="reduced bounded formula must be false"):
             Red(C, d0, leaf(M01, extra=[C], bound=1))
 
     def test_rejects_conjunctive(self):

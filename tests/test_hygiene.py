@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in the package is used, every
 module-level function and class of the package is used somewhere, the
 package's module-level tables and caches and its stores on objects are
-the known ones, each formula class declares the kind of every field,
-and every message of the local checker is named by some test.
+the known ones, ``derivations`` binds no dict at module level, each
+formula class declares the kind of every field, and every message of
+the local checker is named by some test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -161,6 +162,40 @@ def module_tables() -> set:
 
 def test_module_tables_are_the_known_ones():
     assert module_tables() == KNOWN_TABLES
+
+
+#: Calls that build a dict.
+DICT_BUILDERS = {"dict", "defaultdict", "OrderedDict", "Counter",
+                 "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def module_dicts(source: str) -> list:
+    """The module-level names that ``source`` binds to a dict: a dict
+    display, a dict comprehension or a call of a dict builder."""
+    out = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if isinstance(value, ast.Call):
+            is_dict = _decorator_name(value) in DICT_BUILDERS
+        else:
+            is_dict = isinstance(value, (ast.Dict, ast.DictComp))
+        if is_dict:
+            out += [ast.unparse(t) for t in targets]
+    return out
+
+
+def test_derivations_keep_no_module_level_dict():
+    """A premise used twice is shared by the terms themselves, not by a
+    cache that lives as long as the process."""
+    assert module_dicts("A = 1\nB: dict = {}\nC = {k: 0 for k in ()}\n"
+                        "D = collections.defaultdict(list)\nE = frozenset()\n") == [
+        "B", "C", "D"]
+    assert module_dicts((SRC / "derivations.py").read_text(encoding="utf-8")) == []
 
 
 #: The attributes a function of the package keeps on an object with
