@@ -420,27 +420,23 @@ n1 logax (seq (ex x (in x {})) (all x (notin x {}))) main=(ex x (in x {}))
 n2 cut [n1,n1] (seq (ex x (in x {})) (all x (notin x {}))) formula=(ex x (in x {}))
 """
 
+#: that script, and its tree copy with the premise written out twice
+DAG_AND_TREE = pytest.mark.parametrize(
+    "text,shared", [(SHARED_CUT, True), (tree_copy(SHARED_CUT), False)], ids=["dag", "tree"])
+
 
 class TestSharedPremises:
     """A premise used twice at one wanted signature is one term."""
 
-    def test_a_shared_cut_premise_is_one_term(self):
-        d = embed_checked(SHARED_CUT, 3)
+    @DAG_AND_TREE
+    def test_a_cut_on_one_script_node_has_one_premise_term(self, text, shared):
+        d = embed_checked(text, 3)
         v = cut_on(d, parse_formula("(ex x (in x {}))"))
-        assert v.left is v.right
+        assert (v.left is v.right) is shared
         once = cut_on(E(d), v.cut_formula)  # depth 1 below rank 2: the cut survives
-        assert once.left is once.right
+        assert (once.left is once.right) is shared
 
-    def test_a_tree_copy_keeps_its_premises_apart(self):
-        d = embed_checked(tree_copy(SHARED_CUT), 3)
-        v = cut_on(d, parse_formula("(ex x (in x {}))"))
-        assert v.left is not v.right
-        once = cut_on(E(d), v.cut_formula)
-        assert once.left is not once.right
-
-    @pytest.mark.parametrize("text,shared", [(SHARED_CUT, True),
-                                             (tree_copy(SHARED_CUT), False)],
-                             ids=["dag", "tree"])
+    @DAG_AND_TREE
     def test_the_round_that_eliminates_the_cut_lowers_a_shared_premise_once(
             self, monkeypatch, text, shared):
         reductions = []
