@@ -23,9 +23,13 @@ Explicit nodes are deliberately unvalidated -- the local checker exists
 to catch bad ones -- while the defined notations validate their
 preconditions at construction time.
 
+A derivation-term premise is its own derivation, weakened by the
+conclusion: the embedding and the reduction fit a premise to the
+conclusion's hull and rank and to its sequent joined with the
+premise's own, so the premise rules are written only in ``wants``.
+
 A premise used twice at one wanted signature is one term.  A cut whose
-two premises are one script node, with the cut formula and its negation
-both in its conclusion, embeds that node once; ``_map_premises``
+two premises are one script node embeds that node once; ``_map_premises``
 rebuilds such a premise once for both sides, and ``E`` lowers it once
 where it eliminates the cut.  Each term is a function of its arguments,
 so this changes no signature, only how often one term is built and
@@ -557,7 +561,7 @@ def _axemb_expand(node: fin.ProofNode, assignment: dict, sig: Sig, N: int) -> Ex
     ref_seq = seq | {A, ex_part}
     ref_sig = Sig(P, from_nat(max(2 * d, 2) + 1), 0, ref_seq)
     left = Taut(refl, ref_seq, P)
-    right = Taut(ex_part, ref_seq | {guard}, P)
+    right = Taut(ex_part, ref_seq, P)
     ref = RefNode(ref_sig, refl, point, guard, left, right)
     return _both_disjuncts(sig, inst, ref)
 
@@ -611,14 +615,19 @@ class Emb(DerivTerm):
         seq = frozenset(close(A, assignment) for A in pi.conclusion)
         self.sig = Sig(full_hull, emb_bound(self.m, values), self.m, seq)
 
-    def _premise(self, k: int, hull: Hull, seq: Sequent, extra: dict | None = None) -> DerivTerm:
-        """The embedding of premise k, under the assignment updated by
-        ``extra``, fitted to ``hull``, this embedding's rank and ``seq``."""
-        assignment = dict(self.assignment)
+    def _premise(self, k: int, extra: dict | None = None) -> DerivTerm:
+        """Premise k as its own derivation, weakened by the conclusion:
+        the embedding of premise k under the assignment updated by
+        ``extra``, fitted to this embedding's hull extended by
+        ``extra``'s values, its rank, and its sequent joined with the
+        premise's.  For a checked proof that sequent is the one the
+        node's premise rule wants."""
+        assignment, hull = self.assignment, self.sig.hull
         if extra:
-            assignment.update(extra)
+            assignment = {**assignment, **extra}
+            hull = hull_extend_list(hull, extra.values())
         sub = Emb(self.pi.premises[k], assignment, self.base_hull, self.N)
-        return fit(sub, hull, self.m, seq)
+        return fit(sub, hull, self.m, self.sig.seq | sub.sig.seq)
 
     def _expand(self):
         return _emb_expand(self)
@@ -636,12 +645,9 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         return _map_premises(_axemb_expand(pi, e.assignment, sig, e.N), sig)
 
     if pi.rule == "cut":
-        C = close(pi.formula, e.assignment)
-        left_seq, right_seq = seq | {negate(C)}, seq | {C}
-        left = e._premise(0, P, left_seq)
-        if pi.premises[1] is pi.premises[0] and right_seq == left_seq:
-            return CutNode(sig, C, left, left)
-        return CutNode(sig, C, left, e._premise(1, P, right_seq))
+        left = e._premise(0)
+        right = left if pi.premises[1] is pi.premises[0] else e._premise(1)
+        return CutNode(sig, close(pi.formula, e.assignment), left, right)
 
     main = close(pi.main, e.assignment)
 
@@ -655,11 +661,11 @@ def _emb_expand(e: Emb) -> ExplicitNode:
                     "cannot orient a bounded disjunction with opaque parts")
             if eval_formula_bounded(main):
                 return TrueLeaf(sig, main)
-            inner = e._premise(0, P, seq | {a0, a1})
+            inner = e._premise(0)
             upper = Sig(P, _bump(inner.sig.bound, 1), sig.rank, seq | {a1})
             zero = from_nat(0)
             return _cut_away(sig, a1, _cut_away(upper, a0, inner, zero), zero)
-        return _both_disjuncts(sig, main, e._premise(0, P, seq | {a0, a1}))
+        return _both_disjuncts(sig, main, e._premise(0))
 
     if pi.rule == "and":
         if is_delta0(main):
@@ -669,48 +675,31 @@ def _emb_expand(e: Emb) -> ExplicitNode:
             if eval_formula_bounded(main):
                 return TrueLeaf(sig, main)
             i = int(eval_formula_bounded(main.left))  # the first false conjunct
-            comp = component(main, i)
-            return _cut_away(sig, comp, e._premise(i, P, seq | {comp}), from_nat(0))
+            return _cut_away(sig, component(main, i), e._premise(i), from_nat(0))
 
-        def prem(i):
-            return e._premise(i, P, seq | {component(main, i)})
-
-        return WedgeNode(sig, main, J_TWO, prem)
+        return WedgeNode(sig, main, J_TWO, e._premise)
 
     if pi.rule == "ex":
-        iota = _closed_value(pi.term, e.assignment)
-        inner = e._premise(0, P, seq | {component(main, iota)})
-        return VeeNode(sig, main, iota, inner)
+        return VeeNode(sig, main, _closed_value(pi.term, e.assignment), e._premise(0))
 
     if pi.rule == "all":
-        v = pi.var
-
-        def prem(b):
-            return e._premise(0, hull_extend(P, b), seq | {component(main, b)}, {v: b})
-
-        return WedgeNode(sig, main, J_UNIVERSE, prem)
+        return WedgeNode(sig, main, J_UNIVERSE, lambda b: e._premise(0, {pi.var: b}))
 
     if pi.rule == "bex":
         iota = _closed_value(pi.term, e.assignment)
         membership = Mem(Name(iota), main.bound)
         if eval_formula_bounded(membership):
-            inner = e._premise(1, P, seq | {component(main, iota)})
-            return VeeNode(sig, main, iota, inner)
+            return VeeNode(sig, main, iota, e._premise(1))
         # witness misses the bounding set: the membership premise is
         # effectively a proof of the conclusion, cut against its negation
-        right = e._premise(0, P, seq | {membership})
-        return _cut_away(sig, membership, right, from_nat(1))
+        return _cut_away(sig, membership, e._premise(0), from_nat(1))
 
     if pi.rule == "ball":
-        v = pi.var
-
         def prem(b):
-            hull_b = hull_extend(P, b)
-            target = seq | {component(main, b)}
-            notmem = NotMem(Name(b), main.bound)
-            right = e._premise(0, hull_b, target | {notmem}, {v: b})
-            cut_sig = Sig(hull_b, _bump(right.sig.bound, 1), sig.rank, target)
-            return _cut_away(cut_sig, notmem, right, from_nat(1))
+            right = e._premise(0, {pi.var: b})
+            cut_sig = Sig(right.sig.hull, _bump(right.sig.bound, 1), sig.rank,
+                          seq | {component(main, b)})
+            return _cut_away(cut_sig, NotMem(Name(b), main.bound), right, from_nat(1))
 
         return WedgeNode(sig, main, JBounded(main.bound.value), prem)
 
@@ -870,8 +859,10 @@ class Red(DerivTerm):
                 if component(C, EMPTY) != C_iota:
                     raise ConstructionError("reduction index escapes the hull")
                 inv_iota = EMPTY
-            left = fit(Inv(d0, C, inv_iota), sig.hull, m, sig.seq | {negate(C_iota)})
-            right = fit(Red(C, d0, v.sub), sig.hull, m, sig.seq | {C_iota})
+            left = Inv(d0, C, inv_iota)
+            left = fit(left, sig.hull, m, sig.seq | left.sig.seq)
+            right = Red(C, d0, v.sub)
+            right = fit(right, sig.hull, m, sig.seq | right.sig.seq)
             return CutNode(sig, C_iota, left, right)
 
         return _map_premises(v, sig, lambda p, hull: Red(

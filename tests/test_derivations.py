@@ -300,6 +300,25 @@ class TestBoundedShapes:
         assert isinstance(right, VeeNode) and right.sig.seq == cut.sig.seq | {notmem}
 
 
+#: a cut whose premises lack the cut formula: refused by the finitary check
+UNCHECKED_CUT = """\
+n1 logax (seq (ex x (in x {{}})) (all x (notin x {{}}))) main=(ex x (in x {{}}))
+n2 cut [n1,n1] (seq (ex x (in x {{}})) (all x (notin x {{}}))) formula=(ex x (in x {}))
+"""
+
+
+class TestPremiseRule:
+    """An embedded premise is its own derivation, weakened by the
+    conclusion, not weakened into whatever the node wants of it."""
+
+    def test_an_unchecked_cut_keeps_its_premise_mismatch(self):
+        script = parse_script(UNCHECKED_CUT)
+        mismatch = [("0.0", "premise sequent mismatch"), ("0.1", "premise sequent mismatch")]
+        assert check_proof(script.root).diagnostics == mismatch
+        report = check_local(Emb(script.root, {}, EMPTY_HULL), 2)
+        assert report.violations == mismatch
+
+
 class TestWeaken:
     def test_adds_members(self):
         d = leaf(M01)

@@ -198,6 +198,34 @@ def test_derivations_keep_no_module_level_dict():
     assert module_dicts((SRC / "derivations.py").read_text(encoding="utf-8")) == []
 
 
+def premise_restatements(source: str) -> list:
+    """The ``fit(...)`` and ``._premise(...)`` calls in ``source`` with an
+    argument ``<expr> | {...}``: a premise sequent written out by hand
+    instead of read from the premise's own derivation."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        if not ((isinstance(f, ast.Name) and f.id == "fit")
+                or (isinstance(f, ast.Attribute) and f.attr == "_premise")):
+            continue
+        if any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.BitOr)
+               and isinstance(a.right, ast.Set) for a in n.args):
+            out.append(ast.unparse(n))
+    return out
+
+
+def test_premises_are_weakened_by_the_conclusion_not_restated():
+    """A premise's sequent is its own joined with the conclusion; the
+    premise rules live in the node classes' ``wants``."""
+    assert premise_restatements(
+        "fit(d, h, m, s | {C})\ne._premise(0, P, seq | {a, b})\n"
+        "fit(d, h, m, s | d.sig.seq)\ne._premise(0, {v: b})\nf(s | {C})\n") == [
+        "fit(d, h, m, s | {C})", "e._premise(0, P, seq | {a, b})"]
+    assert premise_restatements((SRC / "derivations.py").read_text(encoding="utf-8")) == []
+
+
 #: The attributes a function of the package keeps on an object with
 #: ``object.__setattr__(x, "<name>", ...)``, by module.  Each is a store
 #: on every object of its kind that ``==``, ``hash`` and ``repr`` must
