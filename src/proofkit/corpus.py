@@ -30,6 +30,7 @@ from .finitary import (
     ax_reflection,
     ax_separation,
     ax_union,
+    post_order,
 )
 from .formulas import (
     All,
@@ -63,8 +64,12 @@ class CorpusEntry:
     name: str
     script: ProofScript
     concrete: bool = True  # parameters all concrete
-    has_ref: bool = False  # embedding contains a reflection inference
-    has_cut: bool = False
+
+    @property
+    def has_ref(self) -> bool:
+        """The script has a reflection axiom, so its embedding contains
+        a reflection inference."""
+        return any(n.rule == "axiom:reflection" for n in post_order(self.script.root))
 
 
 def _entry(name, root, assignment=None, **flags):
@@ -170,7 +175,6 @@ def reflection_instance():
     return _entry(
         "reflection",
         ProofNode("axiom:reflection", seq(inst), formula=A, term=ZERO_TERM, var="c"),
-        has_ref=True,
     )
 
 
@@ -182,7 +186,7 @@ def one_cut_proof():
     left = ProofNode("or", seq(D, negate(m0)), (_logax(m0),), main=D)
     right = ProofNode("or", seq(m0, D), (_logax(m0),), main=D)
     root = ProofNode("cut", seq(D), (left, right), formula=m0)
-    return _entry("one-cut", root, has_cut=True)
+    return _entry("one-cut", root)
 
 
 def ex_all_or_proof():
