@@ -345,14 +345,11 @@ def _power(e: OrdCode | OmegaLog) -> str:
 @lru_cache(maxsize=None)
 def render(a: OrdCode) -> str:
     """Bracketed text form; ``parse(render(a)) == a`` for normal codes.
-    Below Omega a term is written with its coefficient (``w*2 + 5``),
-    at or above Omega part by part (``W + W + w + 1``)."""
+    Each term is written with its coefficient (``W*2 + w + 1``)."""
     if a == ZERO:
         return "0"
-    if _cmp(a, OMEGA) == LESS:
-        return " + ".join(str(c) if e == ZERO else _power(e) if c == 1
-                          else f"{_power(e)}*{c}" for e, c in a.terms)
-    return " + ".join(_power(e) for e, c in a.terms for _ in range(c))
+    return " + ".join(str(c) if e == ZERO else _power(e) if c == 1
+                      else f"{_power(e)}*{c}" for e, c in a.terms)
 
 
 #: whitespace, or one of: a token, a ``w_`` without its subscript, any

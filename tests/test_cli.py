@@ -31,7 +31,7 @@ class TestOrd:
 
     def test_normal_form(self, capsys):
         assert main(["ord", "W + W"]) == 0
-        assert capsys.readouterr().out.strip() == "W + W"
+        assert capsys.readouterr().out.strip() == "W*2"
 
     def test_tower_convention(self, capsys):
         assert main(["ord", "w_0(W+1)"]) == 0
@@ -113,7 +113,7 @@ class TestElim:
         ]) == 0
         out = capsys.readouterr().out
         assert "final rank: 0" in out
-        assert "w^(w^(W + W))" in out
+        assert "w^(w^(W*2))" in out
         assert (tmp_path / "one-cut.trace").exists()
 
     def test_zero_rounds_gives_raw_embedding(self, scripts, tmp_path, capsys):
@@ -122,7 +122,7 @@ class TestElim:
         ]) == 0
         out = capsys.readouterr().out
         assert "final rank: 2" in out
-        assert "final bound: W + W" in out
+        assert "final bound: W*2" in out
 
     def test_traces_byte_identical_for_equal_seeds(self, scripts, tmp_path):
         texts = []
@@ -229,7 +229,9 @@ class TestDeepAndSharedScripts:
         path = tmp_path / "chain.proof"
         path.write_text(cut_chain(3000), encoding="utf-8")
         assert main(["check", str(path)]) == 0
-        assert "embedding rank: 3000" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "embedding rank: 3000" in out
+        assert "embedding bound: W*3000\n" in out
 
     def test_doubly_shared_dag(self, tmp_path, capsys):
         path = tmp_path / "dag.proof"

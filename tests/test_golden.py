@@ -39,7 +39,7 @@ from proofkit.formulas import (
 from proofkit.ordinals import from_nat, render
 from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, Concrete, Hull
 
-GOLDEN = "a7b7eb16cda5f0ed18e766d1ee8c6328d22bc059c68693ab7880d27daa68cbd2"
+GOLDEN = "70ae2ec7cdd53aaec3e2b6b44152788478dab263092c013ebf48e894ab54355a"
 
 SEEDS = range(10)
 DEPTHS = (3, 5)
@@ -80,9 +80,9 @@ def test_corpus_digest():
 #: each case's outcome fingerprint: for ``elim`` the trace lines, the
 #: violations and the notes of the local check after the default rounds.
 POOL_DIGESTS = {
-    ("check", 20): "e44ba949b3e5e808",
-    ("elim", 10): "9ae08ff2e2f7ffc1",
-    ("sound", 18): "10fe112d66268d6f",
+    ("check", 20): "43ae1add275fbe30",
+    ("elim", 10): "90c29614a478b415",
+    ("sound", 18): "d0d006ea21ed915d",
 }
 
 
