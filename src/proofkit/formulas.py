@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 from .universe import (
@@ -47,14 +48,20 @@ from .universe import (
 
 
 def _hash_kept(cls):
-    """Make the frozen dataclass ``cls`` compute its hash, the hash of its
-    field tuple, on first use and keep it in the attribute ``_hash``."""
+    """Make the frozen dataclass ``cls`` compute its hash on first use and
+    keep it in the attribute ``_hash``.  A term's hash is the hash of its
+    field tuple, a formula's the hash of its head word followed by its
+    fields, ``hash((head, *fields))``: the two classes of a dual pair
+    have equal fields, so without the head word every formula would hash
+    like its negation, and a set holding both would compare them on
+    each probe."""
     fields_hash = cls.__hash__
+    head_and_fields = attrgetter("head", *[f.name for f in fields(cls)])
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = fields_hash(self)
+            h = hash(head_and_fields(self)) if isinstance(self, _Formula) else fields_hash(self)
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -387,8 +394,12 @@ def fresh(base: str, avoid) -> str:
 
 def subst(A: Formula, var: str, value: Term) -> Formula:
     """Substitution of a term for the free occurrences of a variable.
+    A itself when the variable is not free in A, so every part the
+    substitution does not change is the same object in the result.
     Raises ValueError when a variable term would be captured: a binder
     of its name has the substituted variable free in its body."""
+    if var not in facts(A).free_vars:
+        return A
     binder, parts = None, []
     for name, kind in _shape(A):
         x = getattr(A, name)

@@ -270,6 +270,22 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
+def assert_keeps_unchanged_parts(A, result, var) -> int:
+    """Assert that each part of A in which var is not free is the same
+    object in ``result``, a substitution for var in A; return how many
+    such parts there are."""
+    kept, todo = 0, [(A, result)]
+    while todo:
+        B, R = todo.pop()
+        if var not in ref_free_vars(B):
+            assert R is B
+            kept += 1
+        else:
+            todo += [(getattr(B, n), getattr(R, n))
+                     for n, kind in B.shape if kind is formulas.Formula]
+    return kept
+
+
 def ref_component(A, iota):
     """component without the stored instances: a substitution per call."""
     if isinstance(A, (Or, And)):
@@ -293,14 +309,17 @@ FORMULA_CLASSES = (Mem, NotMem, Ad, NotAd, Or, And, BEx, BAll, Ex, All)
 
 
 def _as_tuples(x):
-    """A formula or term as nested tuples of its fields, all the way down."""
+    """A term as the nested tuple of its fields and a formula as its head
+    word followed by its fields, all the way down."""
     if isinstance(x, (Var, Name, *FORMULA_CLASSES)):
-        return tuple(_as_tuples(getattr(x, f.name)) for f in fields(x))
+        parts = tuple(_as_tuples(getattr(x, f.name)) for f in fields(x))
+        return (x.head, *parts) if isinstance(x, FORMULA_CLASSES) else parts
     return x
 
 
 def ref_hash(A):
-    """The hash of A's field tuple, with no stored hash taking part."""
+    """The hash of A's head word followed by its fields, with no stored
+    hash taking part."""
     return hash(_as_tuples(A))
 
 
@@ -463,7 +482,7 @@ class TestStoredResults:
     def test_rewriting_agrees_with_reference(self):
         rng = random.Random(14)
         values = [ZERO_TERM, Name(TWO), Var("x"), Var("v0"), Var("v1")]
-        captured = 0
+        captured = kept = 0
         for _ in range(2000):
             A = random_formula(rng, rng.randrange(6), ("x",))
             for B in subformulas(A):
@@ -475,7 +494,9 @@ class TestStoredResults:
                         got = outcome(subst, B, var, value)
                         assert got == outcome(ref_subst, B, var, value)
                         captured += isinstance(got, tuple)
-        assert captured > 100
+                        if not isinstance(got, tuple):
+                            kept += assert_keeps_unchanged_parts(B, got, var)
+        assert captured > 100 and kept > 10000
 
     def test_kept_attributes_agree_with_reference(self):
         rng = random.Random(14)
@@ -497,6 +518,7 @@ class TestStoredResults:
                 # B naming an abstract set wherever x is free
                 abstract = subst(B, "x", Name(OMEGA_WITNESS))
                 assert determinable(abstract) == ref_determinable(abstract)
+            assert hash(A) != hash(negate(A))
             G = seq(A, negate(A))
             assert support(G) == ref_support(A) | ref_support(negate(A))
             assert free_vars(G) == ref_free_vars(A) | ref_free_vars(negate(A))
@@ -545,8 +567,9 @@ class TestStoredResults:
             component(A, ONE)
         depth(A), is_delta0(A), support(A), free_vars(A)
         assert [f.name for f in fields(A)] == names
-        assert hash(A) == hash(tuple(getattr(A, n) for n in names))
+        assert hash(A) == hash((A.head, *(getattr(A, n) for n in names)))
         assert A._hash == hash(A)
+        assert hash(A) != hash(negate(A))
 
     @pytest.mark.parametrize("t, names", [
         (Var("x"), ["name"]),
@@ -884,6 +907,12 @@ class TestSubst:
         assert subst(A, "x", Var("y")) == BAll("y", Var("y"), Mem(Var("y"), Var("y")))
         B = Ex("z", Mem(Var("x"), Var("z")))
         assert subst(B, "x", Var("y")) == Ex("z", Mem(Var("y"), Var("z")))
+
+    def test_an_instance_keeps_its_closed_parts(self):
+        P = Mem(ZERO_TERM, Name(ONE))
+        Q = NotMem(Var("x"), Name(TWO))
+        B = component(Ex("x", And(P, Q)), ONE)
+        assert B.left is P and B.right == NotMem(Name(ONE), Name(TWO))
 
     def test_free_vars_and_closure(self):
         A = Ex("x", Mem(Var("x"), Var("y")))

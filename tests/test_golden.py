@@ -13,6 +13,10 @@ seed-7 pools the same way.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import families
 import pytest
@@ -69,10 +73,28 @@ def corpus_record() -> list:
     return out
 
 
+def corpus_digest() -> str:
+    return hashlib.sha256("\n".join(corpus_record()).encode()).hexdigest()
+
+
 def test_corpus_digest():
-    record = corpus_record()
-    digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
-    assert digest == GOLDEN
+    assert corpus_digest() == GOLDEN
+
+
+def test_corpus_digest_ignores_the_hash_seed():
+    """Two fresh processes under different string hash seeds, so with
+    different set iteration orders and formula hashes, both give
+    ``GOLDEN``."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(str(p) for p in (here.parent / "src", here.parent / "perfbench", here))
+    code = "import test_golden; print(test_golden.corpus_digest())"
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+             for seed in ("0", "1")]
+    for proc in procs:
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert out.strip() == GOLDEN
 
 
 #: ``worker.digest`` of the small seed-7 benchmark pools that
