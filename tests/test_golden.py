@@ -73,12 +73,10 @@ def corpus_record() -> list:
     return out
 
 
-def corpus_digest() -> str:
-    return hashlib.sha256("\n".join(corpus_record()).encode()).hexdigest()
-
-
 def test_corpus_digest():
-    assert corpus_digest() == GOLDEN
+    record = corpus_record()
+    digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
+    assert digest == GOLDEN
 
 
 def test_corpus_digest_ignores_the_hash_seed():
@@ -87,7 +85,8 @@ def test_corpus_digest_ignores_the_hash_seed():
     ``GOLDEN``."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(str(p) for p in (here.parent / "src", here.parent / "perfbench", here))
-    code = "import test_golden; print(test_golden.corpus_digest())"
+    code = ("import hashlib, test_golden; print(hashlib.sha256("
+            "'\\n'.join(test_golden.corpus_record()).encode()).hexdigest())")
     procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
              for seed in ("0", "1")]
