@@ -175,7 +175,8 @@ def ax_reflection(A: Formula, a: Term, cvar: str = "c") -> Formula:
 def axiom_instance(node: ProofNode, N: int) -> Formula:
     """Rebuild the axiom formula a node claims, or raise ValueError."""
     r = node.rule
-    if r in ("axiom:foundation", "axiom:reflection") and node.formula is None:
+    if (r in ("axiom:separation", "axiom:collection", "axiom:foundation", "axiom:reflection")
+            and node.formula is None):
         raise ValueError("(%s) needs a formula" % r)
     if r == "axiom:extensionality":
         return ax_extensionality(node.term, node.term2, node.term3)

@@ -618,7 +618,9 @@ def evaluate(A: Formula, domain, env: dict) -> bool:
     instance is built.  Bounded quantifiers range over their bounding
     set.  An unbounded quantifier B ranges over ``domain(B, env)``; when
     that is None, B is left undecided and counts as false.  ``domain``
-    may also raise."""
+    may also raise.  A quantifier whose variable is not free in its
+    body has the body's value over a nonempty range, so the body is
+    evaluated once, under ``env``."""
     if isinstance(A, Mem):
         return set_member(_term_value(A.left, env), _term_value(A.right, env))
     if isinstance(A, NotMem):
@@ -638,7 +640,10 @@ def evaluate(A: Formula, domain, env: dict) -> bool:
     else:
         raise EvaluationError("not a formula: %r" % (A,))
     exists = isinstance(A, (BEx, Ex))
-    var, body, inner = A.var, A.body, dict(env)
+    var, body = A.var, A.body
+    if var not in facts(body).free_vars:
+        return evaluate(body, domain, env) if sets else not exists
+    inner = dict(env)
     for b in sets:
         inner[var] = b
         if evaluate(body, domain, inner) == exists:
@@ -698,9 +703,10 @@ class Reader:
     formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a
     sequent.
 
-    ``memo`` keeps each formula under the tuple of its parts and each set
-    under the frozenset of its members, each part already read, so equal
-    formulas and sets read through one memo are one object.  It also keeps
+    ``memo`` keeps each formula under the tuple of its parts, each part
+    already read, so equal formulas read through one memo are one
+    object; sets are interned (``Concrete``), so equal sets are one
+    object in every text.  It also keeps
     each outermost span, sequent member and set literal under its text:
     the reader finds the matching closer from the text's bracket depths,
     looks the text up, and reads the span token by token only on a miss.
@@ -766,10 +772,7 @@ class Reader:
                 if closed == "[":
                     value = parts
                 elif closed == "{":
-                    members = frozenset(parts)
-                    value = memo.get(members)
-                    if value is None:
-                        value = memo[members] = Concrete(members)
+                    value = Concrete(frozenset(parts))
                 elif bracket is None and parts[:1] == ["seq"]:
                     value = frozenset(as_formula(x) for x in parts[1:])
                     span = None  # a sequent is kept under no text

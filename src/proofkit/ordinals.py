@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import re
 from functools import cmp_to_key, lru_cache, reduce
+from itertools import zip_longest
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -40,8 +41,10 @@ class OrdinalParseError(ValueError):
 # Interning.
 # ---------------------------------------------------------------------------
 
-#: Every interned node by ``(class, fields)``; it grows with the number of
-#: distinct codes built, not with the number of operations.
+#: Every interned node by ``(class, fields)``: the ordinal codes and the
+#: hereditarily finite sets (``universe.Concrete``).  It grows with the
+#: number of distinct codes and sets built, not with the number of
+#: operations.
 _INTERNED: dict = {}
 
 
@@ -53,8 +56,12 @@ class _Interned:
     object an earlier call built from equal fields.  So equal nodes are
     identical and ``==`` is the identity test.  The hash is the one a
     frozen dataclass with these fields has, ``hash(fields)``, computed
-    once at construction; it involves only ints and tuples, so it is the
-    same in every process.  ``repr`` is the dataclass ``repr``.
+    once at construction; for a code it involves only ints and tuples,
+    so it is the same in every process.  ``repr`` is the dataclass
+    ``repr``, and ``copy``, ``deepcopy`` and ``pickle`` give back the
+    interned node.  A slot listed after the fields is a store: it starts
+    as None, is set later with ``object.__setattr__``, and is no part of
+    the key; a subclass with one overrides ``_fields``.
     """
 
     __slots__ = ("_hash",)
@@ -65,7 +72,7 @@ class _Interned:
         node = _INTERNED.get(key)
         if node is None:
             node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
+            for name, value in zip_longest(cls.__slots__, fields):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_hash", hash(fields))
             _INTERNED[key] = node

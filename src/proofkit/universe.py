@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .ordinals import LESS, OMEGA, ONE, SUB_W, ZERO, OrdCode, add, cmp, validate_nf
+from .ordinals import (LESS, OMEGA, ONE, SUB_W, ZERO, OrdCode, _Interned, add, cmp,
+                       validate_nf)
 
 
 class EvaluationError(Exception):
@@ -35,14 +36,22 @@ class EvaluationError(Exception):
 # desk sets
 
 
-@dataclass(frozen=True)
-class Concrete:
-    """A hereditarily finite set, given extensionally.  It keeps its
-    record of facts (``set_facts``) once computed, as a plain attribute
-    that ``==``, ``hash`` and ``repr`` do not see."""
+class Concrete(_Interned):
+    """A hereditarily finite set, given extensionally.  Sets are interned
+    with the ordinal codes: ``Concrete(members)`` returns the one object
+    for those members, so ``==`` is identity, and the hash, computed
+    once, is a frozen dataclass's, ``hash((members,))``.  It keeps its
+    record of facts (``set_facts``) once computed, in a slot that the
+    key, ``repr`` and ``__reduce__`` do not see."""
 
+    __slots__ = ("members", "_facts")
     members: frozenset
-    _facts = None
+
+    def __new__(cls, members: frozenset) -> Concrete:
+        return cls._intern((members,))
+
+    def _fields(self) -> tuple:
+        return (self.members,)
 
     def __repr__(self):
         return "Concrete(%s)" % (render_set(self),)

@@ -68,6 +68,8 @@ class TestCheck:
         assert "reflection class violation" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
+        "n1 axiom:separation (seq (in 0 0)) term=0 var=x",
+        "n1 axiom:collection (seq (in 0 0)) term=0 var=x var2=y",
         "n1 axiom:foundation (seq (in 0 0)) var=x var2=y",
         "n1 axiom:reflection (seq (in 0 0)) term=0",
     ])
@@ -76,8 +78,19 @@ class TestCheck:
         bad.write_text(line + "\n", encoding="utf-8")
         assert main(["check", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert "node 0: (%s) needs a formula" % line.split()[1] in err
-        assert "Traceback" not in err
+        assert err == "node 0: (%s) needs a formula\n" % line.split()[1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "parse error: empty proof script\n"),
+        ("n1 axiom:separation (seq (in 0 0)) term=0 var=(in 0 0) formula=(in x 0)\n",
+         "parse error: line 1: var takes a variable, got "),
+    ])
+    def test_malformed_script_is_one_error_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.proof"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("header, message", [
         ("param p rank 1\nparam p rank 2", "line 2: duplicate param p"),

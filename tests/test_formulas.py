@@ -52,7 +52,9 @@ from proofkit.formulas import (
     support,
 )
 from proofkit.corpus import build_corpus
+from proofkit.ordinals import from_nat
 from proofkit.universe import (
+    Abstract,
     Concrete,
     EMPTY,
     EvaluationError,
@@ -864,6 +866,116 @@ class TestEvaluateInAnEnvironment:
         assert evaluate(A, lambda B, env: None, {"y": ONE})
         with pytest.raises(EvaluationError, match="open term"):
             eval_formula_bounded(Mem(Var("x"), ZERO_TERM))
+
+
+def loop_evaluate(A, domain, env):
+    """``evaluate`` with no shortcut for a vacuous binder: a quantifier
+    evaluates its body once for each set of its range."""
+    def value(t):
+        if isinstance(t, Name):
+            return t.value
+        if t.name not in env:
+            raise EvaluationError("open term %r in evaluation" % (t,))
+        return env[t.name]
+
+    if isinstance(A, Mem):
+        return set_member(value(A.left), value(A.right))
+    if isinstance(A, NotMem):
+        return not set_member(value(A.left), value(A.right))
+    if isinstance(A, (Ad, NotAd)):
+        raise EvaluationError("opaque atom cannot be evaluated")
+    if isinstance(A, Or):
+        return loop_evaluate(A.left, domain, env) or loop_evaluate(A.right, domain, env)
+    if isinstance(A, And):
+        return loop_evaluate(A.left, domain, env) and loop_evaluate(A.right, domain, env)
+    if isinstance(A, (BEx, BAll)):
+        sets = set_members(value(A.bound))
+    else:
+        sets = domain(A, env)
+        if sets is None:
+            return False
+    instances = (loop_evaluate(A.body, domain, {**env, A.var: b}) for b in sets)
+    return any(instances) if isinstance(A, (BEx, Ex)) else all(instances)
+
+
+_P = Abstract("p", from_nat(1))
+#: bounds that are empty, concrete and abstract; "z" is bound and never read
+_VACUOUS_TERMS = st.sampled_from(
+    [ZERO_TERM, Name(ONE), Name(TWO), Name(_P), Var("x"), Var("y")])
+_VACUOUS_ATOMS = (st.builds(Mem, _VACUOUS_TERMS, _VACUOUS_TERMS)
+                  | st.builds(NotMem, _VACUOUS_TERMS, _VACUOUS_TERMS)
+                  | st.builds(Ad, _VACUOUS_TERMS))
+_VACUOUS_BINDERS = st.sampled_from(("x", "y", "z"))
+
+#: unbounded ranges: some sets, none (undecided), and an empty one
+_DOMAINS = {
+    "sets": lambda B, env: enumerate_hf(3),
+    "undecided universals": lambda B, env: None if isinstance(B, All) else enumerate_hf(2),
+    "empty": lambda B, env: [],
+}
+
+
+def _vacuous_compound(parts):
+    return (st.builds(Or, parts, parts) | st.builds(And, parts, parts)
+            | st.builds(BEx, _VACUOUS_BINDERS, _VACUOUS_TERMS, parts)
+            | st.builds(BAll, _VACUOUS_BINDERS, _VACUOUS_TERMS, parts)
+            | st.builds(Ex, _VACUOUS_BINDERS, parts) | st.builds(All, _VACUOUS_BINDERS, parts))
+
+
+class TestVacuousBinders:
+    @settings(max_examples=400, deadline=None)
+    @given(st.recursive(_VACUOUS_ATOMS, _vacuous_compound, max_leaves=8),
+           st.sampled_from(sorted(_DOMAINS)),
+           st.sampled_from([{}, {"x": ONE}, {"x": TWO, "y": EMPTY}]))
+    def test_random_formulas_agree_with_the_loop(self, A, domain, env):
+        domain = _DOMAINS[domain]
+        assert _outcome(lambda: evaluate(A, domain, env)) == _outcome(
+            lambda: loop_evaluate(A, domain, env)), A
+
+    def test_edge_cases_agree_with_the_loop(self):
+        raising, true = Ad(ZERO_TERM), Mem(ZERO_TERM, Name(ONE))
+        empty, undecided = _DOMAINS["empty"], lambda B, env: None
+        abstract = "cannot enumerate members of abstract parameter 'p'"
+        for A, domain, want in [
+            # an empty range: the body is never read, even one that raises
+            (BAll("z", ZERO_TERM, raising), empty, True),
+            (BEx("z", ZERO_TERM, raising), empty, False),
+            (All("z", raising), empty, True),
+            (Ex("z", raising), empty, False),
+            # an abstract bound raises before the body is read
+            (BAll("z", Name(_P), true), empty, abstract),
+            (BEx("z", Name(_P), raising), empty, abstract),
+            # an undecided range counts as false
+            (Ex("z", true), undecided, False),
+            (All("z", true), undecided, False),
+            # a body that raises over a nonempty range
+            (BAll("z", Name(TWO), raising), empty, "opaque atom cannot be evaluated"),
+            (BEx("z", Name(ONE), Mem(Var("y"), Name(ONE))), empty,
+             "open term Var('y') in evaluation"),
+        ]:
+            assert _outcome(lambda: evaluate(A, domain, {})) == want, A
+            assert _outcome(lambda: loop_evaluate(A, domain, {})) == want, A
+
+    def test_a_vacuous_body_is_evaluated_once(self, monkeypatch):
+        seen = []
+        real = formulas.evaluate
+        monkeypatch.setattr(formulas, "evaluate",
+                            lambda A, domain, env: seen.append(A) or real(A, domain, env))
+        true, false = Mem(ZERO_TERM, Name(ONE)), NotMem(ZERO_TERM, Name(ONE))
+        read_x = Mem(Var("x"), Name(TWO))
+        for A, body, times in [
+            (BAll("x", Name(TWO), true), true, 1),
+            (BEx("x", Name(TWO), false), false, 1),
+            (All("x", true), true, 1),
+            (Ex("x", false), false, 1),
+            (BAll("x", ZERO_TERM, true), true, 0),
+            # the body reads x: once for each set of the range
+            (BAll("x", Name(TWO), read_x), read_x, 2),
+            (All("x", Or(read_x, true)), Or(read_x, true), 4),
+        ]:
+            seen.clear()
+            assert real(A, lambda B, env: enumerate_hf(4), {}) == (body is not false)
+            assert seen.count(body) == times, A
 
 
 class TestSubst:

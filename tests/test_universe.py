@@ -1,12 +1,14 @@
 """Desk-scale universe: hereditarily finite sets, abstract parameters,
 ranks, and hulls."""
 
+import copy
 import hashlib
+import pickle
 import random
-from dataclasses import fields
 
 import pytest
 
+from proofkit.finitary import parse_script
 from proofkit.ordinals import OMEGA, ONE as ORD_ONE, ZERO, OrdCode, add, cmp, from_nat, LESS
 from proofkit.universe import (
     Abstract,
@@ -225,12 +227,39 @@ class TestSetFacts:
     def test_the_record_is_not_a_field(self):
         a = Abstract("a", from_nat(1))
         for s in random_desk_sets(17, [a])[:200]:
-            fresh_copy = Concrete(frozenset(s.members))
-            set_facts(s)
-            assert "_facts" in vars(s) and "_facts" not in vars(fresh_copy)
-            assert [f.name for f in fields(s)] == ["members"]
-            assert s == fresh_copy and hash(s) == hash(fresh_copy)
-            assert repr(s) == repr(fresh_copy)
+            F = set_facts(s)
+            assert s._facts is F
+            assert s.__reduce__() == (Concrete, (s.members,))
+            assert hash(s) == hash((s.members,))
+            assert repr(s) == "Concrete(%s)" % F.text
+        with pytest.raises(AttributeError):
+            s._facts = None
+
+
+class TestInterning:
+    def test_equal_sets_are_one_object(self):
+        a = Abstract("a", from_nat(1))
+        for s in random_desk_sets(19, [a]) + enumerate_hf(100):
+            assert Concrete(frozenset(s.members)) is s
+            assert Concrete(frozenset(sorted(s.members, key=ref_render_set))) is s
+            # a frozen dataclass's hash, so set orders and digests are kept
+            assert hash(s) == hash((s.members,))
+            assert copy.copy(s) is s and copy.deepcopy(s) is s
+            assert pickle.loads(pickle.dumps(s)) is s
+            assert repr(s) == "Concrete(%s)" % ref_render_set(s)
+
+    def test_scripts_read_one_set_for_equal_parameters(self):
+        def read(rank):
+            script = parse_script(
+                "param p rank %d\nassign x {p}\n"
+                "n1 logax (seq (in 0 {p}) (notin 0 {p})) main=(in 0 {p})\n" % rank)
+            (value,) = {A.right.value for A in script.root.conclusion}
+            assert value is script.assignment["x"]
+            return value
+
+        assert read(1) is read(1)
+        assert read(2) is read(2)
+        assert read(2) is not read(1) and read(2) != read(1)
 
 
 def ref_is_concrete(a):
