@@ -808,10 +808,10 @@ _ATOMS = st.builds(Mem, _TERMS, _TERMS) | st.builds(NotMem, _TERMS, _TERMS)
 _BINDERS = st.sampled_from(_VARS)  # two names, so binders often shadow
 
 
-def _compound(parts):
+def _compound(parts, binders=_BINDERS, terms=_TERMS):
     return (st.builds(Or, parts, parts) | st.builds(And, parts, parts)
-            | st.builds(BEx, _BINDERS, _TERMS, parts) | st.builds(BAll, _BINDERS, _TERMS, parts)
-            | st.builds(Ex, _BINDERS, parts) | st.builds(All, _BINDERS, parts))
+            | st.builds(BEx, binders, terms, parts) | st.builds(BAll, binders, terms, parts)
+            | st.builds(Ex, binders, parts) | st.builds(All, binders, parts))
 
 
 class TestEvaluateInAnEnvironment:
@@ -915,16 +915,11 @@ _DOMAINS = {
 }
 
 
-def _vacuous_compound(parts):
-    return (st.builds(Or, parts, parts) | st.builds(And, parts, parts)
-            | st.builds(BEx, _VACUOUS_BINDERS, _VACUOUS_TERMS, parts)
-            | st.builds(BAll, _VACUOUS_BINDERS, _VACUOUS_TERMS, parts)
-            | st.builds(Ex, _VACUOUS_BINDERS, parts) | st.builds(All, _VACUOUS_BINDERS, parts))
-
-
 class TestVacuousBinders:
     @settings(max_examples=400, deadline=None)
-    @given(st.recursive(_VACUOUS_ATOMS, _vacuous_compound, max_leaves=8),
+    @given(st.recursive(_VACUOUS_ATOMS,
+                        lambda parts: _compound(parts, _VACUOUS_BINDERS, _VACUOUS_TERMS),
+                        max_leaves=8),
            st.sampled_from(sorted(_DOMAINS)),
            st.sampled_from([{}, {"x": ONE}, {"x": TWO, "y": EMPTY}]))
     def test_random_formulas_agree_with_the_loop(self, A, domain, env):

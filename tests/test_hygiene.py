@@ -118,7 +118,7 @@ def test_every_definition_is_referenced():
 #: its ``lru_cache``d functions.  Each lives as long as the process, so
 #: one more is a decision, not a detail: add it here with its reason.
 KNOWN_TABLES = {
-    "ordinals._INTERNED",  # one object per ordinal code
+    "ordinals._INTERNED",  # one object per ordinal code and per hereditarily finite set
     # ordinal arithmetic and checks, by interned argument
     "ordinals.validate_nf",
     "ordinals._cmp",
