@@ -5,12 +5,15 @@ import warnings
 import families
 import pytest
 from test_derivations import tree_copy
-from test_finitary import cut_chain, shared_dag
+from test_finitary import M00, cut_chain, logax, shared_dag
 
+from proofkit import cli
 from proofkit.cli import main
 from proofkit.corpus import build_corpus
+from proofkit.derivations import Emb
 from proofkit.finitary import ProofNode, ProofScript, ax_reflection, render_script
 from proofkit.formulas import ZERO_TERM, parse_formula, render_formula, seq
+from proofkit.universe import EMPTY_HULL
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +230,23 @@ class TestElim:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "rounds: %s\nfinal rank: 0\n" % rounds in captured.out
+
+    # a one-cut script (rank 2) whose assignment turns off the bound check
+    ASSIGNED = "assign a {}\n"
+
+    @pytest.mark.parametrize("header, elim, message", [
+        (ASSIGNED, lambda d: d, "expected a cut-free result after 2 rounds"),
+        ("", lambda d: Emb(logax(M00), {}, EMPTY_HULL),
+         "bound 0 differs from w^(w^(W*2))"),
+    ], ids=["cut-free", "bound"])
+    def test_a_broken_elimination_fails_its_post_condition(
+            self, scripts, tmp_path, capsys, monkeypatch, header, elim, message):
+        path = tmp_path / "cut.proof"
+        with open(scripts["one-cut"], encoding="utf-8") as f:
+            path.write_text(header + f.read(), encoding="utf-8")
+        monkeypatch.setattr(cli, "elim_cuts", elim)
+        assert main(["elim", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == message + "\n"
 
     def test_out_naming_a_file_is_one_error_line(self, scripts, tmp_path, capsys):
         taken = tmp_path / "taken"

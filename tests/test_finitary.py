@@ -134,6 +134,47 @@ class TestRules:
         node = ProofNode("frob", seq(M00))
         assert not check_proof(node).ok
 
+    # one-node scripts, each reaching one side condition of a rule or an
+    # axiom schema through ``check_proof``
+    ONE_NODE_FAULTS = [
+        ("n1 or (seq (in 0 0)) main=(in 0 0)", "main formula of (or) must be a disjunction"),
+        ("n1 and (seq (in 0 0)) main=(in 0 0)", "main formula of (and) must be a conjunction"),
+        ("n1 bex (seq (in 0 0)) main=(in 0 0) term=0",
+         "main formula of (bex) must be bounded-existential"),
+        ("n1 ball (seq (in 0 0)) main=(in 0 0) var=u",
+         "main formula of (ball) must be bounded-universal"),
+        ("n1 ex (seq (in 0 0)) main=(in 0 0) term=0", "main formula of (ex) must be existential"),
+        ("n1 all (seq (in 0 0)) main=(in 0 0) var=u", "main formula of (all) must be universal"),
+        ("n1 bex (seq (bex x 0 (in x 0))) main=(bex x 0 (in x 0))", "(bex) needs a witness term"),
+        ("n1 ex (seq (ex x (in x 0))) main=(ex x (in x 0))", "(ex) needs a witness term"),
+        ("n1 ball (seq (ball x 0 (in x 0))) main=(ball x 0 (in x 0))",
+         "(ball) needs an eigenvariable"),
+        ("n1 all (seq (all x (in x 0))) main=(all x (in x 0))", "(all) needs an eigenvariable"),
+        ("n1 all (seq (all x (in x 0)) (in u 0)) main=(all x (in x 0)) var=u",
+         "eigenvariable occurs in conclusion"),
+        # the eigenvariable is the main formula's own bound
+        ("n1 ball (seq (ball x u (in x 0))) main=(ball x u (in x 0)) var=u",
+         "eigenvariable occurs in conclusion"),
+        ("n1 logax (seq (in 0 0) (notin 0 0))", "logical axiom needs a main formula"),
+        ("n1 logax (seq (in 0 0) (in 0 0)) main=(in 0 0)",
+         "logical axiom lacks the complementary pair"),
+        ("n1 cut (seq (in 0 0))", "cut needs a cut formula"),
+        ("n1 axiom:separation (seq (in 0 0)) term=0 var=x formula=(ex y (in x y))",
+         "separation needs a bounded formula"),
+        ("n1 axiom:collection (seq (in 0 0)) term=0 var=x var2=y formula=(ex z (in x z))",
+         "collection needs a bounded formula"),
+    ]
+
+    @pytest.mark.parametrize("line, message", ONE_NODE_FAULTS)
+    def test_one_node_fault(self, line, message):
+        root = parse_script(line + "\n").root
+        assert check_proof(root).diagnostics == [("0", message)]
+
+    def test_unknown_axiom_rule(self):
+        # scripts cannot reach it: the reader refuses an unknown rule first
+        with pytest.raises(ValueError, match=r"^unknown axiom rule 'axiom:choice'$"):
+            axiom_instance(ProofNode("axiom:choice", seq(M00)), 2)
+
 
 class TestAxioms:
     def test_pair_instance_shape(self):
