@@ -17,21 +17,9 @@ reflection inference (which the evaluator cannot certify).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .finitary import (
-    ProofNode,
-    ProofScript,
-    ax_collection,
-    ax_extensionality,
-    ax_foundation,
-    ax_infinity,
-    ax_pair,
-    ax_reflection,
-    ax_separation,
-    ax_union,
-    post_order,
-)
+from .finitary import ProofNode, ProofScript, axiom_instance, post_order
 from .formulas import (
     All,
     And,
@@ -97,85 +85,52 @@ def taut_depth3():
     return _entry("taut-depth3", _logax(Ex("x", Ex("y", Ex("z", body)))))
 
 
+def _axiom(name, rule, assignment=None, concrete=True, **witnesses):
+    """The entry of one axiom node, concluding the instance its
+    witnesses give."""
+    node = ProofNode(rule, seq(), **witnesses)
+    root = replace(node, conclusion=seq(axiom_instance(node, 2)))
+    return _entry(name, root, assignment, concrete=concrete)
+
+
 def pair_instance():
-    inst = ax_pair(ZERO_TERM, Name(ONE))
-    return _entry(
-        "pair", ProofNode("axiom:pair", seq(inst), term=ZERO_TERM, term2=Name(ONE))
-    )
+    return _axiom("pair", "axiom:pair", term=ZERO_TERM, term2=Name(ONE))
 
 
 def union_instance():
     """Union over a free variable, closed by the assignment."""
-    inst = ax_union(Var("a"))
-    root = ProofNode("axiom:union", seq(inst), term=Var("a"))
-    return _entry("union", root, assignment={"a": TWO})
+    return _axiom("union", "axiom:union", {"a": TWO}, term=Var("a"))
 
 
 def extensionality_instance():
-    inst = ax_extensionality(ZERO_TERM, ZERO_TERM, Name(ONE))
-    return _entry(
-        "extensionality",
-        ProofNode(
-            "axiom:extensionality",
-            seq(inst),
-            term=ZERO_TERM,
-            term2=ZERO_TERM,
-            term3=Name(ONE),
-        ),
-    )
+    return _axiom("extensionality", "axiom:extensionality",
+                  term=ZERO_TERM, term2=ZERO_TERM, term3=Name(ONE))
 
 
 def separation_instance():
-    phi = Mem(Var("x"), Name(ONE))
-    inst = ax_separation(Name(TWO), "x", phi)
-    return _entry(
-        "separation",
-        ProofNode("axiom:separation", seq(inst), term=Name(TWO), var="x", formula=phi),
-    )
+    return _axiom("separation", "axiom:separation",
+                  term=Name(TWO), var="x", formula=Mem(Var("x"), Name(ONE)))
 
 
 def collection_instance():
-    phi = Mem(Var("x"), Var("y"))
-    inst = ax_collection(Name(ONE), "x", "y", phi)
-    return _entry(
-        "collection",
-        ProofNode(
-            "axiom:collection",
-            seq(inst),
-            term=Name(ONE),
-            var="x",
-            var2="y",
-            formula=phi,
-        ),
-    )
+    return _axiom("collection", "axiom:collection",
+                  term=Name(ONE), var="x", var2="y", formula=Mem(Var("x"), Var("y")))
 
 
 def infinity_instance():
-    return _entry(
-        "infinity",
-        ProofNode("axiom:infinity", seq(ax_infinity())),
-        concrete=False,
-    )
+    return _axiom("infinity", "axiom:infinity", concrete=False)
 
 
 def foundation_instance():
-    phi = Mem(Var("x"), Name(TRANS3))
-    inst = ax_foundation("x", "y", phi)
-    return _entry(
-        "foundation",
-        ProofNode("axiom:foundation", seq(inst), var="x", var2="y", formula=phi),
-    )
+    return _axiom("foundation", "axiom:foundation",
+                  var="x", var2="y", formula=Mem(Var("x"), Name(TRANS3)))
 
 
 def reflection_instance():
     """A reflection instance whose formula sits exactly at level Pi_3."""
     body = Or(NotMem(Var("z"), Var("x")), Or(Mem(Var("z"), Var("y")), Mem(ZERO_TERM, Var("y"))))
-    A = All("x", Ex("y", All("z", body)))
-    inst = ax_reflection(A, ZERO_TERM)
-    return _entry(
-        "reflection",
-        ProofNode("axiom:reflection", seq(inst), formula=A, term=ZERO_TERM, var="c"),
-    )
+    return _axiom("reflection", "axiom:reflection",
+                  formula=All("x", Ex("y", All("z", body))), term=ZERO_TERM, var="c")
 
 
 def one_cut_proof():
@@ -230,12 +185,8 @@ def bex_proof():
 def foundation_unbounded_instance():
     """A foundation instance whose induction formula is unbounded, so
     its embedding derives each step by induction on rank."""
-    phi = All("y", Mem(Var("x"), Var("y")))
-    inst = ax_foundation("x", "z", phi)
-    return _entry(
-        "foundation-unbounded",
-        ProofNode("axiom:foundation", seq(inst), var="x", var2="z", formula=phi),
-    )
+    return _axiom("foundation-unbounded", "axiom:foundation",
+                  var="x", var2="z", formula=All("y", Mem(Var("x"), Var("y"))))
 
 
 BUILDERS = [

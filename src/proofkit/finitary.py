@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .formulas import (
     Ad,
@@ -29,6 +30,7 @@ from .formulas import (
     And,
     BAll,
     BEx,
+    BY_HEAD,
     Ex,
     Formula,
     Mem,
@@ -58,29 +60,6 @@ from .formulas import (
 from .ordinals import parse as parse_ord, render as render_ord
 from .universe import Abstract, render_set
 
-RULES = frozenset(
-    {
-        "logax",
-        "or",
-        "and",
-        "bex",
-        "ball",
-        "ex",
-        "all",
-        "cut",
-        "axiom:extensionality",
-        "axiom:pair",
-        "axiom:union",
-        "axiom:separation",
-        "axiom:collection",
-        "axiom:infinity",
-        "axiom:foundation",
-        "axiom:reflection",
-    }
-)
-
-AXIOM_RULES = frozenset(r for r in RULES if r.startswith("axiom:"))
-
 
 @dataclass(frozen=True)
 class ProofNode:
@@ -98,6 +77,9 @@ class ProofNode:
 
 #: The witness fields of a node, in the order scripts write them.
 WITNESSES = ("main", "formula", "term", "term2", "term3", "var", "var2")
+
+#: What decides a node's inference: its rule, conclusion and witnesses.
+_inference = attrgetter("rule", "conclusion", *WITNESSES)
 
 
 def end_sequent(pi: ProofNode) -> Sequent:
@@ -172,31 +154,54 @@ def ax_reflection(A: Formula, a: Term, cvar: str = "c") -> Formula:
     return Or(negate(A), Ex(c, body))
 
 
+#: Each axiom schema: its instance builder and the witnesses it reads,
+#: in the builder's argument order.  Reflection also reads ``var``, the
+#: admissible set's variable, which defaults to ``c``.
+AXIOMS = {
+    "axiom:extensionality": (ax_extensionality, ("term", "term2", "term3")),
+    "axiom:pair": (ax_pair, ("term", "term2")),
+    "axiom:union": (ax_union, ("term",)),
+    "axiom:separation": (ax_separation, ("term", "var", "formula")),
+    "axiom:collection": (ax_collection, ("term", "var", "var2", "formula")),
+    "axiom:infinity": (ax_infinity, ()),
+    "axiom:foundation": (ax_foundation, ("var", "var2", "formula")),
+    "axiom:reflection": (ax_reflection, ("formula", "term")),
+}
+
+#: Each logical rule, named by its main formula's head word, and what
+#: that formula must be.
+MAIN_FORMULA = {
+    "or": "a disjunction",
+    "and": "a conjunction",
+    "bex": "bounded-existential",
+    "ball": "bounded-universal",
+    "ex": "existential",
+    "all": "universal",
+}
+
+#: Every rule a node may name.
+RULES = frozenset({"logax", "cut", *MAIN_FORMULA, *AXIOMS})
+
+AXIOM_RULES = frozenset(AXIOMS)
+
+
 def axiom_instance(node: ProofNode, N: int) -> Formula:
     """Rebuild the axiom formula a node claims, or raise ValueError."""
     r = node.rule
-    if (r in ("axiom:separation", "axiom:collection", "axiom:foundation", "axiom:reflection")
-            and node.formula is None):
-        raise ValueError("(%s) needs a formula" % r)
-    if r == "axiom:extensionality":
-        return ax_extensionality(node.term, node.term2, node.term3)
-    if r == "axiom:pair":
-        return ax_pair(node.term, node.term2)
-    if r == "axiom:union":
-        return ax_union(node.term)
-    if r == "axiom:separation":
-        return ax_separation(node.term, node.var, node.formula)
-    if r == "axiom:collection":
-        return ax_collection(node.term, node.var, node.var2, node.formula)
-    if r == "axiom:infinity":
-        return ax_infinity()
-    if r == "axiom:foundation":
-        return ax_foundation(node.var, node.var2, node.formula)
+    if r not in AXIOMS:
+        raise ValueError("unknown axiom rule %r" % r)
+    build, reads = AXIOMS[r]
+    args = []
+    for key in reads:
+        value = getattr(node, key)
+        if value is None:
+            raise ValueError("(%s) needs a %s" % (r, key))
+        args.append(value)
     if r == "axiom:reflection":
         if not member_pi(node.formula, N + 1):
             raise ValueError("reflection class violation")
-        return ax_reflection(node.formula, node.term, node.var or "c")
-    raise ValueError("unknown axiom rule %r" % r)
+        args.append(node.var or "c")
+    return build(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +230,7 @@ def expected_premises(node: ProofNode, N: int) -> list:
         if node.main not in concl or negate(node.main) not in concl:
             raise ValueError("logical axiom lacks the complementary pair")
         return []
-    if r in AXIOM_RULES:
+    if r in AXIOMS:
         inst = axiom_instance(node, N)
         if inst not in concl:
             raise ValueError("axiom instance not in conclusion")
@@ -234,52 +239,31 @@ def expected_premises(node: ProofNode, N: int) -> list:
         if node.formula is None:
             raise ValueError("cut needs a cut formula")
         return [concl | {negate(node.formula)}, concl | {node.formula}]
-    # the remaining rules all have a main formula in the conclusion
-    if node.main is None or node.main not in concl:
-        raise ValueError("main formula not in conclusion")
-    side = concl - {node.main}
+    # a logical rule: its main formula is in the conclusion, of its class
     A = node.main
+    if A is None or A not in concl:
+        raise ValueError("main formula not in conclusion")
+    if not isinstance(A, BY_HEAD[r]):
+        raise ValueError("main formula of (%s) must be %s" % (r, MAIN_FORMULA[r]))
+    side = concl - {A}
     if r == "or":
-        if not isinstance(A, Or):
-            raise ValueError("main formula of (or) must be a disjunction")
         return [side | {A.left, A.right}]
     if r == "and":
-        if not isinstance(A, And):
-            raise ValueError("main formula of (and) must be a conjunction")
         return [side | {A.left}, side | {A.right}]
-    if r == "bex":
-        if not isinstance(A, BEx):
-            raise ValueError("main formula of (bex) must be bounded-existential")
-        if node.term is None:
-            raise ValueError("(bex) needs a witness term")
-        return [
-            side | {Mem(node.term, A.bound)},
-            side | {subst(A.body, A.var, node.term)},
-        ]
-    if r == "ball":
-        if not isinstance(A, BAll):
-            raise ValueError("main formula of (ball) must be bounded-universal")
-        v = node.var
-        if v is None:
-            raise ValueError("(ball) needs an eigenvariable")
-        if v in free_vars(concl) or (isinstance(A.bound, Var) and A.bound.name == v):
-            raise ValueError("eigenvariable occurs in conclusion")
-        return [side | {NotMem(Var(v), A.bound), subst(A.body, A.var, Var(v))}]
-    if r == "ex":
-        if not isinstance(A, Ex):
-            raise ValueError("main formula of (ex) must be existential")
-        if node.term is None:
-            raise ValueError("(ex) needs a witness term")
-        return [concl | {subst(A.body, A.var, node.term)}]
-    # r == "all", the last rule
-    if not isinstance(A, All):
-        raise ValueError("main formula of (all) must be universal")
+    if r in ("bex", "ex"):
+        t = node.term
+        if t is None:
+            raise ValueError("(%s) needs a witness term" % r)
+        inst = subst(A.body, A.var, t)
+        return [concl | {inst}] if r == "ex" else [side | {Mem(t, A.bound)}, side | {inst}]
+    # ball or all; a bounded formula's bound is among its free variables
     v = node.var
     if v is None:
-        raise ValueError("(all) needs an eigenvariable")
+        raise ValueError("(%s) needs an eigenvariable" % r)
     if v in free_vars(concl):
         raise ValueError("eigenvariable occurs in conclusion")
-    return [concl | {subst(A.body, A.var, Var(v))}]
+    inst = subst(A.body, A.var, Var(v))
+    return [concl | {inst}] if r == "all" else [side | {NotMem(Var(v), A.bound), inst}]
 
 
 def post_order(root: ProofNode) -> list:
@@ -320,8 +304,7 @@ def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
         if id(node) in walked:
             continue
         walked.add(id(node))
-        key = (node.rule, node.conclusion, node.main, node.formula, node.term,
-               node.term2, node.term3, node.var, node.var2)
+        key = _inference(node)
         need = derived.get(key)
         if need is None:
             try:

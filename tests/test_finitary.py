@@ -237,6 +237,57 @@ class TestAxioms:
         assert not result.ok
         assert "axiom instance not in conclusion" in result.diagnostics[0][1]
 
+    # an axiom node without one of the witnesses its instance reads, the
+    # others given
+    MISSING_WITNESS = [
+        ("n1 axiom:extensionality (seq (in 0 0)) term2=0 term3=0",
+         "(axiom:extensionality) needs a term"),
+        ("n1 axiom:extensionality (seq (in 0 0)) term=0 term3=0",
+         "(axiom:extensionality) needs a term2"),
+        ("n1 axiom:extensionality (seq (in 0 0)) term=0 term2=0",
+         "(axiom:extensionality) needs a term3"),
+        ("n1 axiom:pair (seq (in 0 0)) term2=0", "(axiom:pair) needs a term"),
+        ("n1 axiom:pair (seq (in 0 0)) term=0", "(axiom:pair) needs a term2"),
+        ("n1 axiom:union (seq (in 0 0))", "(axiom:union) needs a term"),
+        ("n1 axiom:separation (seq (in 0 0)) var=x formula=(in x 0)",
+         "(axiom:separation) needs a term"),
+        ("n1 axiom:separation (seq (in 0 0)) term=0 formula=(in x 0)",
+         "(axiom:separation) needs a var"),
+        ("n1 axiom:separation (seq (in 0 0)) term=0 var=x", "(axiom:separation) needs a formula"),
+        ("n1 axiom:collection (seq (in 0 0)) var=x var2=y formula=(in x y)",
+         "(axiom:collection) needs a term"),
+        ("n1 axiom:collection (seq (in 0 0)) term=0 var2=y formula=(in x y)",
+         "(axiom:collection) needs a var"),
+        ("n1 axiom:collection (seq (in 0 0)) term=0 var=x formula=(in x y)",
+         "(axiom:collection) needs a var2"),
+        ("n1 axiom:collection (seq (in 0 0)) term=0 var=x var2=y",
+         "(axiom:collection) needs a formula"),
+        ("n1 axiom:foundation (seq (in 0 0)) var2=y formula=(in x 0)",
+         "(axiom:foundation) needs a var"),
+        ("n1 axiom:foundation (seq (in 0 0)) var=x formula=(in x 0)",
+         "(axiom:foundation) needs a var2"),
+        ("n1 axiom:foundation (seq (in 0 0)) var=x var2=y", "(axiom:foundation) needs a formula"),
+        ("n1 axiom:reflection (seq (in 0 0)) term=0", "(axiom:reflection) needs a formula"),
+        ("n1 axiom:reflection (seq (in 0 0)) formula=(all x (in x 0))",
+         "(axiom:reflection) needs a term"),
+    ]
+
+    @pytest.mark.parametrize("line, message", MISSING_WITNESS)
+    def test_a_missing_witness_is_named(self, line, message):
+        root = parse_script(line + "\n").root
+        assert check_proof(root).diagnostics == [("0", message)]
+
+    def test_every_declared_witness_is_missed_once(self):
+        declared = {"(%s) needs a %s" % (r, key)
+                    for r, (_, reads) in finitary.AXIOMS.items() for key in reads}
+        assert sorted(m for _, m in self.MISSING_WITNESS) == sorted(declared)
+
+    def test_reflection_variable_defaults_to_c(self):
+        A = parse_formula("(all x (in x 0))")
+        node = ProofNode("axiom:reflection", seq(ax_reflection(A, ZERO_TERM)),
+                         formula=A, term=ZERO_TERM)
+        assert check_proof(node).ok
+
     def test_foundation_instance_shape(self):
         phi = Mem(Var("x"), Name(TRANS3))
         inst = ax_foundation("x", "y", phi)

@@ -3,7 +3,7 @@ module-level function and class of the package is used somewhere, the
 package's module-level tables and caches and its stores on objects are
 the known ones, ``derivations`` binds no dict at module level, each
 formula class declares the kind of every field, and every message of
-the local checker is named by some test.
+the local checker and of the finitary calculus is named by some test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -13,10 +13,11 @@ body.
 """
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
-from proofkit import formulas
+from proofkit import finitary, formulas
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "proofkit"
@@ -309,3 +310,53 @@ def test_every_check_local_message_is_tested():
     tests = "\n".join(p.read_text(encoding="utf-8")
                       for p in sorted((ROOT / "tests").rglob("*.py")))
     assert sorted(m for m in messages if m not in tests) == []
+
+
+def finitary_messages() -> set:
+    """The texts ``finitary`` raises as a ``ValueError``: a string as it
+    is, and a format string (``text % args``) as its text."""
+    tree = ast.parse((SRC / "finitary.py").read_text(encoding="utf-8"))
+    out = set()
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                and ast.unparse(n.exc.func) == "ValueError"):
+            continue
+        t = n.exc.args[0]
+        if isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mod):
+            t = t.left
+        assert isinstance(t, ast.Constant) and isinstance(t.value, str), ast.unparse(t)
+        out.add(t.value)
+    return out
+
+
+def rule_messages() -> dict:
+    """The format strings of ``finitary`` that take a rule, each with
+    its arguments for every declared rule that raises it."""
+    fin = finitary
+    return {
+        "main formula of (%s) must be %s": list(fin.MAIN_FORMULA.items()),
+        "(%s) needs a witness term": [("bex",), ("ex",)],
+        "(%s) needs an eigenvariable": [("ball",), ("all",)],
+        "(%s) needs a %s": [(r, key) for r, (_, reads) in fin.AXIOMS.items() for key in reads],
+    }
+
+
+def test_every_finitary_message_is_tested():
+    """Each text is named by a test other than this one: a format string
+    that takes a rule as each text it renders, any other format string
+    as a pattern in which each conversion stands for some text."""
+    messages = finitary_messages()
+    assert len(messages) > 25
+    tests = "\n".join(p.read_text(encoding="utf-8")
+                      for p in sorted((ROOT / "tests").rglob("*.py"))
+                      if p.name != "test_hygiene.py")
+    by_rule = rule_messages()
+    assert set(by_rule) <= messages
+    assert {args[0] for rows in by_rule.values() for args in rows} <= finitary.RULES
+    missing = []
+    for m in sorted(messages):
+        if m in by_rule:
+            missing += [m % args for args in by_rule[m] if m % args not in tests]
+        elif not re.search(".+?".join(map(re.escape, re.split("%[sdr]", m))), tests):
+            missing.append(m)
+    assert missing == []
