@@ -12,7 +12,10 @@ until that leaf is fitted to the cut rank.
 
 Each entry records whether its parameters are fully concrete (so the
 soundness evaluator applies) and whether its embedding contains a
-reflection inference (which the evaluator cannot certify).
+reflection inference (which the evaluator cannot certify).  An axiom
+entry names only its rule and witnesses: its conclusion is the instance
+``finitary.axiom_instance`` builds from them, through the one table
+that declares each schema for the checker too.
 """
 
 from __future__ import annotations

@@ -332,12 +332,12 @@ def finitary_messages() -> set:
 def rule_messages() -> dict:
     """The format strings of ``finitary`` that take a rule, each with
     its arguments for every declared rule that raises it."""
-    fin = finitary
     return {
-        "main formula of (%s) must be %s": list(fin.MAIN_FORMULA.items()),
+        "main formula of (%s) must be %s": list(finitary.MAIN_FORMULA.items()),
         "(%s) needs a witness term": [("bex",), ("ex",)],
         "(%s) needs an eigenvariable": [("ball",), ("all",)],
-        "(%s) needs a %s": [(r, key) for r, (_, reads) in fin.AXIOMS.items() for key in reads],
+        "(%s) needs a %s": [(r, key) for r, (_, reads) in finitary.AXIOMS.items()
+                            for key in reads],
     }
 
 
