@@ -38,18 +38,19 @@ from .formulas import (
     Ex,
     Formula,
     JBounded,
+    J_TWO,
     J_UNIVERSE,
-    decompose,
+    conjunctive,
     depth,
     determinable,
     eval_formula_bounded,
     evaluate,
     free_vars,
+    index_set,
     is_delta0,
     member_pi,
     reflection_guard,
     render_formula,
-    split,
     support,
 )
 from .ordinals import LESS, cmp, render
@@ -156,18 +157,19 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                 report.notes.append((path, "leaf truth not machine-checkable"))
         elif isinstance(v, VeeNode):
             A = v.main
-            dec = split(A)
-            if dec is not None and dec.polarity == DISJUNCTIVE and not dec.by_truth:
-                pass  # set-indexed reading, whatever the truth value
+            J = index_set(A)
+            # set-indexed, whatever the truth value, unless A is a
+            # connective of a bounded sentence, which is read by it
+            if A.polarity == DISJUNCTIVE and not (J == J_TWO and is_delta0(A)):
+                pass
             elif not is_delta0(A):
                 bad(path, "disjunctive inference on a conjunctive formula")
             elif not determinable(A):
                 report.notes.append((path, "polarity not machine-checkable"))
-            elif decompose(A).polarity == CONJUNCTIVE:
+            elif conjunctive(A):
                 bad(path, "disjunctive inference on a conjunctive formula")
             else:
                 bad(path, "disjunctive inference on an empty index set")
-            J = dec.index_set if dec is not None else None
             abstract = isinstance(J, JBounded) and isinstance(J.bound, Abstract)
             if abstract:
                 report.notes.append((path, "index set bounded by an abstract parameter"))
@@ -178,16 +180,16 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                 bad(path, "index outside the index set")
         elif isinstance(v, WedgeNode):
             A = v.main
-            dec = split(A)
-            if dec is None or dec.polarity != CONJUNCTIVE or dec.index_set is None:
+            J = index_set(A)
+            if A.polarity != CONJUNCTIVE or J is None:
                 if is_delta0(A):
                     bad(path, "conjunctive inference on a bounded sentence")
                 else:
                     bad(path, "conjunctive inference on a disjunctive formula")
             else:
-                if v.index_set != dec.index_set:
+                if v.index_set != J:
                     bad(path, "index set mismatch")
-                if dec.by_truth and determinable(A):
+                if J == J_TWO and is_delta0(A) and determinable(A):
                     # a settled bounded conjunction decomposes by its
                     # truth value, not over its connective
                     bad(path, "conjunctive inference on a bounded sentence")

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from . import finitary as fin
 from .formulas import (
     BEx,
-    CONJUNCTIVE,
     DISJUNCTIVE,
     Formula,
     JBounded,
@@ -57,14 +56,14 @@ from .formulas import (
     Var,
     close,
     component,
-    decompose,
+    conjunctive,
     depth,
     determinable,
     eval_formula_bounded,
     free_vars,
+    index_set,
     is_delta0,
     negate,
-    split,
     support,
 )
 from .ordinals import (
@@ -309,10 +308,9 @@ class Taut(DerivTerm):
         d = depth(A)
         if d == 0 and not determinable(A):
             return TrueLeaf(self.sig, A)
-        dec = decompose(A)
-        # of A and not-A, the side that decomposes conjunctively; for a
-        # bounded sentence, the true one
-        C = A if dec.polarity == CONJUNCTIVE else negate(A)
+        # of A and not-A, the side read as a conjunction; for a bounded
+        # sentence, the true one
+        C = A if conjunctive(A) else negate(A)
         if d == 0:
             return TrueLeaf(self.sig, C)
 
@@ -323,7 +321,7 @@ class Taut(DerivTerm):
             vee_sig = Sig(hull_i, from_nat(2 * d - 1), 0, seq | {C_iota})
             return VeeNode(vee_sig, negate(C), iota, inner)
 
-        return WedgeNode(self.sig, C, dec.index_set, prem)
+        return WedgeNode(self.sig, C, index_set(C), prem)
 
 
 # ---------------------------------------------------------------------------
@@ -651,32 +649,27 @@ def _emb_expand(e: Emb) -> ExplicitNode:
 
     main = close(pi.main, e.assignment)
 
+    if pi.rule in ("or", "and") and is_delta0(main):
+        # a connective of a bounded sentence is read by its truth value,
+        # so its own inference is not available; settle it directly
+        if not determinable(main):
+            raise ConstructionError(
+                "cannot orient a bounded disjunction with opaque parts" if pi.rule == "or"
+                else "cannot orient a bounded conjunction with opaque parts")
+        if eval_formula_bounded(main):
+            return TrueLeaf(sig, main)
+        zero = from_nat(0)
+        if pi.rule == "and":
+            i = int(eval_formula_bounded(main.left))  # the first false conjunct
+            return _cut_away(sig, component(main, i), e._premise(i), zero)
+        inner = e._premise(0)  # both disjuncts are false
+        upper = Sig(P, _bump(inner.sig.bound, 1), sig.rank, seq | {main.right})
+        return _cut_away(sig, main.right, _cut_away(upper, main.left, inner, zero), zero)
+
     if pi.rule == "or":
-        a0, a1 = main.left, main.right
-        if is_delta0(main):
-            # a bounded disjunction decomposes by its truth value, so the
-            # disjunctive inference is not available; settle it directly
-            if not determinable(main):
-                raise ConstructionError(
-                    "cannot orient a bounded disjunction with opaque parts")
-            if eval_formula_bounded(main):
-                return TrueLeaf(sig, main)
-            inner = e._premise(0)
-            upper = Sig(P, _bump(inner.sig.bound, 1), sig.rank, seq | {a1})
-            zero = from_nat(0)
-            return _cut_away(sig, a1, _cut_away(upper, a0, inner, zero), zero)
         return _both_disjuncts(sig, main, e._premise(0))
 
     if pi.rule == "and":
-        if is_delta0(main):
-            if not determinable(main):
-                raise ConstructionError(
-                    "cannot orient a bounded conjunction with opaque parts")
-            if eval_formula_bounded(main):
-                return TrueLeaf(sig, main)
-            i = int(eval_formula_bounded(main.left))  # the first false conjunct
-            return _cut_away(sig, component(main, i), e._premise(i), from_nat(0))
-
         return WedgeNode(sig, main, J_TWO, e._premise)
 
     if pi.rule == "ex":
@@ -826,7 +819,7 @@ class Red(DerivTerm):
                 )
             if eval_formula_bounded(C):
                 raise ConstructionError("reduced bounded formula must be false")
-        elif split(C).polarity != DISJUNCTIVE:
+        elif C.polarity != DISJUNCTIVE:
             raise ConstructionError("reduced formula must decompose disjunctively")
         self.C = C
         self.d0 = d0
@@ -893,10 +886,7 @@ class E(DerivTerm):
             C = v.cut_formula
             left = E(v.left)
             right = left if v.right is v.left else E(v.right)
-            if decompose(C).polarity == DISJUNCTIVE:
-                red = Red(C, left, right)
-            else:
-                red = Red(negate(C), right, left)
+            red = Red(negate(C), right, left) if conjunctive(C) else Red(C, left, right)
             return _map_premises(rule_of(red), sig)
         return _map_premises(v, sig, lambda p, hull: E(p))
 

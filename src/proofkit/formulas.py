@@ -4,11 +4,13 @@ Levy-hierarchy classification, depth, name support, substitution,
 relativization, and reflection guard sentences.
 
 This module is also the specification layer of the infinitary
-calculus.  It alone decides how a sentence decomposes -- its polarity,
-its index set, membership in and enumeration order of that index set,
-and the component at an index -- which sentences bounded evaluation
-can settle, and what a sentence's truth value is.  The derivation
-constructors and the checker both read these answers from here.
+calculus.  It alone decides how a sentence is read as OR/AND (A_iota),
+iota in J -- a bounded sentence by its truth value, any other by the
+polarity its class declares (``conjunctive``); the index set J of a
+connective (``index_set``), its members and the component at each --
+which sentences evaluation can settle, and what a sentence's truth
+value is.  The derivation constructors and the checker both read these
+answers from here.
 
 Atoms are ``t in s`` and ``t notin s`` together with the opaque pair
 ``ad(t)`` / ``notad(t)``.  The latter stand for "t is a transitive model
@@ -16,10 +18,10 @@ of the base set theory"; they are never evaluated or decomposed, only
 carried around inside reflection sequents.
 
 ``BY_HEAD`` declares each dual pair of formula classes once, with the
-kind of each field, and negation, facts, substitution, relativization,
-rendering and reading walk the fields by it.  Only the Sigma/Pi step of
-``ex``/``all``, their relativization and the binder rule of
-substitution are written per class.
+kind of each field and each class's polarity, and negation, facts,
+substitution, relativization, rendering and reading walk the fields by
+it.  Only the Sigma/Pi step of ``ex``/``all``, their relativization and
+the binder rule of substitution are written per class.
 """
 
 from __future__ import annotations
@@ -102,14 +104,15 @@ ZERO_TERM = Name(EMPTY)
 
 class _Formula:
     """Base of the formula classes.  Each class has its head word
-    (``head``), its dual class (``dual``), its ``shape`` and its
-    ``arity`` (see ``_dual_pairs``).  Each object stores its
+    (``head``), its dual class (``dual``), its ``shape``, its ``arity``
+    and its ``polarity`` (see ``_dual_pairs``).  Each object stores its
     hash, its negation (``negate``), its quantifier instances by index
     (``component``) and its record of syntactic facts (``facts``) once
     they are first asked for; the stores are plain attributes, not
     dataclass fields, so ``==``, ``repr`` and the value of ``hash`` do
     not see them."""
 
+    polarity = None
     _negation = None
     _instances = None
     _facts = None
@@ -192,13 +195,22 @@ class All(_Formula):
 Formula = Mem | NotMem | Ad | NotAd | Or | And | BEx | BAll | Ex | All
 
 
+DISJUNCTIVE = "disjunctive"
+CONJUNCTIVE = "conjunctive"
+
+
 def _dual_pairs(*pairs) -> dict:
     """Give each class of each dual pair ``(A, a, B, b, kinds, arity)``
     its head word, its dual, its ``shape`` (each field's name and kind:
-    ``Term``, ``Formula`` or ``str``, a bound variable's name) and its
-    ``arity``, the reader's text for its parts; the classes by head word."""
+    ``Term``, ``Formula`` or ``str``, a bound variable's name), its
+    ``arity``, the reader's text for its parts, and its ``polarity``: a
+    connective, a pair with a formula field, reads A as the disjunction
+    and B as the conjunction of its components; an atom keeps None.
+    Returns the classes by head word."""
     for A, a, B, b, kinds, arity in pairs:
         A.head, A.dual, B.head, B.dual = a, B, b, A
+        if Formula in kinds:
+            A.polarity, B.polarity = DISJUNCTIVE, CONJUNCTIVE
         for C in (A, B):
             C.shape, C.arity = tuple(zip([f.name for f in fields(C)], kinds, strict=True)), arity
     return {C.head: C for A, _, B, *_ in pairs for C in (A, B)}
@@ -454,7 +466,7 @@ def reflection_guard(A: Formula, point: Term, var: str = "z") -> Formula:
 
 
 class _IndexSet:
-    """An index set J of a decomposition A = OR/AND (A_iota), iota in J.
+    """The index set J of a connective read as OR/AND (A_iota), iota in J.
 
     Each kind provides ``members()``, the indices in enumeration order,
     and ``contains(iota)``; ``outside`` is the message for an index
@@ -465,17 +477,6 @@ class _IndexSet:
     def require(self, iota) -> None:
         if not self.contains(iota):
             raise IndexError(self.outside)
-
-
-@dataclass(frozen=True)
-class JEmpty(_IndexSet):
-    outside = "empty index set has no components"
-
-    def members(self) -> list:
-        return []
-
-    def contains(self, iota) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -516,12 +517,8 @@ class JUniverse(_IndexSet):
         return isinstance(iota, (Concrete, Abstract))
 
 
-J_EMPTY = JEmpty()
 J_TWO = JTwo()
 J_UNIVERSE = JUniverse()
-
-DISJUNCTIVE = "disjunctive"
-CONJUNCTIVE = "conjunctive"
 
 
 def component(A: Formula, iota) -> Formula:
@@ -541,51 +538,26 @@ def component(A: Formula, iota) -> Formula:
     return B
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    polarity: str
-    index_set: JEmpty | JTwo | JBounded | JUniverse | None
-    main: Formula
-
-    @property
-    def by_truth(self) -> bool:
-        """Whether the rules read the main formula by its truth value
-        instead of this set-indexed reading: it is a connective of a
-        bounded sentence.  A bounded quantifier keeps its set-indexed
-        reading, which the embedding of bex/ball inferences uses."""
-        return self.index_set == J_TWO and is_delta0(self.main)
-
-
-def split(A: Formula) -> Decomposition | None:
-    """The set-indexed reading of a compound formula, read off its top
-    connective whatever its truth value; None for an atom.  A bounded
-    quantifier over a variable has no index set (None)."""
+def index_set(A: Formula) -> JTwo | JBounded | JUniverse | None:
+    """The index set of A's connective, whatever A's truth value: two
+    sides, the members of a named bound, or the universe; None for an
+    atom and for a bounded quantifier over a variable."""
     if isinstance(A, (Or, And)):
-        index_set = J_TWO
-    elif isinstance(A, (BEx, BAll)):
-        index_set = JBounded(A.bound.value) if isinstance(A.bound, Name) else None
-    elif isinstance(A, (Ex, All)):
-        index_set = J_UNIVERSE
-    else:
-        return None
-    polarity = CONJUNCTIVE if isinstance(A, (And, BAll, All)) else DISJUNCTIVE
-    return Decomposition(polarity, index_set, A)
+        return J_TWO
+    if isinstance(A, (BEx, BAll)):
+        return JBounded(A.bound.value) if isinstance(A.bound, Name) else None
+    if isinstance(A, (Ex, All)):
+        return J_UNIVERSE
+    return None
 
 
-def decompose(A: Formula) -> Decomposition:
-    """Assign the disjunction or conjunction the infinitary rules read off
-    a sentence.  Bounded sentences decompose by their truth value, so
-    abstract parameters or opaque atoms inside them raise
-    EvaluationError."""
+def conjunctive(A: Formula) -> bool:
+    """Whether the infinitary rules read the sentence A as a conjunction:
+    a bounded sentence when it is true, so abstract parameters or opaque
+    atoms inside it raise EvaluationError; any other by its polarity."""
     if is_delta0(A):
-        pol = CONJUNCTIVE if eval_formula_bounded(A) else DISJUNCTIVE
-        return Decomposition(pol, J_EMPTY, A)
-    d = split(A)
-    if d is None:
-        raise TypeError("not a formula: %r" % (A,))
-    if d.index_set is None:
-        raise ValueError("open sentence cannot be decomposed: %r" % (A,))
-    return d
+        return eval_formula_bounded(A)
+    return A.polarity == CONJUNCTIVE
 
 
 # ---------------------------------------------------------------------------

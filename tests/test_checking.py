@@ -34,7 +34,6 @@ from proofkit.formulas import (
     BAll,
     BEx,
     Ex,
-    J_EMPTY,
     J_TWO,
     J_UNIVERSE,
     JBounded,
@@ -347,7 +346,7 @@ def _message_cases():
                                    TrueLeaf(sig([B_a, negate(M00)], bound=0, hull=inside_a),
                                             negate(M00))),
          "0", "index set bounded by an abstract parameter", False),
-        ("wedge-on-an-atom", wedge(M01, J_EMPTY),
+        ("wedge-on-an-atom", wedge(M01, J_TWO),
          "0", "conjunctive inference on a bounded sentence", True),
         ("wedge-on-a-settled-and", wedge(settled, J_TWO),
          "0", "conjunctive inference on a bounded sentence", True),

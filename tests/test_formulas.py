@@ -14,10 +14,13 @@ from proofkit.formulas import (
     And,
     BAll,
     BEx,
+    BY_HEAD,
+    CONJUNCTIVE,
+    DISJUNCTIVE,
     Ex,
     JBounded,
-    JEmpty,
     JTwo,
+    J_TWO,
     JUniverse,
     Mem,
     Name,
@@ -30,7 +33,7 @@ from proofkit.formulas import (
     classify,
     close,
     component,
-    decompose,
+    conjunctive,
     depth,
     determinable,
     equals,
@@ -38,6 +41,7 @@ from proofkit.formulas import (
     evaluate,
     facts,
     free_vars,
+    index_set,
     is_delta0,
     member_pi,
     negate,
@@ -700,56 +704,69 @@ class TestRelativize:
 
 
 class TestDecompose:
+    def test_each_dual_pair_declares_opposite_polarities(self):
+        atoms = {"in", "notin", "ad", "notad"}
+        for head, C in BY_HEAD.items():
+            if head in atoms:
+                assert C.polarity is None, head
+            else:
+                assert {C.polarity, C.dual.polarity} == {DISJUNCTIVE, CONJUNCTIVE}, head
+        assert [h for h, C in BY_HEAD.items() if C.polarity == DISJUNCTIVE] == ["or", "bex", "ex"]
+
     def test_false_delta0(self):
-        d = decompose(Mem(ZERO_TERM, ZERO_TERM))
-        assert d.polarity == "disjunctive"
-        assert isinstance(d.index_set, JEmpty)
+        A = Mem(ZERO_TERM, ZERO_TERM)
+        assert conjunctive(A) is False
+        assert index_set(A) is None
 
     def test_true_delta0(self):
-        d = decompose(Mem(ZERO_TERM, Name(ONE)))
-        assert d.polarity == "conjunctive"
-        assert isinstance(d.index_set, JEmpty)
+        A = Mem(ZERO_TERM, Name(ONE))
+        assert conjunctive(A) is True
+        assert index_set(A) is None
 
     def test_true_delta0_compound(self):
         m = Mem(ZERO_TERM, ZERO_TERM)
-        d = decompose(Or(m, negate(m)))
-        assert d.polarity == "conjunctive"
-        assert isinstance(d.index_set, JEmpty)
+        A = Or(m, negate(m))
+        assert conjunctive(A)  # by its truth value, not its connective
+        assert A.polarity == DISJUNCTIVE
+        assert index_set(A) == J_TWO
 
     def test_connectives(self):
         A = Or(Ex("x", Mem(Var("x"), Name(ONE))), Ad(ZERO_TERM))
-        d = decompose(A)
-        assert d.polarity == "disjunctive"
-        assert isinstance(d.index_set, JTwo)
+        assert not conjunctive(A)
+        assert isinstance(index_set(A), JTwo)
 
     def test_bounded(self):
         A = BEx("x", Name(TWO), Ex("y", Mem(Var("x"), Var("y"))))
-        d = decompose(A)
-        assert d.polarity == "disjunctive"
-        assert d.index_set == JBounded(TWO)
-        assert d.index_set.contains(EMPTY)
+        assert not conjunctive(A)
+        assert index_set(A) == JBounded(TWO)
+        assert index_set(A).contains(EMPTY)
         assert component(A, EMPTY) == Ex("y", Mem(Name(EMPTY), Var("y")))
+
+    def test_bounded_over_a_variable_has_no_index_set(self):
+        A = BEx("x", Var("y"), Ex("z", Mem(Var("x"), Var("z"))))
+        assert index_set(A) is None
+        assert A.polarity == DISJUNCTIVE
 
     def test_unbounded(self):
         A = All("x", Ex("y", Mem(Var("x"), Var("y"))))
-        d = decompose(A)
-        assert d.polarity == "conjunctive"
-        assert isinstance(d.index_set, JUniverse)
+        assert conjunctive(A)
+        assert isinstance(index_set(A), JUniverse)
 
     def test_opaque_delta0_fails(self):
         with pytest.raises(EvaluationError):
-            decompose(Ad(ZERO_TERM))
+            conjunctive(Ad(ZERO_TERM))
 
     def test_negation_flips_polarity(self):
         rng = random.Random(3)
-        flip = {"disjunctive": "conjunctive", "conjunctive": "disjunctive"}
+        settled = 0
         for _ in range(300):
-            A = random_formula(rng, 4)
-            if is_delta0(A):
+            A = random_formula(rng, rng.randrange(5))
+            assert type(index_set(negate(A))) is type(index_set(A))
+            if is_delta0(A) and not determinable(A):
                 continue
-            d, dn = decompose(A), decompose(negate(A))
-            assert dn.polarity == flip[d.polarity]
-            assert type(dn.index_set) is type(d.index_set)
+            settled += is_delta0(A)
+            assert conjunctive(negate(A)) != conjunctive(A)
+        assert settled > 50
 
 
 class TestEval:
