@@ -182,6 +182,17 @@ MAIN_FORMULA = {
 #: Every rule a node may name.
 RULES = frozenset({"logax", "cut", *MAIN_FORMULA, *AXIOMS})
 
+#: The witnesses each rule reads: a logical rule its main formula and,
+#: when it instantiates a quantifier, a witness term (bex, ex) or an
+#: eigenvariable (ball, all); an axiom those its instance reads, and
+#: reflection its optional ``var`` as well.  A node may set no other.
+READS = {
+    "logax": ("main",), "cut": ("formula",), "or": ("main",), "and": ("main",),
+    "bex": ("main", "term"), "ex": ("main", "term"),
+    "ball": ("main", "var"), "all": ("main", "var"),
+    **{r: reads + ("var",) * (r == "axiom:reflection") for r, (_, reads) in AXIOMS.items()},
+}
+
 AXIOM_RULES = frozenset(AXIOMS)
 
 
@@ -224,6 +235,9 @@ def expected_premises(node: ProofNode, N: int) -> list:
     concl = node.conclusion
     if r not in RULES:
         raise ValueError("unknown rule %r" % r)
+    for key in WITNESSES:
+        if getattr(node, key) is not None and key not in READS[r]:
+            raise ValueError("(%s) reads no %s" % (r, key))
     if r == "logax":
         if node.main is None:
             raise ValueError("logical axiom needs a main formula")

@@ -359,6 +359,11 @@ def render(a: OrdCode) -> str:
                       else f"{_power(e)}*{c}" for e, c in a.terms)
 
 
+#: The highest tower ``w_n(x)`` the parser builds, one ``w^`` per
+#: level: ``w_198(1)`` is the deepest tower that ``render`` writes from a
+#: fresh interpreter, below Python's default recursion limit.
+MAX_TOWER = 198
+
 #: whitespace, or one of: a token, a ``w_`` without its subscript, any
 #: other character
 _TOKEN = re.compile(r"\s+|(w_\d+|w\^|\d+|[()+#*?W]|w(?!_))|(w_)|(.)")
@@ -430,6 +435,8 @@ class _Parser:
             return omega_exp(self.prim())
         if tok.startswith("w_"):
             n = int(tok[2:])
+            if n > MAX_TOWER:
+                raise OrdinalParseError(f"tower height {n} is above the limit {MAX_TOWER}")
             self.expect("(")
             inner = self.expr()
             self.expect(")")
@@ -448,13 +455,10 @@ def parse(text: str) -> OrdCode:
 def parse_query(text: str) -> OrdCode | tuple[OrdCode, OrdCode]:
     """Parse either a single expression or an ``a ? b`` comparison query."""
     p = _Parser(_tokenize(text))
-    left = p.expr()
+    out = p.expr()
     if p.peek() == "?":
         p.take()
-        right = p.expr()
-        if p.peek() is not None:
-            raise OrdinalParseError(f"trailing input at {p.peek()!r}")
-        return (left, right)
+        out = (out, p.expr())
     if p.peek() is not None:
         raise OrdinalParseError(f"trailing input at {p.peek()!r}")
-    return left
+    return out

@@ -1,6 +1,10 @@
 """Command-line front end: ord, check, elim."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import families
 import pytest
@@ -13,6 +17,7 @@ from proofkit.corpus import build_corpus
 from proofkit.derivations import Emb
 from proofkit.finitary import ProofNode, ProofScript, ax_reflection, render_script
 from proofkit.formulas import ZERO_TERM, parse_formula, render_formula, seq
+from proofkit.ordinals import MAX_TOWER
 from proofkit.universe import EMPTY_HULL
 
 
@@ -43,6 +48,36 @@ class TestOrd:
     def test_parse_error(self, capsys):
         assert main(["ord", "w^("]) == 1
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr, message", [
+        ("w * w", "coefficient must be a natural number"),
+        ("+ 1", "unexpected token '+'"),
+        ("w w", "trailing input at 'w'"),
+        ("1 ? 2 3", "trailing input at '3'"),
+        ("w_2 1", "expected '(', got '1'"),
+        ("(1 2", "expected ')', got '2'"),
+        ("w_", "w_ needs a numeric subscript"),
+        ("w $", "unexpected character '$'"),
+        ("w^", "unexpected end of expression"),
+        ("w_199(1)", "tower height 199 is above the limit 198"),
+        ("w_100000000(1)", "tower height 100000000 is above the limit 198"),
+    ])
+    def test_each_parser_message_is_one_line(self, capsys, expr, message):
+        assert main(["ord", expr]) == 1
+        assert capsys.readouterr().err == "parse error: %s\n" % message
+
+    def test_the_highest_tower_prints_from_a_fresh_interpreter(self):
+        # the rendering of w_198(1) recurses within a few frames of the
+        # interpreter's limit, so it runs as the command does, not under
+        # the frames of the test runner
+        assert MAX_TOWER == 198
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        p = subprocess.run([sys.executable, "-m", "proofkit.cli", "ord", "w_198(1)"],
+                           capture_output=True, text=True, env=env, timeout=60)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == "w^(" * 196 + "w^w" + ")" * 196 + "\n"
 
 
 class TestCheck:
@@ -105,6 +140,21 @@ class TestCheck:
                        encoding="utf-8")
         assert main(["check", str(bad)]) == 1
         assert capsys.readouterr().err == "parse error: %s\n" % message
+
+    def test_a_param_rank_above_the_tower_limit_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.proof"
+        bad.write_text("param p rank w_199(1)\nn1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n",
+                       encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "parse error: line 1: tower height 199 is above the limit 198\n")
+
+    def test_a_witness_the_rule_does_not_read_is_refused(self, tmp_path, capsys):
+        bad = tmp_path / "bad.proof"
+        bad.write_text("n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)"
+                       " term=0 var2=q formula=(in 0 0)\n", encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err == "node 0: (logax) reads no formula\n"
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.proof"]) == 1
@@ -247,6 +297,23 @@ class TestElim:
         monkeypatch.setattr(cli, "elim_cuts", elim)
         assert main(["elim", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("n1 logax (seq (ad 0) (notad 0) (in 0 0)) main=(ad 0)\n"
+         "n2 or [n1] (seq (or (ad 0) (in 0 0)) (notad 0)) main=(or (ad 0) (in 0 0))\n",
+         "node 0: expansion error: cannot orient a bounded disjunction with opaque parts\n"),
+        ("n1 logax (seq (ad 0) (notad 0)) main=(ad 0)\n"
+         "n2 and [n1,n1] (seq (and (ad 0) (ad 0)) (notad 0)) main=(and (ad 0) (ad 0))\n",
+         "node 0: expansion error: cannot orient a bounded conjunction with opaque parts\n"),
+    ], ids=["or", "and"])
+    def test_a_bounded_connective_with_opaque_parts_is_not_oriented(
+            self, tmp_path, capsys, text, message):
+        path = tmp_path / "opaque.proof"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["elim", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_out_naming_a_file_is_one_error_line(self, scripts, tmp_path, capsys):
         taken = tmp_path / "taken"

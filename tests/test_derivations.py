@@ -50,6 +50,7 @@ from proofkit.finitary import (
     render_script,
 )
 from proofkit.formulas import (
+    Ad,
     All,
     And,
     BAll,
@@ -334,12 +335,12 @@ class TestWeaken:
 
     def test_rejects_lower_bound(self):
         d = leaf(M01, bound=5)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="^weakening must not lower the bound$"):
             Weak(d, Sig(EMPTY_HULL, ZERO, 0, d.sig.seq))
 
     def test_rejects_lower_rank(self):
         d = leaf(M01, rank_=2)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="^weakening must not lower the cut rank$"):
             fit(d, EMPTY_HULL, 1, d.sig.seq)
 
     def test_unchanged_signature_returns_the_term(self):
@@ -528,21 +529,23 @@ class TestReduce:
         C = All("x", Mem(Var("x"), Name(ONE)))
         d0 = leaf(M01, extra=[negate(C)], bound=1, rank_=1)
         d1 = leaf(M01, extra=[C], bound=1, rank_=1)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError,
+                           match="^reduced formula must decompose disjunctively$"):
             Red(C, d0, d1)
 
     def test_rejects_deep_formula(self):
         C = Ex("x", Mem(Var("x"), Name(ONE)))  # depth 1 > rank 0
         d0 = leaf(M01, extra=[negate(C)], bound=1)
         d1 = leaf(M01, extra=[C], bound=1)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="^reduced formula deeper than the cut rank$"):
             Red(C, d0, d1)
 
     def test_rejects_rank_mismatch(self):
         C = M00
         d0 = leaf(negate(C), bound=1, rank_=1)
         d1 = leaf(M01, extra=[C], bound=1, rank_=0)
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError,
+                           match="^reduction inputs must share their cut rank$"):
             Red(C, d0, d1)
 
 
@@ -592,6 +595,50 @@ class TestDrop:
     def test_a_false_bounded_sentence_heads_no_rule(self, C, d):
         with pytest.raises(ConstructionError, match="a false bounded sentence heads no rule"):
             rule_of(Drop(d, C))
+
+
+#: a hull that holds the abstract parameter PARAM
+IN_PARAM = hull_extend(EMPTY_HULL, PARAM)
+M0P = Mem(ZERO_TERM, Name(PARAM))
+OPAQUE = Or(Ad(ZERO_TERM), M00)  # bounded, with an opaque atom
+LOGAX_M00 = ProofNode("logax", seq(M00, negate(M00)), main=M00)
+
+
+class TestConstructionMessages:
+    """Each precondition of a defined notation that no test above names,
+    refused when the term is built or unfolded."""
+
+    CASES = [
+        ("tautology derivations need sentences",
+         lambda: Taut(Mem(Var("x"), ZERO_TERM), frozenset(), EMPTY_HULL)),
+        # an induction formula true at every set has no minimal failure
+        ("no minimal failure below a false instance",
+         lambda: derivations._minimal_failure(ONE, All("x", M01))),
+        ("weakening must not shrink the hull",
+         lambda: Weak(leaf(M01, hull=IN_PARAM), Sig(EMPTY_HULL, ZERO, 0, seq(M01)))),
+        ("weakening only adds sequent members",
+         lambda: Weak(leaf(M01, extra=[M00]), Sig(EMPTY_HULL, ZERO, 0, seq(M01)))),
+        ("added formulas must live in the new hull",
+         lambda: Weak(leaf(M01), Sig(EMPTY_HULL, ZERO, 0, seq(M01, M0P)))),
+        ("axiom embedding produced a false leaf",
+         lambda: derivations._true_leaf(M00, seq(M00), EMPTY_HULL, ZERO)),
+        ("cannot embed rule 'frob'",
+         lambda: rule_of(Emb(ProofNode("frob", seq(M00), (LOGAX_M00,), main=M00), {}, EMPTY_HULL))),
+        ("only bounded members can be dropped",
+         lambda: Drop(leaf(M01), Ex("x", M01))),
+        ("only false members can be dropped", lambda: Drop(leaf(M01), M01)),
+        ("reduction inputs must share their hull",
+         lambda: Red(M00, leaf(negate(M00), hull=IN_PARAM), leaf(M01, extra=[M00]))),
+        ("cannot certify a bounded formula with opaque or abstract parts as false",
+         lambda: Red(OPAQUE, leaf(negate(OPAQUE)), leaf(M01, extra=[OPAQUE]))),
+        ("cut elimination needs positive rank", lambda: E(leaf(M01))),
+    ]
+
+    @pytest.mark.parametrize("message, build", CASES, ids=[m for m, _ in CASES])
+    def test_each_precondition_is_refused_by_name(self, message, build):
+        with pytest.raises(ConstructionError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 class TestElimCuts:

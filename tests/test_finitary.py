@@ -163,12 +163,46 @@ class TestRules:
          "separation needs a bounded formula"),
         ("n1 axiom:collection (seq (in 0 0)) term=0 var=x var2=y formula=(ex z (in x z))",
          "collection needs a bounded formula"),
+        # a witness the rule does not read, named before any other fault;
+        # the first in script order is named
+        ("n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0) term=0 var2=q formula=(in 0 0)",
+         "(logax) reads no formula"),
+        ("n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0) term=0", "(logax) reads no term"),
+        ("n1 cut (seq (in 0 0)) formula=(in 0 0) main=(in 0 0)", "(cut) reads no main"),
+        ("n1 or (seq (in 0 0)) main=(in 0 0) term=0", "(or) reads no term"),
+        ("n1 ex (seq (ex x (in x 0))) main=(ex x (in x 0)) term=0 var=u", "(ex) reads no var"),
+        ("n1 all (seq (all x (in x 0))) main=(all x (in x 0)) var=u term=0",
+         "(all) reads no term"),
+        ("n1 axiom:union (seq (in 0 0)) term=0 var=x", "(axiom:union) reads no var"),
+        ("n1 axiom:reflection (seq (in 0 0)) formula=(all x (in x 0)) term=0 var2=d",
+         "(axiom:reflection) reads no var2"),
     ]
 
     @pytest.mark.parametrize("line, message", ONE_NODE_FAULTS)
     def test_one_node_fault(self, line, message):
         root = parse_script(line + "\n").root
         assert check_proof(root).diagnostics == [("0", message)]
+
+    def test_each_rule_reads_its_declared_witnesses(self):
+        assert set(finitary.READS) == finitary.RULES
+        assert {key for reads in finitary.READS.values() for key in reads} == set(
+            finitary.WITNESSES)
+        for r, (_, reads) in finitary.AXIOMS.items():
+            assert set(reads) <= set(finitary.READS[r]), r
+        assert finitary.READS["axiom:reflection"] == ("formula", "term", "var")
+
+    def test_each_rule_refuses_each_witness_it_does_not_read(self):
+        values = {"main": M00, "formula": M00, "term": ZERO_TERM, "term2": ZERO_TERM,
+                  "term3": ZERO_TERM, "var": "u", "var2": "u"}
+        refused = 0
+        for r in sorted(finitary.RULES):
+            for key in finitary.WITNESSES:
+                if key not in finitary.READS[r]:
+                    node = ProofNode(r, seq(M00), **{key: values[key]})
+                    assert check_proof(node).diagnostics == [
+                        ("0", "(%s) reads no %s" % (r, key))]
+                    refused += 1
+        assert refused == 16 * 7 - sum(map(len, finitary.READS.values()))
 
     def test_unknown_axiom_rule(self):
         # scripts cannot reach it: the reader refuses an unknown rule first

@@ -3,7 +3,8 @@ module-level function and class of the package is used somewhere, the
 package's module-level tables and caches and its stores on objects are
 the known ones, ``derivations`` binds no dict at module level, each
 formula class declares the kind of every field, and every message of
-the local checker and of the finitary calculus is named by some test.
+the local checker, of the finitary calculus, of the derivation
+constructors and of the ordinal parser is named by some test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -312,26 +313,51 @@ def test_every_check_local_message_is_tested():
     assert sorted(m for m in messages if m not in tests) == []
 
 
-def finitary_messages() -> set:
-    """The texts ``finitary`` raises as a ``ValueError``: a string as it
-    is, and a format string (``text % args``) as its text."""
-    tree = ast.parse((SRC / "finitary.py").read_text(encoding="utf-8"))
+def raised_messages(module: str, exception: str) -> set:
+    """The texts ``module`` raises as ``exception``: a string as it is, a
+    format string (``text % args``) as its text, an f-string as a format
+    string with ``%s`` for each field, and both texts of a conditional
+    expression (``a if c else b``)."""
+    tree = ast.parse((SRC / (module + ".py")).read_text(encoding="utf-8"))
     out = set()
     for n in ast.walk(tree):
         if not (isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
-                and ast.unparse(n.exc.func) == "ValueError"):
+                and ast.unparse(n.exc.func) == exception):
             continue
         t = n.exc.args[0]
-        if isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mod):
-            t = t.left
-        assert isinstance(t, ast.Constant) and isinstance(t.value, str), ast.unparse(t)
-        out.add(t.value)
+        for t in [t.body, t.orelse] if isinstance(t, ast.IfExp) else [t]:
+            if isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mod):
+                t = t.left
+            if isinstance(t, ast.JoinedStr):
+                t = ast.Constant("".join(
+                    v.value if isinstance(v, ast.Constant) else "%s" for v in t.values))
+            assert isinstance(t, ast.Constant) and isinstance(t.value, str), ast.unparse(t)
+            out.add(t.value)
     return out
+
+
+def untested(messages: set, rendered: dict) -> list:
+    """The messages that no test other than this module names: a format
+    string of ``rendered`` as each text it renders from its rows of
+    arguments, any other format string as a pattern in which each
+    conversion stands for some text."""
+    tests = "\n".join(p.read_text(encoding="utf-8")
+                      for p in sorted((ROOT / "tests").rglob("*.py"))
+                      if p.name != "test_hygiene.py")
+    missing = []
+    for m in sorted(messages):
+        if m in rendered:
+            missing += [m % args for args in rendered[m] if m % args not in tests]
+        elif not re.search(".+?".join(map(re.escape, re.split("%[sdr]", m))), tests):
+            missing.append(m)
+    return missing
 
 
 def rule_messages() -> dict:
     """The format strings of ``finitary`` that take a rule, each with
-    its arguments for every declared rule that raises it."""
+    its arguments for every declared rule that raises it.  ``(%s) reads
+    no %s`` is not among them: a test of ``test_finitary`` walks every
+    rule and every witness it does not read."""
     return {
         "main formula of (%s) must be %s": list(finitary.MAIN_FORMULA.items()),
         "(%s) needs a witness term": [("bex",), ("ex",)],
@@ -342,21 +368,24 @@ def rule_messages() -> dict:
 
 
 def test_every_finitary_message_is_tested():
-    """Each text is named by a test other than this one: a format string
-    that takes a rule as each text it renders, any other format string
-    as a pattern in which each conversion stands for some text."""
-    messages = finitary_messages()
+    """Each ``ValueError`` text of ``finitary`` is named by a test."""
+    messages = raised_messages("finitary", "ValueError")
     assert len(messages) > 25
-    tests = "\n".join(p.read_text(encoding="utf-8")
-                      for p in sorted((ROOT / "tests").rglob("*.py"))
-                      if p.name != "test_hygiene.py")
     by_rule = rule_messages()
     assert set(by_rule) <= messages
     assert {args[0] for rows in by_rule.values() for args in rows} <= finitary.RULES
-    missing = []
-    for m in sorted(messages):
-        if m in by_rule:
-            missing += [m % args for args in by_rule[m] if m % args not in tests]
-        elif not re.search(".+?".join(map(re.escape, re.split("%[sdr]", m))), tests):
-            missing.append(m)
-    assert missing == []
+    assert untested(messages, by_rule) == []
+
+
+def test_every_construction_message_is_tested():
+    """Each ``ConstructionError`` text of ``derivations`` is named by a test."""
+    messages = raised_messages("derivations", "ConstructionError")
+    assert len(messages) > 20
+    assert untested(messages, {}) == []
+
+
+def test_every_ordinal_parser_message_is_tested():
+    """Each ``OrdinalParseError`` text of ``ordinals`` is named by a test."""
+    messages = raised_messages("ordinals", "OrdinalParseError")
+    assert len(messages) > 7
+    assert untested(messages, {}) == []
