@@ -13,7 +13,7 @@ Drop, E) denote derivations built by the standard proof-theoretic
 constructions: tautology derivations of finite height, the embedding of
 finitary proofs and axiom instances (a foundation instance by induction
 on rank), weakening, reduction of a disjunctive cut formula, inversion,
-removal of a false bounded formula, and one round of predicative
+removal of a false bounded formula, and rounds of predicative
 cut-elimination.  ``unfold``
 rewrites one defined layer into an explicit node with the same
 signature; iterating it expands any finite fragment of the denoted
@@ -38,7 +38,7 @@ unfolded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import finitary as fin
 from .formulas import (
@@ -75,7 +75,7 @@ from .ordinals import (
     cmp,
     from_nat,
     nat_sum,
-    omega_exp,
+    omega_tower,
     times_nat,
 )
 from .universe import (
@@ -103,8 +103,7 @@ class ConstructionError(Exception):
     """A defined derivation notation violates its construction clause."""
 
 
-@dataclass(frozen=True)
-class Sig:
+class Sig(NamedTuple):
     hull: Hull
     bound: OrdCode
     rank: int
@@ -218,10 +217,11 @@ class WedgeNode(ExplicitNode):
         return self.index_set.members()
 
     def premise(self, iota) -> DerivTerm:
-        if iota not in self._cache:
+        p = self._cache.get(iota)
+        if p is None:
             self.index_set.require(iota)
-            self._cache[iota] = self._premise_fn(iota)
-        return self._cache[iota]
+            p = self._cache[iota] = self._premise_fn(iota)
+        return p
 
     def wants(self, sig: Sig, iota) -> tuple:
         return hull_at(sig.hull, iota), sig.seq | {component(self.main, iota)}
@@ -726,17 +726,18 @@ class Drop(DerivTerm):
                 inner = Drop(Drop(v.sub, comp), C)
                 return _map_premises(rule_of(inner), sig)
             raise ConstructionError("a false bounded sentence heads no rule")
-        return _map_premises(v, sig, lambda p, hull: Drop(p, C))
+        return _map_premises(v, sig, lambda p, hull, seq: Drop(p, C))
 
 
-def _same(p: DerivTerm, hull: Hull) -> DerivTerm:
+def _same(p: DerivTerm, hull: Hull, seq: Sequent) -> DerivTerm:
     return p
 
 
 def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
     """Copy an explicit node at a new signature.  Each premise p becomes
-    ``wrap(p, hull)`` fitted at its own bound and the node's cut rank to
-    the hull and sequent that the node's rule wants of it at ``sig``.
+    ``wrap(p, hull, seq)`` fitted at its own bound and the node's cut
+    rank to the hull and sequent that the node's rule wants of it at
+    ``sig``.
     A premise used twice at one wanted signature is one term: when both
     premises are one term and the rule wants the same of each, it is
     rebuilt once and stands on both sides."""
@@ -761,7 +762,7 @@ def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
 
 def _refit(v: ExplicitNode, sig: Sig, wrap, iota, p: DerivTerm) -> DerivTerm:
     hull, seq = v.wants(sig, iota)
-    return fit(wrap(p, hull), hull, sig.rank, seq)
+    return fit(wrap(p, hull, seq), hull, sig.rank, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +792,7 @@ class Inv(DerivTerm):
             # still carries the conjunction in its sequent
             inner = Inv(v.premise(self.iota), self.C, self.iota)
             return _map_premises(rule_of(inner), sig)
-        return _map_premises(v, sig, lambda p, hull: Inv(p, self.C, self.iota))
+        return _map_premises(v, sig, lambda p, hull, seq: Inv(p, self.C, self.iota))
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +859,7 @@ class Red(DerivTerm):
             right = fit(right, sig.hull, m, sig.seq | right.sig.seq)
             return CutNode(sig, C_iota, left, right)
 
-        return _map_premises(v, sig, lambda p, hull: Red(
+        return _map_premises(v, sig, lambda p, hull, seq: Red(
             C, fit(d0, hull, m, d0.sig.seq), fit(p, hull, p.sig.rank, p.sig.seq)))
 
 
@@ -867,28 +868,55 @@ class Red(DerivTerm):
 
 
 class E(DerivTerm):
-    """One round of cut elimination: rank m+1 down to m, bound to its
-    base-omega exponential."""
+    """``rounds`` rounds of cut elimination: each lowers the rank by one
+    and sends the bound to its base-omega exponential.  E of an E is one
+    term of both terms' rounds over the inner sub, so one expansion
+    stands for the whole chain of one-round terms."""
 
-    def __init__(self, sub: DerivTerm):
+    def __init__(self, sub: DerivTerm, rounds: int = 1):
         super().__init__()
-        if sub.sig.rank < 1:
-            raise ConstructionError("cut elimination needs positive rank")
-        self.sub = sub
         old = sub.sig
-        self.sig = Sig(old.hull, omega_exp(old.bound), old.rank - 1, old.seq)
+        if old.rank < rounds:
+            raise ConstructionError("cut elimination needs positive rank")
+        self.sig = Sig(old.hull, omega_tower(rounds, old.bound), old.rank - rounds, old.seq)
+        if isinstance(sub, E):
+            sub, rounds = sub.sub, sub.rounds + rounds
+        self.sub = sub
+        self.rounds = rounds
 
     def _expand(self):
-        v = rule_of(self.sub)
-        sig = self.sig
-        m = sig.rank
-        if isinstance(v, CutNode) and depth(v.cut_formula) == m:
+        """The node that the chain of one-round terms unfolds to.  Each
+        pass reads one node v at rank r with k rounds to go: the rounds
+        before the one that takes v's own cut, if any does, rebuild v
+        once, with each premise p lowered by all of them at once, to
+        ``E(fit(E(p), hull, r - 1, seq), k - 1)``; the round that takes
+        the cut reduces it, and the pass goes on from the reduction."""
+        v, k = rule_of(self.sub), self.rounds
+        hull, seq = self.sig.hull, self.sig.seq
+        r, bound = self.sub.sig.rank, self.sub.sig.bound
+        while True:
+            j = r - depth(v.cut_formula) if isinstance(v, CutNode) else 0
+            if not 1 <= j <= k:
+                return _map_premises(v, self.sig, _lowered(r, k))
+            if j > 1:
+                v = _map_premises(v, Sig(hull, omega_tower(j - 1, bound), r - j + 1, seq),
+                                  _lowered(r, j - 1))
             C = v.cut_formula
             left = E(v.left)
             right = left if v.right is v.left else E(v.right)
             red = Red(negate(C), right, left) if conjunctive(C) else Red(C, left, right)
-            return _map_premises(rule_of(red), sig)
-        return _map_premises(v, sig, lambda p, hull: E(p))
+            r, k, bound = r - j, k - j, omega_tower(j, bound)
+            v = _map_premises(rule_of(red), Sig(hull, bound, r, seq))
+            if k == 0:
+                return v
+
+
+def _lowered(r: int, k: int):
+    """The wrap that lowers a premise of a rank-r node by k rounds, fitted
+    after the first to the hull and sequent that the node wants of it."""
+    if k == 1:
+        return lambda p, hull, seq: E(p)
+    return lambda p, hull, seq: E(fit(E(p), hull, r - 1, seq), k - 1)
 
 
 def elim_cuts(d: DerivTerm) -> DerivTerm:

@@ -306,15 +306,19 @@ def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
     inference is derived once: for the length of the call, what
     ``expected_premises`` returns, or the message it raises, is kept
     under the node's rule, conclusion and witnesses.  The key holds no
-    premise, so the premise count and each edge are checked per node."""
+    premise, so the premise count and each edge are checked per node.
+
+    A path is kept as its index in ``links``, which holds the root's
+    entry first and then one (parent index, premise index) pair per
+    pushed edge; its text is written only for a diagnostic."""
     if N < 2:
         return CheckResult([("", "N must be at least 2")])
-    diags, walked, stack = [], set(), [(pi, "0", False)]
+    diags, walked, stack, links = [], set(), [(pi, 0, False)], [(0, 0)]
     derived: dict = {}  # the premise sequents or fault of each inference, by value
     while stack:
-        node, path, mismatch = stack.pop()
+        node, at, mismatch = stack.pop()
         if mismatch:
-            diags.append((path, "premise sequent mismatch"))
+            diags.append((_path_text(links, at), "premise sequent mismatch"))
         if id(node) in walked:
             continue
         walked.add(id(node))
@@ -327,16 +331,28 @@ def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
                 need = str(e)
             derived[key] = need
         if isinstance(need, str):
-            diags.append((path, need))
+            diags.append((_path_text(links, at), need))
             continue
         if len(need) != len(node.premises):
-            diags.append((path, "expected %d premises, found %d"
+            diags.append((_path_text(links, at), "expected %d premises, found %d"
                           % (len(need), len(node.premises))))
             continue
         for i in reversed(range(len(need))):
             sub = node.premises[i]
-            stack.append((sub, "%s.%d" % (path, i), sub.conclusion != need[i]))
+            stack.append((sub, len(links), sub.conclusion != need[i]))
+            links.append((at, i))
     return CheckResult(diags)
+
+
+def _path_text(links: list, at: int) -> str:
+    """The text of the path at index ``at`` of ``links``: ``0`` for the
+    root, then ``.i`` per edge down to the node."""
+    steps = []
+    while at:
+        at, i = links[at]
+        steps.append(str(i))
+    steps.append("0")
+    return ".".join(reversed(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,16 @@ class _Formula:
     (``head``), its dual class (``dual``), its ``shape``, its ``arity``
     and its ``polarity`` (see ``_dual_pairs``).  Each object stores its
     hash, its negation (``negate``), its quantifier instances by index
-    (``component``) and its record of syntactic facts (``facts``) once
-    they are first asked for; the stores are plain attributes, not
-    dataclass fields, so ``==``, ``repr`` and the value of ``hash`` do
-    not see them."""
+    (``component``), its record of syntactic facts (``facts``) and its
+    text (``render_formula``) once they are first asked for; the stores
+    are plain attributes, not dataclass fields, so ``==``, ``repr`` and
+    the value of ``hash`` do not see them."""
 
     polarity = None
     _negation = None
     _instances = None
     _facts = None
+    _text = None
 
 
 @_hash_kept
@@ -638,10 +639,23 @@ def eval_formula_bounded(A: Formula, env: dict | None = None) -> bool:
 
 
 def render_formula(A: Formula) -> str:
+    """A's s-expression text, kept on A once it is first asked for."""
+    text = getattr(A, "_text", None)
+    if text is None:
+        text = _render(A)
+        object.__setattr__(A, "_text", text)
+    return text
+
+
+def _render(A: Formula) -> str:
+    """A's text, reading each part's kept text when it has one.  No part
+    keeps its own, so the texts kept are as long as the texts asked for,
+    not their square, even for deep formulas."""
     shape, parts = _shape(A), [A.head]
     for name, kind in shape:
         x = getattr(A, name)
-        parts.append(x if kind is str else render_term(x) if kind is Term else render_formula(x))
+        parts.append(x if kind is str else render_term(x) if kind is Term
+                     else getattr(x, "_text", None) or _render(x))
     return "(%s)" % " ".join(parts)
 
 

@@ -364,6 +364,12 @@ def render(a: OrdCode) -> str:
 #: fresh interpreter, below Python's default recursion limit.
 MAX_TOWER = 198
 
+#: The most digits the parser reads in one number: a natural, a ``w_n``
+#: subscript or a ``* n`` coefficient.  It is the lowest limit that
+#: ``sys.set_int_max_str_digits`` accepts, so that no setting of the
+#: interpreter refuses a number the parser reads.
+MAX_DIGITS = 640
+
 #: whitespace, or one of: a token, a ``w_`` without its subscript, any
 #: other character
 _TOKEN = re.compile(r"\s+|(w_\d+|w\^|\d+|[()+#*?W]|w(?!_))|(w_)|(.)")
@@ -377,6 +383,11 @@ def _tokenize(text: str) -> list[str]:
         if other:
             raise OrdinalParseError(f"unexpected character {other!r}")
         if tok:
+            # only a number is ever longer than two characters
+            digits = len(tok.removeprefix("w_"))
+            if digits > MAX_DIGITS:
+                raise OrdinalParseError(
+                    f"number of {digits} digits is above the limit of {MAX_DIGITS} digits")
             tokens.append(tok)
     return tokens
 

@@ -17,7 +17,7 @@ from proofkit.corpus import build_corpus
 from proofkit.derivations import Emb
 from proofkit.finitary import ProofNode, ProofScript, ax_reflection, render_script
 from proofkit.formulas import ZERO_TERM, parse_formula, render_formula, seq
-from proofkit.ordinals import MAX_TOWER
+from proofkit.ordinals import MAX_DIGITS, MAX_TOWER
 from proofkit.universe import EMPTY_HULL
 
 
@@ -65,6 +65,29 @@ class TestOrd:
     def test_each_parser_message_is_one_line(self, capsys, expr, message):
         assert main(["ord", expr]) == 1
         assert capsys.readouterr().err == "parse error: %s\n" % message
+
+    @pytest.mark.parametrize("template", ["%s", "w * %s", "w_%s(1)"],
+                             ids=["natural", "coefficient", "subscript"])
+    def test_a_number_past_the_digit_limit_is_one_parse_error(self, capsys, template):
+        # the limit is the lowest the interpreter can be set to, so a
+        # number at the limit is read and printed under any setting
+        assert MAX_DIGITS == 640
+        setting = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(MAX_DIGITS)
+        try:
+            status = main(["ord", template % ("7" * MAX_DIGITS)])
+        finally:
+            sys.set_int_max_str_digits(setting)
+        out, err = capsys.readouterr()
+        if template.startswith("w_"):
+            assert (status, err) == (1, "parse error: tower height %s is above the limit %d\n"
+                                     % ("7" * MAX_DIGITS, MAX_TOWER))
+        else:
+            assert (status, out) == (0, template.replace(" ", "") % ("7" * MAX_DIGITS) + "\n")
+        for digits in (MAX_DIGITS + 1, 5000):
+            assert main(["ord", template % ("7" * digits)]) == 1
+            assert capsys.readouterr().err == (
+                "parse error: number of %d digits is above the limit of 640 digits\n" % digits)
 
     def test_the_highest_tower_prints_from_a_fresh_interpreter(self):
         # the rendering of w_198(1) recurses within a few frames of the
@@ -148,6 +171,14 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert capsys.readouterr().err == (
             "parse error: line 1: tower height 199 is above the limit 198\n")
+
+    def test_a_param_rank_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.proof"
+        bad.write_text("param p rank %s\nn1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n"
+                       % ("1" * (MAX_DIGITS + 1)), encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "parse error: line 1: number of 641 digits is above the limit of 640 digits\n")
 
     def test_a_witness_the_rule_does_not_read_is_refused(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import families
 import pytest
+from test_finitary import cut_chain
 from test_formulas import random_formula
 from test_perfbench import BALL_SCRIPT
 
@@ -37,7 +38,7 @@ from proofkit.derivations import (
     axemb_rank,
     rule_of,
 )
-from proofkit.checking import check_local, default_sampler
+from proofkit.checking import check_local, default_sampler, eval_cutfree
 from proofkit.finitary import (
     AXIOM_RULES,
     ProofNode,
@@ -64,6 +65,7 @@ from proofkit.formulas import (
     Var,
     ZERO_TERM,
     close,
+    conjunctive,
     depth,
     negate,
     parse_formula,
@@ -79,7 +81,15 @@ from proofkit.ordinals import (
     omega_exp,
     times_nat,
 )
-from proofkit.universe import EMPTY, EMPTY_HULL, Abstract, Concrete, hull_extend, rank
+from proofkit.universe import (
+    EMPTY,
+    EMPTY_HULL,
+    Abstract,
+    Concrete,
+    EvaluationError,
+    hull_extend,
+    rank,
+)
 
 M00 = Mem(ZERO_TERM, ZERO_TERM)
 M01 = Mem(ZERO_TERM, Name(ONE))  # true
@@ -476,7 +486,7 @@ class TestSharedPremises:
         p = leaf(M01, rank_=1)
         calls = []
 
-        def wrap(q, hull):
+        def wrap(q, hull, seq):
             calls.append(q)
             return q
 
@@ -696,6 +706,97 @@ class TestElimCuts:
                 walk(v.premise(i), fuel - 1)
 
         walk(d, 3)
+
+
+class OneRound(DerivTerm):
+    """One round of cut elimination per term, as ``E`` was before it
+    carried a round count: the reference that the collapsed term is
+    checked against."""
+
+    def __init__(self, sub):
+        super().__init__()
+        if sub.sig.rank < 1:
+            raise ConstructionError("cut elimination needs positive rank")
+        self.sub = sub
+        old = sub.sig
+        self.sig = Sig(old.hull, omega_exp(old.bound), old.rank - 1, old.seq)
+
+    def _expand(self):
+        v, sig = rule_of(self.sub), self.sig
+        if isinstance(v, CutNode) and depth(v.cut_formula) == sig.rank:
+            C = v.cut_formula
+            left = OneRound(v.left)
+            right = left if v.right is v.left else OneRound(v.right)
+            red = Red(negate(C), right, left) if conjunctive(C) else Red(C, left, right)
+            return _map_premises(rule_of(red), sig)
+        return _map_premises(v, sig, lambda p, hull, seq_: OneRound(p))
+
+
+def said_of(d, k, seed):
+    """What the local check at depth k and the soundness evaluation say
+    of d, an error included."""
+    report = check_local(d, k, sampler=default_sampler(seed=seed))
+    try:
+        ev = eval_cutfree(d, 8)
+        ev = (ev.status, ev.reason)
+    except (ConstructionError, EvaluationError) as ex:
+        ev = (type(ex).__name__, str(ex))
+    return d.sig, report.lines, report.violations, report.notes, ev
+
+
+def round_inputs(source):
+    """(script text, check depth, sampler seed) of each input of a source."""
+    if source == "corpus":
+        return [(render_script(e.script), 5, 0) for e in build_corpus()]
+    if source == "bounded-shapes":
+        return [(t, 5, 0) for t in (OR_SCRIPT, AND_SCRIPT, BEX_SCRIPT, BALL_SCRIPT)]
+    cases = families.GENERATORS[source](7, 20)
+    return [(c.text, c.expect.get("depth", 3), c.expect.get("sampler_seed", 0))
+            for c in cases if c.kind != "mutant"]
+
+
+class TestRounds:
+    """E of an E is one term of both rounds, and denotes what the chain
+    of one-round terms does."""
+
+    def test_an_e_of_an_e_is_one_term(self):
+        d = embed_checked(SHARED_CUT, 3)
+        twice = E(E(d))
+        assert twice.sub is d and twice.rounds == 2
+        assert twice.sig == OneRound(OneRound(d)).sig
+        assert E(twice).rounds == 3 and E(twice).sub is d
+
+    @pytest.mark.parametrize("source", ["corpus", "bounded-shapes", "elim", "sound"])
+    def test_the_collapsed_term_says_what_the_chain_says_at_every_round_count(self, source):
+        for text, k, seed in round_inputs(source):
+            script = parse_script(text)
+            if not check_proof(script.root).ok:
+                continue
+            d = Emb(script.root, script.assignment, EMPTY_HULL)
+            chain = collapsed = d
+            for rounds in range(d.sig.rank + 1):
+                if rounds:
+                    chain, collapsed = OneRound(chain), E(d, rounds)
+                assert said_of(collapsed, k, seed) == said_of(chain, k, seed), (text, rounds)
+
+    def test_the_pass_through_rounds_of_a_cut_chain_root_cost_one_expansion(
+            self, monkeypatch):
+        expanded = []
+        expand = E._expand
+
+        def recorded(term):
+            expanded.append(term)
+            return expand(term)
+
+        monkeypatch.setattr(E, "_expand", recorded)
+        d = embed_checked(cut_chain(6), 6)
+        root = d
+        for _ in range(6):
+            root = elim_cuts(root)
+        rule_of(root)
+        # the root's cut, on a bounded formula, is taken in the last round
+        assert [t.rounds for t in expanded if t.sub is d] == [6]
+        assert check_local(root, 3).passed
 
 
 class TestDescent:

@@ -1026,6 +1026,12 @@ class TestDeepAndSharedProofs:
         assert emb_rank(script.root) == 3000
         assert render_script(script) == text
 
+    def test_a_fault_at_the_bottom_of_a_deep_chain_names_its_whole_path(self):
+        # the first axiom, reached first through premise 0 of every cut
+        text = cut_chain(20000).replace("main=(in 0 0)", "main=(in 0 {{}})", 1)
+        assert check_proof(parse_script(text).root).diagnostics == [
+            ("0" + ".0" * 20000, "logical axiom lacks the complementary pair")]
+
     def test_shared_premises_are_checked_once(self, monkeypatch):
         calls = []
 

@@ -451,6 +451,18 @@ class TestStoredResults:
                     assert first == ref_component(B, iota)
                     assert component(B, iota) is first
 
+    def test_render_keeps_the_text_on_the_formula_asked_for_only(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            A = random_formula(rng, rng.randrange(1, 6), ("x",))
+            parts = [B for B in subformulas(A) if B is not A]
+            render_formula(rng.choice(parts))  # a part whose text is kept already
+            kept = [B for B in parts if "_text" in vars(B)]
+            text = render_formula(A)
+            assert parse_formula(text) == A
+            assert vars(A)["_text"] is text and render_formula(A) is text
+            assert [B for B in parts if "_text" in vars(B)] == kept
+
     def test_an_equal_index_finds_the_stored_instance(self):
         A = Ex("x", Mem(Var("x"), Name(TWO)))
         first = component(A, Concrete(frozenset({EMPTY})))
@@ -523,7 +535,7 @@ class TestStoredResults:
                 hash(B), depth(B), is_delta0(B), support(B), free_vars(B)
                 classify(B), member_pi(B, 1), all_vars(B), determinable(B)
                 stores = set(vars(B)) - {f.name for f in fields(B)}
-                assert stores <= {"_hash", "_negation", "_instances", "_facts"}
+                assert stores <= {"_hash", "_negation", "_instances", "_facts", "_text"}
             assert A == fresh_copy and hash(A) == hash(fresh_copy)
             assert repr(A) == repr(fresh_copy)
 

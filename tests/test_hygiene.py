@@ -235,8 +235,8 @@ def test_premises_are_weakened_by_the_conclusion_not_restated():
 #: its reason.
 KNOWN_STORES = {
     # a formula's or a term's hash, its negation, its quantifier
-    # instances by index and its record of syntactic facts
-    "formulas": {"_hash", "_negation", "_instances", "_facts"},
+    # instances by index, its record of syntactic facts and its text
+    "formulas": {"_hash", "_negation", "_instances", "_facts", "_text"},
     "ordinals": {"_hash"},  # an interned code's hash
     "universe": {"_facts"},  # a concrete set's record of facts
 }
