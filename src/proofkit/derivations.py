@@ -30,10 +30,10 @@ premise's own, so the premise rules are written only in ``wants``.
 
 A premise used twice at one wanted signature is one term.  A cut whose
 two premises are one script node embeds that node once; ``_map_premises``
-rebuilds such a premise once for both sides, and ``E`` lowers it once
-where it eliminates the cut.  Each term is a function of its arguments,
-so this changes no signature, only how often one term is built and
-unfolded.
+rebuilds such a premise once for both sides, and ``E`` lowers it once,
+by all of its rounds, to ``E(p, k)``.  Each term is a function of its
+arguments, so this changes no signature, only how often one term is
+built and unfolded.
 """
 
 from __future__ import annotations
@@ -726,18 +726,18 @@ class Drop(DerivTerm):
                 inner = Drop(Drop(v.sub, comp), C)
                 return _map_premises(rule_of(inner), sig)
             raise ConstructionError("a false bounded sentence heads no rule")
-        return _map_premises(v, sig, lambda p, hull, seq: Drop(p, C))
+        return _map_premises(v, sig, lambda p, hull: Drop(p, C))
 
 
-def _same(p: DerivTerm, hull: Hull, seq: Sequent) -> DerivTerm:
+def _same(p: DerivTerm, hull: Hull) -> DerivTerm:
     return p
 
 
 def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
     """Copy an explicit node at a new signature.  Each premise p becomes
-    ``wrap(p, hull, seq)`` fitted at its own bound and the node's cut
-    rank to the hull and sequent that the node's rule wants of it at
-    ``sig``.
+    ``wrap(p, hull)``, for the hull that the node's rule wants of it at
+    ``sig``, fitted at its own bound and the node's cut rank to that hull
+    and the wanted sequent.
     A premise used twice at one wanted signature is one term: when both
     premises are one term and the rule wants the same of each, it is
     rebuilt once and stands on both sides."""
@@ -762,7 +762,7 @@ def _map_premises(v: ExplicitNode, sig: Sig, wrap=_same) -> ExplicitNode:
 
 def _refit(v: ExplicitNode, sig: Sig, wrap, iota, p: DerivTerm) -> DerivTerm:
     hull, seq = v.wants(sig, iota)
-    return fit(wrap(p, hull, seq), hull, sig.rank, seq)
+    return fit(wrap(p, hull), hull, sig.rank, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +792,7 @@ class Inv(DerivTerm):
             # still carries the conjunction in its sequent
             inner = Inv(v.premise(self.iota), self.C, self.iota)
             return _map_premises(rule_of(inner), sig)
-        return _map_premises(v, sig, lambda p, hull, seq: Inv(p, self.C, self.iota))
+        return _map_premises(v, sig, lambda p, hull: Inv(p, self.C, self.iota))
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +859,7 @@ class Red(DerivTerm):
             right = fit(right, sig.hull, m, sig.seq | right.sig.seq)
             return CutNode(sig, C_iota, left, right)
 
-        return _map_premises(v, sig, lambda p, hull, seq: Red(
+        return _map_premises(v, sig, lambda p, hull: Red(
             C, fit(d0, hull, m, d0.sig.seq), fit(p, hull, p.sig.rank, p.sig.seq)))
 
 
@@ -871,7 +871,8 @@ class E(DerivTerm):
     """``rounds`` rounds of cut elimination: each lowers the rank by one
     and sends the bound to its base-omega exponential.  E of an E is one
     term of both terms' rounds over the inner sub, so one expansion
-    stands for the whole chain of one-round terms."""
+    stands for the whole chain of one-round terms, and a premise lowered
+    k rounds is the one term ``E(p, k)``."""
 
     def __init__(self, sub: DerivTerm, rounds: int = 1):
         super().__init__()
@@ -886,24 +887,21 @@ class E(DerivTerm):
 
     def _expand(self):
         """The node that the chain of one-round terms unfolds to.  Each
-        pass reads one node v at rank r with k rounds to go: the rounds
-        before the one that takes v's own cut, if any does, rebuild v
-        once, with each premise p lowered by all of them at once, to
-        ``E(fit(E(p), hull, r - 1, seq), k - 1)``; the round that takes
-        the cut reduces it, and the pass goes on from the reduction."""
+        pass reads one node v at rank r with k rounds to go: if no round
+        takes v's own cut, v is copied with each premise p lowered by all
+        k rounds, to ``E(p, k)``; if round j takes it, the cut is reduced
+        over its premises lowered by j rounds, and the pass goes on from
+        the reduction with the rounds that are left."""
         v, k = rule_of(self.sub), self.rounds
         hull, seq = self.sig.hull, self.sig.seq
         r, bound = self.sub.sig.rank, self.sub.sig.bound
         while True:
             j = r - depth(v.cut_formula) if isinstance(v, CutNode) else 0
             if not 1 <= j <= k:
-                return _map_premises(v, self.sig, _lowered(r, k))
-            if j > 1:
-                v = _map_premises(v, Sig(hull, omega_tower(j - 1, bound), r - j + 1, seq),
-                                  _lowered(r, j - 1))
+                return _map_premises(v, self.sig, lambda p, hull: E(p, k))
             C = v.cut_formula
-            left = E(v.left)
-            right = left if v.right is v.left else E(v.right)
+            left = E(v.left, j)
+            right = left if v.right is v.left else E(v.right, j)
             red = Red(negate(C), right, left) if conjunctive(C) else Red(C, left, right)
             r, k, bound = r - j, k - j, omega_tower(j, bound)
             v = _map_premises(rule_of(red), Sig(hull, bound, r, seq))
@@ -911,20 +909,6 @@ class E(DerivTerm):
                 return v
 
 
-def _lowered(r: int, k: int):
-    """The wrap that lowers a premise of a rank-r node by k rounds, fitted
-    after the first to the hull and sequent that the node wants of it."""
-    if k == 1:
-        return lambda p, hull, seq: E(p)
-    return lambda p, hull, seq: E(fit(E(p), hull, r - 1, seq), k - 1)
-
-
 def elim_cuts(d: DerivTerm) -> DerivTerm:
-    """Apply one round of predicative cut-elimination; a warning and
-    no-op at rank 0."""
-    if d.sig.rank == 0:
-        import warnings
-
-        warnings.warn("cut elimination on a rank-0 derivation is a no-op")
-        return d
+    """Apply one round of predicative cut-elimination."""
     return E(d)

@@ -2,7 +2,6 @@
 reduction, and predicative cut elimination."""
 
 import random
-import warnings
 from dataclasses import replace
 
 import families
@@ -486,7 +485,7 @@ class TestSharedPremises:
         p = leaf(M01, rank_=1)
         calls = []
 
-        def wrap(q, hull, seq):
+        def wrap(q, hull):
             calls.append(q)
             return q
 
@@ -671,13 +670,9 @@ class TestElimCuts:
             expected = omega_exp(expected)
         assert d.sig.bound == expected
 
-    def test_noop_at_rank_zero(self):
-        d = leaf(M01)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = elim_cuts(d)
-        assert out is d
-        assert caught
+    def test_a_rank_zero_input_is_refused(self):
+        with pytest.raises(ConstructionError, match="^cut elimination needs positive rank$"):
+            elim_cuts(leaf(M01))
 
     def test_cutfree_input_keeps_denotation(self):
         d = leaf(M01, bound=1, rank_=1)
@@ -729,7 +724,7 @@ class OneRound(DerivTerm):
             right = left if v.right is v.left else OneRound(v.right)
             red = Red(negate(C), right, left) if conjunctive(C) else Red(C, left, right)
             return _map_premises(rule_of(red), sig)
-        return _map_premises(v, sig, lambda p, hull, seq_: OneRound(p))
+        return _map_premises(v, sig, lambda p, hull: OneRound(p))
 
 
 def said_of(d, k, seed):
@@ -795,6 +790,23 @@ class TestRounds:
         # the root's cut, on a bounded formula, is taken in the last round
         assert [t.rounds for t in expanded if t.sub is d] == [6]
         assert check_local(root, 3).passed
+
+    @pytest.mark.parametrize("rounds", [3, 6], ids=["cut-kept", "cut-taken"])
+    def test_unfolding_a_node_lowers_each_premise_in_one_term(self, monkeypatch, rounds):
+        d = embed_checked(cut_chain(6), 6)  # a rank-6 cut on a depth-0 formula
+        v, term = rule_of(d), E(d, rounds)
+        built = []
+        init = E.__init__
+
+        def recorded(t, sub, rounds=1):
+            init(t, sub, rounds)
+            built.append(t)
+
+        monkeypatch.setattr(E, "__init__", recorded)
+        rule_of(term)
+        # E(p, j) of each premise p, for the j rounds that lie above the
+        # root's cut or end with the round that takes it
+        assert [(t.sub, t.rounds) for t in built] == [(v.left, rounds), (v.right, rounds)]
 
 
 class TestDescent:
