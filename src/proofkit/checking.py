@@ -122,16 +122,35 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
     def bad(path, msg):
         report.violations.append((path, msg))
 
-    def visit(term, fuel, path, parent):
-        nid = len(lines) + 1
+    # each term still to visit, with its fuel, path and parent nid, and
+    # the parent's node, signature and premise index (None at the root);
+    # a premise's edge is checked when it is popped, so after the
+    # subtree of the premise before it, and visited if fuel is left
+    stack = [(d, k, "0", 0, None)]
+    while stack:
+        term, fuel, path, parent, edge = stack.pop()
         sig = term.sig
+        if edge is not None:
+            u, usig, iota = edge
+            want_hull, want_seq = u.wants(usig, iota)
+            if cmp(sig.bound, usig.bound) != LESS:
+                bad(path, "descent violation")
+            if sig.rank != usig.rank:
+                bad(path, "premise rank mismatch")
+            if sig.seq != want_seq:
+                bad(path, "premise sequent mismatch")
+            if sig.hull != want_hull:
+                bad(path, "premise hull mismatch")
+            if fuel < 0:
+                continue
+        nid = len(lines) + 1
         tail = "%d %d %d" % (sig.rank, len(sig.hull.generators), parent)
         try:
             v = rule_of(term)
         except (ConstructionError, EvaluationError) as ex:
             lines.append("%d error %s - - %s" % (nid, type(ex).__name__, tail))
             bad(path, "expansion error: %s" % ex)
-            return
+            continue
         main = (
             render_formula(v.main).replace(" ", "~") if v.main is not None else "-"
         )
@@ -218,29 +237,14 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
         else:
             bad(path, "unknown node kind")
 
-        premises = []  # (label, index, term), each read before any is checked
+        premises = []  # (path, index, term), each read before any is checked
         for label, iota in visits:
             try:
-                premises.append((label, iota, v.premise(iota)))
+                premises.append(("%s.%s" % (path, label), iota, v.premise(iota)))
             except (IndexError, ConstructionError, EvaluationError) as ex:
                 bad(path, "premise error at %s: %s" % (label, ex))
-
-        for label, iota, p in premises:
-            child = "%s.%s" % (path, label)
-            psig = p.sig
-            want_hull, want_seq = v.wants(sig, iota)
-            if cmp(psig.bound, sig.bound) != LESS:
-                bad(child, "descent violation")
-            if psig.rank != sig.rank:
-                bad(child, "premise rank mismatch")
-            if psig.seq != want_seq:
-                bad(child, "premise sequent mismatch")
-            if psig.hull != want_hull:
-                bad(child, "premise hull mismatch")
-            if fuel > 0:
-                visit(p, fuel - 1, child, nid)
-
-    visit(d, k, "0", 0)
+        stack.extend((p, fuel - 1, child, nid, (v, sig, iota))
+                     for child, iota, p in reversed(premises))
     return report
 
 
@@ -300,42 +304,57 @@ def certify(A: Formula, witnesses) -> bool:
 
 
 def eval_cutfree(d: DerivTerm, k: int) -> EvalResult:
-    """Certify a cut-free, reflection-free derivation's end sequent.
-    The witness pools live for this one call."""
+    """Certify a cut-free, reflection-free derivation's end sequent to
+    depth k.  It is refuted when a false leaf is reached ("false leaf"
+    when no conjunctive inference lies above it, "refuted premise"
+    otherwise); else inconclusive, with the reason of the first branch
+    end in preorder that is neither certified nor false; else verified.
+    The walk keeps its own stack, and the witness pools live for this
+    one call."""
     for a in support(d.sig.seq):
         if not is_concrete(a):
             raise EvaluationError("end sequent mentions an abstract parameter")
     if d.sig.rank != 0:
         raise EvaluationError("soundness evaluation needs a cut-free signature")
-    return _ev(d, k, _witness_domain())
-
-
-def _ev(d: DerivTerm, k: int, witnesses) -> EvalResult:
-    if any(certify(A, witnesses) for A in d.sig.seq):
-        return EvalResult(VERIFIED)
-    if k <= 0:
-        return EvalResult(INCONCLUSIVE, "depth limit")
-    v = rule_of(d)
-    if isinstance(v, RefNode):
-        return EvalResult(INCONCLUSIVE, "reflection")
-    if isinstance(v, TrueLeaf):
-        if not determinable(v.main):
-            return EvalResult(INCONCLUSIVE, "opaque leaf")
-        return EvalResult(REFUTED, "false leaf")  # a true leaf was certified above
-    if isinstance(v, VeeNode):
-        return _ev(v.sub, k - 1, witnesses)
-    if isinstance(v, WedgeNode):
-        if v.index_set == J_UNIVERSE:
-            return EvalResult(INCONCLUSIVE, "universe conjunction")
-        results = [_ev(v.premise(i), k - 1, witnesses) for i in v.indices()]
-        if any(r.status == REFUTED for r in results):
-            return EvalResult(REFUTED, "refuted premise")
-        if all(r.status == VERIFIED for r in results):
-            return EvalResult(VERIFIED)
-        return next(r for r in results if r.status == INCONCLUSIVE)
-    if isinstance(v, CutNode):
-        return EvalResult(INCONCLUSIVE, "cut")
-    return EvalResult(INCONCLUSIVE, "unknown node")
+    witnesses = _witness_domain()
+    refuted = undecided = None
+    wedged = False  # whether a conjunctive inference lies above t
+    stack = []  # (wedge, index, fuel) of each premise still to evaluate
+    t, fuel = d, k
+    while True:
+        reason = None  # why the branch ends undecided at t, if it does
+        if any(certify(A, witnesses) for A in t.sig.seq):
+            pass
+        elif fuel <= 0:
+            reason = "depth limit"
+        else:
+            v = rule_of(t)
+            if isinstance(v, VeeNode):
+                t, fuel = v.sub, fuel - 1
+                continue
+            if isinstance(v, WedgeNode) and v.index_set != J_UNIVERSE:
+                stack.extend((v, i, fuel - 1) for i in reversed(v.indices()))
+                wedged = True
+            elif isinstance(v, TrueLeaf) and determinable(v.main):
+                # a true leaf was certified above
+                refuted = refuted or EvalResult(
+                    REFUTED, "refuted premise" if wedged else "false leaf")
+            elif isinstance(v, TrueLeaf):
+                reason = "opaque leaf"
+            elif isinstance(v, RefNode):
+                reason = "reflection"
+            elif isinstance(v, WedgeNode):
+                reason = "universe conjunction"
+            elif isinstance(v, CutNode):
+                reason = "cut"
+            else:
+                reason = "unknown node"
+        if reason is not None and undecided is None:
+            undecided = EvalResult(INCONCLUSIVE, reason)
+        if not stack:
+            return refuted or undecided or EvalResult(VERIFIED)
+        v, i, fuel = stack.pop()
+        t = v.premise(i)
 
 
 # ---------------------------------------------------------------------------

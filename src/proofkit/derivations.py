@@ -576,6 +576,11 @@ def _closed_value(t: Term, assignment: dict) -> DeskSet:
 
 def emb_rank(pi: fin.ProofNode) -> int:
     """Cut rank of the embedded derivation, by the standard recursion."""
+    return _emb_ranks(pi)[id(pi)]
+
+
+def _emb_ranks(pi: fin.ProofNode) -> dict:
+    """``emb_rank`` of each node of pi, by the node's id, in one walk."""
     ranks: dict = {}
     for node in fin.post_order(pi):
         if node.rule == "logax":
@@ -587,7 +592,7 @@ def emb_rank(pi: fin.ProofNode) -> int:
             if node.rule == "cut":
                 r = max(r, depth(node.formula) + 1)
         ranks[id(node)] = r
-    return ranks[id(pi)]
+    return ranks
 
 
 def emb_bound(m: int, values) -> OrdCode:
@@ -599,14 +604,22 @@ def emb_bound(m: int, values) -> OrdCode:
 
 
 class Emb(DerivTerm):
-    """Embedding of a checked finitary proof under a variable assignment."""
+    """Embedding of a checked finitary proof under a variable assignment.
+    The ranks of the proof's nodes are computed once, for the root, and
+    the embeddings of its premises share them."""
 
     def __init__(self, pi: fin.ProofNode, assignment: dict, hull: Hull, N: int = 2):
+        self._embed(pi, assignment, hull, N, _emb_ranks(pi))
+
+    def _embed(self, pi: fin.ProofNode, assignment: dict, hull: Hull, N: int, ranks: dict):
+        """Make this term the embedding of pi, a node that ``ranks``
+        holds with all of the nodes below it."""
         super().__init__()
         self.pi = pi
         self.assignment = dict(assignment)
         self.N = N
-        self.m = emb_rank(pi)
+        self.ranks = ranks
+        self.m = ranks[id(pi)]
         values = [assignment[v] for v in sorted(assignment)]
         full_hull = hull_extend_list(hull, values)
         self.base_hull = hull
@@ -624,7 +637,8 @@ class Emb(DerivTerm):
         if extra:
             assignment = {**assignment, **extra}
             hull = hull_extend_list(hull, extra.values())
-        sub = Emb(self.pi.premises[k], assignment, self.base_hull, self.N)
+        sub = Emb.__new__(Emb)
+        sub._embed(self.pi.premises[k], assignment, self.base_hull, self.N, self.ranks)
         return fit(sub, hull, self.m, self.sig.seq | sub.sig.seq)
 
     def _expand(self):

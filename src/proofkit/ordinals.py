@@ -359,9 +359,10 @@ def render(a: OrdCode) -> str:
                       else f"{_power(e)}*{c}" for e, c in a.terms)
 
 
-#: The highest tower ``w_n(x)`` the parser builds, one ``w^`` per
-#: level: ``w_198(1)`` is the deepest tower that ``render`` writes from a
-#: fresh interpreter, below Python's default recursion limit.
+#: The deepest expression the parser reads: ``w_198(1)`` is the deepest
+#: tower that ``render`` writes from a fresh interpreter, below Python's
+#: default recursion limit.  Along each path through the expression, a
+#: ``w_n(...)`` nests n levels, a ``w^`` one, and any other ``(`` one.
 MAX_TOWER = 198
 
 #: The most digits the parser reads in one number: a natural, a ``w_n``
@@ -396,6 +397,13 @@ class _Parser:
     def __init__(self, tokens: list[str]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.levels = 0  # nesting along the path being read
+
+    def enter(self, levels: int) -> None:
+        """Go ``levels`` deeper; the caller comes back out by hand."""
+        self.levels += levels
+        if self.levels > MAX_TOWER:
+            raise OrdinalParseError(f"nesting is above the limit of {MAX_TOWER} levels")
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -439,18 +447,25 @@ class _Parser:
         if tok.isdigit():
             return from_nat(int(tok))
         if tok == "(":
+            self.enter(1)
             inner = self.expr()
             self.expect(")")
+            self.levels -= 1
             return inner
         if tok == "w^":
-            return omega_exp(self.prim())
+            self.enter(1)
+            inner = self.prim()
+            self.levels -= 1
+            return omega_exp(inner)
         if tok.startswith("w_"):
             n = int(tok[2:])
             if n > MAX_TOWER:
                 raise OrdinalParseError(f"tower height {n} is above the limit {MAX_TOWER}")
             self.expect("(")
+            self.enter(n)
             inner = self.expr()
             self.expect(")")
+            self.levels -= n
             return omega_tower(n, inner)
         raise OrdinalParseError(f"unexpected token {tok!r}")
 

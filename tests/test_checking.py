@@ -1,5 +1,7 @@
 """Local correctness checking, soundness evaluation, and traces."""
 
+import sys
+
 import pytest
 
 from proofkit import checking
@@ -445,14 +447,16 @@ class TestEvalCutfree:
         left = TrueLeaf(sig([negate(M00), M01], bound=0), negate(M00))
         right = TrueLeaf(sig([M00, M01], bound=0), M01)
         d = CutNode(sig([M01], bound=1, rank=1), M00, left, right)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError,
+                           match="^soundness evaluation needs a cut-free signature$"):
             eval_cutfree(d, 3)
 
     def test_rejects_abstract_end_sequent(self):
         a = Abstract("a", from_nat(1))
         A = Mem(ZERO_TERM, Name(a))
         d = TrueLeaf(sig([A]), A)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError,
+                           match="^end sequent mentions an abstract parameter$"):
             eval_cutfree(d, 3)
 
     def test_a_leaf_is_judged_by_its_main_formula(self):
@@ -511,6 +515,41 @@ class TestEvalCutfree:
         right = TrueLeaf(sig([M01, M00], bound=0), M01)
         d = CutNode(sig([M00], bound=1), M01, left, right)
         assert eval_cutfree(d, 3) == checking.EvalResult("inconclusive", "cut")
+
+    def test_a_node_of_no_inference_kind_is_inconclusive(self):
+        d = StrayNode(sig([M00]))
+        assert eval_cutfree(d, 3) == checking.EvalResult("inconclusive", "unknown node")
+
+
+def opaque_vee_chain(n):
+    """n disjunctive inferences on (or (ad 0) (ad 0)), each into its
+    first disjunct, over a leaf on (ad 0): a rank-0 derivation n + 1
+    nodes deep in which nothing is certified."""
+    A, B = Or(Ad(ZERO_TERM), Ad(ZERO_TERM)), Ad(ZERO_TERM)
+    d = TrueLeaf(sig([A, B], bound=0), B)
+    for i in range(1, n + 1):
+        d = VeeNode(sig([A, B], bound=i), A, 0, d)
+    return d
+
+
+class TestDeepDerivations:
+    """The local check and the soundness evaluation keep their own
+    stacks, so they walk a derivation deeper than the interpreter's
+    recursion limit."""
+
+    N = 3000
+
+    def test_the_local_check_walks_the_whole_chain(self):
+        assert sys.getrecursionlimit() < self.N
+        report = check_local(opaque_vee_chain(self.N), self.N)
+        assert report.visited == self.N + 1 and report.passed
+        assert report.lines[-1].split()[1] == "true-leaf"
+        assert report.notes[-1] == ("0" + ".0" * self.N, "leaf truth not machine-checkable")
+
+    def test_the_evaluation_reaches_the_leaf(self):
+        d = opaque_vee_chain(self.N)
+        assert eval_cutfree(d, self.N + 1) == checking.EvalResult("inconclusive", "opaque leaf")
+        assert eval_cutfree(d, self.N) == checking.EvalResult("inconclusive", "depth limit")
 
 
 class TestOracle:

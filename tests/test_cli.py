@@ -32,6 +32,22 @@ def scripts(tmp_path_factory):
     return out
 
 
+#: the text of w_198(1), the deepest tower the parser reads
+TOWER_198 = "w^(" * 196 + "w^w" + ")" * 196
+
+
+def fresh_ord(expr):
+    """``proofkit ord expr`` in a fresh interpreter.  The rendering of a
+    code nested to the limit recurses within a few frames of the
+    interpreter's limit, so it runs as the command does, not under the
+    frames of the test runner."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "proofkit.cli", "ord", expr],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestOrd:
     def test_compare(self, capsys):
         assert main(["ord", "w^(W+1) ? W"]) == 0
@@ -90,17 +106,34 @@ class TestOrd:
                 "parse error: number of %d digits is above the limit of 640 digits\n" % digits)
 
     def test_the_highest_tower_prints_from_a_fresh_interpreter(self):
-        # the rendering of w_198(1) recurses within a few frames of the
-        # interpreter's limit, so it runs as the command does, not under
-        # the frames of the test runner
         assert MAX_TOWER == 198
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        p = subprocess.run([sys.executable, "-m", "proofkit.cli", "ord", "w_198(1)"],
-                           capture_output=True, text=True, env=env, timeout=60)
+        p = fresh_ord("w_198(1)")
         assert (p.returncode, p.stderr) == (0, "")
-        assert p.stdout == "w^(" * 196 + "w^w" + ")" * 196 + "\n"
+        assert p.stdout == TOWER_198 + "\n"
+
+    @pytest.mark.parametrize("expr, out", [
+        ("w^" * 198 + "1", TOWER_198),
+        ("(" * 198 + "1" + ")" * 198, "1"),
+        ("w^(" * 99 + "1" + ")" * 99, "w^(" * 97 + "w^w" + ")" * 97),
+        ("w_100(w_98(1))", TOWER_198),
+        ("w_198(1) ? w_197(2)", "greater"),
+    ], ids=["powers", "parentheses", "powers-of-parentheses", "towers", "compare"])
+    def test_an_expression_nested_to_the_limit_is_read(self, expr, out):
+        p = fresh_ord(expr)
+        assert (p.returncode, p.stdout, p.stderr) == (0, out + "\n", "")
+
+    @pytest.mark.parametrize("expr", [
+        "w^" * 199 + "1",
+        "w^" * 300 + "1",
+        "(" * 199 + "1" + ")" * 199,
+        "(" * 600 + "1" + ")" * 600,
+        "w_198(w_198(1))",
+        "w_100(w_99(1))",
+    ], ids=["199-powers", "300-powers", "199-parentheses", "600-parentheses",
+            "towers-396", "towers-199"])
+    def test_an_expression_nested_past_the_limit_is_one_parse_error(self, capsys, expr):
+        assert main(["ord", expr]) == 1
+        assert capsys.readouterr().err == "parse error: nesting is above the limit of 198 levels\n"
 
 
 class TestCheck:
@@ -172,6 +205,14 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "parse error: line 1: tower height 199 is above the limit 198\n")
 
+    def test_a_param_rank_nested_past_the_limit_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.proof"
+        bad.write_text("param p rank w_100(w_99(1))\n"
+                       "n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n", encoding="utf-8")
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "parse error: line 1: nesting is above the limit of 198 levels\n")
+
     def test_a_param_rank_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"
         bad.write_text("param p rank %s\nn1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n"
@@ -179,6 +220,22 @@ class TestCheck:
         assert main(["check", str(bad)]) == 1
         assert capsys.readouterr().err == (
             "parse error: line 1: number of 641 digits is above the limit of 640 digits\n")
+
+    #: the reflection axiom on a Pi-4 formula at the point 0
+    PI4 = parse_formula("(all a (ex b (all c (ex d (in a d)))))")
+    PI4_REFLECTION = render_script(ProofScript(ProofNode(
+        "axiom:reflection", seq(ax_reflection(PI4, ZERO_TERM)), formula=PI4,
+        term=ZERO_TERM, var="c"), {}, {}))
+
+    def test_reflection_on_pi_n_plus_one_is_read_at_that_n(self, tmp_path, capsys):
+        path = tmp_path / "refl.proof"
+        path.write_text(self.PI4_REFLECTION, encoding="utf-8")
+        assert main(["check", str(path), "--N", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("embedding rank: 1\nembedding bound: W\n")
+        assert main(["check", str(path), "--N", "2"]) == 1
+        assert capsys.readouterr().err == "node 0: reflection class violation\n"
 
     def test_a_witness_the_rule_does_not_read_is_refused(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"
@@ -346,6 +403,21 @@ class TestElim:
         assert main(["elim", str(path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("text", [
+        "n1 bogus (seq (in 0 0))\n",
+        "n1 logax (seq (in 0 0)) main=(in 0 0)\n",
+    ], ids=["unparsable", "unchecked"])
+    def test_a_script_that_does_not_check_is_not_eliminated(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.proof"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("parse error: ", "node 0: "))
+        out = tmp_path / "out"
+        assert main(["elim", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+
     def test_out_naming_a_file_is_one_error_line(self, scripts, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
@@ -363,6 +435,15 @@ class TestDeepAndSharedScripts:
         out = capsys.readouterr().out
         assert "embedding rank: 3000" in out
         assert "embedding bound: W*3000\n" in out
+
+    def test_elim_walks_a_cut_chain_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "chain.proof"
+        path.write_text(cut_chain(3000), encoding="utf-8")
+        assert main(["elim", str(path), "--rounds", "0", "--depth", "3005",
+                     "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "final bound: W*3000\nchecked nodes: 6001\n" in captured.out
+        assert captured.err == ""
 
     def test_doubly_shared_dag(self, tmp_path, capsys):
         path = tmp_path / "dag.proof"

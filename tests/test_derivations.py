@@ -163,6 +163,23 @@ class TestEmbeddingSignature:
                 continue
             assert d.sig.seq == e.script.root.conclusion
 
+    def test_the_ranks_are_computed_once_for_the_root(self, monkeypatch):
+        scripts = {n: parse_script(cut_chain(n)) for n in (100, 200, 400)}
+        walked = []
+        post_order = derivations.fin.post_order
+
+        def counted(pi):
+            order = post_order(pi)
+            walked.append(len(order))
+            return order
+
+        monkeypatch.setattr(derivations.fin, "post_order", counted)
+        for n, script in scripts.items():
+            walked.clear()
+            assert check_local(Emb(script.root, {}, EMPTY_HULL), n + 5).visited == 2 * n + 1
+            # the chain's n + 2 distinct nodes, each once
+            assert walked == [n + 2]
+
     def test_one_cut_rank_two(self):
         e = next(x for x in build_corpus() if x.name == "one-cut")
         assert emb_rank(e.script.root) == 2

@@ -338,6 +338,13 @@ class TestScripts:
             assert back.assignment == e.script.assignment, e.name
             assert check_proof(back.root).ok
 
+    def test_roundtrip_of_a_declared_parameter_and_an_assignment(self):
+        text = ("param a rank w + 1\nassign x {a}\n"
+                "n1 logax (seq (in x a) (notin x a)) main=(in x a)\n")
+        script = parse_script(text)
+        assert render_script(script) == text
+        assert parse_script(text) == script
+
     def test_end_sequent(self):
         e = build_corpus()[0]
         assert end_sequent(e.script.root) == e.script.root.conclusion

@@ -896,6 +896,15 @@ class TestEvaluateInAnEnvironment:
         with pytest.raises(EvaluationError, match="open term"):
             eval_formula_bounded(Mem(Var("x"), ZERO_TERM))
 
+    def test_bounded_evaluation_refuses_an_unbounded_quantifier(self):
+        with pytest.raises(EvaluationError,
+                           match="^unbounded quantifier in bounded evaluation$"):
+            eval_formula_bounded(Ex("x", Mem(ZERO_TERM, Var("x"))))
+
+    def test_the_universe_index_set_has_no_member_list(self):
+        with pytest.raises(EvaluationError, match="^the universe index set is not enumerable$"):
+            JUniverse().members()
+
 
 def loop_evaluate(A, domain, env):
     """``evaluate`` with no shortcut for a vacuous binder: a quantifier

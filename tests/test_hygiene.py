@@ -4,7 +4,8 @@ package's module-level tables and caches and its stores on objects are
 the known ones, ``derivations`` binds no dict at module level, each
 formula class declares the kind of every field, and every message of
 the local checker, of the finitary calculus, of the derivation
-constructors and of the ordinal parser is named by some test.
+constructors, of the ordinal parser and of evaluation is named by some
+test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -17,6 +18,8 @@ import ast
 import re
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 from proofkit import finitary, formulas
 
@@ -381,6 +384,14 @@ def test_every_construction_message_is_tested():
     """Each ``ConstructionError`` text of ``derivations`` is named by a test."""
     messages = raised_messages("derivations", "ConstructionError")
     assert len(messages) > 20
+    assert untested(messages, {}) == []
+
+
+@pytest.mark.parametrize("module", ["checking", "formulas", "universe"])
+def test_every_evaluation_message_is_tested(module):
+    """Each ``EvaluationError`` text of the module is named by a test."""
+    messages = raised_messages(module, "EvaluationError")
+    assert len(messages) >= 3
     assert untested(messages, {}) == []
 
 

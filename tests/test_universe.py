@@ -74,7 +74,8 @@ class TestSets:
         assert set_members(TWO) == frozenset({EMPTY, ONE})
 
     def test_membership_needs_concrete(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError,
+                           match="^membership in abstract parameter 'a' is undecidable$"):
             set_member(EMPTY, Abstract("a", from_nat(1)))
 
     def test_transitive_closure(self):
