@@ -103,7 +103,8 @@ def cmd_elim(args) -> int:
     m = d.sig.rank
     if args.rounds is None:
         args.rounds = m
-    # each round lowers the rank by one, so rounds past m are no-ops
+    # each round lowers the rank by one, and a rank-0 derivation has no
+    # round to run, so rounds past m are not run
     for _ in range(min(args.rounds, m)):
         d = elim_cuts(d)
 
