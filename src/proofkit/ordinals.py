@@ -355,14 +355,25 @@ def render(a: OrdCode) -> str:
     Each term is written with its coefficient (``W*2 + w + 1``)."""
     if a == ZERO:
         return "0"
-    return " + ".join(str(c) if e == ZERO else _power(e) if c == 1
-                      else f"{_power(e)}*{c}" for e, c in a.terms)
+    # a loop, not a generator, so that a level of nesting costs the stack
+    # only the frames of render and _power
+    parts = []
+    for e, c in a.terms:
+        if e == ZERO:
+            parts.append(str(c))
+        else:
+            parts.append(_power(e) if c == 1 else f"{_power(e)}*{c}")
+    return " + ".join(parts)
 
 
-#: The deepest expression the parser reads: ``w_198(1)`` is the deepest
-#: tower that ``render`` writes from a fresh interpreter, below Python's
-#: default recursion limit.  Along each path through the expression, a
-#: ``w_n(...)`` nests n levels, a ``w^`` one, and any other ``(`` one.
+#: The deepest expression the parser reads, in levels along each path
+#: through it: a ``w_n(...)`` nests n levels, a ``w^`` one and a ``w``
+#: (``w^1``) one; the ``(`` of a ``w^(`` or ``w_n(`` adds nothing, any
+#: other ``(`` one.  ``w_198(1)`` is the deepest tower.  ``render`` writes
+#: a code in no more levels than the text it was read from, so every code
+#: the parser reads renders and reads back.  Reading or rendering one
+#: nested to the limit takes some 600 frames, below Python's default
+#: recursion limit.
 MAX_TOWER = 198
 
 #: The most digits the parser reads in one number: a natural, a ``w_n``
@@ -443,6 +454,8 @@ class _Parser:
         if tok == "W":
             return OMEGA
         if tok == "w":
+            self.enter(1)
+            self.levels -= 1
             return SUB_W
         if tok.isdigit():
             return from_nat(int(tok))
@@ -454,7 +467,12 @@ class _Parser:
             return inner
         if tok == "w^":
             self.enter(1)
-            inner = self.prim()
+            if self.peek() == "(":
+                self.take()
+                inner = self.expr()
+                self.expect(")")
+            else:
+                inner = self.prim()
             self.levels -= 1
             return omega_exp(inner)
         if tok.startswith("w_"):

@@ -36,16 +36,21 @@ def scripts(tmp_path_factory):
 TOWER_198 = "w^(" * 196 + "w^w" + ")" * 196
 
 
-def fresh_ord(expr):
-    """``proofkit ord expr`` in a fresh interpreter.  The rendering of a
-    code nested to the limit recurses within a few frames of the
-    interpreter's limit, so it runs as the command does, not under the
-    frames of the test runner."""
+def fresh(*argv):
+    """``python argv`` in a fresh interpreter that imports this proofkit.
+    Reading and rendering a code nested to the limit recurses some 600
+    frames deep, so it runs as the command does, under the interpreter's
+    default recursion limit and not under the frames of the test runner."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "proofkit.cli", "ord", expr],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def fresh_ord(expr):
+    """``proofkit ord expr`` in a fresh interpreter."""
+    return fresh("-m", "proofkit.cli", "ord", expr)
 
 
 class TestOrd:
@@ -115,9 +120,14 @@ class TestOrd:
         ("w^" * 198 + "1", TOWER_198),
         ("(" * 198 + "1" + ")" * 198, "1"),
         ("w^(" * 99 + "1" + ")" * 99, "w^(" * 97 + "w^w" + ")" * 97),
+        ("w^(" * 198 + "1" + ")" * 198, TOWER_198),
+        ("w^(" * 198 + "2" + ")" * 198, "w^(" * 197 + "w^2" + ")" * 197),
         ("w_100(w_98(1))", TOWER_198),
+        ("w_197(w)", TOWER_198),
         ("w_198(1) ? w_197(2)", "greater"),
-    ], ids=["powers", "parentheses", "powers-of-parentheses", "towers", "compare"])
+        (TOWER_198, TOWER_198),
+    ], ids=["powers", "parentheses", "powers-of-parentheses", "198-powers-of-parentheses",
+            "tower-of-2", "towers", "tower-of-w", "compare", "rendered-tower"])
     def test_an_expression_nested_to_the_limit_is_read(self, expr, out):
         p = fresh_ord(expr)
         assert (p.returncode, p.stdout, p.stderr) == (0, out + "\n", "")
@@ -129,11 +139,57 @@ class TestOrd:
         "(" * 600 + "1" + ")" * 600,
         "w_198(w_198(1))",
         "w_100(w_99(1))",
+        "w^" * 198 + "w",
+        "w_198(w)",
+        "w^(" * 197 + "w^w" + ")" * 197,
     ], ids=["199-powers", "300-powers", "199-parentheses", "600-parentheses",
-            "towers-396", "towers-199"])
+            "towers-396", "towers-199", "198-powers-of-w", "tower-of-w",
+            "rendered-tower-199"])
     def test_an_expression_nested_past_the_limit_is_one_parse_error(self, capsys, expr):
         assert main(["ord", expr]) == 1
         assert capsys.readouterr().err == "parse error: nesting is above the limit of 198 levels\n"
+
+
+    def test_every_code_read_to_the_limit_renders_and_reads_back(self):
+        # w_199(1) is past the limit; its text, one level deeper than
+        # TOWER_198, is refused as the tower itself is
+        p = fresh("-c", """if True:
+            from proofkit.ordinals import (MAX_TOWER, OMEGA, SUB_W, OrdinalParseError,
+                                           from_nat, omega_tower, parse, render)
+            for base in (from_nat(1), from_nat(2), SUB_W, OMEGA):
+                for n in range(MAX_TOWER + 1):
+                    code = omega_tower(n, base)
+                    try:
+                        back = parse(render(code))
+                    except OrdinalParseError:
+                        print("refused", n, render(base))
+                        continue
+                    assert back == code, (n, base)
+            print("done")
+            """)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == "refused 198 w\ndone\n"
+
+    def test_a_script_with_a_rank_nested_to_the_limit_reads_back(self, tmp_path):
+        # render_script writes the rank with render; the script it writes
+        # is read back, and checked, by a fresh interpreter
+        path = tmp_path / "deep.proof"
+        p = fresh("-c", """if True:
+            import sys
+            from pathlib import Path
+            from proofkit.finitary import parse_script, render_script
+            from proofkit.ordinals import from_nat, omega_tower
+            text = "param p rank w_198(1)\\nn1 logax (seq (in 0 p) (notin 0 p)) main=(in 0 p)\\n"
+            script = parse_script(text)
+            assert script.params["p"].declared_rank == omega_tower(198, from_nat(1))
+            out = render_script(script)
+            assert parse_script(out) == script
+            Path(sys.argv[1]).write_text(out, encoding="utf-8")
+            """, str(path))
+        assert (p.returncode, p.stderr) == (0, "")
+        assert path.read_text(encoding="utf-8").startswith("param p rank %s\n" % TOWER_198)
+        p = fresh("-m", "proofkit.cli", "check", str(path))
+        assert (p.returncode, p.stderr) == (0, "")
 
 
 class TestCheck:
