@@ -368,14 +368,14 @@ class ProofScript:
 
 def parse_script(text: str) -> ProofScript:
     """The proof a script holds.  One ``Reader`` memo serves the whole
-    script, so each distinct member, value and literal text is read once
-    and equal formulas are one object.  It also keeps a node line's
-    conclusion and witnesses under the text after its premise ids once
-    that text reads, so nodes with equal tails share them.  A ``param``
-    line clears it all."""
+    script, so each distinct member, value and literal text is read
+    once; equal formulas are one object because formulas are interned.
+    It also keeps a node line's conclusion and witnesses under the text
+    after its premise ids once that text reads, so nodes with equal
+    tails share them.  A ``param`` line clears it all."""
     params: dict = {}
     assignment: dict = {}
-    memo: dict = {}  # the reader's formulas and sets by text and by parts, and node tails
+    memo: dict = {}  # the reader's formulas and sets by text, and node tails
     nodes: dict = {}
     unused: dict = {}  # node id -> line number, for the nodes no line uses yet
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -444,8 +444,7 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
         items = Reader(rest, params, memo)
         premise_ids = items.item() if items.tokens(1) == ["["] else []
         pos = items.pos
-    # the reader's keys are texts, frozensets and tuples of parts, no part
-    # None, so this key is none of theirs
+    # the reader's keys are texts, so this key is none of theirs
     tail = (None, rest[pos:].lstrip())
     kept = memo.get(tail)
     if kept is not None:

@@ -22,14 +22,21 @@ kind of each field and each class's polarity, and negation, facts,
 substitution, relativization, rendering and reading walk the fields by
 it.  Only the Sigma/Pi step of ``ex``/``all``, their relativization and
 the binder rule of substitution are written per class.
+
+Formulas and terms are hash-consed in a weak table, ``_FORMULAS``:
+building one equal to a live one returns that object, so the sequent
+sets of the calculi find a member by identity, not by comparing two
+copies field by field.  Each keeps its hash, computed when it is built,
+and stores its negation, its quantifier instances, its record of facts
+and its text once they are first asked for (see ``_Formula``).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import NamedTuple
 
 from .universe import (
@@ -46,33 +53,92 @@ from .universe import (
 
 
 # ---------------------------------------------------------------------------
-# terms
+# terms and formulas, one object per value
 
 
-def _hash_kept(cls):
-    """Make the frozen dataclass ``cls`` compute its hash on first use and
-    keep it in the attribute ``_hash``.  A term's hash is the hash of its
-    field tuple, a formula's the hash of its head word followed by its
-    fields, ``hash((head, *fields))``: the two classes of a dual pair
-    have equal fields, so without the head word every formula would hash
-    like its negation, and a set holding both would compare them on
-    each probe."""
-    fields_hash = cls.__hash__
-    head_and_fields = attrgetter("head", *[f.name for f in fields(cls)])
+class _Formula:
+    """Base of the formula classes.  Each class has its head word
+    (``head``), its dual class (``dual``), its ``shape``, its ``arity``
+    and its ``polarity`` (see ``_dual_pairs``).  Each object keeps its
+    hash, computed when it is built (``_interned``), and stores its
+    negation (``negate``), its quantifier instances by index
+    (``component``), its record of syntactic facts (``facts``) and its
+    text (``render_formula``) once they are first asked for; the stores
+    are plain attributes, not dataclass fields, so ``==``, ``repr`` and
+    the value of ``hash`` do not see them."""
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(head_and_fields(self)) if isinstance(self, _Formula) else fields_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+    polarity = None
+    _negation = None
+    _instances = None
+    _facts = None
+    _text = None
 
-    cls._hash = None
-    cls.__hash__ = __hash__
+
+#: Every live formula and term under its class and parts: a variable's
+#: or a binder's name as it is, every other part by ``id``, since the
+#: parts are interned too.  The values are weak references, so the table
+#: keeps nothing alive, and the keys hold no formula: a key that held its
+#: parts would keep them alive after their node, and as a formula and its
+#: negation refer to each other, a tree would then be freed one level per
+#: collection.  A part's ``id`` names no other object while the node that
+#: holds it lives.
+_FORMULAS: dict = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node of ``_FORMULAS``, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    """Drop the entry of a node that has died, unless a newer node has
+    taken its key."""
+    if _FORMULAS.get(ref.key) is ref:
+        del _FORMULAS[ref.key]
+
+
+def _interned(cls):
+    """Make the frozen dataclass ``cls`` hash-consed: ``cls(*parts)``
+    returns the live object built from the same parts, so equal formulas
+    and terms are one object, since their parts are.  The generated
+    ``==`` stays, for values built apart.  The hash is computed once, at
+    construction, from the parts' kept hashes: a term's is the hash of
+    its field tuple, a frozen dataclass's; a formula's the hash of its
+    head word followed by its fields, ``hash((head, *fields))``: the two
+    classes of a dual pair have equal fields, so without the head word
+    every formula would hash like its negation, and a set holding both
+    would compare them on each probe.  ``copy`` gives back the interned
+    object, and so do ``deepcopy`` and ``pickle`` unless it names an
+    abstract parameter: they copy the parameter, so the copy is equal to
+    the object, not the object."""
+    names = [f.name for f in fields(cls)]
+    named = fields(cls)[0].type == "str"  # a variable, or a binder first
+
+    def __new__(cls, *parts):
+        key = (cls, *parts[:1], *map(id, parts[1:])) if named else (cls, *map(id, parts))
+        ref = _FORMULAS.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            if len(parts) != len(names):
+                raise TypeError("%s(%s): %d given" % (cls.__name__, ", ".join(names), len(parts)))
+            node = object.__new__(cls)
+            for name, x in zip(names, parts):
+                object.__setattr__(node, name, x)
+            object.__setattr__(node, "_hash", hash(
+                (cls.head, *parts) if isinstance(node, _Formula) else parts))
+            ref = _FORMULAS[key] = _Ref(node, _forget)
+            ref.key = key
+        return node
+
+    cls.__new__ = __new__
+    del cls.__init__  # the fields are set once, by __new__
+    cls.__hash__ = lambda self: self._hash
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in names))
     return cls
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -81,7 +147,7 @@ class Var:
         return "Var(%r)" % self.name
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class Name:
     """A set constant naming a desk set."""
@@ -98,42 +164,21 @@ Term = Var | Name
 ZERO_TERM = Name(EMPTY)
 
 
-# ---------------------------------------------------------------------------
-# formulas
-
-
-class _Formula:
-    """Base of the formula classes.  Each class has its head word
-    (``head``), its dual class (``dual``), its ``shape``, its ``arity``
-    and its ``polarity`` (see ``_dual_pairs``).  Each object stores its
-    hash, its negation (``negate``), its quantifier instances by index
-    (``component``), its record of syntactic facts (``facts``) and its
-    text (``render_formula``) once they are first asked for; the stores
-    are plain attributes, not dataclass fields, so ``==``, ``repr`` and
-    the value of ``hash`` do not see them."""
-
-    polarity = None
-    _negation = None
-    _instances = None
-    _facts = None
-    _text = None
-
-
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class Mem(_Formula):
     left: Term
     right: Term
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class NotMem(_Formula):
     left: Term
     right: Term
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class Ad(_Formula):
     """Opaque atom: the term is a transitive model of the base theory."""
@@ -141,27 +186,27 @@ class Ad(_Formula):
     term: Term
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class NotAd(_Formula):
     term: Term
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class Or(_Formula):
     left: "Formula"
     right: "Formula"
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class And(_Formula):
     left: "Formula"
     right: "Formula"
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class BEx(_Formula):
     """Bounded existential: exists var in bound, body."""
@@ -171,7 +216,7 @@ class BEx(_Formula):
     body: "Formula"
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class BAll(_Formula):
     var: str
@@ -179,14 +224,14 @@ class BAll(_Formula):
     body: "Formula"
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class Ex(_Formula):
     var: str
     body: "Formula"
 
 
-@_hash_kept
+@_interned
 @dataclass(frozen=True)
 class All(_Formula):
     var: str
@@ -689,17 +734,15 @@ class Reader:
     formula, built as its ``)`` closes; outermost, ``(seq ...)`` is a
     sequent.
 
-    ``memo`` keeps each formula under the tuple of its parts, each part
-    already read, so equal formulas read through one memo are one
-    object; sets are interned (``Concrete``), so equal sets are one
-    object in every text.  It also keeps
-    each outermost span, sequent member and set literal under its text:
-    the reader finds the matching closer from the text's bracket depths,
+    Formulas, terms and sets are interned, so equal formulas read from
+    any texts while they live are one object.  ``memo`` keeps each
+    outermost span, sequent member and set literal under its text: the
+    reader finds the matching closer from the text's bracket depths,
     looks the text up, and reads the span token by token only on a miss.
     Deeper spans are not kept by text, as the keys of a chain of nested
     spans would grow with the square of its length.  A sequent and a list
-    are kept under neither.  The keys read atoms by ``params``: a caller
-    that changes ``params`` must clear the memo."""
+    are not kept.  The keys read atoms by ``params``: a caller that
+    changes ``params`` must clear the memo."""
 
     def __init__(self, text: str, params: dict, memo: dict):
         self.text, self.params, self.memo = text, params, memo
@@ -763,13 +806,7 @@ class Reader:
                     value = frozenset(as_formula(x) for x in parts[1:])
                     span = None  # a sequent is kept under no text
                 else:
-                    parts = tuple(parts)
-                    try:
-                        value = memo.get(parts)
-                    except TypeError:  # an unhashable [...] list, which formula_from_tree rejects
-                        value = formula_from_tree(parts, params)
-                    if value is None:
-                        value = memo[parts] = formula_from_tree(parts, params)
+                    value = formula_from_tree(parts, params)
                 if span is not None:
                     memo[span] = value
             if bracket is None:

@@ -41,10 +41,10 @@ class OrdinalParseError(ValueError):
 # Interning.
 # ---------------------------------------------------------------------------
 
-#: Every interned node by ``(class, fields)``: the ordinal codes and the
-#: hereditarily finite sets (``universe.Concrete``).  It grows with the
-#: number of distinct codes and sets built, not with the number of
-#: operations.
+#: Every interned node by ``(class, fields)``: the ordinal codes, the
+#: hereditarily finite sets (``universe.Concrete``) and the hulls
+#: (``universe.Hull``).  It grows with the number of distinct codes,
+#: sets and hulls built, not with the number of operations.
 _INTERNED: dict = {}
 
 

@@ -41,10 +41,11 @@ class Concrete(_Interned):
     with the ordinal codes: ``Concrete(members)`` returns the one object
     for those members, so ``==`` is identity, and the hash, computed
     once, is a frozen dataclass's, ``hash((members,))``.  It keeps its
-    record of facts (``set_facts``) once computed, in a slot that the
-    key, ``repr`` and ``__reduce__`` do not see."""
+    record of facts (``set_facts``) and its closure in pool order
+    (``witness_pool``) once computed, in slots that the key, ``repr``
+    and ``__reduce__`` do not see."""
 
-    __slots__ = ("members", "_facts")
+    __slots__ = ("members", "_facts", "_closure")
     members: frozenset
 
     def __new__(cls, members: frozenset) -> Concrete:
@@ -225,11 +226,16 @@ def enumerate_hf(count: int) -> list:
 def witness_pool(count: int, params) -> list:
     """A finite search domain for unbounded quantifiers: the first
     *count* hereditarily finite sets, then each concrete parameter and
-    every set hereditarily inside it, each set once."""
+    every set hereditarily inside it, ordered by ``repr``, each set once.
+    A concrete parameter keeps that order once it is first asked for."""
     pool = enumerate_hf(count)
     for a in params:
         if isinstance(a, Concrete):
-            for b in sorted(transitive_closure(a) | {a}, key=repr):
+            closure = a._closure
+            if closure is None:
+                closure = tuple(sorted(transitive_closure(a) | {a}, key=repr))
+                object.__setattr__(a, "_closure", closure)
+            for b in closure:
                 if b not in pool:
                     pool.append(b)
     return pool
@@ -239,11 +245,16 @@ def witness_pool(count: int, params) -> list:
 # hulls
 
 
-@dataclass(frozen=True)
-class Hull:
-    """Symbolic descriptor of an admissible hull: a finite generator set."""
+class Hull(_Interned):
+    """Symbolic descriptor of an admissible hull: a finite generator set.
+    Hulls are interned with the sets and the ordinal codes, so ``==`` is
+    identity and the hash is a frozen dataclass's, ``hash((generators,))``."""
 
+    __slots__ = ("generators",)
     generators: frozenset
+
+    def __new__(cls, generators: frozenset) -> Hull:
+        return cls._intern((generators,))
 
     def __repr__(self):
         names = sorted(render_set(g) for g in self.generators)

@@ -712,11 +712,13 @@ class TestReader:
         assert root.formula is n1.main.left
         objects = lambda node: {id(A) for A in node.conclusion}
         assert objects(n1) == objects(n2) == objects(root)
+        # formulas are interned, so a second script read while the first
+        # lives shares its formulas
         other = parse_script(text).root
-        assert other.premises[0].main == n1.main
+        assert other.premises[0].main is n1.main
         mine = {id(B) for A in root.conclusion for B in subformulas(A)}
         theirs = {id(B) for A in other.conclusion for B in subformulas(A)}
-        assert not mine & theirs
+        assert mine == theirs
 
     def test_a_param_line_changes_how_later_atoms_read(self):
         text = self.SHARED.format(

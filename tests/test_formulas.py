@@ -1,7 +1,11 @@
 """Sentence language: negation, classification, depth, support,
 relativization, decomposition, and the text syntax."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -1068,6 +1072,101 @@ class TestSubst:
         A = Ex("x", Mem(Var("x"), Var("y")))
         assert free_vars(A) == frozenset({"y"})
         assert not free_vars(close(A, {}))
+
+
+class TestInterning:
+    """Equal formulas and terms are one object while they live."""
+
+    def test_a_component_of_a_negation_is_the_negation_of_the_component(self):
+        rng = random.Random(17)
+        quantifiers = 0
+        for _ in range(500):
+            for B in subformulas(random_formula(rng, rng.randrange(1, 6), ("x",))):
+                if isinstance(B, (BEx, BAll, Ex, All)):
+                    quantifiers += 1
+                    for c in (EMPTY, TWO):
+                        assert component(negate(B), c) is negate(component(B, c))
+        assert quantifiers > 200
+        A = parse_formula("(ex x (or (in x 0) (all y (notin y x))))")
+        assert component(negate(A), ONE) is negate(component(A, ONE))
+
+    def test_close_and_subst_give_back_the_parsed_object(self):
+        A = parse_formula("(ex x (and (in x y) (notin z x)))")
+        B = parse_formula("(ex x (and (in x {{}}) (notin 0 x)))")
+        assert close(A, {"y": ONE}) is B
+        assert subst(subst(A, "z", ZERO_TERM), "y", Name(ONE)) is B
+        assert subst(B, "z", Var("y")) is B  # z is not free in B
+
+    def test_two_live_parses_of_one_text_share_their_formulas(self):
+        text = ("(seq (or (in 0 {{}}) (ex x (in x 0)))"
+                " (and (notin 0 {{}}) (all x (notin x 0))))")
+        G, H = parse_sequent(text), parse_sequent(text)
+        mine = {id(B) for A in G for B in subformulas(A)}
+        theirs = {id(B) for A in H for B in subformulas(A)}
+        assert len(mine) == 8 and mine == theirs
+
+    def test_copies_are_the_interned_object(self):
+        A = parse_formula("(bex x {{}} (or (ad x) (all y (and (notin y x) (in 0 {{},{{}}})))))")
+        for B in subformulas(A) + [Var("y"), Name(TWO), ZERO_TERM]:
+            assert copy.copy(B) is B
+            assert copy.deepcopy(B) is B
+            assert pickle.loads(pickle.dumps(B)) is B
+        # a parameter is copied by value, so a term naming the copy is equal
+        p = Name(Abstract("p", from_nat(1)))
+        assert copy.copy(p) is p and copy.deepcopy(p) == p
+
+    def test_the_table_keeps_no_formula_alive(self):
+        texts = [render_formula(random_formula(random.Random(seed), 5, ("x",)))
+                 for seed in range(40)]
+
+        def one_pass():
+            for text in texts:
+                A = parse_formula(text)
+                for B in subformulas(A):
+                    negate(B)  # a formula and its negation refer to each other
+                    if isinstance(B, (BEx, BAll, Ex, All)):
+                        component(B, TWO)
+
+        table = formulas._FORMULAS
+        sizes = []
+        for _ in range(3):
+            one_pass()
+            gc.collect()
+            sizes.append(len(table))
+        assert sizes[0] == sizes[1] == sizes[2]
+        A = parse_formula("(ex u17 (or (in u17 {{{}}}) (all u18 (notin u18 u17))))")
+        negate(A)
+        assert len(table) > sizes[0]
+        left = weakref.ref(A)
+        del A
+        gc.collect()
+        assert left() is None
+        assert len(table) == sizes[0]
+        assert all(ref() is not None for ref in table.values())
+
+    def test_a_deep_chain_builds_hashes_and_is_freed_without_recursion(self):
+        # past the interpreter's recursion limit: the hash is computed at
+        # construction, from the parts' kept hashes
+        before = len(formulas._FORMULAS)
+        A = Mem(Var("u19"), ZERO_TERM)
+        for _ in range(3000):
+            A = Or(Mem(Var("u20"), ZERO_TERM), A)
+        assert hash(A) == hash(("or", A.left, A.right))
+        assert A in {A} and Or(A.left, A.right) is A
+        assert len(formulas._FORMULAS) == before + 3004  # two variables, two atoms
+        left = weakref.ref(A)
+        del A
+        gc.collect()
+        assert left() is None
+        assert len(formulas._FORMULAS) == before
+
+    def test_a_wrong_number_of_parts_is_refused(self):
+        with pytest.raises(TypeError, match=r"^Mem\(left, right\): 1 given$"):
+            Mem(ZERO_TERM)
+        with pytest.raises(TypeError, match=r"^Ex\(var, body\): 3 given$"):
+            Ex("x", Ad(ZERO_TERM), ZERO_TERM)
+        with pytest.raises(TypeError, match=r"^Var\(name\): 0 given$"):
+            Var()
 
 
 class TestTextSyntax:

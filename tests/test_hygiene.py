@@ -16,6 +16,7 @@ body.
 
 import ast
 import re
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -123,7 +124,10 @@ def test_every_definition_is_referenced():
 #: its ``lru_cache``d functions.  Each lives as long as the process, so
 #: one more is a decision, not a detail: add it here with its reason.
 KNOWN_TABLES = {
-    "ordinals._INTERNED",  # one object per ordinal code and per hereditarily finite set
+    "ordinals._INTERNED",  # one object per ordinal code, hereditarily finite set and hull
+    # one object per live formula and term; weak, as a strong table keeps
+    # every formula ever built (see test_the_formula_table_is_weak)
+    "formulas._FORMULAS",
     # ordinal arithmetic and checks, by interned argument
     "ordinals.validate_nf",
     "ordinals._cmp",
@@ -167,6 +171,20 @@ def module_tables() -> set:
 
 def test_module_tables_are_the_known_ones():
     assert module_tables() == KNOWN_TABLES
+
+
+def test_the_formula_table_is_weak():
+    """The formula table holds its formulas by weak reference and keys
+    them by their class, names and the ``id``s of their parts, so it
+    keeps no formula alive."""
+    A = formulas.parse_formula("(bex x {{}} (or (in x 0) (all y (notin y x))))")
+    formulas.negate(A)
+    table = formulas._FORMULAS.copy()
+    assert len(table) >= 10
+    assert all(isinstance(ref, weakref.ref) for ref in table.values())
+    classes = {formulas.Var, formulas.Name, *formulas.BY_HEAD.values()}
+    assert all(key[0] in classes for key in table)
+    assert all(type(part) in (str, int) for key in table for part in key[1:])
 
 
 #: Calls that build a dict.
@@ -241,7 +259,8 @@ KNOWN_STORES = {
     # instances by index, its record of syntactic facts and its text
     "formulas": {"_hash", "_negation", "_instances", "_facts", "_text"},
     "ordinals": {"_hash"},  # an interned code's hash
-    "universe": {"_facts"},  # a concrete set's record of facts
+    # a concrete set's record of facts and its closure in witness-pool order
+    "universe": {"_facts", "_closure"},
 }
 
 
@@ -392,6 +411,14 @@ def test_every_evaluation_message_is_tested(module):
     """Each ``EvaluationError`` text of the module is named by a test."""
     messages = raised_messages(module, "EvaluationError")
     assert len(messages) >= 3
+    assert untested(messages, {}) == []
+
+
+@pytest.mark.parametrize("module", ["ordinals", "universe"])
+def test_every_value_and_type_message_is_tested(module):
+    """Each ``ValueError`` and ``TypeError`` text of the module is named by a test."""
+    messages = raised_messages(module, "ValueError") | raised_messages(module, "TypeError")
+    assert len(messages) >= 2
     assert untested(messages, {}) == []
 
 

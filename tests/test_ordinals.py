@@ -163,6 +163,10 @@ class TestOmegaExp:
         assert omega_tower(1, a) == power(a)
         assert omega_tower(2, a) == power(power(a))
 
+    def test_a_negative_tower_height_is_refused(self):
+        with pytest.raises(ValueError, match="^tower height must be a natural number$"):
+            omega_tower(-1, W_PLUS_1)
+
     def test_lemma_inequality_random(self):
         # beta < alpha implies omega^beta + omega^beta <= omega^alpha
         rng = random.Random(10)

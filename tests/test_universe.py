@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from proofkit import universe
 from proofkit.finitary import parse_script
 from proofkit.ordinals import OMEGA, ONE as ORD_ONE, ZERO, OrdCode, add, cmp, from_nat, LESS
 from proofkit.universe import (
@@ -123,6 +124,9 @@ class TestEnumerateHf:
         assert HF_LIMIT == 65536
         with pytest.raises(ValueError, match="65536"):
             enumerate_hf(HF_LIMIT + 1)
+        message = "only the first 65536 hereditarily finite sets are enumerable, asked for 70000"
+        with pytest.raises(ValueError, match="^%s$" % message):
+            enumerate_hf(70000)
 
 
 class TestWitnessPool:
@@ -137,6 +141,17 @@ class TestWitnessPool:
         extra = sorted(transitive_closure(a) | {a}, key=repr)
         pool = witness_pool(1, [a, a])
         assert pool == [EMPTY] + [b for b in extra if b != EMPTY]
+
+    def test_a_parameter_keeps_its_closure_in_order(self, monkeypatch):
+        a = Concrete(frozenset({TWO, Concrete(frozenset({Concrete(frozenset({TWO}))}))}))
+        first = witness_pool(3, [a])
+        kept = a._closure
+        assert kept == tuple(sorted(transitive_closure(a) | {a}, key=repr))
+        calls = []
+        monkeypatch.setattr(universe, "transitive_closure", lambda x: calls.append(x))
+        assert witness_pool(3, [a]) == first and a._closure is kept
+        assert calls == []
+        assert a.__reduce__() == (Concrete, (a.members,)) and "_closure" not in repr(a)
 
 
 class TestHull:
@@ -194,6 +209,11 @@ class TestHull:
             assert not hull_contains(P, s)
             assert hull_extend(P, s) != P
 
+    def test_not_a_desk_set_is_refused(self):
+        for x in ("p", 0, Hull(frozenset())):
+            with pytest.raises(TypeError, match="^hull membership is defined for desk sets and codes$"):
+                hull_contains(EMPTY_HULL, x)
+
     def test_subsumes(self):
         a = Abstract("a", from_nat(1))
         h = hull_extend(EMPTY_HULL, a)
@@ -248,6 +268,20 @@ class TestInterning:
             assert copy.copy(s) is s and copy.deepcopy(s) is s
             assert pickle.loads(pickle.dumps(s)) is s
             assert repr(s) == "Concrete(%s)" % ref_render_set(s)
+
+    def test_equal_hulls_are_one_object(self):
+        p = Abstract("p", from_nat(1))
+        h = Hull(frozenset({p, TWO}))
+        assert Hull(frozenset({TWO, Abstract("p", from_nat(1))})) is h
+        assert hull_extend(hull_extend(EMPTY_HULL, TWO), p) is hull_extend(EMPTY_HULL, p)
+        assert Hull(frozenset()) is EMPTY_HULL and h != EMPTY_HULL
+        # a frozen dataclass's hash, so set orders and digests are kept
+        assert hash(h) == hash((h.generators,))
+        assert copy.copy(h) is h and copy.deepcopy(h) is h
+        assert pickle.loads(pickle.dumps(h)) is h
+        assert repr(h) == "Hull(p, {{{}},{}})"
+        with pytest.raises(AttributeError):
+            h.generators = frozenset()
 
     def test_scripts_read_one_set_for_equal_parameters(self):
         def read(rank):
