@@ -1,11 +1,12 @@
 """Source hygiene: every imported name in the package is used, every
 module-level function and class of the package is used somewhere, the
 package's module-level tables and caches and its stores on objects are
-the known ones, ``derivations`` binds no dict at module level, each
-formula class declares the kind of every field, and every message of
-the local checker, of the finitary calculus, of the derivation
-constructors, of the ordinal parser and of evaluation is named by some
-test.
+the known ones, the formula table is weak, ``derivations`` binds no dict
+at module level, each formula class declares the kind of every field,
+and every message of the local checker, of the finitary calculus, of
+the derivation constructors, of the ordinal parser, of evaluation and
+every ``ValueError`` and ``TypeError`` of ``ordinals`` and ``universe``
+is named by some test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
