@@ -179,7 +179,7 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
             J = index_set(A)
             # set-indexed, whatever the truth value, unless A is a
             # connective of a bounded sentence, which is read by it
-            if A.polarity == DISJUNCTIVE and not (J == J_TWO and is_delta0(A)):
+            if A.polarity == DISJUNCTIVE and not (J is J_TWO and is_delta0(A)):
                 pass
             elif not is_delta0(A):
                 bad(path, "disjunctive inference on a conjunctive formula")
@@ -206,16 +206,16 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
                 else:
                     bad(path, "conjunctive inference on a disjunctive formula")
             else:
-                if v.index_set != J:
+                if v.index_set is not J:
                     bad(path, "index set mismatch")
-                if J == J_TWO and is_delta0(A) and determinable(A):
+                if J is J_TWO and is_delta0(A) and determinable(A):
                     # a settled bounded conjunction decomposes by its
                     # truth value, not over its connective
                     bad(path, "conjunctive inference on a bounded sentence")
                 # a sample of the universe, none of a set bounded by
                 # an abstract parameter, all premises otherwise
                 J = v.index_set
-                if J == J_UNIVERSE:
+                if J is J_UNIVERSE:
                     report.notes.append((path, "universe index set sampled"))
                     visits = [("s%d" % n, b) for n, b in enumerate(sampler(v))]
                 elif isinstance(J, JBounded) and isinstance(J.bound, Abstract):
@@ -231,7 +231,9 @@ def check_local(d: DerivTerm, k: int, sampler=None, N: int = 2) -> Report:
         elif isinstance(v, RefNode):
             if not member_pi(v.formula, N + 1):
                 bad(path, "reflection class violation")
-            if not _guard_matches(v.guard, v.formula, v.point):
+            guard = v.guard
+            if not (isinstance(guard, All)
+                    and guard is reflection_guard(v.formula, v.point, var=guard.var)):
                 bad(path, "reflection guard sentence malformed")
             visits = [("0", 0), ("1", 1)]
         else:
@@ -252,12 +254,6 @@ def trace_lines(d: DerivTerm, k: int, sampler=None) -> list:
     """The trace of a depth-k local check: one line per node that
     ``check_local`` visits, deterministic for a fixed sampler."""
     return check_local(d, k, sampler).lines
-
-
-def _guard_matches(guard: Formula, A: Formula, point) -> bool:
-    if not isinstance(guard, All):
-        return False
-    return guard == reflection_guard(A, point, var=guard.var)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +328,7 @@ def eval_cutfree(d: DerivTerm, k: int) -> EvalResult:
             if isinstance(v, VeeNode):
                 t, fuel = v.sub, fuel - 1
                 continue
-            if isinstance(v, WedgeNode) and v.index_set != J_UNIVERSE:
+            if isinstance(v, WedgeNode) and v.index_set is not J_UNIVERSE:
                 stack.extend((v, i, fuel - 1) for i in reversed(v.indices()))
                 wedged = True
             elif isinstance(v, TrueLeaf) and determinable(v.main):

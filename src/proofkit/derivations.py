@@ -732,7 +732,7 @@ class Drop(DerivTerm):
     def _expand(self):
         v = rule_of(self.sub)
         C, sig = self.C, self.sig
-        if getattr(v, "main", None) == C:
+        if getattr(v, "main", None) is C:
             # a false bounded existential may still head a set-indexed
             # disjunctive inference; its component is false as well
             if isinstance(v, VeeNode) and isinstance(C, BEx):
@@ -801,7 +801,7 @@ class Inv(DerivTerm):
     def _expand(self):
         v = rule_of(self.sub)
         sig = self.sig
-        if isinstance(v, WedgeNode) and v.main == self.notC:
+        if isinstance(v, WedgeNode) and v.main is self.notC:
             # select the iota-th premise and invert it in turn, since it
             # still carries the conjunction in its sequent
             inner = Inv(v.premise(self.iota), self.C, self.iota)
@@ -855,7 +855,7 @@ class Red(DerivTerm):
             # C is false: d1's sequent holds without it
             return _map_premises(rule_of(Drop(d1, C)), sig)
         v = rule_of(d1)
-        if isinstance(v, VeeNode) and v.main == C:
+        if isinstance(v, VeeNode) and v.main is C:
             iota = v.iota
             C_iota = component(C, iota)
             inv_iota = iota
@@ -864,7 +864,7 @@ class Red(DerivTerm):
             ):
                 # the index escapes the hull, so it cannot occur in the
                 # component; re-read the inference at the empty set
-                if component(C, EMPTY) != C_iota:
+                if component(C, EMPTY) is not C_iota:
                     raise ConstructionError("reduction index escapes the hull")
                 inv_iota = EMPTY
             left = Inv(d0, C, inv_iota)

@@ -115,7 +115,7 @@ def ax_separation(a: Term, x: str, phi: Formula) -> Formula:
     """There is z = {x in a : phi(x)}, for bounded phi."""
     if not is_delta0(phi):
         raise ValueError("separation needs a bounded formula")
-    if a == Var(x):
+    if a is Var(x):
         raise ValueError("separation variable %s is its own bounding term" % x)
     z = fresh("z", free_vars(phi) | _term_vars(a) | {x})
     inner = And(

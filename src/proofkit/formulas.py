@@ -23,12 +23,12 @@ substitution, relativization, rendering and reading walk the fields by
 it.  Only the Sigma/Pi step of ``ex``/``all``, their relativization and
 the binder rule of substitution are written per class.
 
-Formulas and terms are hash-consed in a weak table, ``_FORMULAS``:
-building one equal to a live one returns that object, so the sequent
-sets of the calculi find a member by identity, not by comparing two
-copies field by field.  Each keeps its hash, computed when it is built,
-and stores its negation, its quantifier instances, its record of facts
-and its text once they are first asked for (see ``_Formula``).
+Formulas and terms are hash-consed in a weak table, ``_FORMULAS``, and
+the sets they name are interned, so ``==`` is identity and the sequent
+sets of the calculi find a member by identity alone.  Each keeps its
+hash, computed when it is built, and stores its negation, its
+quantifier instances, its record of facts and its text once they are
+first asked for (see ``_Formula``).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import weakref
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+from .ordinals import _Interned
 from .universe import (
     Abstract,
     Concrete,
@@ -64,8 +65,8 @@ class _Formula:
     negation (``negate``), its quantifier instances by index
     (``component``), its record of syntactic facts (``facts``) and its
     text (``render_formula``) once they are first asked for; the stores
-    are plain attributes, not dataclass fields, so ``==``, ``repr`` and
-    the value of ``hash`` do not see them."""
+    are plain attributes, not dataclass fields, so ``repr``, ``pickle``
+    and the value of ``hash`` do not see them.  ``==`` is identity."""
 
     polarity = None
     _negation = None
@@ -99,19 +100,17 @@ def _forget(ref: _Ref) -> None:
 
 
 def _interned(cls):
-    """Make the frozen dataclass ``cls`` hash-consed: ``cls(*parts)``
-    returns the live object built from the same parts, so equal formulas
-    and terms are one object, since their parts are.  The generated
-    ``==`` stays, for values built apart.  The hash is computed once, at
-    construction, from the parts' kept hashes: a term's is the hash of
-    its field tuple, a frozen dataclass's; a formula's the hash of its
-    head word followed by its fields, ``hash((head, *fields))``: the two
-    classes of a dual pair have equal fields, so without the head word
-    every formula would hash like its negation, and a set holding both
-    would compare them on each probe.  ``copy`` gives back the interned
-    object, and so do ``deepcopy`` and ``pickle`` unless it names an
-    abstract parameter: they copy the parameter, so the copy is equal to
-    the object, not the object."""
+    """Make the frozen dataclass ``cls``, declared with ``eq=False``,
+    hash-consed: ``cls(*parts)`` returns the live object built from the
+    same parts, so equal formulas and terms are one object, since their
+    parts are, and ``==`` is the identity test.  The hash is computed
+    once, at construction, from the parts' kept hashes: a term's is the
+    hash of its field tuple, a frozen dataclass's; a formula's the hash
+    of its head word followed by its fields, ``hash((head, *fields))``:
+    the two classes of a dual pair have equal fields, so without the
+    head word every formula would hash like its negation, and a set
+    holding both would compare them on each probe.  ``copy``,
+    ``deepcopy`` and ``pickle`` give back the interned object."""
     names = [f.name for f in fields(cls)]
     named = fields(cls)[0].type == "str"  # a variable, or a binder first
 
@@ -139,7 +138,7 @@ def _interned(cls):
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
     name: str
 
@@ -148,7 +147,7 @@ class Var:
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Name:
     """A set constant naming a desk set."""
 
@@ -165,21 +164,21 @@ ZERO_TERM = Name(EMPTY)
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mem(_Formula):
     left: Term
     right: Term
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotMem(_Formula):
     left: Term
     right: Term
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ad(_Formula):
     """Opaque atom: the term is a transitive model of the base theory."""
 
@@ -187,27 +186,27 @@ class Ad(_Formula):
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotAd(_Formula):
     term: Term
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(_Formula):
     left: "Formula"
     right: "Formula"
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(_Formula):
     left: "Formula"
     right: "Formula"
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BEx(_Formula):
     """Bounded existential: exists var in bound, body."""
 
@@ -217,7 +216,7 @@ class BEx(_Formula):
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BAll(_Formula):
     var: str
     bound: Term
@@ -225,14 +224,14 @@ class BAll(_Formula):
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ex(_Formula):
     var: str
     body: "Formula"
 
 
 @_interned
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class All(_Formula):
     var: str
     body: "Formula"
@@ -524,8 +523,10 @@ class _IndexSet:
         if not self.contains(iota):
             raise IndexError(self.outside)
 
+    def __repr__(self):
+        return "%s()" % type(self).__name__
 
-@dataclass(frozen=True)
+
 class JTwo(_IndexSet):
     outside = "binary index must be 0 or 1"
 
@@ -536,14 +537,17 @@ class JTwo(_IndexSet):
         return iota in (0, 1)
 
 
-@dataclass(frozen=True)
-class JBounded(_IndexSet):
-    """The members of a bounding set, ordered by their rendering.
-    Membership and enumeration raise EvaluationError when the bound is
-    an abstract parameter."""
+class JBounded(_Interned, _IndexSet):
+    """The members of a bounding set, ordered by their rendering; interned
+    by the bound.  Membership and enumeration raise EvaluationError when
+    the bound is an abstract parameter."""
 
+    __slots__ = ("bound",)
     bound: DeskSet
     outside = "index outside the bounding set"
+
+    def __new__(cls, bound: DeskSet) -> JBounded:
+        return cls._intern((bound,))
 
     def members(self) -> list:
         return sorted(set_members(self.bound), key=render_set)
@@ -552,7 +556,6 @@ class JBounded(_IndexSet):
         return iota in set_members(self.bound)
 
 
-@dataclass(frozen=True)
 class JUniverse(_IndexSet):
     outside = "universe indices are desk sets"
 
@@ -707,7 +710,7 @@ def _render(A: Formula) -> str:
 def render_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    if t == ZERO_TERM:
+    if t is ZERO_TERM:
         return "0"
     return render_set(t.value)
 

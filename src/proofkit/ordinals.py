@@ -42,9 +42,9 @@ class OrdinalParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 #: Every interned node by ``(class, fields)``: the ordinal codes, the
-#: hereditarily finite sets (``universe.Concrete``) and the hulls
-#: (``universe.Hull``).  It grows with the number of distinct codes,
-#: sets and hulls built, not with the number of operations.
+#: desk sets and hulls of ``universe`` and the index sets ``JBounded``
+#: of ``formulas``.  It grows with the number of distinct values built,
+#: not with the number of operations.
 _INTERNED: dict = {}
 
 

@@ -20,7 +20,6 @@ under.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,17 +57,17 @@ class Concrete(_Interned):
         return "Concrete(%s)" % (render_set(self),)
 
 
-@dataclass(frozen=True)
-class Abstract:
-    """A named set parameter with a declared rank below Omega."""
+class Abstract(_Interned):
+    """An interned set parameter: a name with a declared rank below Omega."""
 
+    __slots__ = ("name", "declared_rank")
     name: str
     declared_rank: OrdCode
 
-    def __post_init__(self):
-        r = self.declared_rank
-        if not (validate_nf(r) and cmp(r, OMEGA) == LESS):
+    def __new__(cls, name: str, declared_rank: OrdCode) -> Abstract:
+        if not (validate_nf(declared_rank) and cmp(declared_rank, OMEGA) == LESS):
             raise ValueError("parameter ranks lie below Omega")
+        return cls._intern((name, declared_rank))
 
     def __repr__(self):
         return "Abstract(%r)" % (self.name,)
@@ -304,7 +303,7 @@ def hull_contains(P: Hull, x) -> bool:
         raise TypeError("hull membership is defined for desk sets and codes")
     atoms = set_facts(x).atoms
     return not atoms or all(
-        p == OMEGA_WITNESS or any(p in set_facts(g).atoms for g in P.generators)
+        p is OMEGA_WITNESS or any(p in set_facts(g).atoms for g in P.generators)
         for p in atoms)
 
 

@@ -394,6 +394,22 @@ class TestElim:
         assert captured.err == ""
         assert "checked nodes: 5" in captured.out
 
+    def test_a_collection_instance_without_a_witness_is_an_expansion_error(
+            self, tmp_path, capsys):
+        # no y is in 0, so the search finds no y for the member {} of {{}}
+        proof = tmp_path / "collection.proof"
+        proof.write_text(
+            "n1 axiom:collection (seq (or (bex x {{}} (all y (notin y 0)))"
+            " (ex z (ball x {{}} (bex y z (in y 0)))))) term={{}} var=x var2=y"
+            " formula=(in y 0)\n",
+            encoding="utf-8",
+        )
+        assert main(["check", str(proof)]) == 0
+        capsys.readouterr()
+        assert main(["elim", str(proof), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "node 0: expansion error: no collection witness found in the search space\n")
+
     def test_rejects_small_n(self, scripts):
         with pytest.raises(SystemExit):
             main(["elim", scripts["pair"], "--N", "1"])

@@ -230,7 +230,7 @@ class TestExpansion:
         step = _fund_progress(TWO, B, U, frozenset(), EMPTY_HULL)
         wedge = rule_of(step).sub
         hyp = wedge.premise(0)
-        assert isinstance(hyp, WedgeNode) and hyp.index_set == JBounded(TWO)
+        assert isinstance(hyp, WedgeNode) and hyp.index_set is JBounded(TWO)
         assert hyp.main == BAll("z", Name(TWO), All("y", Mem(Var("z"), Var("y"))))
         below = add(from_nat(2), times_nat(rank(TWO), 3))
         assert hyp.sig == Sig(EMPTY_HULL, below, 0, wedge.sig.seq | {hyp.main})
@@ -665,6 +665,36 @@ class TestConstructionMessages:
         with pytest.raises(ConstructionError) as raised:
             build()
         assert str(raised.value) == message
+
+
+OR01 = Or(M00, M01)
+
+
+class TestNodeMessages:
+    """A node asked for a premise it does not have, and a term copied as
+    a node that is none.  Only Python reaches these: ``check_local`` and
+    ``eval_cutfree`` ask a node only for the indices it names, and
+    ``rule_of`` gives ``_map_premises`` nodes of the kinds it copies."""
+
+    CASES = [
+        (IndexError, "rule true-leaf has no premise 0", lambda: leaf(M01).premise(0)),
+        (IndexError, "rule true-leaf has no premise 1", lambda: leaf(M01).wants(leaf(M01).sig, 1)),
+        (IndexError, "this disjunctive inference used index 1",
+         lambda: VeeNode(leaf(OR01).sig, OR01, 1, leaf(M01, extra=[OR01])).premise(0)),
+        (IndexError, "cut premises are 0 and 1",
+         lambda: CutNode(leaf(M01).sig, M00, leaf(M01, extra=[negate(M00)]),
+                         leaf(M01, extra=[M00])).premise(2)),
+        (IndexError, "reflection premises are 0 and 1",
+         lambda: RefNode(leaf(M01).sig, M01, ZERO_TERM, M01, leaf(M01), leaf(M01)).premise(2)),
+        (TypeError, "not an explicit node: <proofkit.derivations.DerivTerm object",
+         lambda: _map_premises(DerivTerm(), leaf(M01).sig)),
+    ]
+
+    @pytest.mark.parametrize("error, message, build", CASES, ids=[m for _, m, _ in CASES])
+    def test_each_message_is_raised_by_name(self, error, message, build):
+        with pytest.raises(error) as raised:
+            build()
+        assert str(raised.value).startswith(message)
 
 
 class TestElimCuts:

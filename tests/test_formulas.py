@@ -25,6 +25,7 @@ from proofkit.formulas import (
     JBounded,
     JTwo,
     J_TWO,
+    J_UNIVERSE,
     JUniverse,
     Mem,
     Name,
@@ -754,7 +755,7 @@ class TestDecompose:
     def test_bounded(self):
         A = BEx("x", Name(TWO), Ex("y", Mem(Var("x"), Var("y"))))
         assert not conjunctive(A)
-        assert index_set(A) == JBounded(TWO)
+        assert index_set(A) is JBounded(TWO)
         assert index_set(A).contains(EMPTY)
         assert component(A, EMPTY) == Ex("y", Mem(Name(EMPTY), Var("y")))
 
@@ -1111,9 +1112,41 @@ class TestInterning:
             assert copy.copy(B) is B
             assert copy.deepcopy(B) is B
             assert pickle.loads(pickle.dumps(B)) is B
-        # a parameter is copied by value, so a term naming the copy is equal
+        # a parameter is interned too, so a term naming it is copied as itself
         p = Name(Abstract("p", from_nat(1)))
-        assert copy.copy(p) is p and copy.deepcopy(p) == p
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+
+    def test_a_formula_naming_a_parameter_is_copied_as_itself(self):
+        params = {"p": Abstract("p", from_nat(2))}
+        A = parse_formula("(ball x p (or (in x {p}) (ex y (notin p y))))", params)
+        assert parse_formula(render_formula(A), {"p": Abstract("p", from_nat(2))}) is A
+        for B in [A, *subformulas(A), Name(params["p"])]:
+            assert copy.copy(B) is B
+            assert copy.deepcopy(B) is B
+            assert pickle.loads(pickle.dumps(B)) is B
+
+    def test_equality_is_identity(self):
+        for C in [Var, Name, *BY_HEAD.values()]:
+            assert C.__eq__ is object.__eq__ and C.__ne__ is object.__ne__, C
+        A = parse_formula("(or (in 0 {{}}) (ex x (in x 0)))")
+        assert A == parse_formula("(or (in 0 {{}}) (ex x (in x 0)))")
+        assert A != A.right and A != negate(A)
+
+    @pytest.mark.parametrize("b", [TWO, Abstract("b", from_nat(3))], ids=repr)
+    def test_a_bounded_quantifier_has_one_index_set_per_bound(self, b):
+        J = index_set(BAll("x", Name(b), Mem(Var("x"), Var("y"))))
+        assert J is JBounded(b) and J is index_set(BEx("z", Name(b), Ad(Var("z"))))
+        assert J is not JBounded(ONE) and J is not J_TWO
+        assert hash(J) == hash((b,))  # a frozen dataclass's
+        assert repr(J) == "JBounded(bound=%r)" % (b,)
+        assert copy.deepcopy(J) is J and pickle.loads(pickle.dumps(J)) is J
+        with pytest.raises(AttributeError):
+            J.bound = EMPTY
+
+    def test_the_unit_index_sets_keep_their_names(self):
+        assert (repr(J_TWO), repr(J_UNIVERSE)) == ("JTwo()", "JUniverse()")
+        assert index_set(Or(Ad(ZERO_TERM), Ad(ZERO_TERM))) is J_TWO
+        assert index_set(Ex("x", Ad(Var("x")))) is J_UNIVERSE
 
     def test_the_table_keeps_no_formula_alive(self):
         texts = [render_formula(random_formula(random.Random(seed), 5, ("x",)))

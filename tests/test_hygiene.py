@@ -3,10 +3,12 @@ module-level function and class of the package is used somewhere, the
 package's module-level tables and caches and its stores on objects are
 the known ones, the formula table is weak, ``derivations`` binds no dict
 at module level, each formula class declares the kind of every field,
-and every message of the local checker, of the finitary calculus, of
-the derivation constructors, of the ordinal parser, of evaluation and
-every ``ValueError`` and ``TypeError`` of ``ordinals`` and ``universe``
-is named by some test.
+no class of ``formulas``, ``universe`` or ``ordinals`` defines its own
+``==``, and every message of the local checker, of the finitary
+calculus, of the derivation constructors, of the ordinal parser, of
+evaluation, every malformed-code message, every ``ValueError`` and
+``TypeError`` of ``ordinals`` and ``universe`` and every ``IndexError``
+and ``TypeError`` of ``derivations`` is named by some test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from proofkit import finitary, formulas
+from proofkit import finitary, formulas, ordinals, universe
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "proofkit"
@@ -125,7 +127,9 @@ def test_every_definition_is_referenced():
 #: its ``lru_cache``d functions.  Each lives as long as the process, so
 #: one more is a decision, not a detail: add it here with its reason.
 KNOWN_TABLES = {
-    "ordinals._INTERNED",  # one object per ordinal code, hereditarily finite set and hull
+    # one object per ordinal code, hereditarily finite set, abstract
+    # parameter, hull and bounded index set
+    "ordinals._INTERNED",
     # one object per live formula and term; weak, as a strong table keeps
     # every formula ever built (see test_the_formula_table_is_weak)
     "formulas._FORMULAS",
@@ -285,6 +289,18 @@ def test_object_stores_are_the_known_ones():
     assert object_stores() == KNOWN_STORES
 
 
+@pytest.mark.parametrize("module", [formulas, universe, ordinals], ids=lambda m: m.__name__)
+def test_no_value_class_defines_its_own_equality(module):
+    """The formulas, terms, desk sets, index sets, hulls and ordinal
+    codes are interned, so ``==`` is identity: no class of the module
+    has an ``__eq__`` of its own, generated or written.  A named tuple
+    and an exception inherit theirs."""
+    classes = [C for C in vars(module).values()
+               if isinstance(C, type) and C.__module__ == module.__name__]
+    assert len(classes) >= 3
+    assert [C.__name__ for C in classes if "__eq__" in vars(C)] == []
+
+
 #: The field kind that each field annotation of a formula class stands for.
 KIND_OF_ANNOTATION = {"str": str, "Term": formulas.Term, "'Formula'": formulas.Formula}
 
@@ -407,19 +423,32 @@ def test_every_construction_message_is_tested():
     assert untested(messages, {}) == []
 
 
-@pytest.mark.parametrize("module", ["checking", "formulas", "universe"])
-def test_every_evaluation_message_is_tested(module):
-    """Each ``EvaluationError`` text of the module is named by a test."""
+EVALUATION_MODULES = {"checking": 3, "derivations": 1, "formulas": 3, "universe": 3}
+
+
+@pytest.mark.parametrize("module, least", EVALUATION_MODULES.items(), ids=list(EVALUATION_MODULES))
+def test_every_evaluation_message_is_tested(module, least):
+    """Each ``EvaluationError`` text of the module, at least ``least``
+    of them, is named by a test."""
     messages = raised_messages(module, "EvaluationError")
-    assert len(messages) >= 3
+    assert len(messages) >= least
     assert untested(messages, {}) == []
 
 
-@pytest.mark.parametrize("module", ["ordinals", "universe"])
+@pytest.mark.parametrize("module", ["derivations", "ordinals", "universe"])
 def test_every_value_and_type_message_is_tested(module):
-    """Each ``ValueError`` and ``TypeError`` text of the module is named by a test."""
-    messages = raised_messages(module, "ValueError") | raised_messages(module, "TypeError")
+    """Each ``ValueError``, ``TypeError`` and ``IndexError`` text of the
+    module is named by a test."""
+    messages = set().union(*(raised_messages(module, exception)
+                             for exception in ("ValueError", "TypeError", "IndexError")))
     assert len(messages) >= 2
+    assert untested(messages, {}) == []
+
+
+def test_every_malformed_code_message_is_tested():
+    """Each ``MalformedOrdinalError`` text of ``ordinals`` is named by a test."""
+    messages = raised_messages("ordinals", "MalformedOrdinalError")
+    assert len(messages) >= 1
     assert untested(messages, {}) == []
 
 

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import pickle
 import random
+import re
 from dataclasses import field, make_dataclass
 
 import pytest
@@ -76,7 +77,8 @@ class TestCmp:
             assert cmp(b, a) is flip[cmp(a, b)]
 
     def test_rejects_malformed(self):
-        with pytest.raises(MalformedOrdinalError):
+        with pytest.raises(MalformedOrdinalError,
+                           match="^not a normal-form code: %s$" % re.escape(repr(RISING))):
             cmp(RISING, OMEGA)
 
 
@@ -255,7 +257,8 @@ class TestValidateNf:
         for _ in range(2):
             for call in (lambda: add(bad, ONE), lambda: add(ONE, bad),
                          lambda: omega_exp(bad)):
-                with pytest.raises(MalformedOrdinalError):
+                with pytest.raises(MalformedOrdinalError, match="^not a normal-form code: %s$"
+                                   % re.escape(repr(bad))):
                     call()
 
 

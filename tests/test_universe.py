@@ -283,6 +283,24 @@ class TestInterning:
         with pytest.raises(AttributeError):
             h.generators = frozenset()
 
+    def test_equal_parameters_are_one_object(self):
+        p = Abstract("p", ORD_ONE)
+        assert Abstract("p", ORD_ONE) is p
+        assert Abstract(name="p", declared_rank=from_nat(1)) is p
+        assert Abstract("p", from_nat(2)) is not p and Abstract("q", ORD_ONE) is not p
+        # a frozen dataclass's hash, so hull and support orders, and with
+        # them the traces, are kept
+        assert hash(p) == hash(("p", ORD_ONE))
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+        assert pickle.loads(pickle.dumps(p)) is p
+        assert repr(p) == "Abstract('p')"
+        assert Abstract("omega", OMEGA_WITNESS.declared_rank) is OMEGA_WITNESS
+        with pytest.raises(AttributeError):
+            p.name = "q"
+        # the rank is checked before the parameter is interned
+        with pytest.raises(ValueError, match="^parameter ranks lie below Omega$"):
+            Abstract("p", OMEGA)
+
     def test_scripts_read_one_set_for_equal_parameters(self):
         def read(rank):
             script = parse_script(
