@@ -24,11 +24,11 @@ it.  Only the Sigma/Pi step of ``ex``/``all``, their relativization and
 the binder rule of substitution are written per class.
 
 Formulas and terms are hash-consed in a weak table, ``_FORMULAS``, and
-the sets they name are interned, so ``==`` is identity and the sequent
-sets of the calculi find a member by identity alone.  Each keeps its
-hash, computed when it is built, and stores its negation, its
-quantifier instances, its record of facts and its text once they are
-first asked for (see ``_Formula``).
+the sets they name are interned, so ``==`` and ``hash`` both read
+identity, and the sequent sets of the calculi find a member by its
+address alone.  Each stores its negation, its quantifier instances, its
+record of facts and its text once they are first asked for (see
+``_Formula``).
 """
 
 from __future__ import annotations
@@ -60,13 +60,13 @@ from .universe import (
 class _Formula:
     """Base of the formula classes.  Each class has its head word
     (``head``), its dual class (``dual``), its ``shape``, its ``arity``
-    and its ``polarity`` (see ``_dual_pairs``).  Each object keeps its
-    hash, computed when it is built (``_interned``), and stores its
+    and its ``polarity`` (see ``_dual_pairs``).  Each object stores its
     negation (``negate``), its quantifier instances by index
     (``component``), its record of syntactic facts (``facts``) and its
     text (``render_formula``) once they are first asked for; the stores
-    are plain attributes, not dataclass fields, so ``repr``, ``pickle``
-    and the value of ``hash`` do not see them.  ``==`` is identity."""
+    are plain attributes, not dataclass fields, so ``repr`` and
+    ``pickle`` do not see them.  ``==`` and ``hash`` both read identity
+    (``_interned``)."""
 
     polarity = None
     _negation = None
@@ -103,14 +103,9 @@ def _interned(cls):
     """Make the frozen dataclass ``cls``, declared with ``eq=False``,
     hash-consed: ``cls(*parts)`` returns the live object built from the
     same parts, so equal formulas and terms are one object, since their
-    parts are, and ``==`` is the identity test.  The hash is computed
-    once, at construction, from the parts' kept hashes: a term's is the
-    hash of its field tuple, a frozen dataclass's; a formula's the hash
-    of its head word followed by its fields, ``hash((head, *fields))``:
-    the two classes of a dual pair have equal fields, so without the
-    head word every formula would hash like its negation, and a set
-    holding both would compare them on each probe.  ``copy``,
-    ``deepcopy`` and ``pickle`` give back the interned object."""
+    parts are, and ``==`` and ``hash`` both read identity: they are the
+    ones ``object`` gives.  ``copy``, ``deepcopy`` and ``pickle`` give back
+    the interned object."""
     names = [f.name for f in fields(cls)]
     named = fields(cls)[0].type == "str"  # a variable, or a binder first
 
@@ -124,15 +119,12 @@ def _interned(cls):
             node = object.__new__(cls)
             for name, x in zip(names, parts):
                 object.__setattr__(node, name, x)
-            object.__setattr__(node, "_hash", hash(
-                (cls.head, *parts) if isinstance(node, _Formula) else parts))
             ref = _FORMULAS[key] = _Ref(node, _forget)
             ref.key = key
         return node
 
     cls.__new__ = __new__
     del cls.__init__  # the fields are set once, by __new__
-    cls.__hash__ = lambda self: self._hash
     cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in names))
     return cls
 
@@ -516,8 +508,6 @@ class _IndexSet:
     Each kind provides ``members()``, the indices in enumeration order,
     and ``contains(iota)``; ``outside`` is the message for an index
     that is not a member."""
-
-    outside = ""
 
     def require(self, iota) -> None:
         if not self.contains(iota):

@@ -9,14 +9,17 @@ Omega itself: Omega is the fixed point ``w^Omega``, so its own code is
 ``OrdCode(((OMEGA_LOG, 1),))``.  Codes below Omega are the Cantor normal
 forms below epsilon_0 (the desk-scale stand-in for the ordinals of the
 universe).  Normal forms are unique: distinct normal codes denote
-distinct ordinals.  Non-normal inputs are rejected by the public
-operations, never silently repaired.
+distinct ordinals.  A non-normal code is refused, never silently
+repaired.
 
 Codes and the marker are hash-consed: building a code equal to an
-existing one returns that object, so equality is identity and each hash
-is computed once, when the code is built.  Five functions keep an
-unbounded cache by interned argument: ``validate_nf``, the comparison
-``_cmp``, ``add``, ``omega_exp`` and ``render``.
+existing one returns that object, so ``==`` and ``hash`` both read
+identity.  A code is checked for normal form once, when the intern
+table builds it: its exponents are codes built before it, so normal
+already, and the check reads only its own terms.  So no malformed code
+exists, and no operation checks its arguments again.  Five functions
+keep an unbounded cache by interned argument: ``validate_nf``, the
+comparison ``_cmp``, ``add``, ``omega_exp`` and ``render``.
 """
 
 from __future__ import annotations
@@ -54,17 +57,15 @@ class _Interned:
     A subclass lists its fields in ``__slots__``, and its constructor
     passes their values, in that order, to ``_intern``, which returns the
     object an earlier call built from equal fields.  So equal nodes are
-    identical and ``==`` is the identity test.  The hash is the one a
-    frozen dataclass with these fields has, ``hash(fields)``, computed
-    once at construction; for a code it involves only ints and tuples,
-    so it is the same in every process.  ``repr`` is the dataclass
-    ``repr``, and ``copy``, ``deepcopy`` and ``pickle`` give back the
-    interned node.  A slot listed after the fields is a store: it starts
-    as None, is set later with ``object.__setattr__``, and is no part of
-    the key; a subclass with one overrides ``_fields``.
+    identical, and ``==`` and ``hash`` both read identity: they are the
+    ones ``object`` gives.  ``repr`` is the dataclass ``repr``, and ``copy``,
+    ``deepcopy`` and ``pickle`` give back the interned node.  A slot
+    listed after the fields is a store: it starts as None, is set later
+    with ``object.__setattr__``, and is no part of the key; a subclass
+    with one overrides ``_fields``.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     @classmethod
     def _intern(cls, fields: tuple):
@@ -74,15 +75,11 @@ class _Interned:
             node = object.__new__(cls)
             for name, value in zip_longest(cls.__slots__, fields):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_hash", hash(fields))
             _INTERNED[key] = node
         return node
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in type(self).__slots__)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         args = ", ".join("%s=%r" % field
@@ -106,12 +103,24 @@ class _Interned:
 
 class OrdCode(_Interned):
     """``w^e1 * c1 + ... + w^ek * ck``, its ``(exponent, coefficient)``
-    pairs in ``terms``."""
+    pairs in ``terms``.  The constructor builds a new code only in
+    normal form: each coefficient a positive int, each exponent
+    ``OMEGA_LOG`` or a code other than Omega, and the exponents strictly
+    decreasing; otherwise it raises ``MalformedOrdinalError``."""
 
     __slots__ = ("terms",)
     terms: tuple[tuple[OrdCode | OmegaLog, int], ...]
 
     def __new__(cls, terms: tuple[tuple[OrdCode | OmegaLog, int], ...] = ()) -> OrdCode:
+        node = _INTERNED.get((cls, (terms,)))
+        if node is not None:
+            return node
+        exponents = [e for e, _ in terms]
+        if not (all(isinstance(c, int) and c >= 1 for _, c in terms)
+                and all(e == OMEGA_LOG or isinstance(e, OrdCode) and e != OMEGA
+                        for e in exponents)
+                and all(_ecmp(e, f) == GREATER for e, f in zip(exponents, exponents[1:]))):
+            raise MalformedOrdinalError(f"not a normal-form code: OrdCode(terms={terms!r})")
         return cls._intern((terms,))
 
 
@@ -124,11 +133,12 @@ class OmegaLog(_Interned):
         return cls._intern(())
 
 
+# OMEGA before ONE: the check of a code whose exponent is a code reads it
 OMEGA_LOG = OmegaLog()
 ZERO = OrdCode()
+OMEGA = OrdCode(((OMEGA_LOG, 1),))
 ONE = OrdCode(((ZERO, 1),))
 SUB_W = OrdCode(((ONE, 1),))
-OMEGA = OrdCode(((OMEGA_LOG, 1),))
 
 
 def from_nat(n: int) -> OrdCode:
@@ -149,44 +159,30 @@ def _ecmp(x: OrdCode | OmegaLog, y: OrdCode | OmegaLog) -> int:
 
 @lru_cache(maxsize=None)
 def validate_nf(a: OrdCode) -> bool:
-    """True iff every normal-form invariant holds at every node of ``a``."""
-    if not isinstance(a, OrdCode):
-        return False
-    prev = None
-    for e, c in a.terms:
-        if not isinstance(c, int) or c < 1:
-            return False
-        if e != OMEGA_LOG and (e == OMEGA or not validate_nf(e)):
-            return False
-        if prev is not None and _ecmp(prev, e) != GREATER:
-            return False
-        prev = e
-    return True
-
-
-def _require(a: OrdCode) -> None:
-    if not validate_nf(a):
-        raise MalformedOrdinalError(f"not a normal-form code: {a!r}")
+    """True iff ``a`` is a code: the constructor builds none that is not
+    in normal form."""
+    return isinstance(a, OrdCode)
 
 
 @lru_cache(maxsize=None)
 def _cmp(a: OrdCode, b: OrdCode) -> int:
     # distinct normal codes denote distinct ordinals, so the first
-    # distinct exponents decide
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea != eb:
-            return _ecmp(ea, eb)
-        if ca != cb:
-            return LESS if ca < cb else GREATER
-    if len(a.terms) == len(b.terms):
-        return EQUAL
-    return LESS if len(a.terms) < len(b.terms) else GREATER
+    # distinct exponents decide: a loop descends into them
+    while True:
+        for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+            if ea != eb:
+                break
+            if ca != cb:
+                return LESS if ca < cb else GREATER
+        else:
+            if len(a.terms) == len(b.terms):
+                return EQUAL
+            return LESS if len(a.terms) < len(b.terms) else GREATER
+        a, b = OMEGA if ea == OMEGA_LOG else ea, OMEGA if eb == OMEGA_LOG else eb
 
 
 def cmp(a: OrdCode, b: OrdCode) -> int:
-    """Total order on normal codes: -1 (less), 0 (equal), or 1 (greater)."""
-    _require(a)
-    _require(b)
+    """Total order on codes: -1 (less), 0 (equal), or 1 (greater)."""
     return _cmp(a, b)
 
 
@@ -194,24 +190,21 @@ def cmp(a: OrdCode, b: OrdCode) -> int:
 def add(a: OrdCode, b: OrdCode) -> OrdCode:
     """Ordinal sum in normal form: the terms of a below b's head are
     absorbed, and on an equal head the coefficients add."""
-    _require(a)
-    _require(b)
+    terms = a.terms
     if b == ZERO:
         return a
     head, c = b.terms[0]
     i = 0
-    while i < len(a.terms) and _ecmp(a.terms[i][0], head) == GREATER:
+    while i < len(terms) and _ecmp(terms[i][0], head) == GREATER:
         i += 1
-    if i < len(a.terms) and a.terms[i][0] == head:
-        return OrdCode(a.terms[:i] + ((head, a.terms[i][1] + c),) + b.terms[1:])
-    return OrdCode(a.terms[:i] + b.terms)
+    if i < len(terms) and terms[i][0] == head:
+        return OrdCode(terms[:i] + ((head, terms[i][1] + c),) + b.terms[1:])
+    return OrdCode(terms[:i] + b.terms)
 
 
 def nat_sum(a: OrdCode, b: OrdCode) -> OrdCode:
     """Natural (commutative) sum: the terms of a and b merged, the
     coefficients of equal exponents added."""
-    _require(a)
-    _require(b)
     merged = dict(a.terms)
     for e, c in b.terms:
         merged[e] = merged.get(e, 0) + c
@@ -222,7 +215,6 @@ def nat_sum(a: OrdCode, b: OrdCode) -> OrdCode:
 @lru_cache(maxsize=None)
 def omega_exp(a: OrdCode) -> OrdCode:
     """The code of ``w^a``."""
-    _require(a)
     return OMEGA if a == OMEGA else OrdCode(((a, 1),))
 
 
@@ -230,7 +222,6 @@ def omega_tower(n: int, base: OrdCode) -> OrdCode:
     """``w_0(x) = x`` and ``w_(k+1)(x) = w^(w_k(x))``."""
     if n < 0:
         raise ValueError("tower height must be a natural number")
-    _require(base)
     out = base
     for _ in range(n):
         out = omega_exp(out)
@@ -244,7 +235,6 @@ def times_nat(a: OrdCode, n: int) -> OrdCode:
         raise ValueError("natural number expected")
     if n == 0 or a == ZERO:
         return ZERO
-    _require(a)
     (e, c), rest = a.terms[0], a.terms[1:]
     return OrdCode(((e, c * n),) + rest)
 

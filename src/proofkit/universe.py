@@ -38,11 +38,12 @@ class EvaluationError(Exception):
 class Concrete(_Interned):
     """A hereditarily finite set, given extensionally.  Sets are interned
     with the ordinal codes: ``Concrete(members)`` returns the one object
-    for those members, so ``==`` is identity, and the hash, computed
-    once, is a frozen dataclass's, ``hash((members,))``.  It keeps its
-    record of facts (``set_facts``) and its closure in pool order
-    (``witness_pool``) once computed, in slots that the key, ``repr``
-    and ``__reduce__`` do not see."""
+    for those members, so ``==`` and ``hash`` both read identity.  So the
+    members, a frozenset, iterate in an order that follows addresses,
+    and what a run writes reads them in a sorted order (``set_facts``,
+    ``witness_pool``).  It keeps its record of facts (``set_facts``) and
+    its closure in pool order (``witness_pool``) once computed, in slots
+    that the key, ``repr`` and ``__reduce__`` do not see."""
 
     __slots__ = ("members", "_facts", "_closure")
     members: frozenset
@@ -246,8 +247,8 @@ def witness_pool(count: int, params) -> list:
 
 class Hull(_Interned):
     """Symbolic descriptor of an admissible hull: a finite generator set.
-    Hulls are interned with the sets and the ordinal codes, so ``==`` is
-    identity and the hash is a frozen dataclass's, ``hash((generators,))``."""
+    Hulls are interned with the sets and the ordinal codes, so ``==`` and
+    ``hash`` both read identity."""
 
     __slots__ = ("generators",)
     generators: frozenset

@@ -303,21 +303,6 @@ def subformulas(A):
 FORMULA_CLASSES = (Mem, NotMem, Ad, NotAd, Or, And, BEx, BAll, Ex, All)
 
 
-def _as_tuples(x):
-    """A term as the nested tuple of its fields and a formula as its head
-    word followed by its fields, all the way down."""
-    if isinstance(x, (Var, Name, *FORMULA_CLASSES)):
-        parts = tuple(_as_tuples(getattr(x, f.name)) for f in fields(x))
-        return (x.head, *parts) if isinstance(x, FORMULA_CLASSES) else parts
-    return x
-
-
-def ref_hash(A):
-    """The hash of A's head word followed by its fields, with no stored
-    hash taking part."""
-    return hash(_as_tuples(A))
-
-
 def _terms(A):
     if isinstance(A, (Mem, NotMem)):
         return [A.left, A.right]
@@ -509,7 +494,7 @@ class TestStoredResults:
             A = random_formula(rng, rng.randrange(6), ("x",))
             for B in subformulas(A):
                 for _ in range(2):  # computed and kept, then read back
-                    assert hash(B) == ref_hash(B)
+                    assert hash(B) == object.__hash__(B)
                     assert depth(B) == ref_depth(B)
                     assert is_delta0(B) == ref_is_delta0(B)
                     assert support(B) == ref_support(B)
@@ -540,7 +525,7 @@ class TestStoredResults:
                 hash(B), depth(B), is_delta0(B), support(B), free_vars(B)
                 classify(B), member_pi(B, 1), all_vars(B), determinable(B)
                 stores = set(vars(B)) - {f.name for f in fields(B)}
-                assert stores <= {"_hash", "_negation", "_instances", "_facts", "_text"}
+                assert stores <= {"_negation", "_instances", "_facts", "_text"}
             assert A == fresh_copy and hash(A) == hash(fresh_copy)
             assert repr(A) == repr(fresh_copy)
 
@@ -566,14 +551,15 @@ class TestStoredResults:
         (Ex("x", Ad(Var("x"))), ["var", "body"]),
         (All("x", Ad(Var("x"))), ["var", "body"]),
     ])
-    def test_hash_is_the_hash_of_the_fields(self, A, names):
+    def test_hash_is_identity(self, A, names):
         negate(A)
         if names[-1] == "body":
             component(A, ONE)
         depth(A), is_delta0(A), support(A), free_vars(A)
         assert [f.name for f in fields(A)] == names
-        assert hash(A) == hash((A.head, *(getattr(A, n) for n in names)))
-        assert A._hash == hash(A)
+        assert type(A).__hash__ is object.__hash__
+        assert hash(A) == object.__hash__(A)
+        assert "_hash" not in vars(A)
         assert hash(A) != hash(negate(A))
 
     @pytest.mark.parametrize("t, names", [
@@ -581,10 +567,11 @@ class TestStoredResults:
         (Name(ONE), ["value"]),
         (ZERO_TERM, ["value"]),
     ])
-    def test_term_hash_is_the_hash_of_the_field(self, t, names):
+    def test_term_hash_is_identity(self, t, names):
         assert [f.name for f in fields(t)] == names
-        assert hash(t) == hash(tuple(getattr(t, n) for n in names))
-        assert t._hash == hash(t)
+        assert type(t).__hash__ is object.__hash__
+        assert hash(t) == object.__hash__(t)
+        assert "_hash" not in vars(t)
 
 
 class TestHeadWords:
@@ -772,6 +759,16 @@ class TestDecompose:
     def test_opaque_delta0_fails(self):
         with pytest.raises(EvaluationError):
             conjunctive(Ad(ZERO_TERM))
+
+    @pytest.mark.parametrize("J, outside, message", [
+        (J_TWO, 2, "binary index must be 0 or 1"),
+        (JBounded(TWO), TWO, "index outside the bounding set"),
+        (J_UNIVERSE, 0, "universe indices are desk sets"),
+    ], ids=repr)
+    def test_an_index_outside_the_set_is_refused(self, J, outside, message):
+        J.require(J.members()[-1] if J is not J_UNIVERSE else TWO)
+        with pytest.raises(IndexError, match="^%s$" % message):
+            J.require(outside)
 
     def test_negation_flips_polarity(self):
         rng = random.Random(3)
@@ -1137,7 +1134,7 @@ class TestInterning:
         J = index_set(BAll("x", Name(b), Mem(Var("x"), Var("y"))))
         assert J is JBounded(b) and J is index_set(BEx("z", Name(b), Ad(Var("z"))))
         assert J is not JBounded(ONE) and J is not J_TWO
-        assert hash(J) == hash((b,))  # a frozen dataclass's
+        assert hash(J) == object.__hash__(J)
         assert repr(J) == "JBounded(bound=%r)" % (b,)
         assert copy.deepcopy(J) is J and pickle.loads(pickle.dumps(J)) is J
         with pytest.raises(AttributeError):
@@ -1177,14 +1174,14 @@ class TestInterning:
         assert len(table) == sizes[0]
         assert all(ref() is not None for ref in table.values())
 
-    def test_a_deep_chain_builds_hashes_and_is_freed_without_recursion(self):
-        # past the interpreter's recursion limit: the hash is computed at
-        # construction, from the parts' kept hashes
+    def test_a_deep_chain_is_built_hashed_and_freed_without_recursion(self):
+        # past the interpreter's recursion limit: the hash reads the
+        # object's identity, not its parts
         before = len(formulas._FORMULAS)
         A = Mem(Var("u19"), ZERO_TERM)
         for _ in range(3000):
             A = Or(Mem(Var("u20"), ZERO_TERM), A)
-        assert hash(A) == hash(("or", A.left, A.right))
+        assert hash(A) == object.__hash__(A)
         assert A in {A} and Or(A.left, A.right) is A
         assert len(formulas._FORMULAS) == before + 3004  # two variables, two atoms
         left = weakref.ref(A)
@@ -1229,3 +1226,12 @@ class TestTextSyntax:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_formula("(frob 0 0)")
+
+    def test_rejects_an_empty_formula(self):
+        with pytest.raises(ValueError) as raised:
+            parse_formula("()")
+        assert str(raised.value) == "formula expressions are lists, got []"
+
+    def test_a_sequent_starts_with_seq(self):
+        with pytest.raises(ValueError, match="^sequent expressions start with 'seq'$"):
+            parse_sequent("(in 0 0)")

@@ -79,21 +79,43 @@ def test_corpus_digest():
     assert digest == GOLDEN
 
 
-def test_corpus_digest_ignores_the_hash_seed():
-    """Two fresh processes under different string hash seeds, so with
-    different set iteration orders and formula hashes, both give
-    ``GOLDEN``."""
+def fresh_processes(code: str, envs: list) -> list:
+    """What ``code`` prints in a fresh process per environment change,
+    the processes run side by side."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(str(p) for p in (here.parent / "src", here.parent / "perfbench", here))
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=path, **env))
+             for env in envs]
+    outs = []
+    for proc in procs:
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        outs.append(out.split())
+    return outs
+
+
+def test_corpus_digest_ignores_the_hash_seed():
+    """Two fresh processes under different string hash seeds, so with
+    different string hashes, both give ``GOLDEN``."""
     code = ("import hashlib, test_golden; print(hashlib.sha256("
             "'\\n'.join(test_golden.corpus_record()).encode()).hexdigest())")
-    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
-             for seed in ("0", "1")]
-    for proc in procs:
-        out, _ = proc.communicate(timeout=60)
-        assert proc.returncode == 0
-        assert out.strip() == GOLDEN
+    outs = fresh_processes(code, [{"PYTHONHASHSEED": seed} for seed in ("0", "1")])
+    assert outs == [[GOLDEN], [GOLDEN]]
+
+
+def test_digests_ignore_the_heap_layout():
+    """The interned values hash by identity, that is by address, so a set
+    of them iterates in an order that follows the heap.  Two fresh
+    processes that first allocate junk of different sizes, shifting
+    every address after it, both give ``GOLDEN`` and the pinned seed-7
+    ``elim`` pool digest."""
+    code = ("import os; junk = [bytearray(i % 97) for i in range(int(os.environ['JUNK']))]\n"
+            "import hashlib, test_golden\n"
+            "print(hashlib.sha256('\\n'.join(test_golden.corpus_record()).encode()).hexdigest())\n"
+            "print(test_golden.pool_digest('elim', 10))\n")
+    outs = fresh_processes(code, [{"JUNK": n} for n in ("1000", "100000")])
+    assert outs == [[GOLDEN, POOL_DIGESTS["elim", 10]]] * 2
 
 
 #: ``worker.digest`` of the small seed-7 benchmark pools that
@@ -107,11 +129,15 @@ POOL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload,size", sorted(POOL_DIGESTS))
-def test_benchmark_pool_digest(workload, size):
+def pool_digest(workload: str, size: int) -> str:
     pool = families.GENERATORS[workload](7, size)
     fingerprints = [worker.run_one(workload, case)[1].fingerprint for case in pool]
-    assert worker.digest(workload, fingerprints) == POOL_DIGESTS[workload, size]
+    return worker.digest(workload, fingerprints)
+
+
+@pytest.mark.parametrize("workload,size", sorted(POOL_DIGESTS))
+def test_benchmark_pool_digest(workload, size):
+    assert pool_digest(workload, size) == POOL_DIGESTS[workload, size]
 
 
 def test_intern_table_grows_with_codes_not_runs():

@@ -4,11 +4,13 @@ package's module-level tables and caches and its stores on objects are
 the known ones, the formula table is weak, ``derivations`` binds no dict
 at module level, each formula class declares the kind of every field,
 no class of ``formulas``, ``universe`` or ``ordinals`` defines its own
-``==``, and every message of the local checker, of the finitary
-calculus, of the derivation constructors, of the ordinal parser, of
-evaluation, every malformed-code message, every ``ValueError`` and
-``TypeError`` of ``ordinals`` and ``universe`` and every ``IndexError``
-and ``TypeError`` of ``derivations`` is named by some test.
+``==``, every interned class hashes by identity, and every message of
+the local checker, of the finitary calculus, of the derivation
+constructors, of the ordinal parser, of evaluation, every
+malformed-code message, every ``ValueError`` and ``TypeError`` of
+``ordinals`` and ``universe`` and every ``ValueError``, ``TypeError``
+and ``IndexError`` of ``formulas`` and ``derivations`` is named by some
+test.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -133,8 +135,10 @@ KNOWN_TABLES = {
     # one object per live formula and term; weak, as a strong table keeps
     # every formula ever built (see test_the_formula_table_is_weak)
     "formulas._FORMULAS",
-    # ordinal arithmetic and checks, by interned argument
+    # whether an argument is a code, by interned argument; the benchmark's
+    # tracer reads its cache (perfbench/tracer.py, cache_counts)
     "ordinals.validate_nf",
+    # ordinal arithmetic, by interned argument
     "ordinals._cmp",
     "ordinals.add",
     "ordinals.omega_exp",
@@ -260,10 +264,9 @@ def test_premises_are_weakened_by_the_conclusion_not_restated():
 #: not see, so one more is a decision, not a detail: add it here with
 #: its reason.
 KNOWN_STORES = {
-    # a formula's or a term's hash, its negation, its quantifier
-    # instances by index, its record of syntactic facts and its text
-    "formulas": {"_hash", "_negation", "_instances", "_facts", "_text"},
-    "ordinals": {"_hash"},  # an interned code's hash
+    # a formula's negation, its quantifier instances by index, its record
+    # of syntactic facts and its text
+    "formulas": {"_negation", "_instances", "_facts", "_text"},
     # a concrete set's record of facts and its closure in witness-pool order
     "universe": {"_facts", "_closure"},
 }
@@ -289,16 +292,36 @@ def test_object_stores_are_the_known_ones():
     assert object_stores() == KNOWN_STORES
 
 
+def module_classes(module) -> list:
+    """The classes that ``module`` defines."""
+    return [C for C in vars(module).values()
+            if isinstance(C, type) and C.__module__ == module.__name__]
+
+
 @pytest.mark.parametrize("module", [formulas, universe, ordinals], ids=lambda m: m.__name__)
 def test_no_value_class_defines_its_own_equality(module):
     """The formulas, terms, desk sets, index sets, hulls and ordinal
     codes are interned, so ``==`` is identity: no class of the module
     has an ``__eq__`` of its own, generated or written.  A named tuple
     and an exception inherit theirs."""
-    classes = [C for C in vars(module).values()
-               if isinstance(C, type) and C.__module__ == module.__name__]
+    classes = module_classes(module)
     assert len(classes) >= 3
     assert [C.__name__ for C in classes if "__eq__" in vars(C)] == []
+
+
+#: The interned classes: the intern table's, and the formula table's.
+INTERNED = (ordinals._Interned, formulas._Formula, formulas.Var, formulas.Name)
+
+
+@pytest.mark.parametrize("module, least", [(formulas, 13), (universe, 3), (ordinals, 3)],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_every_interned_class_hashes_by_identity(module, least):
+    """One object per value, so the hash reads identity, ``object``'s,
+    as ``==`` does: no interned class of the module has a hash of its
+    own."""
+    classes = [C for C in module_classes(module) if issubclass(C, INTERNED)]
+    assert len(classes) >= least
+    assert [C.__name__ for C in classes if C.__hash__ is not object.__hash__] == []
 
 
 #: The field kind that each field annotation of a formula class stands for.
@@ -355,24 +378,60 @@ def test_every_check_local_message_is_tested():
 def raised_messages(module: str, exception: str) -> set:
     """The texts ``module`` raises as ``exception``: a string as it is, a
     format string (``text % args``) as its text, an f-string as a format
-    string with ``%s`` for each field, and both texts of a conditional
-    expression (``a if c else b``)."""
+    string with ``%s`` for each field, both texts of a conditional
+    expression (``a if c else b``), every text of a module-level table
+    that a message is looked up in (``TABLE[key]``, or ``TABLE.get(key,
+    default)`` and its default), and every text that a class of the
+    module binds to the attribute a message reads (``self.outside``)."""
     tree = ast.parse((SRC / (module + ".py")).read_text(encoding="utf-8"))
+    tables = {t.id: stmt.value.values for stmt in tree.body
+              if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Dict)
+              for t in stmt.targets if isinstance(t, ast.Name)}
+    attributes = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant):
+                    for t in stmt.targets:
+                        attributes.setdefault(ast.unparse(t), []).append(stmt.value)
+
+    def texts(t) -> list:
+        if isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mod):
+            return texts(t.left)
+        if isinstance(t, ast.IfExp):
+            return texts(t.body) + texts(t.orelse)
+        if isinstance(t, ast.Subscript) and ast.unparse(t.value) in tables:
+            return [x for v in tables[ast.unparse(t.value)] for x in texts(v)]
+        if (isinstance(t, ast.Call) and isinstance(t.func, ast.Attribute) and t.func.attr == "get"
+                and ast.unparse(t.func.value) in tables):
+            table = tables[ast.unparse(t.func.value)]
+            return [x for v in [*table, *t.args[1:]] for x in texts(v)]
+        if isinstance(t, ast.Attribute) and t.attr in attributes:
+            return [x for v in attributes[t.attr] for x in texts(v)]
+        if isinstance(t, ast.JoinedStr):
+            t = ast.Constant("".join(
+                v.value if isinstance(v, ast.Constant) else "%s" for v in t.values))
+        assert isinstance(t, ast.Constant) and isinstance(t.value, str), ast.unparse(t)
+        return [t.value]
+
     out = set()
     for n in ast.walk(tree):
-        if not (isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+        if (isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
                 and ast.unparse(n.exc.func) == exception):
-            continue
-        t = n.exc.args[0]
-        for t in [t.body, t.orelse] if isinstance(t, ast.IfExp) else [t]:
-            if isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mod):
-                t = t.left
-            if isinstance(t, ast.JoinedStr):
-                t = ast.Constant("".join(
-                    v.value if isinstance(v, ast.Constant) else "%s" for v in t.values))
-            assert isinstance(t, ast.Constant) and isinstance(t.value, str), ast.unparse(t)
-            out.add(t.value)
+            out.update(texts(n.exc.args[0]))
     return out
+
+
+def test_raised_messages_reads_tables_and_class_attributes(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    (tmp_path / "m.py").write_text(
+        'T = {"a": "from a table", "b": "also %s"}\n'
+        "class K:\n    outside = 'from a class'\n"
+        "def f(k, x):\n"
+        "    raise ValueError(T[k] if x else T.get(k, 'its default') % x)\n"
+        "def g(self):\n    raise IndexError(self.outside)\n", encoding="utf-8")
+    assert raised_messages("m", "ValueError") == {"from a table", "also %s", "its default"}
+    assert raised_messages("m", "IndexError") == {"from a class"}
 
 
 def untested(messages: set, rendered: dict) -> list:
@@ -435,7 +494,7 @@ def test_every_evaluation_message_is_tested(module, least):
     assert untested(messages, {}) == []
 
 
-@pytest.mark.parametrize("module", ["derivations", "ordinals", "universe"])
+@pytest.mark.parametrize("module", ["derivations", "formulas", "ordinals", "universe"])
 def test_every_value_and_type_message_is_tested(module):
     """Each ``ValueError``, ``TypeError`` and ``IndexError`` text of the
     module is named by a test."""

@@ -10,7 +10,8 @@ import pytest
 
 from proofkit import universe
 from proofkit.finitary import parse_script
-from proofkit.ordinals import OMEGA, ONE as ORD_ONE, ZERO, OrdCode, add, cmp, from_nat, LESS
+from proofkit.ordinals import (OMEGA, ONE as ORD_ONE, ZERO, MalformedOrdinalError, OrdCode, add,
+                               cmp, from_nat, LESS)
 from proofkit.universe import (
     Abstract,
     Concrete,
@@ -53,10 +54,12 @@ class TestSets:
         assert not is_concrete(om)
 
     def test_abstract_rank_is_a_normal_code_below_omega(self):
-        rising = OrdCode(((ZERO, 1), (ORD_ONE, 1)))
-        for bad in (OMEGA, add(OMEGA, ORD_ONE), rising, 5):
+        for bad in (OMEGA, add(OMEGA, ORD_ONE), 5):
             with pytest.raises(ValueError, match="^parameter ranks lie below Omega$"):
                 Abstract("p", bad)
+        # a rank that is not in normal form is never built
+        with pytest.raises(MalformedOrdinalError, match=r"^not a normal-form code: OrdCode\(terms="):
+            OrdCode(((ZERO, 1), (ORD_ONE, 1)))
 
     def test_rank_over_an_abstract_member(self):
         om = Abstract("om", from_nat(5))
@@ -251,7 +254,7 @@ class TestSetFacts:
             F = set_facts(s)
             assert s._facts is F
             assert s.__reduce__() == (Concrete, (s.members,))
-            assert hash(s) == hash((s.members,))
+            assert hash(s) == object.__hash__(s)
             assert repr(s) == "Concrete(%s)" % F.text
         with pytest.raises(AttributeError):
             s._facts = None
@@ -263,8 +266,8 @@ class TestInterning:
         for s in random_desk_sets(19, [a]) + enumerate_hf(100):
             assert Concrete(frozenset(s.members)) is s
             assert Concrete(frozenset(sorted(s.members, key=ref_render_set))) is s
-            # a frozen dataclass's hash, so set orders and digests are kept
-            assert hash(s) == hash((s.members,))
+            # the identity hash: what a run writes never follows a set's order
+            assert hash(s) == object.__hash__(s)
             assert copy.copy(s) is s and copy.deepcopy(s) is s
             assert pickle.loads(pickle.dumps(s)) is s
             assert repr(s) == "Concrete(%s)" % ref_render_set(s)
@@ -275,8 +278,8 @@ class TestInterning:
         assert Hull(frozenset({TWO, Abstract("p", from_nat(1))})) is h
         assert hull_extend(hull_extend(EMPTY_HULL, TWO), p) is hull_extend(EMPTY_HULL, p)
         assert Hull(frozenset()) is EMPTY_HULL and h != EMPTY_HULL
-        # a frozen dataclass's hash, so set orders and digests are kept
-        assert hash(h) == hash((h.generators,))
+        # the identity hash: what a run writes never follows a set's order
+        assert hash(h) == object.__hash__(h)
         assert copy.copy(h) is h and copy.deepcopy(h) is h
         assert pickle.loads(pickle.dumps(h)) is h
         assert repr(h) == "Hull(p, {{{}},{}})"
@@ -288,9 +291,9 @@ class TestInterning:
         assert Abstract("p", ORD_ONE) is p
         assert Abstract(name="p", declared_rank=from_nat(1)) is p
         assert Abstract("p", from_nat(2)) is not p and Abstract("q", ORD_ONE) is not p
-        # a frozen dataclass's hash, so hull and support orders, and with
-        # them the traces, are kept
-        assert hash(p) == hash(("p", ORD_ONE))
+        # the identity hash: the traces never follow a hull's or a
+        # support's order
+        assert hash(p) == object.__hash__(p)
         assert copy.copy(p) is p and copy.deepcopy(p) is p
         assert pickle.loads(pickle.dumps(p)) is p
         assert repr(p) == "Abstract('p')"
