@@ -34,6 +34,13 @@ rebuilds such a premise once for both sides, and ``E`` lowers it once,
 by all of its rounds, to ``E(p, k)``.  Each term is a function of its
 arguments, so this changes no signature, only how often one term is
 built and unfolded.
+
+A closure that a node stores (a conjunction's premise function, or the
+wrap that ``_map_premises`` applies to each premise) holds a term's
+parts, never the term: a term keeps its unfolded node, so a closure in
+that node which held the term would make a reference cycle.  Without
+cycles, reference counting frees a derivation as soon as its last user
+drops it, and none is left to the cyclic collector.
 """
 
 from __future__ import annotations
@@ -396,11 +403,13 @@ class Weak(DerivTerm):
     def __init__(self, sub: DerivTerm, sig: Sig):
         super().__init__()
         old = sub.sig
-        if not hull_subsumes(sig.hull, old.hull):
+        # hulls and codes are interned, so an unchanged one is the same
+        # object and needs no value check
+        if sig.hull is not old.hull and not hull_subsumes(sig.hull, old.hull):
             raise ConstructionError("weakening must not shrink the hull")
         if sig.rank < old.rank:
             raise ConstructionError("weakening must not lower the cut rank")
-        if cmp(old.bound, sig.bound) == GREATER:
+        if old.bound is not sig.bound and cmp(old.bound, sig.bound) == GREATER:
             raise ConstructionError("weakening must not lower the bound")
         if not old.seq <= sig.seq:
             raise ConstructionError("weakening only adds sequent members")
@@ -422,9 +431,9 @@ def fit(d: DerivTerm, hull: Hull, rank_: int, seq: Sequent) -> DerivTerm:
     signature is checked against d's; when d is itself a weakening, the
     result weakens d's sub, so a chain of weakenings is one term."""
     old = d.sig
-    # tuples compare their items by identity first, so an unchanged
-    # sequent object is not compared member by member
-    if (hull, rank_, seq) == (old.hull, old.rank, old.seq):
+    # an unchanged sequent is usually the same object, which is not
+    # compared member by member; hulls are interned
+    if hull is old.hull and rank_ == old.rank and (seq is old.seq or seq == old.seq):
         return d
     return Weak(d, Sig(hull, old.bound, rank_, seq))
 
@@ -606,7 +615,10 @@ def emb_bound(m: int, values) -> OrdCode:
 class Emb(DerivTerm):
     """Embedding of a checked finitary proof under a variable assignment.
     The ranks of the proof's nodes are computed once, for the root, and
-    the embeddings of its premises share them."""
+    the embeddings of its premises share them.  Its unfolded node builds
+    premises with the function ``_premise_maker`` returns, a closure
+    over the embedding's parts (proof node, assignment, base hull, N,
+    ranks and signature), never over the embedding itself."""
 
     def __init__(self, pi: fin.ProofNode, assignment: dict, hull: Hull, N: int = 2):
         self._embed(pi, assignment, hull, N, _emb_ranks(pi))
@@ -626,20 +638,27 @@ class Emb(DerivTerm):
         seq = frozenset(close(A, assignment) for A in pi.conclusion)
         self.sig = Sig(full_hull, emb_bound(self.m, values), self.m, seq)
 
-    def _premise(self, k: int, extra: dict | None = None) -> DerivTerm:
-        """Premise k as its own derivation, weakened by the conclusion:
-        the embedding of premise k under the assignment updated by
-        ``extra``, fitted to this embedding's hull extended by
-        ``extra``'s values, its rank, and its sequent joined with the
-        premise's.  For a checked proof that sequent is the one the
-        node's premise rule wants."""
-        assignment, hull = self.assignment, self.sig.hull
-        if extra:
-            assignment = {**assignment, **extra}
-            hull = hull_extend_list(hull, extra.values())
-        sub = Emb.__new__(Emb)
-        sub._embed(self.pi.premises[k], assignment, self.base_hull, self.N, self.ranks)
-        return fit(sub, hull, self.m, self.sig.seq | sub.sig.seq)
+    def _premise_maker(self):
+        """The function from k (and ``extra``) to premise k as its own
+        derivation, weakened by the conclusion: the embedding of premise
+        k under the assignment updated by ``extra``, fitted to this
+        embedding's hull extended by ``extra``'s values, its rank, and
+        its sequent joined with the premise's.  For a checked proof that
+        sequent is the one the node's premise rule wants."""
+        pi, assignment, base_hull, N, ranks = (
+            self.pi, self.assignment, self.base_hull, self.N, self.ranks)
+        hull, m, seq = self.sig.hull, self.m, self.sig.seq
+
+        def premise(k: int, extra: dict | None = None) -> DerivTerm:
+            a, h = assignment, hull
+            if extra:
+                a = {**assignment, **extra}
+                h = hull_extend_list(hull, extra.values())
+            sub = Emb.__new__(Emb)
+            sub._embed(pi.premises[k], a, base_hull, N, ranks)
+            return fit(sub, h, m, seq | sub.sig.seq)
+
+        return premise
 
     def _expand(self):
         return _emb_expand(self)
@@ -656,9 +675,10 @@ def _emb_expand(e: Emb) -> ExplicitNode:
     if pi.rule in fin.AXIOM_RULES:
         return _map_premises(_axemb_expand(pi, e.assignment, sig, e.N), sig)
 
+    premise = e._premise_maker()
     if pi.rule == "cut":
-        left = e._premise(0)
-        right = left if pi.premises[1] is pi.premises[0] else e._premise(1)
+        left = premise(0)
+        right = left if pi.premises[1] is pi.premises[0] else premise(1)
         return CutNode(sig, close(pi.formula, e.assignment), left, right)
 
     main = close(pi.main, e.assignment)
@@ -675,35 +695,35 @@ def _emb_expand(e: Emb) -> ExplicitNode:
         zero = from_nat(0)
         if pi.rule == "and":
             i = int(eval_formula_bounded(main.left))  # the first false conjunct
-            return _cut_away(sig, component(main, i), e._premise(i), zero)
-        inner = e._premise(0)  # both disjuncts are false
+            return _cut_away(sig, component(main, i), premise(i), zero)
+        inner = premise(0)  # both disjuncts are false
         upper = Sig(P, _bump(inner.sig.bound, 1), sig.rank, seq | {main.right})
         return _cut_away(sig, main.right, _cut_away(upper, main.left, inner, zero), zero)
 
     if pi.rule == "or":
-        return _both_disjuncts(sig, main, e._premise(0))
+        return _both_disjuncts(sig, main, premise(0))
 
     if pi.rule == "and":
-        return WedgeNode(sig, main, J_TWO, e._premise)
+        return WedgeNode(sig, main, J_TWO, premise)
 
     if pi.rule == "ex":
-        return VeeNode(sig, main, _closed_value(pi.term, e.assignment), e._premise(0))
+        return VeeNode(sig, main, _closed_value(pi.term, e.assignment), premise(0))
 
     if pi.rule == "all":
-        return WedgeNode(sig, main, J_UNIVERSE, lambda b: e._premise(0, {pi.var: b}))
+        return WedgeNode(sig, main, J_UNIVERSE, lambda b: premise(0, {pi.var: b}))
 
     if pi.rule == "bex":
         iota = _closed_value(pi.term, e.assignment)
         membership = Mem(Name(iota), main.bound)
         if eval_formula_bounded(membership):
-            return VeeNode(sig, main, iota, e._premise(1))
+            return VeeNode(sig, main, iota, premise(1))
         # witness misses the bounding set: the membership premise is
         # effectively a proof of the conclusion, cut against its negation
-        return _cut_away(sig, membership, e._premise(0), from_nat(1))
+        return _cut_away(sig, membership, premise(0), from_nat(1))
 
     if pi.rule == "ball":
         def prem(b):
-            right = e._premise(0, {pi.var: b})
+            right = premise(0, {pi.var: b})
             cut_sig = Sig(right.sig.hull, _bump(right.sig.bound, 1), sig.rank,
                           seq | {component(main, b)})
             return _cut_away(cut_sig, NotMem(Name(b), main.bound), right, from_nat(1))
@@ -785,7 +805,8 @@ def _refit(v: ExplicitNode, sig: Sig, wrap, iota, p: DerivTerm) -> DerivTerm:
 
 class Inv(DerivTerm):
     """From a derivation of Delta, not-C (not-C conjunctive), the
-    derivation of Delta, not-C_iota at the same bound."""
+    derivation of Delta, not-C_iota at the same bound.  The wrap it
+    hands ``_map_premises`` holds C and iota, never the term itself."""
 
     def __init__(self, sub: DerivTerm, C: Formula, iota):
         super().__init__()
@@ -800,13 +821,13 @@ class Inv(DerivTerm):
 
     def _expand(self):
         v = rule_of(self.sub)
-        sig = self.sig
+        C, iota, sig = self.C, self.iota, self.sig
         if isinstance(v, WedgeNode) and v.main is self.notC:
             # select the iota-th premise and invert it in turn, since it
             # still carries the conjunction in its sequent
-            inner = Inv(v.premise(self.iota), self.C, self.iota)
+            inner = Inv(v.premise(iota), C, iota)
             return _map_premises(rule_of(inner), sig)
-        return _map_premises(v, sig, lambda p, hull: Inv(p, self.C, self.iota))
+        return _map_premises(v, sig, lambda p, hull: Inv(p, C, iota))
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +844,7 @@ class Red(DerivTerm):
         m = d0.sig.rank
         if d1.sig.rank != m:
             raise ConstructionError("reduction inputs must share their cut rank")
-        if d0.sig.hull != d1.sig.hull:
+        if d0.sig.hull is not d1.sig.hull:
             raise ConstructionError("reduction inputs must share their hull")
         if depth(C) > m:
             raise ConstructionError("reduced formula deeper than the cut rank")

@@ -631,7 +631,12 @@ def evaluate(A: Formula, domain, env: dict) -> bool:
     that is None, B is left undecided and counts as false.  ``domain``
     may also raise.  A quantifier whose variable is not free in its
     body has the body's value over a nonempty range, so the body is
-    evaluated once, under ``env``."""
+    evaluated once, under ``env``.  A bounded quantifier that some
+    member decides has that value even where other members raise; when
+    none decides and some raised, it raises the error of the least of
+    those by ``repr``, so the value and the error do not depend on the
+    order in which a set's members are walked.  An unbounded one raises
+    at the first member of its domain that raises."""
     if isinstance(A, Mem):
         return set_member(_term_value(A.left, env), _term_value(A.right, env))
     if isinstance(A, NotMem):
@@ -655,10 +660,22 @@ def evaluate(A: Formula, domain, env: dict) -> bool:
     if var not in facts(body).free_vars:
         return evaluate(body, domain, env) if sets else not exists
     inner = dict(env)
+    bounded = isinstance(A, (BEx, BAll))
+    undecided = None  # the least member, by repr, whose body raised
     for b in sets:
         inner[var] = b
-        if evaluate(body, domain, inner) == exists:
-            return exists
+        try:
+            if evaluate(body, domain, inner) == exists:
+                return exists
+        except EvaluationError:
+            if not bounded:
+                raise
+            if undecided is None or repr(b) < repr(undecided):
+                undecided = b
+    if undecided is not None:
+        # no member decides: that member's body raises its error again
+        inner[var] = undecided
+        evaluate(body, domain, inner)
     return not exists
 
 

@@ -227,9 +227,11 @@ def witness_pool(count: int, params) -> list:
     """A finite search domain for unbounded quantifiers: the first
     *count* hereditarily finite sets, then each concrete parameter and
     every set hereditarily inside it, ordered by ``repr``, each set once.
-    A concrete parameter keeps that order once it is first asked for."""
+    The parameters are read in ``repr`` order too, so the pool does not
+    depend on the order they are given in.  A concrete parameter keeps
+    its closure's order once it is first asked for."""
     pool = enumerate_hf(count)
-    for a in params:
+    for a in sorted(params, key=repr):
         if isinstance(a, Concrete):
             closure = a._closure
             if closure is None:
@@ -273,8 +275,12 @@ def hull_extend(P: Hull, iota: DeskSet) -> Hull:
 
 def hull_at(P: Hull, iota) -> Hull:
     """The hull of the premise at index iota: P extended by a desk set,
-    P itself at a binary index 0 or 1."""
-    if isinstance(iota, (Concrete, Abstract)):
+    P itself at a binary index 0 or 1, and at a set whose facts are
+    known to hold no abstract parameter, since every hull has it."""
+    if isinstance(iota, Concrete):
+        F = iota._facts
+        return P if F is not None and not F.atoms else hull_extend(P, iota)
+    if isinstance(iota, Abstract):
         return hull_extend(P, iota)
     return P
 

@@ -410,9 +410,10 @@ class TestElim:
         assert capsys.readouterr().err == (
             "node 0: expansion error: no collection witness found in the search space\n")
 
-    def test_rejects_small_n(self, scripts):
+    def test_rejects_small_n(self, scripts, capsys):
         with pytest.raises(SystemExit):
             main(["elim", scripts["pair"], "--N", "1"])
+        assert "argument --N: N must be at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--rounds", "--depth"])
     def test_negative_count_names_its_flag(self, scripts, capsys, flag):

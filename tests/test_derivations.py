@@ -1,6 +1,7 @@
 """Derivation terms: lazy expansion, embedding signatures, weakening,
 reduction, and predicative cut elimination."""
 
+import gc
 import random
 from dataclasses import replace
 
@@ -877,3 +878,36 @@ class TestDescent:
             assert cmp(p.sig.bound, t.sig.bound) == LESS
             assert p.sig.rank == t.sig.rank
             self._walk(p, fuel - 1)
+
+
+class TestNoCycles:
+    """A closure that a node stores holds a term's parts, never the term,
+    so no term is on a reference cycle, and reference counting frees a
+    derivation as soon as its last user drops it."""
+
+    def test_no_term_is_left_to_the_cyclic_collector(self):
+        inputs = [(e.script, e.concrete and not e.has_ref) for e in build_corpus()]
+        for workload in ("check", "elim", "sound"):
+            for case in families.GENERATORS[workload](1, 6):
+                script = parse_script(case.text)
+                if check_proof(script.root).ok:
+                    inputs.append((script, False))
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for script, evaluable in inputs:
+                d = Emb(script.root, script.assignment, EMPTY_HULL)
+                for _ in range(d.sig.rank):
+                    d = elim_cuts(d)
+                check_local(d, 3, sampler=default_sampler(seed=0))
+                if evaluable:
+                    eval_cutfree(d, 8)
+            del d
+            gc.collect()
+            left = sorted(type(o).__name__ for o in gc.garbage
+                          if isinstance(o, (DerivTerm, ProofNode)))
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert len(inputs) > 30 and left == []

@@ -361,14 +361,23 @@ def ref_evaluate(A, domain):
         return ref_evaluate(A.left, domain) or ref_evaluate(A.right, domain)
     if isinstance(A, And):
         return ref_evaluate(A.left, domain) and ref_evaluate(A.right, domain)
+    exists = isinstance(A, (BEx, Ex))
     if isinstance(A, (BEx, BAll)):
-        sets = set_members(value(A.bound))
-    else:
-        sets = domain(A)
-        if sets is None:
-            return False
+        # a member that decides settles it; else the error of the least
+        # failing member by repr
+        outcomes = [_outcome(lambda: ref_evaluate(subst(A.body, A.var, Name(b)), domain))
+                    for b in sorted(set_members(value(A.bound)), key=repr)]
+        if exists in outcomes:
+            return exists
+        errors = [v for v in outcomes if isinstance(v, str)]
+        if errors:
+            raise EvaluationError(errors[0])
+        return not exists
+    sets = domain(A)
+    if sets is None:
+        return False
     instances = (ref_evaluate(subst(A.body, A.var, Name(b)), domain) for b in sets)
-    return any(instances) if isinstance(A, (BEx, Ex)) else all(instances)
+    return any(instances) if exists else all(instances)
 
 
 def reference_sample(seed, count=10_000):
@@ -801,6 +810,21 @@ class TestEval:
     def test_rejects_unbounded(self):
         with pytest.raises(EvaluationError):
             eval_formula_bounded(Ex("x", Mem(Var("x"), Name(ONE))))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["p-first", "p-last"])
+    def test_a_bounded_quantifier_has_one_value_in_any_member_order(self, monkeypatch, reverse):
+        """A member that decides settles the quantifier even where another
+        member raises; with none that decides, the undecided member's
+        error."""
+        params = {"p": Abstract("p", from_nat(1))}
+        real = formulas.set_members
+        monkeypatch.setattr(formulas, "set_members",
+                            lambda a: sorted(real(a), key=repr, reverse=reverse))
+        assert conjunctive(parse_formula("(bex x {p,{{}}} (in 0 x))", params)) is True
+        assert conjunctive(parse_formula("(ball x {p,{{}}} (notin 0 x))", params)) is False
+        with pytest.raises(EvaluationError) as ex:
+            conjunctive(parse_formula("(bex x {p} (in 0 x))", params))
+        assert str(ex.value) == "membership in abstract parameter 'p' is undecidable"
 
     def test_rejects_opaque(self):
         with pytest.raises(EvaluationError):

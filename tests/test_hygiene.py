@@ -10,7 +10,8 @@ constructors, of the ordinal parser, of evaluation, every
 malformed-code message, every ``ValueError`` and ``TypeError`` of
 ``ordinals`` and ``universe`` and every ``ValueError``, ``TypeError``
 and ``IndexError`` of ``formulas`` and ``derivations`` is named by some
-test.
+test, and every line that ``cli`` writes to standard error or gives
+argparse to report is named by ``tests/test_cli.py``.
 
 Parses ``src/proofkit/*.py`` with ``ast``; ``from __future__ import
 annotations`` is a compiler directive, so it is exempt.  A definition
@@ -231,7 +232,7 @@ def test_derivations_keep_no_module_level_dict():
 
 
 def premise_restatements(source: str) -> list:
-    """The ``fit(...)`` and ``._premise(...)`` calls in ``source`` with an
+    """The ``fit(...)`` and ``premise(...)`` calls in ``source`` with an
     argument ``<expr> | {...}``: a premise sequent written out by hand
     instead of read from the premise's own derivation."""
     out = []
@@ -239,8 +240,7 @@ def premise_restatements(source: str) -> list:
         if not isinstance(n, ast.Call):
             continue
         f = n.func
-        if not ((isinstance(f, ast.Name) and f.id == "fit")
-                or (isinstance(f, ast.Attribute) and f.attr == "_premise")):
+        if not (isinstance(f, ast.Name) and f.id in ("fit", "premise")):
             continue
         if any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.BitOr)
                and isinstance(a.right, ast.Set) for a in n.args):
@@ -252,9 +252,9 @@ def test_premises_are_weakened_by_the_conclusion_not_restated():
     """A premise's sequent is its own joined with the conclusion; the
     premise rules live in the node classes' ``wants``."""
     assert premise_restatements(
-        "fit(d, h, m, s | {C})\ne._premise(0, P, seq | {a, b})\n"
-        "fit(d, h, m, s | d.sig.seq)\ne._premise(0, {v: b})\nf(s | {C})\n") == [
-        "fit(d, h, m, s | {C})", "e._premise(0, P, seq | {a, b})"]
+        "fit(d, h, m, s | {C})\npremise(0, P, seq | {a, b})\n"
+        "fit(d, h, m, s | d.sig.seq)\npremise(0, {v: b})\nf(s | {C})\n") == [
+        "fit(d, h, m, s | {C})", "premise(0, P, seq | {a, b})"]
     assert premise_restatements((SRC / "derivations.py").read_text(encoding="utf-8")) == []
 
 
@@ -434,14 +434,16 @@ def test_raised_messages_reads_tables_and_class_attributes(tmp_path, monkeypatch
     assert raised_messages("m", "IndexError") == {"from a class"}
 
 
-def untested(messages: set, rendered: dict) -> list:
-    """The messages that no test other than this module names: a format
-    string of ``rendered`` as each text it renders from its rows of
-    arguments, any other format string as a pattern in which each
-    conversion stands for some text."""
-    tests = "\n".join(p.read_text(encoding="utf-8")
-                      for p in sorted((ROOT / "tests").rglob("*.py"))
-                      if p.name != "test_hygiene.py")
+def untested(messages: set, rendered: dict, paths=None) -> list:
+    """The messages that no test of ``paths``, by default every test
+    module other than this one, names: a format string of ``rendered``
+    as each text it renders from its rows of arguments, any other
+    format string as a pattern in which each conversion stands for some
+    text."""
+    if paths is None:
+        paths = [p for p in sorted((ROOT / "tests").rglob("*.py"))
+                 if p.name != "test_hygiene.py"]
+    tests = "\n".join(p.read_text(encoding="utf-8") for p in paths)
     missing = []
     for m in sorted(messages):
         if m in rendered:
@@ -516,3 +518,31 @@ def test_every_ordinal_parser_message_is_tested():
     messages = raised_messages("ordinals", "OrdinalParseError")
     assert len(messages) > 7
     assert untested(messages, {}) == []
+
+
+def cli_messages() -> set:
+    """The texts ``cli`` prints to ``sys.stderr`` or raises as
+    ``argparse.ArgumentTypeError``, a format string as its text."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    out = set()
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        to_stderr = ast.unparse(n.func) == "print" and any(
+            k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in n.keywords)
+        if not (to_stderr or ast.unparse(n.func) == "argparse.ArgumentTypeError"):
+            continue
+        t = n.args[0]
+        if isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mod):
+            t = t.left
+        assert isinstance(t, ast.Constant) and isinstance(t.value, str), ast.unparse(t)
+        out.add(t.value)
+    return out
+
+
+def test_every_cli_message_is_named_by_its_tests():
+    """Each line the command line writes to standard error, and each
+    text it gives argparse to report, is named by ``tests/test_cli.py``."""
+    messages = cli_messages()
+    assert {"N must be at least 2", "error: %s"} <= messages and len(messages) >= 7
+    assert untested(messages, {}, [ROOT / "tests" / "test_cli.py"]) == []

@@ -22,6 +22,7 @@ from proofkit.universe import (
     OMEGA_WITNESS,
     HF_LIMIT,
     enumerate_hf,
+    hull_at,
     hull_contains,
     hull_extend,
     hull_subsumes,
@@ -145,6 +146,12 @@ class TestWitnessPool:
         pool = witness_pool(1, [a, a])
         assert pool == [EMPTY] + [b for b in extra if b != EMPTY]
 
+    def test_the_parameters_are_read_in_repr_order(self):
+        A = parse_set("{{{{{}}}}}")
+        B = parse_set("{{{{},{{}}}}}")
+        assert witness_pool(4, [A, B]) == witness_pool(4, [B, A])
+        assert witness_pool(4, {A, B}) == witness_pool(4, [A, B])
+
     def test_a_parameter_keeps_its_closure_in_order(self, monkeypatch):
         a = Concrete(frozenset({TWO, Concrete(frozenset({Concrete(frozenset({TWO}))}))}))
         first = witness_pool(3, [a])
@@ -211,6 +218,16 @@ class TestHull:
                   Concrete(frozenset({TWO, Concrete(frozenset({a, b}))}))):
             assert not hull_contains(P, s)
             assert hull_extend(P, s) != P
+
+    def test_hull_at_a_set_is_its_extension(self):
+        a = Abstract("a", from_nat(1))
+        P = hull_extend(EMPTY_HULL, Abstract("b", from_nat(1)))
+        fresh = parse_set("{{{{{{{}}}}},{{{},{{}}}}}}")
+        object.__setattr__(fresh, "_facts", None)  # as if never asked for
+        assert hull_at(P, fresh) is P and fresh._facts is not None
+        for s in (fresh, EMPTY, TWO, a, Concrete(frozenset({a, ONE}))):
+            assert hull_at(P, s) is hull_extend(P, s)
+        assert hull_at(P, 0) is P and hull_at(P, 1) is P
 
     def test_not_a_desk_set_is_refused(self):
         for x in ("p", 0, Hull(frozenset())):
