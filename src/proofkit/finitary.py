@@ -21,8 +21,7 @@ other node must be a premise of it, hereditarily.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, fields
 
 from .formulas import (
     Ad,
@@ -61,7 +60,7 @@ from .ordinals import parse as parse_ord, render as render_ord
 from .universe import Abstract, render_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofNode:
     rule: str
     conclusion: Sequent
@@ -74,12 +73,30 @@ class ProofNode:
     var2: str | None = None
     formula: Formula | None = None
 
+    def __init__(self, rule, conclusion, premises=(), main=None, term=None, term2=None,
+                 term3=None, var=None, var2=None, formula=None):
+        # each field through its slot's own setter, which the frozen
+        # __setattr__ does not guard; the generated __init__ makes one
+        # object.__setattr__ call per field, which looks the slot up first
+        (set_rule, set_conclusion, set_premises, set_main, set_term, set_term2, set_term3,
+         set_var, set_var2, set_formula) = _SETTERS
+        set_rule(self, rule)
+        set_conclusion(self, conclusion)
+        set_premises(self, premises)
+        set_main(self, main)
+        set_term(self, term)
+        set_term2(self, term2)
+        set_term3(self, term3)
+        set_var(self, var)
+        set_var2(self, var2)
+        set_formula(self, formula)
+
+
+#: the slot setter of each field of ``ProofNode``, in field order
+_SETTERS = tuple(getattr(ProofNode, f.name).__set__ for f in fields(ProofNode))
 
 #: The witness fields of a node, in the order scripts write them.
 WITNESSES = ("main", "formula", "term", "term2", "term3", "var", "var2")
-
-#: What decides a node's inference: its rule, conclusion and witnesses.
-_inference = attrgetter("rule", "conclusion", *WITNESSES)
 
 
 def end_sequent(pi: ProofNode) -> Sequent:
@@ -322,7 +339,9 @@ def check_proof(pi: ProofNode, N: int = 2) -> CheckResult:
         if id(node) in walked:
             continue
         walked.add(id(node))
-        key = _inference(node)
+        # what decides the inference: the rule, conclusion and WITNESSES
+        key = (node.rule, node.conclusion, node.main, node.formula, node.term, node.term2,
+               node.term3, node.var, node.var2)
         need = derived.get(key)
         if need is None:
             try:
@@ -444,7 +463,7 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
         items = Reader(rest, params, memo)
         premise_ids = items.item() if items.tokens(1) == ["["] else []
         pos = items.pos
-    # the reader's keys are texts, so this key is none of theirs
+    # the reader's keys are texts and a 1-tuple, so this key is none of theirs
     tail = (None, rest[pos:].lstrip())
     kept = memo.get(tail)
     if kept is not None:

@@ -733,9 +733,12 @@ _CLOSER = {"(": ")", "{": "}", "[": "]"}
 _PUNCTUATION = {*_CLOSER, *_CLOSER.values()}
 _UNCLOSED = {"(": "missing closing parenthesis", "{": "unterminated set literal", "[": "missing ]"}
 
-#: the step in the depth of parentheses and braces at each byte, -1 as
-#: a signed byte
-_DEPTH_STEPS = bytes(1 if b in b"({" else 255 if b in b")}" else 0 for b in range(256))
+#: the first closer of a kept span, which ends the prefix it is indexed by
+_FIRST_CLOSER = re.compile(r"[)}]")
+
+#: the memo's key for its index of kept texts by prefix: not a text, so
+#: no span's key, and cleared with the memo
+_PREFIXES = ("prefixes",)
 
 
 class Reader:
@@ -746,18 +749,23 @@ class Reader:
 
     Formulas, terms and sets are interned, so equal formulas read from
     any texts while they live are one object.  ``memo`` keeps each
-    outermost span, sequent member and set literal under its text: the
-    reader finds the matching closer from the text's bracket depths,
-    looks the text up, and reads the span token by token only on a miss.
-    Deeper spans are not kept by text, as the keys of a chain of nested
-    spans would grow with the square of its length.  A sequent and a list
-    are not kept.  The keys read atoms by ``params``: a caller that
-    changes ``params`` must clear the memo."""
+    outermost span, sequent member and set literal under its text, and
+    indexes those texts by their prefix up to their first ``)`` or
+    ``}``.  At such a span's bracket the reader takes the text from
+    there to the first closer, looks that prefix up, and takes the kept
+    text that the text continues with; it reads the span token by token
+    only on a miss.  A match is exact: a kept text is balanced, and its
+    first bracket closes only at its last character, so the text at the
+    bracket holds that span and no longer one.  Deeper spans are not
+    kept by text, as the keys of a chain of nested spans would grow with
+    the square of its length.  A sequent and a list are not kept.  The
+    keys read atoms by ``params``: a caller that changes ``params`` must
+    clear the memo, which clears the index with it."""
 
     def __init__(self, text: str, params: dict, memo: dict):
         self.text, self.params, self.memo = text, params, memo
         self.pos = 0
-        self._depth = None  # the bracket depth after each character, once asked for
+        self._index = memo.setdefault(_PREFIXES, {})  # the kept texts, in lists by prefix
 
     def tokens(self, n: int | None = None) -> list:
         """The next ``n`` tokens, or all that are left, without reading them."""
@@ -769,9 +777,9 @@ class Reader:
 
     def item(self):
         """The next item; ValueError when there is none or it is malformed."""
-        text, params, memo, depth = self.text, self.params, self.memo, self._depth
-        stack = []  # the enclosing open brackets, each with its items and text
-        bracket = items = key = None  # the innermost open bracket, its items and text
+        text, params, memo, index = self.text, self.params, self.memo, self._index
+        stack = []  # the enclosing open brackets, each with its items and start
+        bracket = items = start = None  # the innermost open bracket, its items and kept start
         pos = self.pos
         while m := _TOKEN.search(text, pos):
             tok, pos = m[0], m.end()
@@ -780,45 +788,42 @@ class Reader:
             elif tok in _CLOSER:
                 if bracket == "{" and tok != "{":
                     raise ValueError("unexpected %r in a set literal" % tok)
-                span = value = None
+                at = value = None
                 # an outermost span, a sequent member or a set literal, none
                 # nested in another of its kind: each character is looked up
                 # at most twice.  "(seq" is no formula and is not kept.
                 if (tok == "{" and bracket != "{" or tok == "(" and not text.startswith("seq", pos)
                         and (bracket is None or len(stack) == 1 and items[:1] == ["seq"])):
-                    # the text up to the closer that the depths match with
-                    # this bracket (none if no closer does); a non-Latin-1
-                    # character encodes as one byte, which keeps positions
-                    if depth is None:
-                        steps = text.encode("latin-1", "replace").translate(_DEPTH_STEPS)
-                        depth = self._depth = list(
-                            itertools.accumulate(memoryview(steps).cast("b")))
-                    try:
-                        span = text[pos - 1:depth.index(depth[pos - 1] - 1, pos) + 1]
-                    except ValueError:
-                        pass
-                    value = memo.get(span)
+                    at = pos - 1
+                    closer = _FIRST_CLOSER.search(text, pos)
+                    if closer is not None:  # else no span closes here
+                        for span in index.get(text[at:closer.end()], ()):
+                            if text.startswith(span, at):
+                                value = memo[span]
+                                break
                 if value is None:
-                    stack.append((bracket, items, key))
-                    bracket, items, key = tok, [], span
+                    stack.append((bracket, items, start))
+                    bracket, items, start = tok, [], at
                     continue
                 pos += len(span) - 1
             else:
                 if tok != _CLOSER.get(bracket):
                     raise ValueError(_UNCLOSED.get(bracket, "unexpected closing parenthesis"))
-                closed, parts, span = bracket, items, key
-                bracket, items, key = stack.pop()
+                closed, parts, at = bracket, items, start
+                bracket, items, start = stack.pop()
                 if closed == "[":
                     value = parts
                 elif closed == "{":
                     value = Concrete(frozenset(parts))
                 elif bracket is None and parts[:1] == ["seq"]:
                     value = frozenset(as_formula(x) for x in parts[1:])
-                    span = None  # a sequent is kept under no text
+                    at = None  # a sequent is kept under no text
                 else:
                     value = formula_from_tree(parts, params)
-                if span is not None:
+                if at is not None:
+                    span = text[at:pos]
                     memo[span] = value
+                    index.setdefault(span[:_FIRST_CLOSER.search(span).end()], []).append(span)
             if bracket is None:
                 self.pos = pos
                 return value

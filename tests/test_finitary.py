@@ -1,6 +1,8 @@
 """Finitary sequent calculus: deterministic checking, axiom instances,
 and the proof-script text format."""
 
+import dataclasses
+import inspect
 import random
 import re
 
@@ -364,6 +366,53 @@ class TestScripts:
         )
         with pytest.raises(ValueError, match=r"^line 2: duplicate node id a$"):
             parse_script(text)
+
+
+class TestProofNode:
+    """The hand-written ``__init__`` keeps what the dataclass generates."""
+
+    A = Mem(ZERO_TERM, Name(parse_set("{{}}")))
+
+    def test_the_signature_is_the_fields(self):
+        params = inspect.signature(ProofNode).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(ProofNode)]
+
+    def test_a_node_is_frozen(self):
+        node = ProofNode("logax", seq(self.A), main=self.A)
+        for f in dataclasses.fields(ProofNode):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, f.name)
+        assert node.rule == "logax" and node.main is self.A
+
+    def test_replace_gives_an_equal_node_with_equal_hash(self):
+        leaf = ProofNode("logax", seq(self.A), main=self.A)
+        node = ProofNode("cut", seq(self.A), (leaf, leaf), formula=self.A)
+        for same in (dataclasses.replace(node, premises=(leaf, ProofNode("logax", seq(self.A),
+                                                                         main=self.A))),
+                     dataclasses.replace(node, formula=self.A),
+                     ProofNode(**{f.name: getattr(node, f.name)
+                                  for f in dataclasses.fields(ProofNode)})):
+            assert same == node and hash(same) == hash(node)
+        other = dataclasses.replace(node, var="x")
+        assert other != node
+        assert (other.rule, other.conclusion, other.premises, other.formula, other.var) == (
+            "cut", seq(self.A), (leaf, leaf), self.A, "x")
+
+    def test_repr_is_the_generated_one(self):
+        leaf = ProofNode("logax", seq(self.A), main=self.A)
+        mem = "Mem(left=Name({}), right=Name({{}}))"
+        text = ("ProofNode(rule='logax', conclusion=frozenset({%s}), premises=(), main=%s, "
+                "term=None, term2=None, term3=None, var=None, var2=None, formula=None)"
+                % (mem, mem))
+        assert repr(leaf) == text
+        assert repr(ProofNode("cut", seq(self.A), (leaf,), formula=self.A, var="x")) == (
+            "ProofNode(rule='cut', conclusion=frozenset({%s}), premises=(%s,), main=None, "
+            "term=None, term2=None, term3=None, var='x', var2=None, formula=%s)"
+            % (mem, text, mem))
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +912,104 @@ class TestReader:
             items.item()
         assert sum(len(key) for key in memo if isinstance(key, str)) <= 2 * len(text)
 
+    # texts read after WARM, each beginning with a text that WARM keeps:
+    # spans shorter than a probe key of any fixed length, a kept span's
+    # text and then an unclosed bracket, and a kept span's text at the
+    # start of a longer, unbalanced text
+    WARM = "{} {{}} (in 0 0) (in 0 {{}}) (seq (notin 0 0) (in 0 {}))"
+    PROBED = ["{} 0", "{{}} 0", "(in 0 0) 0", "(in 0 {}) 0",
+              "{} {", "{{}} {{}", "(in 0 0) (", "(in 0 0) (in 0 0", "(in 0 {{}}) (in 0 {{",
+              "(seq (in 0 0) (notin 0 0)",
+              "{{}}}", "{}}{{}", "(in 0 0))", "(in 0 {{}}})", "(in 0 {{}}) {{}"]
+
+    @pytest.mark.parametrize("text", PROBED)
+    def test_a_warm_read_agrees_with_a_fresh_one(self, text):
+        warm = CountingMemo()
+        read_items(self.WARM, {}, warm)
+        before = warm.hits
+        assert read_items(text, {}, warm) == read_items(text, {}, {})
+        assert warm.hits > before
+
+    def test_a_param_line_clears_the_index_with_the_memo(self):
+        # n2's members are n1's, in another order, so that only the
+        # reader's index could take them as read
+        text = ("n1 logax (seq (in p 0) (notin p 0)) main=(in p 0)\n"
+                "param p rank 1\n"
+                "n2 logax (seq (notin p 0) (in p 0)) main=(in p 0)\n"
+                "n3 cut [n1,n2] (seq (in 0 0)) formula=(in 0 0)\n")
+        script = parse_script(text)
+        n1, n2 = script.root.premises
+        p = Name(script.params["p"])
+        assert n1.conclusion == {Mem(Var("p"), ZERO_TERM), NotMem(Var("p"), ZERO_TERM)}
+        assert n2.conclusion == {Mem(p, ZERO_TERM), NotMem(p, ZERO_TERM)}
+        assert n2.main == Mem(p, ZERO_TERM)
+
+
+class CountingMemo(dict):
+    """A reader's memo that counts the kept texts taken from it."""
+
+    hits = 0
+
+    def __getitem__(self, key):
+        self.hits += 1
+        return super().__getitem__(key)
+
+
+def read_items(text, params, memo):
+    """The items a reader reads from ``text`` through ``memo``, and the
+    message of the fault that stops it, or None."""
+    items, out = formulas.Reader(text, params, memo), []
+    try:
+        while items.tokens(1):
+            out.append(items.item())
+    except ValueError as e:
+        return out, str(e)
+    return out, None
+
+
+def read_line(line, params, memo):
+    """What a script reads of one line through ``memo``: an assign line's
+    items, a node line's premise ids, conclusion and witnesses, or the
+    line's diagnostic; None for a blank, comment or param line."""
+    line = line.strip()
+    if not line or line.startswith("#") or line.split()[0] == "param":
+        return None
+    first, name, rest = (line.split(None, 2) + ["", ""])[:3]
+    if first == "assign":
+        return read_items(rest, params, memo)
+    try:
+        return finitary._read_node(name, rest, params, memo)
+    except ValueError as e:
+        return str(e)
+
+
+def script_params(lines):
+    """The parameters that the well-formed param lines among ``lines`` declare."""
+    params = {}
+    for line in lines:
+        words = line.split(None, 3)
+        if len(words) == 4 and words[0] == "param" and words[2] == "rank":
+            try:
+                params[words[1]] = Abstract(words[1], parse_ord(words[3]))
+            except ValueError:
+                pass
+    return params
+
+
+def warm_reads_agree(lines, warmers):
+    """Assert that each of ``lines`` reads the same through a memo warmed
+    by ``warmers`` and the other lines as through a fresh memo; return
+    how many kept texts the warm reads took."""
+    params, hits = script_params(lines), 0
+    for k, line in enumerate(lines):
+        memo = CountingMemo()
+        for other in warmers + lines[:k] + lines[k + 1:]:
+            read_line(other, params, memo)
+        memo.hits = 0
+        assert read_line(line, params, memo) == read_line(line, params, {}), line
+        hits += memo.hits
+    return hits
+
 
 CORPUS_LINES = [(text, k) for text in (render_script(e.script) for e in build_corpus())
                 for k in range(len(text.splitlines()))]
@@ -906,6 +1053,22 @@ class TestRobustness:
             assert re.match(r"line \d+: ", str(e)) or str(e) == "empty proof script", str(e)
             return
         assert parse_script(render_script(script)) == script
+
+    def test_a_corpus_line_reads_alike_through_a_warm_memo(self):
+        scripts = [render_script(e.script).splitlines() for e in build_corpus()]
+        hits = 0
+        for lines in scripts:
+            others = [line for other in scripts if other is not lines for line in other]
+            hits += warm_reads_agree(lines, others)
+        assert hits > 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(edited_scripts())
+    def test_an_edited_script_reads_alike_through_a_warm_memo(self, text):
+        # the corpus lines hold the edited line as it was before the edit
+        corpus = [whole.splitlines()[k] for whole, k in CORPUS_LINES]
+        warm_reads_agree(text.splitlines(), corpus)
 
 
 def respaced(line):
@@ -1145,6 +1308,27 @@ class TestDeepAndSharedProofs:
             derived += len(calls)
             nodes += len(walk)
         assert (derived, nodes) == (5118, 15432)
+
+    def test_nodes_that_differ_in_one_field_are_each_derived(self, monkeypatch):
+        """The key of ``check_proof``'s memo holds the rule, the conclusion
+        and every witness: two premises that differ in any one of them
+        are each derived, never given the other's inference."""
+        calls = []
+
+        def derive(node, N):
+            calls.append(node)
+            return [p.conclusion for p in node.premises]
+
+        monkeypatch.setattr(finitary, "expected_premises", derive)
+        keyed = [f.name for f in dataclasses.fields(ProofNode) if f.name != "premises"]
+        assert sorted(keyed) == sorted(("rule", "conclusion", *finitary.WITNESSES))
+        base = ProofNode("logax", LEAF_SEQ)
+        for name in keyed:
+            other = dataclasses.replace(base, **{name: object()})
+            root = ProofNode("cut", seq(M00), (base, other))
+            calls.clear()
+            assert check_proof(root).ok
+            assert [id(node) for node in calls] == [id(root), id(base), id(other)], name
 
     def test_random_dag_mutants_against_every_path_walk(self):
         rng = random.Random(20)
