@@ -446,6 +446,10 @@ def parse_script(text: str) -> ProofScript:
 #: ``]``, after the whitespace and commas that the reader skips.
 _FLAT_PREMISES = re.compile(r"[\s,]*\[([^()\[\]{}=]*)\]")
 
+#: A conclusion's first tokens, ``(`` and ``seq``, and any further item.
+_CONCLUSION = re.compile(r"[\s,]*\([\s,]*seq(?![^\s(){}\[\],])")
+_MORE = re.compile(r"[\s,]*[^\s,]")
+
 
 def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
     """The premise ids, conclusion and witnesses after a node's rule,
@@ -468,12 +472,12 @@ def _read_node(rule: str, rest: str, params: dict, memo: dict) -> tuple:
     kept = memo.get(tail)
     if kept is not None:
         return (premise_ids, *kept)
-    items = Reader(tail[1], params, memo)
-    if items.tokens(2) != ["(", "seq"]:
+    if not _CONCLUSION.match(tail[1]):
         raise ValueError("missing conclusion sequent")
+    items = Reader(tail[1], params, memo)
     concl = items.item()
     kwargs: dict = {}
-    while items.tokens(1):
+    while _MORE.match(tail[1], items.pos):
         key = items.item()
         if not isinstance(key, str) or not key.endswith("="):
             raise ValueError("witnesses read key=value, got %r" % (

@@ -19,14 +19,15 @@ table builds it: its exponents are codes built before it, so normal
 already, and the check reads only its own terms.  So no malformed code
 exists, and no operation checks its arguments again.  Five functions
 keep an unbounded cache by interned argument: ``validate_nf``, the
-comparison ``_cmp``, ``add``, ``omega_exp`` and ``render``.
+comparison ``_cmp``, ``add``, ``omega_exp`` and ``render``.  Comparing,
+rendering and parsing are loops: no level of a code costs a frame.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from functools import cmp_to_key, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import zip_longest
 
 LESS, EQUAL, GREATER = -1, 0, 1
@@ -186,30 +187,37 @@ def cmp(a: OrdCode, b: OrdCode) -> int:
     return _cmp(a, b)
 
 
+def _sum_into(terms: list, more, natural: bool) -> list:
+    """``terms`` with the terms ``more`` added in place, both a code's
+    terms in decreasing order: in a natural sum each term goes to its
+    place, and in an ordinal sum the first absorbs the terms below it and
+    the rest follow.  A binary search finds each place, so a sum read a
+    term at a time costs each term a search, not a copy of the sum."""
+    for k, (e, c) in enumerate(more):
+        lo, hi = 0, len(terms)
+        while lo < hi:  # the first term whose exponent is at most e
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if _ecmp(terms[mid][0], e) == GREATER else (lo, mid)
+        if lo < len(terms) and terms[lo][0] == e:
+            c += terms.pop(lo)[1]
+        if not natural:
+            terms[lo:] = [(e, c), *more[k + 1:]]
+            break
+        terms.insert(lo, (e, c))
+    return terms
+
+
 @lru_cache(maxsize=None)
 def add(a: OrdCode, b: OrdCode) -> OrdCode:
     """Ordinal sum in normal form: the terms of a below b's head are
     absorbed, and on an equal head the coefficients add."""
-    terms = a.terms
-    if b == ZERO:
-        return a
-    head, c = b.terms[0]
-    i = 0
-    while i < len(terms) and _ecmp(terms[i][0], head) == GREATER:
-        i += 1
-    if i < len(terms) and terms[i][0] == head:
-        return OrdCode(terms[:i] + ((head, terms[i][1] + c),) + b.terms[1:])
-    return OrdCode(terms[:i] + b.terms)
+    return OrdCode(tuple(_sum_into(list(a.terms), b.terms, False)))
 
 
 def nat_sum(a: OrdCode, b: OrdCode) -> OrdCode:
     """Natural (commutative) sum: the terms of a and b merged, the
     coefficients of equal exponents added."""
-    merged = dict(a.terms)
-    for e, c in b.terms:
-        merged[e] = merged.get(e, 0) + c
-    return OrdCode(tuple(sorted(merged.items(), reverse=True,
-                                key=cmp_to_key(lambda s, t: _ecmp(s[0], t[0])))))
+    return OrdCode(tuple(_sum_into(list(a.terms), b.terms, True)))
 
 
 @lru_cache(maxsize=None)
@@ -323,48 +331,50 @@ def enumerate_codes(max_size: int,
 # ---------------------------------------------------------------------------
 
 
-def _is_token(s: str) -> bool:
-    return s.isalnum() or s == "w"
-
-
-def _power(e: OrdCode | OmegaLog) -> str:
-    """The text of ``w^e``."""
-    if e == OMEGA_LOG:
-        return "W"
-    if e == ZERO:
-        return "1"
-    if e == ONE:
-        return "w"
-    inner = render(e)
-    return f"w^{inner}" if _is_token(inner) else f"w^({inner})"
-
-
 @lru_cache(maxsize=None)
 def render(a: OrdCode) -> str:
     """Bracketed text form; ``parse(render(a)) == a`` for normal codes.
-    Each term is written with its coefficient (``W*2 + w + 1``)."""
-    if a == ZERO:
-        return "0"
-    # a loop, not a generator, so that a level of nesting costs the stack
-    # only the frames of render and _power
-    parts = []
-    for e, c in a.terms:
-        if e == ZERO:
-            parts.append(str(c))
-        else:
-            parts.append(_power(e) if c == 1 else f"{_power(e)}*{c}")
-    return " + ".join(parts)
+    Each term is written with its coefficient (``W*2 + w + 1``), and an
+    exponent is written bare exactly when it is a natural (``w^2``) or
+    ``w`` (``w^w``).  One loop writes a stack of pieces: a string as it
+    is, a code as the pieces of its terms, so no depth of nesting costs
+    a stack frame.  The cache keeps the texts of the codes asked for
+    only: a text for each exponent of a tower would grow with the
+    square of its height."""
+    out, todo = [], [a]
+    while todo:
+        piece = todo.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        pieces = []
+        for e, c in piece.terms:
+            if pieces:
+                pieces.append(" + ")
+            if e == ZERO:
+                pieces.append(str(c))
+                continue
+            if e == OMEGA_LOG:
+                pieces.append("W")
+            elif e == ONE:
+                pieces.append("w")
+            elif e == SUB_W or e.terms[0][0] == ZERO:  # w or a natural: one token
+                pieces += ("w^", e)
+            else:
+                pieces += ("w^(", e, ")")
+            if c != 1:
+                pieces.append("*%d" % c)
+        todo += reversed(pieces)
+    return "".join(out) or "0"  # zero has no terms
 
 
-#: The deepest expression the parser reads, in levels along each path
-#: through it: a ``w_n(...)`` nests n levels, a ``w^`` one and a ``w``
-#: (``w^1``) one; the ``(`` of a ``w^(`` or ``w_n(`` adds nothing, any
-#: other ``(`` one.  ``w_198(1)`` is the deepest tower.  ``render`` writes
-#: a code in no more levels than the text it was read from, so every code
-#: the parser reads renders and reads back.  Reading or rendering one
-#: nested to the limit takes some 600 frames, below Python's default
-#: recursion limit.
-MAX_TOWER = 198
+#: The most tower levels one text builds, counted over the whole text:
+#: a ``w_n(...)`` builds n levels and a ``w^`` one; brackets, ``w``,
+#: ``W`` and numbers build none.  A text costs time and memory in its
+#: length plus its levels: the costliest within the limit, a sum of
+#: ``MAX_TOWER`` distinct ``w^n`` terms, reads and prints in 0.5 s and
+#: 40 MB from a fresh interpreter (2-core x86_64).
+MAX_TOWER = 10_000
 
 #: The most digits the parser reads in one number: a natural, a ``w_n``
 #: subscript or a ``* n`` coefficient.  It is the lowest limit that
@@ -394,105 +404,89 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.levels = 0  # nesting along the path being read
-
-    def enter(self, levels: int) -> None:
-        """Go ``levels`` deeper; the caller comes back out by hand."""
-        self.levels += levels
-        if self.levels > MAX_TOWER:
-            raise OrdinalParseError(f"nesting is above the limit of {MAX_TOWER} levels")
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
+def _read(text: str, query: bool) -> OrdCode | tuple[OrdCode, OrdCode]:
+    """One expression, or with ``query`` an ``a ? b`` pair, read by one
+    loop over the tokens.  The innermost open bracket holds its sum so
+    far as a list of terms, the operator before its next term and the
+    ``w^`` powers pending on that term; ``stack`` holds the brackets
+    around it, each with the tower height its ``)`` applies.  A sum
+    becomes a code only under a ``w^``, which builds a level, or at the
+    end, so no text builds a long code once per term of a sum."""
+    take = iter(_tokenize(text) + [None]).__next__  # None ends the text
+    levels = 0
+    stack: list = []
+    sides: list[OrdCode] = []
+    terms, op, powers = [], "+", 0
+    while True:
+        tok = take()
         if tok is None:
             raise OrdinalParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise OrdinalParseError(f"expected {tok!r}, got {got!r}")
-
-    def expr(self) -> OrdCode:
-        out = self.term()
-        while self.peek() in ("+", "#"):
-            op = self.take()
-            rhs = self.term()
-            out = add(out, rhs) if op == "+" else nat_sum(out, rhs)
-        return out
-
-    def term(self) -> OrdCode:
-        out = self.prim()
-        while self.peek() == "*":
-            self.take()
-            n = self.take()
-            if not n.isdigit():
-                raise OrdinalParseError("coefficient must be a natural number")
-            out = times_nat(out, int(n))
-        return out
-
-    def prim(self) -> OrdCode:
-        tok = self.take()
-        if tok == "W":
-            return OMEGA
-        if tok == "w":
-            self.enter(1)
-            self.levels -= 1
-            return SUB_W
-        if tok.isdigit():
-            return from_nat(int(tok))
-        if tok == "(":
-            self.enter(1)
-            inner = self.expr()
-            self.expect(")")
-            self.levels -= 1
-            return inner
-        if tok == "w^":
-            self.enter(1)
-            if self.peek() == "(":
-                self.take()
-                inner = self.expr()
-                self.expect(")")
+        if tok == "w^" or tok.startswith("w_"):
+            height = 1 if tok == "w^" else int(tok[2:])
+            levels += height
+            if levels > MAX_TOWER:
+                raise OrdinalParseError(f"tower levels are above the limit of {MAX_TOWER}")
+            if tok == "w^":
+                powers += 1
+                continue
+            if (tok := take()) != "(":
+                raise OrdinalParseError("unexpected end of expression" if tok is None
+                                        else f"expected '(', got {tok!r}")
+        elif tok == "(":
+            height = 0
+        else:
+            if tok == "W":
+                value = OMEGA.terms
+            elif tok == "w":
+                value = SUB_W.terms
+            elif tok.isdigit():
+                value = from_nat(int(tok)).terms
             else:
-                inner = self.prim()
-            self.levels -= 1
-            return omega_exp(inner)
-        if tok.startswith("w_"):
-            n = int(tok[2:])
-            if n > MAX_TOWER:
-                raise OrdinalParseError(f"tower height {n} is above the limit {MAX_TOWER}")
-            self.expect("(")
-            self.enter(n)
-            inner = self.expr()
-            self.expect(")")
-            self.levels -= n
-            return omega_tower(n, inner)
-        raise OrdinalParseError(f"unexpected token {tok!r}")
+                raise OrdinalParseError(f"unexpected token {tok!r}")
+            # a term is read: add it to its sum, and close each bracket
+            # that ends with it
+            tok = take()
+            while True:
+                if powers:
+                    value = omega_tower(powers, OrdCode(tuple(value))).terms
+                k = 1
+                while tok == "*":
+                    n = take()
+                    if n is None or not n.isdigit():
+                        raise OrdinalParseError("unexpected end of expression" if n is None
+                                                else "coefficient must be a natural number")
+                    k *= int(n)
+                    tok = take()
+                if k != 1:  # times_nat: only the head coefficient is multiplied
+                    value = [(value[0][0], value[0][1] * k), *value[1:]] if k and value else ()
+                terms = _sum_into(terms, value, op == "#")
+                if tok != ")" or not stack:
+                    break
+                value = terms
+                terms, op, powers, height = stack.pop()
+                powers += height
+                tok = take()
+            if tok in ("+", "#"):
+                op, powers = tok, 0
+                continue
+            if stack:
+                raise OrdinalParseError("unexpected end of expression" if tok is None
+                                        else f"expected ')', got {tok!r}")
+            sides.append(OrdCode(tuple(terms)))
+            if tok == "?" and query and len(sides) == 1:
+                terms, op, powers = [], "+", 0
+                continue
+            if tok is not None:
+                raise OrdinalParseError(f"trailing input at {tok!r}")
+            return tuple(sides) if len(sides) == 2 else sides[0]
+        stack.append((terms, op, powers, height))
+        terms, op, powers = [], "+", 0
 
 
 def parse(text: str) -> OrdCode:
-    p = _Parser(_tokenize(text))
-    out = p.expr()
-    if p.peek() is not None:
-        raise OrdinalParseError(f"trailing input at {p.peek()!r}")
-    return out
+    return _read(text, False)
 
 
 def parse_query(text: str) -> OrdCode | tuple[OrdCode, OrdCode]:
     """Parse either a single expression or an ``a ? b`` comparison query."""
-    p = _Parser(_tokenize(text))
-    out = p.expr()
-    if p.peek() == "?":
-        p.take()
-        out = (out, p.expr())
-    if p.peek() is not None:
-        raise OrdinalParseError(f"trailing input at {p.peek()!r}")
-    return out
+    return _read(text, True)

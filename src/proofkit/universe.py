@@ -227,19 +227,19 @@ def witness_pool(count: int, params) -> list:
     """A finite search domain for unbounded quantifiers: the first
     *count* hereditarily finite sets, then each concrete parameter and
     every set hereditarily inside it, ordered by ``repr``, each set once.
-    The parameters are read in ``repr`` order too, so the pool does not
-    depend on the order they are given in.  A concrete parameter keeps
-    its closure's order once it is first asked for."""
+    The concrete parameters are read in ``repr`` order too, by their kept
+    texts (no set's text is a proper prefix of another's), so the pool
+    does not depend on the order they are given in.  A concrete parameter
+    keeps its closure's order once it is first asked for."""
     pool = enumerate_hf(count)
-    for a in sorted(params, key=repr):
-        if isinstance(a, Concrete):
-            closure = a._closure
-            if closure is None:
-                closure = tuple(sorted(transitive_closure(a) | {a}, key=repr))
-                object.__setattr__(a, "_closure", closure)
-            for b in closure:
-                if b not in pool:
-                    pool.append(b)
+    for a in sorted((a for a in params if isinstance(a, Concrete)), key=render_set):
+        closure = a._closure
+        if closure is None:
+            closure = tuple(sorted(transitive_closure(a) | {a}, key=repr))
+            object.__setattr__(a, "_closure", closure)
+        for b in closure:
+            if b not in pool:
+                pool.append(b)
     return pool
 
 

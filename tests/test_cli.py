@@ -1,10 +1,8 @@
 """Command-line front end: ord, check, elim."""
 
-import os
-import subprocess
 import sys
 import warnings
-from pathlib import Path
+from contextlib import contextmanager
 
 import families
 import pytest
@@ -15,9 +13,11 @@ from proofkit import cli
 from proofkit.cli import main
 from proofkit.corpus import build_corpus
 from proofkit.derivations import Emb
-from proofkit.finitary import ProofNode, ProofScript, ax_reflection, render_script
+from proofkit.finitary import (ProofNode, ProofScript, ax_reflection, parse_script,
+                               render_script)
 from proofkit.formulas import ZERO_TERM, parse_formula, render_formula, seq
-from proofkit.ordinals import MAX_DIGITS, MAX_TOWER
+from proofkit.ordinals import (MAX_DIGITS, MAX_TOWER, OMEGA, SUB_W, from_nat, omega_tower,
+                               parse, render, times_nat)
 from proofkit.universe import EMPTY_HULL
 
 
@@ -32,25 +32,31 @@ def scripts(tmp_path_factory):
     return out
 
 
-#: the text of w_198(1), the deepest tower the parser reads
-TOWER_198 = "w^(" * 196 + "w^w" + ")" * 196
+#: the most levels a text builds, in the rows that name the limit
+L = MAX_TOWER
 
 
-def fresh(*argv):
-    """``python argv`` in a fresh interpreter that imports this proofkit.
-    Reading and rendering a code nested to the limit recurses some 600
-    frames deep, so it runs as the command does, under the interpreter's
-    default recursion limit and not under the frames of the test runner."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+def tower(height: int, base: int = 1) -> str:
+    """The text ``render`` writes for ``w_height(base)``, for base 1 or
+    2 and height at least 2: ``w_1(1)`` is ``w``, written bare."""
+    inner = height - 1 - (base == 1)
+    return "w^(" * inner + "w^%s" % ("w" if base == 1 else base) + ")" * inner
 
 
-def fresh_ord(expr):
-    """``proofkit ord expr`` in a fresh interpreter."""
-    return fresh("-m", "proofkit.cli", "ord", expr)
+@contextmanager
+def shallow_stack(frames: int = 50):
+    """The recursion limit set ``frames`` above the caller's depth, and
+    restored on leaving: code that recursed once per level of a tower
+    would fail under it."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestOrd:
@@ -80,8 +86,8 @@ class TestOrd:
         ("w_", "w_ needs a numeric subscript"),
         ("w $", "unexpected character '$'"),
         ("w^", "unexpected end of expression"),
-        ("w_199(1)", "tower height 199 is above the limit 198"),
-        ("w_100000000(1)", "tower height 100000000 is above the limit 198"),
+        ("w_10001(1)", "tower levels are above the limit of 10000"),
+        ("w_100000000(1)", "tower levels are above the limit of 10000"),
     ])
     def test_each_parser_message_is_one_line(self, capsys, expr, message):
         assert main(["ord", expr]) == 1
@@ -101,8 +107,8 @@ class TestOrd:
             sys.set_int_max_str_digits(setting)
         out, err = capsys.readouterr()
         if template.startswith("w_"):
-            assert (status, err) == (1, "parse error: tower height %s is above the limit %d\n"
-                                     % ("7" * MAX_DIGITS, MAX_TOWER))
+            assert (status, err) == (1, "parse error: tower levels are above the limit of %d\n"
+                                     % MAX_TOWER)
         else:
             assert (status, out) == (0, template.replace(" ", "") % ("7" * MAX_DIGITS) + "\n")
         for digits in (MAX_DIGITS + 1, 5000):
@@ -110,86 +116,91 @@ class TestOrd:
             assert capsys.readouterr().err == (
                 "parse error: number of %d digits is above the limit of 640 digits\n" % digits)
 
-    def test_the_highest_tower_prints_from_a_fresh_interpreter(self):
-        assert MAX_TOWER == 198
-        p = fresh_ord("w_198(1)")
-        assert (p.returncode, p.stderr) == (0, "")
-        assert p.stdout == TOWER_198 + "\n"
+    def test_the_highest_tower_prints_under_a_shallow_stack(self, capsys):
+        assert MAX_TOWER == 10_000
+        with shallow_stack():
+            assert main(["ord", "w_10000(1)"]) == 0
+        assert capsys.readouterr() == (tower(L) + "\n", "")
 
     @pytest.mark.parametrize("expr, out", [
-        ("w^" * 198 + "1", TOWER_198),
-        ("(" * 198 + "1" + ")" * 198, "1"),
-        ("w^(" * 99 + "1" + ")" * 99, "w^(" * 97 + "w^w" + ")" * 97),
-        ("w^(" * 198 + "1" + ")" * 198, TOWER_198),
-        ("w^(" * 198 + "2" + ")" * 198, "w^(" * 197 + "w^2" + ")" * 197),
-        ("w_100(w_98(1))", TOWER_198),
-        ("w_197(w)", TOWER_198),
-        ("w_198(1) ? w_197(2)", "greater"),
-        (TOWER_198, TOWER_198),
-    ], ids=["powers", "parentheses", "powers-of-parentheses", "198-powers-of-parentheses",
-            "tower-of-2", "towers", "tower-of-w", "compare", "rendered-tower"])
-    def test_an_expression_nested_to_the_limit_is_read(self, expr, out):
-        p = fresh_ord(expr)
-        assert (p.returncode, p.stdout, p.stderr) == (0, out + "\n", "")
+        pytest.param("w^" * 198 + "1", tower(198), id="powers"),
+        pytest.param("(" * 198 + "1" + ")" * 198, "1", id="parentheses"),
+        pytest.param("w^(" * 99 + "1" + ")" * 99, tower(99), id="powers-of-parentheses"),
+        pytest.param("w^(" * 198 + "1" + ")" * 198, tower(198), id="198-powers-of-parentheses"),
+        pytest.param("w^(" * 198 + "2" + ")" * 198, tower(198, 2), id="tower-of-2"),
+        pytest.param("w_100(w_98(1))", tower(198), id="towers"),
+        pytest.param("w_197(w)", tower(198), id="tower-of-w"),
+        pytest.param("w_198(1) ? w_197(2)", "greater", id="compare"),
+        pytest.param(tower(198), tower(198), id="rendered-tower"),
+        # nested deep, but within the limit: brackets and w build no level
+        pytest.param("w^" * 199 + "1", tower(199), id="199-powers"),
+        pytest.param("w^" * 300 + "1", tower(300), id="300-powers"),
+        pytest.param("(" * 199 + "1" + ")" * 199, "1", id="199-parentheses"),
+        pytest.param("(" * 600 + "1" + ")" * 600, "1", id="600-parentheses"),
+        pytest.param("w_198(w_198(1))", tower(396), id="towers-396"),
+        pytest.param("w_100(w_99(1))", tower(199), id="towers-199"),
+        pytest.param("w^" * 198 + "w", tower(199), id="198-powers-of-w"),
+        pytest.param("w_198(w)", tower(199), id="tower-of-w-199"),
+        pytest.param(tower(199), tower(199), id="rendered-tower-199"),
+        # at the limit: w builds no level, so w_L(w) is a tower of L + 1
+        pytest.param("w_%d(1)" % L, tower(L), id="tower-at-the-limit"),
+        pytest.param("w^" * L + "1", tower(L), id="powers-at-the-limit"),
+        pytest.param("w_%d(w)" % L, tower(L + 1), id="tower-of-w-at-the-limit"),
+        pytest.param(tower(L + 1), tower(L + 1), id="rendered-tower-at-the-limit"),
+        pytest.param("w_%d(2) # w_%d(1)" % (L // 2, L // 2),
+                     tower(L // 2, 2) + " + " + tower(L // 2), id="summed-towers-at-the-limit"),
+        pytest.param("w_%d(1) ? w_%d(2)" % (L // 2, L // 2), "less", id="compare-at-the-limit"),
+        pytest.param(" + ".join("w^%d" % n for n in range(L, 0, -1)),
+                     " + ".join("w^%d" % n for n in range(L, 1, -1)) + " + w", id="sum-at-the-limit"),
+        pytest.param(" # ".join("w^%d" % n for n in range(1, L + 1)),
+                     " + ".join("w^%d" % n for n in range(L, 1, -1)) + " + w",
+                     id="natural-sum-at-the-limit"),
+    ])
+    def test_an_expression_nested_to_the_limit_is_read(self, capsys, expr, out):
+        with shallow_stack():
+            assert main(["ord", expr]) == 0
+        assert capsys.readouterr() == (out + "\n", "")
 
     @pytest.mark.parametrize("expr", [
-        "w^" * 199 + "1",
-        "w^" * 300 + "1",
-        "(" * 199 + "1" + ")" * 199,
-        "(" * 600 + "1" + ")" * 600,
-        "w_198(w_198(1))",
-        "w_100(w_99(1))",
-        "w^" * 198 + "w",
-        "w_198(w)",
-        "w^(" * 197 + "w^w" + ")" * 197,
-    ], ids=["199-powers", "300-powers", "199-parentheses", "600-parentheses",
-            "towers-396", "towers-199", "198-powers-of-w", "tower-of-w",
-            "rendered-tower-199"])
+        pytest.param("w^" * (L + 1) + "1", id="powers"),
+        pytest.param("w^(" * (L + 1) + "1" + ")" * (L + 1), id="powers-of-parentheses"),
+        pytest.param("w_%d(w_%d(1))" % (L // 2, L // 2 + 1), id="towers"),
+        pytest.param("w_%d(1) + w_%d(1)" % (L // 2, L // 2 + 1), id="summed-towers"),
+        pytest.param("w_%d(1) ? w_%d(2)" % (L // 2, L // 2 + 1), id="compared-towers"),
+        pytest.param(" + ".join("w^%d" % n for n in range(L + 1, 0, -1)), id="sum"),
+        pytest.param(" # ".join("w^%d" % n for n in range(1, L + 2)), id="natural-sum"),
+        pytest.param(tower(L + 2), id="rendered-tower"),
+    ])
     def test_an_expression_nested_past_the_limit_is_one_parse_error(self, capsys, expr):
+        # the levels are counted over the whole text, not along one path
         assert main(["ord", expr]) == 1
-        assert capsys.readouterr().err == "parse error: nesting is above the limit of 198 levels\n"
-
+        assert capsys.readouterr().err == "parse error: tower levels are above the limit of 10000\n"
 
     def test_every_code_read_to_the_limit_renders_and_reads_back(self):
-        # w_199(1) is past the limit; its text, one level deeper than
-        # TOWER_198, is refused as the tower itself is
-        p = fresh("-c", """if True:
-            from proofkit.ordinals import (MAX_TOWER, OMEGA, SUB_W, OrdinalParseError,
-                                           from_nat, omega_tower, parse, render)
+        # towers over four bases, of each height below 60 and of 21
+        # heights up to the limit; render writes a code in no more
+        # levels than the text it was read from
+        heights = sorted({*range(60), *range(0, L + 1, L // 20)})
+        with shallow_stack():
             for base in (from_nat(1), from_nat(2), SUB_W, OMEGA):
-                for n in range(MAX_TOWER + 1):
+                for n in heights:
                     code = omega_tower(n, base)
-                    try:
-                        back = parse(render(code))
-                    except OrdinalParseError:
-                        print("refused", n, render(base))
-                        continue
-                    assert back == code, (n, base)
-            print("done")
-            """)
-        assert (p.returncode, p.stderr) == (0, "")
-        assert p.stdout == "refused 198 w\ndone\n"
+                    assert parse(render(code)) == code, (n, render(base))
 
-    def test_a_script_with_a_rank_nested_to_the_limit_reads_back(self, tmp_path):
+    def test_a_script_with_a_rank_nested_to_the_limit_reads_back(self, tmp_path, capsys):
         # render_script writes the rank with render; the script it writes
-        # is read back, and checked, by a fresh interpreter
+        # is read back, and checked
         path = tmp_path / "deep.proof"
-        p = fresh("-c", """if True:
-            import sys
-            from pathlib import Path
-            from proofkit.finitary import parse_script, render_script
-            from proofkit.ordinals import from_nat, omega_tower
-            text = "param p rank w_198(1)\\nn1 logax (seq (in 0 p) (notin 0 p)) main=(in 0 p)\\n"
+        text = "param p rank w_%d(1)\nn1 logax (seq (in 0 p) (notin 0 p)) main=(in 0 p)\n" % L
+        with shallow_stack():
             script = parse_script(text)
-            assert script.params["p"].declared_rank == omega_tower(198, from_nat(1))
+            assert script.params["p"].declared_rank == omega_tower(L, from_nat(1))
             out = render_script(script)
             assert parse_script(out) == script
-            Path(sys.argv[1]).write_text(out, encoding="utf-8")
-            """, str(path))
-        assert (p.returncode, p.stderr) == (0, "")
-        assert path.read_text(encoding="utf-8").startswith("param p rank %s\n" % TOWER_198)
-        p = fresh("-m", "proofkit.cli", "check", str(path))
-        assert (p.returncode, p.stderr) == (0, "")
+            path.write_text(out, encoding="utf-8")
+            assert main(["check", str(path)]) == 0
+        assert out.startswith("param p rank %s\n" % tower(L))
+        assert capsys.readouterr().err == ""
 
 
 class TestCheck:
@@ -255,19 +266,19 @@ class TestCheck:
 
     def test_a_param_rank_above_the_tower_limit_is_a_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"
-        bad.write_text("param p rank w_199(1)\nn1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n",
+        bad.write_text("param p rank w_10001(1)\nn1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n",
                        encoding="utf-8")
         assert main(["check", str(bad)]) == 1
         assert capsys.readouterr().err == (
-            "parse error: line 1: tower height 199 is above the limit 198\n")
+            "parse error: line 1: tower levels are above the limit of 10000\n")
 
     def test_a_param_rank_nested_past_the_limit_is_a_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"
-        bad.write_text("param p rank w_100(w_99(1))\n"
+        bad.write_text("param p rank w_5000(w_5001(1))\n"
                        "n1 logax (seq (in 0 0) (notin 0 0)) main=(in 0 0)\n", encoding="utf-8")
         assert main(["check", str(bad)]) == 1
         assert capsys.readouterr().err == (
-            "parse error: line 1: nesting is above the limit of 198 levels\n")
+            "parse error: line 1: tower levels are above the limit of 10000\n")
 
     def test_a_param_rank_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.proof"
@@ -517,6 +528,19 @@ class TestDeepAndSharedScripts:
         captured = capsys.readouterr()
         assert "final bound: W*3000\nchecked nodes: 6001\n" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize("n", [400, 3000])
+    def test_elim_of_a_deep_cut_chain_prints_its_tower_bound(self, tmp_path, capsys, n):
+        # after n rounds the bound is the n-level tower w_n(W*n)
+        path = tmp_path / "chain.proof"
+        path.write_text(cut_chain(n), encoding="utf-8")
+        assert main(["elim", str(path), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        bound = render(omega_tower(n, times_nat(OMEGA, n)))
+        assert "final rank: 0\n" in out and "final bound: %s\n" % bound in out
+        with shallow_stack():
+            assert main(["ord", bound]) == 0
+        assert capsys.readouterr() == (bound + "\n", "")
 
     def test_doubly_shared_dag(self, tmp_path, capsys):
         path = tmp_path / "dag.proof"

@@ -516,7 +516,11 @@ def test_every_malformed_code_message_is_tested():
 def test_every_ordinal_parser_message_is_tested():
     """Each ``OrdinalParseError`` text of ``ordinals`` is named by a test."""
     messages = raised_messages("ordinals", "OrdinalParseError")
-    assert len(messages) > 7
+    assert len(messages) == 10
+    # one limit on the levels a text builds, beside the digit limit
+    assert sorted(m for m in messages if "limit" in m) == [
+        "number of %s digits is above the limit of %s digits",
+        "tower levels are above the limit of %s"]
     assert untested(messages, {}) == []
 
 

@@ -377,6 +377,17 @@ class TestRenderParse:
         with pytest.raises(OrdinalParseError, match=r"^unexpected character '²'$"):
             parse("W * ²")
 
+    def test_a_long_sum_keeps_no_code_per_term(self):
+        # a sum is kept as a list of terms until its bracket closes, so a
+        # long sum read a term at a time builds no long code per term
+        L = ordinals.MAX_TOWER
+        text = " + ".join("w^%d" % n for n in range(L, 0, -1)) + " + 1" * 1000 + " # 1" * 1000
+        before = len(ordinals._INTERNED)
+        a = parse("(%s) * 3" % text)
+        assert len(a.terms) == L + 1 and a.terms[0][1] == 3 and a.terms[-1] == (ZERO, 2000)
+        # the naturals n and the powers w^n, each built once, and the result
+        assert len(ordinals._INTERNED) - before <= 2 * L + 1
+
     def test_query(self):
         a, b = parse_query("w^(W+1) ? W")
         assert cmp(a, b) == GREATER
